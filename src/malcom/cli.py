@@ -163,13 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_graph_params(parser, args, n=None):
-    if args.epsilon is None and not (0 < args.p <= 100):
-        parser.error(f"--p must be in (0, 100], got {args.p}")
-    if args.k < 1:
-        parser.error(f"--k must be >= 1, got {args.k}")
-    if n is not None and args.method in ("knn", "en") and args.k >= n:
-        parser.error(f"--k must be < number of samples ({n}), got {args.k}")
+def _graph_params(parser, n, **fields) -> GraphBuildParams:
+    """GraphBuildParams for an n-sample corpus; invalid values exit 2."""
+    params = GraphBuildParams(**fields)
+    try:
+        params.validate(n)
+    except GraphError as exc:
+        parser.error(str(exc))
+    return params
 
 
 def _load_filtered(parser, args):
@@ -212,11 +213,10 @@ def _cmd_tfidf(parser, args):
 
 def _cmd_graph(parser, args):
     d = _load_filtered(parser, args)
-    _validate_graph_params(parser, args, n=len(d))
-    ws = pairwise_weights(compute_tfidf(d))
-    params = GraphBuildParams(
-        method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
+    params = _graph_params(
+        parser, len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
     )
+    ws = pairwise_weights(compute_tfidf(d))
     write_edges(build_graph(ws, params), args.out)
 
 
@@ -285,23 +285,22 @@ def _cmd_sweep(parser, args):
         grid = [float(p) for p in args.p_grid.split(",") if p.strip()]
     except ValueError:
         parser.error(f"--p-grid must be comma-separated numbers: {args.p_grid!r}")
-    for p in grid:
-        if not (0 < p <= 100):
-            parser.error(f"--p-grid values must be in (0, 100], got {p}")
+    grid_params = [
+        _graph_params(parser, len(d), method="en", p=p, k=args.k) for p in grid
+    ]
 
     lines = [
         "p\tedges\tnum_communities\trs\taccuracy\tgraph_ms\tdetect_ms\tcumulative_ms"
     ]
     cumulative = 0.0
-    for p in grid:
-        params = GraphBuildParams(method="en", p=p, k=args.k)
+    for params in grid_params:
         report = run_pipeline(d, params, seed=args.seed)
         cumulative += sum(report.timings_ms.values())
         ev = report.evaluation
         rs = f"{ev.rand_statistic:.6f}" if ev else ""
         acc = f"{ev.accuracy:.6f}" if ev else ""
         lines.append(
-            f"{p:g}\t{report.graph_stats['edges']}\t{report.num_communities}"
+            f"{params.p:g}\t{report.graph_stats['edges']}\t{report.num_communities}"
             f"\t{rs}\t{acc}"
             f"\t{report.timings_ms['graph']:.3f}"
             f"\t{report.timings_ms['detect']:.3f}"
@@ -346,12 +345,11 @@ def _cmd_bench(parser, args):
 
 def _cmd_pipeline(parser, args):
     d = _load_filtered(parser, args)
-    _validate_graph_params(parser, args, n=len(d))
+    params = _graph_params(
+        parser, len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
+    )
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    params = GraphBuildParams(
-        method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
-    )
     run_pipeline(
         d,
         params,

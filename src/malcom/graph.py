@@ -5,6 +5,11 @@ The percentile cutoff counts only strictly positive stored weights and is
 found by selection (introselect via numpy.partition), never by a full sort.
 The k-NN builder deliberately performs a per-vertex full sort; it is the
 slow baseline the E-N method is benchmarked against.
+
+Code that walks neighbours reads the CSR adjacency from ``csr``: row v,
+``indices[indptr[v]:indptr[v + 1]]`` with ``weights`` alongside, lists v's
+neighbours in edge order.  Sums over it use ``np.bincount``/``np.cumsum``,
+which add in input order like an edge-by-edge loop (``np.sum`` does not).
 """
 from __future__ import annotations
 
@@ -34,9 +39,6 @@ class RelationGraph:
     edge_j: np.ndarray
     edge_w: np.ndarray  # float64, all > 0
     meta: dict = field(default_factory=dict)
-    _adj: Optional[list[list[tuple[int, float]]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n(self) -> int:
@@ -46,28 +48,13 @@ class RelationGraph:
     def num_edges(self) -> int:
         return len(self.edge_w)
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        if self._adj is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-            for i, j, w in zip(
-                self.edge_i.tolist(), self.edge_j.tolist(), self.edge_w.tolist()
-            ):
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-            self._adj = adj
-        return self._adj
-
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edge_i, 1)
-        np.add.at(deg, self.edge_j, 1)
-        return deg
+        return np.bincount(self.edge_i, minlength=self.n) + np.bincount(
+            self.edge_j, minlength=self.n
+        )
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(zip(self.edge_i.tolist(), self.edge_j.tolist()))
-
-    def total_weight(self) -> float:
-        return float(self.edge_w.sum())
 
 
 @dataclass
@@ -78,16 +65,17 @@ class GraphBuildParams:
     epsilon: Optional[float] = None
 
     def validate(self, n: int) -> None:
+        """The one check of graph parameters; the CLI exits 2 on its errors."""
         if self.method not in ("epsilon", "knn", "en"):
             raise GraphError(f"unknown graph method {self.method!r}")
-        if self.method in ("epsilon", "en") and self.epsilon is None:
-            if not (0 < self.p <= 100):
-                raise GraphError(f"p must be in (0, 100], got {self.p}")
-        if self.method in ("knn", "en"):
-            if self.k < 1:
-                raise GraphError(f"k must be >= 1, got {self.k}")
-            if self.k >= n:
-                raise GraphError(f"k must be < n ({n}), got {self.k}")
+        if self.epsilon is None and not (0 < self.p <= 100):
+            raise GraphError(f"p must be in (0, 100], got {self.p}")
+        if self.epsilon is not None and not self.epsilon >= 0:
+            raise GraphError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.k < 1:
+            raise GraphError(f"k must be >= 1, got {self.k}")
+        if self.method in ("knn", "en") and self.k >= n:
+            raise GraphError(f"k must be < n ({n}), got {self.k}")
 
 
 def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
@@ -129,18 +117,28 @@ def _floor_weight(ws: WeightSet) -> float:
     return float(ws.w.min()) * FLOOR_FACTOR
 
 
-def _neighbor_lists(ws: WeightSet) -> list[list[tuple[int, float]]]:
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(ws.n)]
-    for i, j, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
-        nbrs[i].append((j, w))
-        nbrs[j].append((i, w))
-    return nbrs
+def csr(
+    n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric CSR adjacency ``(indptr, indices, weights)`` of the
+    undirected edges (i[e], j[e], w[e]) over n vertices.
+
+    Each edge appears in both endpoint rows.  A stable sort of the
+    interleaved list (i0->j0, j0->i0, i1->j1, ...) keeps every row in edge
+    order, exactly as appending both directions edge by edge would.
+    """
+    src = np.column_stack((i, j)).ravel()
+    dst = np.column_stack((j, i)).ravel()
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], np.repeat(w, 2)[order]
 
 
 def _k_nearest(
     v: int,
     k: int,
-    nbrs: list[list[tuple[int, float]]],
+    adj: tuple[np.ndarray, np.ndarray, np.ndarray],
     ids: list[str],
     floor: float,
     full_sort: bool,
@@ -149,15 +147,16 @@ def _k_nearest(
 
     Absent pairs count as weight 0 and, if selected, carry the floor weight.
     """
-    cand = nbrs[v]
-    if full_sort or len(cand) <= k:
-        ranked = sorted(cand, key=lambda t: (-t[1], ids[t[0]]))
-    else:
+    indptr, indices, weights = adj
+    nbr = indices[indptr[v] : indptr[v + 1]]
+    wts = weights[indptr[v] : indptr[v + 1]]
+    if not full_sort and len(wts) > k:
         # partial selection: partition by weight, then resolve the boundary
-        arr_w = np.array([w for _, w in cand])
-        kth = -np.partition(-arr_w, k - 1)[k - 1]
-        keep = [(u, w) for u, w in cand if w >= kth]
-        ranked = sorted(keep, key=lambda t: (-t[1], ids[t[0]]))
+        keep = wts >= -np.partition(-wts, k - 1)[k - 1]
+        nbr, wts = nbr[keep], wts[keep]
+    ranked = sorted(
+        zip(nbr.tolist(), wts.tolist()), key=lambda t: (-t[1], ids[t[0]])
+    )
     chosen = ranked[:k]
     if len(chosen) < k:
         have = {u for u, _ in chosen} | {v}
@@ -166,6 +165,29 @@ def _k_nearest(
         )
         chosen.extend((u, floor) for u in fill[: k - len(chosen)])
     return chosen
+
+
+def _knn_union(
+    ws: WeightSet, base: tuple, vertices, adj: tuple, k: int, full_sort: bool
+) -> RelationGraph:
+    """The base edges (i, j, w) plus an edge from each listed vertex to each
+    of its k nearest neighbours in ``adj``, a CSR adjacency of ws, as
+    distinct pairs sorted by (i, j).  A pair picked twice has one weight."""
+    floor = _floor_weight(ws)
+    picks = np.array(
+        [
+            (min(v, u), max(v, u), w if w > 0 else floor)
+            for v in vertices
+            for u, w in _k_nearest(v, k, adj, ws.ids, floor, full_sort)
+        ],
+        dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)],
+    )
+    ei, ej, ew = (np.concatenate((col, picks[f])) for col, f in zip(base, "ijw"))
+    order = np.lexsort((ej, ei))
+    ei, ej, ew = ei[order], ej[order], ew[order]
+    first = np.ones(len(ei), dtype=bool)
+    first[1:] = (ei[1:] != ei[:-1]) | (ej[1:] != ej[:-1])
+    return RelationGraph(list(ws.ids), ei[first], ej[first], ew[first])
 
 
 def build_knn(ws: WeightSet, k: int) -> RelationGraph:
@@ -177,64 +199,38 @@ def build_knn(ws: WeightSet, k: int) -> RelationGraph:
     n = ws.n
     if not (1 <= k < n):
         raise GraphError(f"k must satisfy 1 <= k < n ({n}), got {k}")
-    floor = _floor_weight(ws)
-    nbrs = _neighbor_lists(ws)
-    edges: dict[tuple[int, int], float] = {}
-    for v in range(n):
-        for u, w in _k_nearest(v, k, nbrs, ws.ids, floor, full_sort=True):
-            key = (v, u) if v < u else (u, v)
-            edges[key] = w if w > 0 else floor
-    return _from_edge_dict(ws.ids, edges, {"method": "knn", "k": k})
+    no_base = (ws.i[:0], ws.j[:0], ws.w[:0])
+    g = _knn_union(ws, no_base, range(n), csr(n, ws.i, ws.j, ws.w), k, True)
+    g.meta = {"method": "knn", "k": k}
+    return g
 
 
 def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
     """Epsilon graph at the top-p-percent cutoff, then k-NN fallback edges
-    for every vertex the first step left isolated."""
+    for every vertex the first step left isolated, chosen among the pairs
+    that touch an isolated vertex."""
     n = ws.n
     if not (1 <= k < n):
         raise GraphError(f"k must satisfy 1 <= k < n ({n}), got {k}")
     epsilon, _ = percentile_cutoff(ws, p)
     base = build_epsilon(ws, epsilon)
-    deg = base.degrees()
-    isolated = [v for v in range(n) if deg[v] == 0]
-
-    edges: dict[tuple[int, int], float] = {
-        (i, j): w
-        for i, j, w in zip(
-            base.edge_i.tolist(), base.edge_j.tolist(), base.edge_w.tolist()
-        )
-    }
-    fallback = 0
-    if isolated:
-        floor = _floor_weight(ws)
-        nbrs = _neighbor_lists(ws)
-        for v in isolated:
-            for u, w in _k_nearest(v, k, nbrs, ws.ids, floor, full_sort=False):
-                key = (v, u) if v < u else (u, v)
-                if key not in edges:
-                    edges[key] = w if w > 0 else floor
-                    fallback += 1
-    meta = {
+    is_iso = base.degrees() == 0
+    touch = is_iso[ws.i] | is_iso[ws.j]
+    adj = csr(n, ws.i[touch], ws.j[touch], ws.w[touch])
+    isolated = np.flatnonzero(is_iso).tolist()
+    g = _knn_union(
+        ws, (base.edge_i, base.edge_j, base.edge_w), isolated, adj, k, False
+    )
+    g.meta = {
         "method": "en",
         "p": p,
         "k": k,
         "epsilon": epsilon,
         "isolated_before_fallback": len(isolated),
-        "fallback_edges": fallback,
+        # an isolated vertex has no epsilon edge to duplicate
+        "fallback_edges": g.num_edges - base.num_edges,
     }
-    return _from_edge_dict(ws.ids, edges, meta)
-
-
-def _from_edge_dict(
-    ids: list[str], edges: dict[tuple[int, int], float], meta: dict
-) -> RelationGraph:
-    keys = sorted(edges)
-    ei = np.array([a for a, _ in keys], dtype=np.int64)
-    ej = np.array([b for _, b in keys], dtype=np.int64)
-    ew = np.array([edges[key] for key in keys], dtype=np.float64)
-    return RelationGraph(
-        vertices=list(ids), edge_i=ei, edge_j=ej, edge_w=ew, meta=meta
-    )
+    return g
 
 
 def build_graph(ws: WeightSet, params: GraphBuildParams) -> RelationGraph:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import RelationGraph
+from .graph import RelationGraph, csr
 
 
 class InfomapError(ValueError):
@@ -33,6 +33,12 @@ class InfomapError(ValueError):
 
 def _plogp(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
+
+
+def _sum_by(index: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
+    """Float64 sums of w per index in 0..m-1, added in input order."""
+    # np.bincount yields an int64 array when index is empty
+    return np.bincount(index, weights=w, minlength=m).astype(np.float64)
 
 
 @dataclass
@@ -78,7 +84,6 @@ class MapEquationBreakdown:
 class DetectorConfig:
     rng_seed: int = 0
     convergence_tolerance: float = 1e-10  # bits
-    max_outer_levels: Optional[int] = None
 
     def __post_init__(self):
         if self.convergence_tolerance <= 0:
@@ -86,29 +91,31 @@ class DetectorConfig:
 
 
 class _Net:
-    """Adjacency view used across aggregation levels.
+    """One aggregation level, built from edge arrays (ei, ej, ew).
 
-    Self-loops (u == v) count twice toward a vertex's strength and once
-    toward the total weight, so aggregation preserves flows exactly.
+    Non-loop edges form the CSR adjacency of ``graph.csr`` (``indptr``,
+    ``indices``, ``weights``; ``rows`` is each entry's row vertex).  Loop
+    weight lives in ``loop``, counts twice toward strength and once toward
+    total weight, so aggregation preserves flows exactly.  All sums run in
+    edge order (bincount, cumsum), as an edge-by-edge loop would add.
     """
 
-    def __init__(self, n: int, edges: list[tuple[int, int, float]]):
+    def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, ew: np.ndarray):
         self.n = n
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.strength = np.zeros(n, dtype=np.float64)
-        self.loop = np.zeros(n, dtype=np.float64)
-        total = 0.0
-        for u, v, w in edges:
-            if u == v:
-                self.loop[u] += w
-                self.strength[u] += 2.0 * w
-            else:
-                self.adj[u].append((v, w))
-                self.adj[v].append((u, w))
-                self.strength[u] += w
-                self.strength[v] += w
-            total += w
-        self.total_weight = total
+        is_loop = ei == ej
+        self.loop = _sum_by(ei[is_loop], ew[is_loop], n)
+        # both endpoints in edge order; a loop adds 2w once, at its edge
+        ends = np.column_stack((ei, ej)).ravel()
+        end_w = np.column_stack(
+            (np.where(is_loop, 2.0 * ew, ew), np.where(is_loop, 0.0, ew))
+        ).ravel()
+        self.strength = _sum_by(ends, end_w, n)
+        self.total_weight = float(np.cumsum(ew)[-1]) if len(ew) else 0.0
+        keep = ~is_loop
+        self.indptr, self.indices, self.weights = csr(
+            n, ei[keep], ej[keep], ew[keep]
+        )
+        self.rows = np.repeat(np.arange(n), np.diff(self.indptr))
         # sum of plogp over the FINEST level's visit rates; aggregated nets
         # inherit it so codelengths stay comparable across levels
         self.fine_vertex_plogp: Optional[float] = None
@@ -125,10 +132,7 @@ class _Net:
 
 
 def _net_from_graph(g: RelationGraph) -> _Net:
-    edges = list(
-        zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist())
-    )
-    net = _Net(g.n, edges)
+    net = _Net(g.n, g.edge_i, g.edge_j, g.edge_w)
     net.fine_vertex_plogp = net.own_vertex_plogp()
     return net
 
@@ -140,17 +144,21 @@ def compute_flows(g: RelationGraph) -> FlowModel:
     return FlowModel(total_weight=net.total_weight, visit_rates=net.visit_rates())
 
 
+def _exits(net: _Net, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Community and weight of every CSR entry that leaves its row
+    vertex's community, in CSR order."""
+    row_comm = assignment[net.rows]
+    leaves = row_comm != assignment[net.indices]
+    return row_comm[leaves], net.weights[leaves]
+
+
 def _breakdown(net: _Net, assignment: list[int], m: int) -> MapEquationBreakdown:
     p = net.visit_rates()
     two_w = 2.0 * net.total_weight if net.total_weight > 0 else 1.0
+    comm = np.asarray(assignment, dtype=np.int64)
 
-    cut = np.zeros(m, dtype=np.float64)  # raw inter-community weight per community
-    for v in range(net.n):
-        cv = assignment[v]
-        for u, w in net.adj[v]:
-            if assignment[u] != cv:
-                cut[cv] += w
-
+    # raw inter-community weight per community
+    cut = _sum_by(*_exits(net, comm), m)
     q_exit = cut / two_w
     q_total = float(q_exit.sum())
 
@@ -161,10 +169,7 @@ def _breakdown(net: _Net, assignment: list[int], m: int) -> MapEquationBreakdown
     else:
         index_entropy = 0.0
 
-    sum_p = np.zeros(m, dtype=np.float64)
-    for v in range(net.n):
-        sum_p[assignment[v]] += p[v]
-    usage = q_exit + sum_p
+    usage = q_exit + _sum_by(comm, p, m)
 
     module_entropy = np.zeros(m, dtype=np.float64)
     groups: list[list[int]] = [[] for _ in range(m)]
@@ -227,14 +232,10 @@ class _LocalState:
         two_w = 2.0 * net.total_weight if net.total_weight > 0 else 1.0
         self.inv_two_w = 1.0 / two_w
         m = max(assignment) + 1
-        self.q = np.zeros(m, dtype=np.float64)
-        self.sum_p = np.zeros(m, dtype=np.float64)
-        for v in range(net.n):
-            c = assignment[v]
-            self.sum_p[c] += self.p[v]
-            for u, w in net.adj[v]:
-                if assignment[u] != c:
-                    self.q[c] += w * self.inv_two_w
+        comm = np.asarray(assignment, dtype=np.int64)
+        self.sum_p = _sum_by(comm, self.p, m)
+        exit_comm, exit_w = _exits(net, comm)
+        self.q = _sum_by(exit_comm, exit_w * self.inv_two_w, m)
         self.q_total = float(self.q.sum())
         fine = net.fine_vertex_plogp
         self.const = -(fine if fine is not None else net.own_vertex_plogp())
@@ -290,6 +291,9 @@ def _local_move_passes(
     """Run shuffled local-move passes from all-singletons to convergence."""
     assignment = list(range(net.n))
     state = _LocalState(net, assignment)
+    indptr = net.indptr.tolist()
+    nbrs = net.indices.tolist()
+    wts = net.weights.tolist()
     while True:
         moved = False
         order = rng.permutation(net.n)
@@ -297,7 +301,8 @@ def _local_move_passes(
             a = state.assignment[v]
             # normalized weight from v into each neighbor community
             w_to: dict[int, float] = {}
-            for u, w in net.adj[v]:
+            s, e = indptr[v], indptr[v + 1]
+            for u, w in zip(nbrs[s:e], wts[s:e]):
                 c = state.assignment[u]
                 w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
             w_va = w_to.get(a, 0.0)
@@ -317,20 +322,24 @@ def _local_move_passes(
 
 
 def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:
-    agg: dict[tuple[int, int], float] = {}
-    for v in range(net.n):
-        cv = assignment[v]
-        if net.loop[v] > 0:
-            key = (cv, cv)
-            agg[key] = agg.get(key, 0.0) + net.loop[v]
-        for u, w in net.adj[v]:
-            if u < v:
-                continue  # each undirected edge once
-            cu = assignment[u]
-            key = (cv, cu) if cv <= cu else (cu, cv)
-            agg[key] = agg.get(key, 0.0) + w
-    edges = [(a, b, w) for (a, b), w in sorted(agg.items())]
-    out = _Net(m, edges)
+    """Net with one super-vertex per community, edges in (a, b) order.
+
+    Vertex by vertex, its self-loop and then its upper-triangle CSR entries
+    are summed per community pair in that order, by bincount.
+    """
+    comm = np.asarray(assignment, dtype=np.int64)
+    looped = np.flatnonzero(net.loop > 0)
+    upper = net.indices > net.rows
+    src = np.concatenate((looped, net.rows[upper]))
+    dst = np.concatenate((looped, net.indices[upper]))
+    w = np.concatenate((net.loop[looped], net.weights[upper]))
+    # stable by fine vertex; loops were listed first
+    order = np.argsort(src, kind="stable")
+    ca, cb = comm[src[order]], comm[dst[order]]
+    keys, inverse = np.unique(
+        np.minimum(ca, cb) * m + np.maximum(ca, cb), return_inverse=True
+    )
+    out = _Net(m, keys // m, keys % m, _sum_by(inverse, w[order], len(keys)))
     out.fine_vertex_plogp = net.fine_vertex_plogp
     return out
 
@@ -350,22 +359,18 @@ def detect(
     rng = np.random.default_rng(cfg.rng_seed)
     tol = cfg.convergence_tolerance
 
-    net = _net_from_graph(g)
+    fine = net = _net_from_graph(g)
     vertex_node = list(range(g.n))  # original vertex -> current-level node
-    level = 0
     while True:
-        level += 1
         assignment = _local_move_passes(net, rng, tol)
         dense = Partition.from_labels(assignment)
         if dense.m == net.n:
             break  # no merges at this level; converged
         vertex_node = [dense.assignment[node] for node in vertex_node]
         net = _aggregate(net, dense.assignment, dense.m)
-        if cfg.max_outer_levels is not None and level >= cfg.max_outer_levels:
-            break
 
     part = Partition.from_labels(vertex_node)
-    return part, codelength(g, part)
+    return part, _breakdown(fine, part.assignment, part.m)
 
 
 def _set_partitions(n: int):
@@ -405,4 +410,4 @@ def exhaustive_min_codelength(
             best_len = length
             best_labels = labels
     part = Partition.from_labels(best_labels)
-    return part, codelength(g, part)
+    return part, _breakdown(net, part.assignment, part.m)

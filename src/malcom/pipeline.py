@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import metrics
-from .dataset import Dataset, filter_by_scope, load_dataset, load_dictionary
+from .dataset import Dataset
 from .graph import GraphBuildParams, RelationGraph, build_graph, write_edges
 from .infomap import DetectorConfig, detect
 from .weighting import compute_tfidf, pairwise_weights
@@ -67,15 +67,6 @@ def read_partition(path) -> tuple[list[str], list[int]]:
             ids.append(sid)
             comms.append(int(c))
     return ids, comms
-
-
-def load_inputs(
-    dataset_path, dict_path=None, scope: str = "all", on_missing: str = "error"
-) -> Dataset:
-    d = load_dataset(dataset_path)
-    if dict_path is not None:
-        d.dictionary = load_dictionary(dict_path)
-    return filter_by_scope(d, scope, on_missing=on_missing)
 
 
 def run_pipeline(

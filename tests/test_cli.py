@@ -59,10 +59,35 @@ def test_pipeline_unlabeled_skips_eval(tmp_path, corpus):
     assert (out / "report.json").exists()
 
 
-def test_pipeline_rejects_p_zero(tmp_path, corpus):
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        pytest.param("pipeline", ["--p", 0], id="pipeline-p-zero"),
+        pytest.param("pipeline", ["--p", 101], id="pipeline-p-above-100"),
+        pytest.param("pipeline", ["--k", 0], id="pipeline-k-zero"),
+        # the corpus has 32 samples
+        pytest.param("pipeline", ["--k", 32], id="pipeline-k-n"),
+        pytest.param("sweep", ["--k", 0], id="sweep-k-zero"),
+        pytest.param("sweep", ["--k", 32], id="sweep-k-n"),
+        pytest.param("sweep", ["--p-grid", "5,0"], id="sweep-p-zero"),
+        pytest.param(
+            "graph", ["--method", "epsilon", "--epsilon", -1], id="graph-epsilon-negative"
+        ),
+        pytest.param(
+            "graph", ["--method", "epsilon", "--epsilon", "nan"], id="graph-epsilon-nan"
+        ),
+        pytest.param("graph", ["--method", "knn", "--k", 32], id="graph-knn-k-n"),
+    ],
+)
+def test_invalid_graph_params_exit_2(tmp_path, corpus, command, extra):
     data, _ = corpus
+    out = {
+        "pipeline": ["--out-dir", tmp_path / "x"],
+        "sweep": ["--out", tmp_path / "sweep.tsv"],
+        "graph": ["--out", tmp_path / "edges.tsv"],
+    }[command]
     with pytest.raises(SystemExit) as exc:
-        run(["pipeline", "--input", data, "--out-dir", tmp_path / "x", "--p", 0])
+        run([command, "--input", data, *out, *extra])
     assert exc.value.code == 2
 
 

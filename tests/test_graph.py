@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import weight_set
 from malcom.graph import (
     GraphError,
+    RelationGraph,
     build_en,
     build_epsilon,
     build_knn,
+    csr,
     percentile_cutoff,
     read_edges,
     write_edges,
@@ -18,6 +22,37 @@ def edge_ids(g):
         tuple(sorted((g.vertices[i], g.vertices[j])))
         for i, j in zip(g.edge_i.tolist(), g.edge_j.tolist())
     }
+
+
+def appended_rows(n, edges):
+    """Reference adjacency: append both directions edge by edge."""
+    rows = [[] for _ in range(n)]
+    for i, j, w in edges:
+        rows[i].append((j, w))
+        rows[j].append((i, w))
+    return rows
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    weight = st.floats(0.001, 100.0)
+    return n, draw(st.lists(st.tuples(vertex, vertex, weight), max_size=40))
+
+
+@given(edge_lists())
+def test_csr_rows_match_append_loop(case):
+    n, edges = case
+    i = np.array([e[0] for e in edges], dtype=np.int64)
+    j = np.array([e[1] for e in edges], dtype=np.int64)
+    w = np.array([e[2] for e in edges], dtype=np.float64)
+    indptr, indices, weights = csr(n, i, j, w)
+    for v, expect in enumerate(appended_rows(n, edges)):
+        s, e = indptr[v], indptr[v + 1]
+        assert list(zip(indices[s:e].tolist(), weights[s:e].tolist())) == expect
+    g = RelationGraph([str(v) for v in range(n)], i, j, w)
+    assert np.diff(indptr).tolist() == g.degrees().tolist()
 
 
 class TestPercentileCutoff:

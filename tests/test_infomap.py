@@ -171,7 +171,8 @@ class TestIncrementalConsistency:
             if target == state.assignment[v]:
                 continue
             w_to = {}
-            for u, w in net.adj[v]:
+            s, e = net.indptr[v], net.indptr[v + 1]
+            for u, w in zip(net.indices[s:e].tolist(), net.weights[s:e].tolist()):
                 c = state.assignment[u]
                 w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
             w_va = w_to.get(state.assignment[v], 0.0)

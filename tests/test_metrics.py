@@ -32,7 +32,11 @@ def brute_force_rand(P, C):
 
 
 def brute_force_accuracy(P, C):
-    """Max over all injective community -> family mappings."""
+    """Max over all injective community -> family mappings.
+
+    Each matching of k communities to k families is enumerated once: a set
+    of communities, then an ordered choice of families to pair with them.
+    """
     families = sorted(set(P), key=str)
     communities = sorted(set(C), key=str)
     counts = {}
@@ -40,8 +44,8 @@ def brute_force_accuracy(P, C):
         counts[(p, c)] = counts.get((p, c), 0) + 1
     best = 0
     k = min(len(families), len(communities))
-    for chosen in itertools.permutations(families, k):
-        for comms in itertools.permutations(communities, k):
+    for comms in itertools.combinations(communities, k):
+        for chosen in itertools.permutations(families, k):
             total = sum(
                 counts.get((f, c), 0) for f, c in zip(chosen, comms)
             )
