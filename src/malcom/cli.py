@@ -1,13 +1,12 @@
 """Command-line pipeline: corpus generation, weighting, graph construction,
-community detection, baselines, evaluation, parameter sweeps and the graph
-construction timing harness.
+community detection, baselines, evaluation, parameter sweeps and the
+pair-weight and graph construction timing harness.
 
 Exit codes: 0 success, 1 I/O or format error, 2 invalid parameters.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import sys
 import time
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--out", required=True, help="TSV output path")
 
-    sp = sub.add_parser("bench", help="graph construction timing harness")
+    sp = sub.add_parser("bench", help="pair-weight and graph construction timings")
     sp.add_argument(
         "--sizes",
         default=",".join(str(n) for n in DEFAULT_BENCH_SIZES),
@@ -157,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_args(sp)
     _add_graph_args(sp)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out-dir", required=True)
 
     return parser
@@ -226,19 +224,15 @@ def _cmd_detect(parser, args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_partition(g.vertices, part.assignment, out / "partition.csv")
-    with open(out / "detect.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "codelength_bits": breakdown.codelength,
-                "num_communities": part.m,
-                "q_total": breakdown.q_total,
-                "seed": args.seed,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    metrics.write_json(
+        {
+            "codelength_bits": breakdown.codelength,
+            "num_communities": part.m,
+            "q_total": breakdown.q_total,
+            "seed": args.seed,
+        },
+        out / "detect.json",
+    )
 
 
 def _cmd_kmeans(parser, args):
@@ -327,8 +321,10 @@ def _cmd_bench(parser, args):
             rng_seed=args.seed,
         )
         d = generate(cfg)
-        ws = pairwise_weights(compute_tfidf(d))
+        model = compute_tfidf(d)
+        ws = pairwise_weights(model)
         builders = {
+            "weights": lambda: pairwise_weights(model),
             "epsilon": lambda: build_epsilon(ws, percentile_cutoff(ws, args.p)[0]),
             "knn": lambda: build_knn(ws, args.k),
             "en": lambda: build_en(ws, args.p, args.k),
@@ -348,16 +344,7 @@ def _cmd_pipeline(parser, args):
     params = _graph_params(
         parser, len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
     )
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
-    run_pipeline(
-        d,
-        params,
-        seed=args.seed,
-        out_dir=args.out_dir,
-        threads=args.threads,
-        scope=args.scope,
-    )
+    run_pipeline(d, params, seed=args.seed, out_dir=args.out_dir, scope=args.scope)
 
 
 def _emit(lines: list[str], out) -> None:
@@ -389,7 +376,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](parser, args)
-    except (DatasetError, GraphError, InfomapError, SynthError, OSError) as exc:
+    except (
+        DatasetError, metrics.EvalError, GraphError, InfomapError, SynthError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

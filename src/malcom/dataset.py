@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -81,6 +82,10 @@ class Sample:
 
     def __post_init__(self):
         for name, value in self.features.items():
+            if not math.isfinite(value):
+                raise DatasetError(
+                    f"sample {self.id!r}: non-finite value for feature {name!r}"
+                )
             if value < 0:
                 raise DatasetError(
                     f"sample {self.id!r}: negative value for feature {name!r}"
@@ -143,7 +148,12 @@ def _parse_sample(obj: dict, lineno: int) -> Sample:
         split_feature(name)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise DatasetError(f"line {lineno}: feature {name!r} value not numeric")
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise DatasetError(f"line {lineno}: feature {name!r} value not finite")
         if value < 0:
             raise DatasetError(f"line {lineno}: feature {name!r} value negative")
         if value == 0:

@@ -270,7 +270,11 @@ def write_edges(g: RelationGraph, path) -> None:
 
 
 def read_edges(path) -> RelationGraph:
-    """Inverse of write_edges (placeholder lines restore isolated vertices)."""
+    """Inverse of write_edges (placeholder lines restore isolated vertices).
+
+    Raises GraphError for a line without three tab-separated fields, a
+    non-numeric value, or an edge weight that is not finite and > 0.
+    """
     ids: list[str] = []
     index: dict[str, int] = {}
 
@@ -283,18 +287,28 @@ def read_edges(path) -> RelationGraph:
     triples = []
     n_declared = None
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             if line.startswith("# vertices:"):
-                n_declared = int(line.split(":", 1)[1])
+                n_declared = _parse_number(int, line.split(":", 1)[1], lineno)
                 continue
-            src, dst, w = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise GraphError(
+                    f"line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                )
+            src, dst, w = fields
             if dst == "":
                 vid(src)
                 continue
-            triples.append((vid(src), vid(dst), float(w)))
+            weight = _parse_number(float, w, lineno)
+            if not (math.isfinite(weight) and weight > 0):
+                raise GraphError(
+                    f"line {lineno}: edge weight must be finite and > 0, got {w!r}"
+                )
+            triples.append((vid(src), vid(dst), weight))
     ei = np.array([a for a, _, _ in triples], dtype=np.int64)
     ej = np.array([b for _, b, _ in triples], dtype=np.int64)
     ew = np.array([w for _, _, w in triples], dtype=np.float64)
@@ -306,3 +320,10 @@ def read_edges(path) -> RelationGraph:
             f"edge file declares {n_declared} vertices but lists {g.n}"
         )
     return g
+
+
+def _parse_number(kind, text: str, lineno: int):
+    try:
+        return kind(text)
+    except ValueError:
+        raise GraphError(f"line {lineno}: {text!r} is not a number") from None

@@ -124,6 +124,8 @@ class _Net:
         return float(sum(_plogp(pv) for pv in self.visit_rates()))
 
     def visit_rates(self) -> np.ndarray:
+        if not math.isfinite(self.total_weight):
+            raise InfomapError(f"graph total weight is {self.total_weight}")
         if self.total_weight <= 0.0:
             if self.n == 1:
                 return np.array([1.0])

@@ -160,9 +160,15 @@ def write_report(report: EvaluationReport, path) -> None:
             [round(x, 10) for x in row] for row in report.community_family_matrix
         ],
     }
+    write_json(obj, path)
+
+
+def write_json(obj, path) -> None:
+    """Indented, key-sorted, strict JSON: a NaN or infinite value raises
+    ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_matrix_tsv(

@@ -4,14 +4,13 @@ report files the CLI emits."""
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from . import metrics
-from .dataset import Dataset
+from .dataset import Dataset, DatasetError
 from .graph import GraphBuildParams, RelationGraph, build_graph, write_edges
 from .infomap import DetectorConfig, detect
 from .weighting import compute_tfidf, pairwise_weights
@@ -56,16 +55,30 @@ def write_partition(sample_ids: list[str], assignment: list[int], path) -> None:
 
 
 def read_partition(path) -> tuple[list[str], list[int]]:
+    """Inverse of write_partition; a malformed file raises DatasetError."""
     ids: list[str] = []
     comms: list[int] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["sample_id", "community_id"]:
-            raise ValueError(f"unexpected partition header: {header}")
-        for sid, c in reader:
-            ids.append(sid)
-            comms.append(int(c))
+            raise DatasetError(f"unexpected partition header: {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise DatasetError(
+                    f"partition line {reader.line_num}: expected 2 fields,"
+                    f" got {len(row)}"
+                )
+            try:
+                comms.append(int(row[1]))
+            except ValueError:
+                raise DatasetError(
+                    f"partition line {reader.line_num}: community id {row[1]!r}"
+                    " is not an integer"
+                ) from None
+            ids.append(row[0])
     return ids, comms
 
 
@@ -74,15 +87,12 @@ def run_pipeline(
     params: GraphBuildParams,
     seed: int = 0,
     out_dir=None,
-    threads: int = 1,
     scope: str = "all",
 ) -> PipelineReport:
     """Run the full pipeline on an in-memory dataset.
 
     When out_dir is given, writes edges.tsv, partition.csv, report.json and
-    (for fully labeled corpora) eval.json there.  ``threads`` caps worker
-    parallelism; the current stages run sequentially, so any value yields
-    identical output.
+    (for fully labeled corpora) eval.json there.
     """
     report = PipelineReport(
         parameters={
@@ -92,7 +102,6 @@ def run_pipeline(
             "k": params.k,
             "epsilon": params.epsilon,
             "seed": seed,
-            "threads": threads,
             "n_samples": len(dataset),
         }
     )
@@ -129,9 +138,7 @@ def run_pipeline(
         write_partition(g.vertices, part.assignment, out / "partition.csv")
         if report.evaluation is not None:
             metrics.write_report(report.evaluation, out / "eval.json")
-        with open(out / "report.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        metrics.write_json(report.to_json(), out / "report.json")
     return report
 
 

@@ -5,7 +5,9 @@ n the sample count and s_m the number of samples containing feature m.
 The weight of a sample pair is the sum over shared features of the mean of
 the two tf-idf values.  Accumulation happens feature by feature in
 ascending feature-name order, so results are bit-reproducible and match a
-brute-force double loop exactly.
+brute-force double loop exactly.  Pairs are accumulated one block of rows
+at a time, with no dense n x n buffer: memory is O(b * n + |W|) for a
+block of b rows and |W| weighted pairs.
 """
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dataset import Dataset, DatasetError
+
+# Cells of one row block of the pair-weight accumulator (4 MiB of float64).
+_BLOCK_CELLS = 1 << 19
 
 
 @dataclass
@@ -100,8 +105,12 @@ def pairwise_weights(m: TfIdfModel) -> WeightSet:
 
     For each feature (ascending name) the tf-idf values of the samples
     containing it are combined pairwise as (t_i + t_j) / 2 and accumulated
-    into the pair's weight.  Accumulation uses a dense n x n buffer, so
-    memory is O(n^2); fine for desk-scale corpora.
+    into the pair's weight.  Accumulation streams through blocks of b rows
+    [r0, r1) against the columns j >= r0, b = _BLOCK_CELLS // n, so there
+    is no dense n x n buffer.  The output arrays reserve room for all
+    n(n-1)/2 pairs, but only the |W| positive pairs are written and kept,
+    so resident memory is O(b * n + |W|).  Every pair still sums its
+    features from 0.0 in the same order, so the weights do not depend on b.
     """
     n = m.n
     inverted: dict[str, tuple[list[int], list[float]]] = {}
@@ -110,21 +119,41 @@ def pairwise_weights(m: TfIdfModel) -> WeightSet:
             bucket = inverted.setdefault(name, ([], []))
             bucket[0].append(idx)
             bucket[1].append(v)
+    # ix is ascending: samples were appended in index order
+    features = [
+        (np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
+        for idx, vals in (inverted[name] for name in sorted(inverted))
+        if len(idx) >= 2
+    ]
 
-    acc = np.zeros((n, n), dtype=np.float64)
-    for name in sorted(inverted):
-        idx, vals = inverted[name]
-        if len(idx) < 2:
-            continue
-        ix = np.asarray(idx, dtype=np.int64)
-        t = np.asarray(vals, dtype=np.float64)
-        block = (t[:, None] + t[None, :]) * 0.5
-        acc[np.ix_(ix, ix)] += block
-
-    iu, ju = np.triu_indices(n, k=1)
-    w = acc[iu, ju]
-    mask = w > 0
-    return WeightSet(ids=list(m.sample_ids), i=iu[mask], j=ju[mask], w=w[mask])
+    rows = max(1, _BLOCK_CELLS // n)
+    # room for every pair; pages past the last positive pair stay untouched
+    size = n * (n - 1) // 2
+    i, j = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    w = np.empty(size, dtype=np.float64)
+    count = 0
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        width = n - r0
+        acc = np.zeros((r1 - r0) * width, dtype=np.float64)
+        for ix, t in features:
+            lo, hi = np.searchsorted(ix, (r0, r1))
+            if hi == lo:
+                continue
+            cols = ix[lo:] - r0
+            flat = (cols[: hi - lo, None] * width + cols[None, :]).ravel()
+            acc[flat] += ((t[lo:hi, None] + t[None, lo:]) * 0.5).ravel()
+        acc = acc.reshape(r1 - r0, width)
+        # row-major (i, j) with j > i and w > 0
+        bi, bj = np.nonzero(np.triu(acc > 0, k=1))
+        end = count + len(bi)
+        w[count:end] = acc[bi, bj]
+        np.add(bi, r0, out=i[count:end])
+        np.add(bj, r0, out=j[count:end])
+        count = end
+    for a in (i, j, w):
+        a.resize(count, refcheck=False)  # in place: no copy of the pairs
+    return WeightSet(ids=list(m.sample_ids), i=i, j=j, w=w)
 
 
 def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:

@@ -258,7 +258,6 @@ def test_criterion_9_pipeline_determinism(tmp_path):
                 "--input", str(data),
                 "--out-dir", str(out),
                 "--seed", "3",
-                "--threads", "1",
             ]
         )
         assert code == 0

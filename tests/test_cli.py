@@ -111,7 +111,6 @@ def test_pipeline_deterministic(tmp_path, corpus):
                 "--dict", dic,
                 "--out-dir", out,
                 "--seed", 5,
-                "--threads", 1,
             ]
         ) == 0
         outs.append(out)
@@ -205,7 +204,7 @@ def test_bench_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n\tmethod\tmedian_ms"
     methods = {line.split("\t")[1] for line in lines[1:]}
-    assert methods == {"epsilon", "knn", "en"}
+    assert methods == {"weights", "epsilon", "knn", "en"}
 
 
 def test_tfidf_dump(tmp_path, corpus):
@@ -213,3 +212,75 @@ def test_tfidf_dump(tmp_path, corpus):
     out = tmp_path / "tfidf.jsonl"
     assert run(["tfidf", "--input", data, "--out", out]) == 0
     assert len(out.read_text().splitlines()) == 32
+
+
+def test_pipeline_rejects_non_finite_feature(tmp_path, corpus, capsys):
+    data, _ = corpus
+    lines = data.read_text().splitlines()
+    for k in (0, 1):
+        obj = json.loads(lines[k])
+        obj["features"]["perm/C"] = float("inf")
+        lines[k] = json.dumps(obj)  # written as the literal Infinity
+    bad = tmp_path / "inf.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert run(["pipeline", "--input", bad, "--out-dir", out]) == 1
+    assert capsys.readouterr().err.startswith("error: line 1:")
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("a\tb\n", id="two-fields"),
+        pytest.param("a\tb\t1.0\t2\n", id="four-fields"),
+        pytest.param("a\tb\theavy\n", id="non-numeric-weight"),
+        pytest.param("# vertices: many\na\tb\t1.0\n", id="non-numeric-count"),
+        pytest.param("a\tb\tnan\n", id="nan-weight"),
+        pytest.param("a\tb\tinf\n", id="inf-weight"),
+        pytest.param("a\tb\t0\n", id="zero-weight"),
+        pytest.param("a\tb\t-1.5\n", id="negative-weight"),
+        pytest.param(
+            "a\tb\t1e308\nb\tc\t1e308\n",
+            id="weight-sum-overflows",
+            marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
+        ),
+    ],
+)
+def test_detect_rejects_malformed_edges(tmp_path, capsys, text):
+    edges = tmp_path / "edges.tsv"
+    edges.write_text(text)
+    out = tmp_path / "det"
+    assert run(["detect", "--edges", edges, "--out-dir", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "detect.json").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("", id="empty"),
+        pytest.param("id,community\n", id="bad-header"),
+        pytest.param("sample_id,community_id\ns1\n", id="one-field"),
+        pytest.param("sample_id,community_id\ns1,0,0\n", id="three-fields"),
+        pytest.param("sample_id,community_id\ns1,first\n", id="non-integer-id"),
+    ],
+)
+def test_eval_rejects_malformed_partition(tmp_path, corpus, capsys, text):
+    data, _ = corpus
+    part = tmp_path / "partition.csv"
+    part.write_text(text)
+    out = tmp_path / "eval.json"
+    assert run(["eval", "--input", data, "--partition", part, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_eval_single_sample_exit_1(tmp_path, capsys):
+    data = tmp_path / "one.jsonl"
+    data.write_text('{"id":"s1","family":"A","features":{"perm/x":1}}\n')
+    part = tmp_path / "partition.csv"
+    part.write_text("sample_id,community_id\ns1,0\n")
+    out = tmp_path / "eval.json"
+    assert run(["eval", "--input", data, "--partition", part, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -71,6 +71,21 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="negative"):
             load_dataset(f)
 
+    @pytest.mark.parametrize(
+        "value",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        f = tmp_path / "d.jsonl"
+        write_lines(f, ['{"id":"s1","features":{"perm/a":%s}}' % value])
+        with pytest.raises(DatasetError, match="line 1: .* not finite"):
+            load_dataset(f)
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(DatasetError, match="non-finite"):
+            Sample("s1", None, {"perm/a": float("nan")})
+
     def test_line_order_preserved(self, tmp_path):
         f = tmp_path / "d.jsonl"
         write_lines(

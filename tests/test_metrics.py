@@ -10,6 +10,7 @@ from malcom.metrics import (
     community_family_matrix,
     evaluate,
     rand_statistic,
+    write_json,
     write_report,
 )
 
@@ -182,3 +183,11 @@ def test_report_file_shape(tmp_path):
     assert obj["pair_counts"] == {"ss": 1, "sd": 1, "ds": 2, "dd": 2}
     assert obj["rs"] == 0.5
     assert obj["accuracy"] == 0.75
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_write_json_rejects_non_finite(tmp_path, value):
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json({"codelength_bits": value}, out)
+    assert not out.exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.weighting import (
     compute_tfidf,
@@ -28,6 +29,18 @@ def brute_force_weights(model):
             if w > 0:
                 out[(a, b)] = w
     return out
+
+
+def random_model(rng, n):
+    """Tf-idf model of n samples, each with up to 8 of 30 features."""
+    names = [f"perm/f{i}" for i in range(30)]
+    samples = []
+    for i in range(n):
+        k = int(rng.integers(0, 9))
+        chosen = rng.choice(len(names), size=k, replace=False)
+        feats = {names[c]: float(rng.integers(1, 5)) for c in chosen}
+        samples.append(Sample(f"s{i}", None, feats))
+    return compute_tfidf(Dataset(samples=samples))
 
 
 class TestComputeTfidf:
@@ -100,22 +113,32 @@ class TestPairwiseWeights:
 
     def test_matches_brute_force_bit_identical(self):
         rng = np.random.default_rng(42)
-        names = [f"perm/f{i}" for i in range(30)]
         for trial in range(40):
-            n = int(rng.integers(2, 65))
-            samples = []
-            for i in range(n):
-                k = int(rng.integers(0, 9))
-                chosen = rng.choice(len(names), size=k, replace=False)
-                feats = {
-                    names[c]: float(rng.integers(1, 5)) for c in chosen
-                }
-                samples.append(Sample(f"s{i}", None, feats))
-            model = compute_tfidf(Dataset(samples=samples))
+            model = random_model(rng, int(rng.integers(2, 65)))
             ws = pairwise_weights(model)
             expect = brute_force_weights(model)
             got = {(a, b): w for a, b, w in ws.pairs()}
             assert got == expect  # exact, not approximate
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            pytest.param(lambda n: 1, id="one-row"),
+            pytest.param(lambda n: 3 * n, id="three-rows"),
+            pytest.param(lambda n: 7 * n + n // 2, id="ragged"),
+        ],
+    )
+    def test_row_blocks_match_brute_force(self, monkeypatch, budget):
+        rng = np.random.default_rng(7)
+        # 23, 64 and 80 leave a short last block for 3 and 7 rows
+        for n in (2, 23, 64, 80, 80):
+            model = random_model(rng, n)
+            monkeypatch.setattr(weighting, "_BLOCK_CELLS", budget(n))
+            ws = pairwise_weights(model)
+            assert (ws.i < ws.j).all()
+            assert (np.diff(ws.i * n + ws.j) > 0).all()  # row-major order
+            got = {(a, b): w for a, b, w in ws.pairs()}
+            assert got == brute_force_weights(model)  # exact
 
 
 class TestFamilySimilarity:
