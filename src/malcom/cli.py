@@ -140,7 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--out", required=True, help="TSV output path")
 
-    sp = sub.add_parser("bench", help="pair-weight and graph construction timings")
+    sp = sub.add_parser(
+        "bench", help="pair-weight, graph construction and detect timings"
+    )
     sp.add_argument(
         "--sizes",
         default=",".join(str(n) for n in DEFAULT_BENCH_SIZES),
@@ -323,11 +325,13 @@ def _cmd_bench(parser, args):
         d = generate(cfg)
         model = compute_tfidf(d)
         ws = pairwise_weights(model)
+        g = build_en(ws, args.p, args.k)
         builders = {
             "weights": lambda: pairwise_weights(model),
             "epsilon": lambda: build_epsilon(ws, percentile_cutoff(ws, args.p)[0]),
             "knn": lambda: build_knn(ws, args.k),
             "en": lambda: build_en(ws, args.p, args.k),
+            "detect": lambda: detect(g, DetectorConfig(rng_seed=args.seed)),
         }
         for method, builder in builders.items():
             times = []

@@ -26,6 +26,7 @@ from .weighting import WeightSet
 # without perturbing any ranking.
 FLOOR_FACTOR = 1e-3
 DEFAULT_FLOOR = 1e-3  # used when the weight set has no positive entry
+_WRITE_CHUNK = 1 << 16  # edge lines formatted per write
 
 
 class GraphError(ValueError):
@@ -247,24 +248,34 @@ def build_graph(ws: WeightSet, params: GraphBuildParams) -> RelationGraph:
 
 def write_edges(g: RelationGraph, path) -> None:
     """TSV edge list: ``src<TAB>dst<TAB>weight`` with src < dst
-    lexicographically.  Epsilon graphs list isolated vertices as
-    placeholder lines ``id<TAB><TAB>0``."""
+    lexicographically, lines sorted by (src, dst).  Epsilon graphs list
+    isolated vertices as placeholder lines ``id<TAB><TAB>0``."""
     ids = g.vertices
-    lines = []
-    for i, j, w in zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()):
-        a, b = ids[i], ids[j]
-        if b < a:
-            a, b = b, a
-        lines.append((a, b, f"{w:.10g}"))
-    lines.sort()
+    by_name = sorted(range(g.n), key=ids.__getitem__)
+    names = [ids[v] for v in by_name]
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[by_name] = np.arange(g.n)
+    ri, rj = rank[g.edge_i], rank[g.edge_j]
+    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
+    # pairs are distinct, so (lo, hi) orders the lines as sorting them would
+    order = np.lexsort((hi, lo))
+    lo, hi, w = lo[order], hi[order], g.edge_w[order]
     extra = []
     if g.meta.get("method") == "epsilon":
         deg = g.degrees()
         extra = sorted(ids[v] for v in range(g.n) if deg[v] == 0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vertices: {g.n}\n")
-        for a, b, w in lines:
-            fh.write(f"{a}\t{b}\t{w}\n")
+        for s in range(0, len(order), _WRITE_CHUNK):
+            e = s + _WRITE_CHUNK
+            fh.write(
+                "".join(
+                    f"{names[a]}\t{names[b]}\t{x:.10g}\n"
+                    for a, b, x in zip(
+                        lo[s:e].tolist(), hi[s:e].tolist(), w[s:e].tolist()
+                    )
+                )
+            )
         for vid in extra:
             fh.write(f"{vid}\t\t0\n")
 
@@ -273,7 +284,8 @@ def read_edges(path) -> RelationGraph:
     """Inverse of write_edges (placeholder lines restore isolated vertices).
 
     Raises GraphError for a line without three tab-separated fields, a
-    non-numeric value, or an edge weight that is not finite and > 0.
+    non-numeric value, an edge weight that is not finite and > 0, a
+    self-loop, or a pair listed before (in either order).
     """
     ids: list[str] = []
     index: dict[str, int] = {}
@@ -308,12 +320,22 @@ def read_edges(path) -> RelationGraph:
                 raise GraphError(
                     f"line {lineno}: edge weight must be finite and > 0, got {w!r}"
                 )
-            triples.append((vid(src), vid(dst), weight))
-    ei = np.array([a for a, _, _ in triples], dtype=np.int64)
-    ej = np.array([b for _, b, _ in triples], dtype=np.int64)
-    ew = np.array([w for _, _, w in triples], dtype=np.float64)
+            if src == dst:
+                raise GraphError(f"line {lineno}: self-loop on {src!r}")
+            triples.append((vid(src), vid(dst), weight, lineno))
+    ei = np.array([t[0] for t in triples], dtype=np.int64)
+    ej = np.array([t[1] for t in triples], dtype=np.int64)
+    ew = np.array([t[2] for t in triples], dtype=np.float64)
     swap = ei > ej
     ei[swap], ej[swap] = ej[swap], ei[swap]
+    # a stable sort keeps each pair's lines in file order: all but the
+    # first of a run repeat it, and the earliest of those is reported
+    key = ei * len(ids) + ej
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+    if len(repeats):
+        a, b, _, lineno = triples[repeats.min()]
+        raise GraphError(f"line {lineno}: repeats the pair {ids[a]!r}, {ids[b]!r}")
     g = RelationGraph(vertices=ids, edge_i=ei, edge_j=ej, edge_w=ew)
     if n_declared is not None and n_declared != g.n:
         raise GraphError(

@@ -15,6 +15,15 @@ Optimization is a Louvain-style local-move pass (strictly improving moves
 only, scan order shuffled per pass by a seeded RNG) with multilevel
 aggregation into super-vertices; an exhaustive Bell-number oracle is
 provided for small graphs.
+
+A local move scores every neighbor community of a vertex.  Five of the
+eight plogp terms of a move's codelength change do not depend on the
+target: they are computed once per vertex (``_LocalState.best_move``) or
+kept per community in caches that each applied move refreshes.  The
+scores are still bit-identical to ``_LocalState.move_delta``: each
+candidate adds the same doubles in the same order.  plogp stays
+``math.log2`` on Python floats and is not vectorized with numpy, whose
+SIMD log2 may differ in the last ulp and so flip a near-tied choice.
 """
 from __future__ import annotations
 
@@ -215,7 +224,7 @@ def codelength(g: RelationGraph, part: Partition) -> MapEquationBreakdown:
     return _breakdown(_net_from_graph(g), part.assignment, part.m)
 
 
-def _codelength_terms(q_tot: float, q: np.ndarray, usage: np.ndarray) -> float:
+def _codelength_terms(q_tot: float, q: list[float], usage: list[float]) -> float:
     """L minus the constant -sum plogp(p_v) term, in expanded form."""
     return (
         _plogp(q_tot)
@@ -225,25 +234,39 @@ def _codelength_terms(q_tot: float, q: np.ndarray, usage: np.ndarray) -> float:
 
 
 class _LocalState:
-    """Incrementally maintained codelength state for one level."""
+    """Incrementally maintained codelength state for one level.
+
+    Per-vertex values (``p``; ``d``, the exit rate of v as a singleton) and
+    per-community values (``q``, ``sum_p``) are Python float lists: the
+    scalar loop reads them faster than numpy elements, and each operation on
+    them is the same IEEE double operation.  ``plogp_q[c]`` and
+    ``plogp_u[c]`` cache plogp(q[c]) and plogp(q[c] + sum_p[c]), the terms
+    of community c's codelength that do not depend on a candidate move;
+    ``apply_move`` refreshes both for the two communities it changes.
+    """
 
     def __init__(self, net: _Net, assignment: list[int]):
         self.net = net
         self.assignment = assignment
-        self.p = net.visit_rates()
+        p = net.visit_rates()
         two_w = 2.0 * net.total_weight if net.total_weight > 0 else 1.0
         self.inv_two_w = 1.0 / two_w
+        self.d = ((net.strength - 2.0 * net.loop) * self.inv_two_w).tolist()
         m = max(assignment) + 1
         comm = np.asarray(assignment, dtype=np.int64)
-        self.sum_p = _sum_by(comm, self.p, m)
         exit_comm, exit_w = _exits(net, comm)
-        self.q = _sum_by(exit_comm, exit_w * self.inv_two_w, m)
-        self.q_total = float(self.q.sum())
+        q = _sum_by(exit_comm, exit_w * self.inv_two_w, m)
+        self.q_total = float(q.sum())
+        self.p = p.tolist()
+        self.q = q.tolist()
+        self.sum_p = _sum_by(comm, p, m).tolist()
+        self.plogp_q = [_plogp(x) for x in self.q]
+        self.plogp_u = [_plogp(x + y) for x, y in zip(self.q, self.sum_p)]
         fine = net.fine_vertex_plogp
         self.const = -(fine if fine is not None else net.own_vertex_plogp())
 
     def codelength(self) -> float:
-        usage = self.q + self.sum_p
+        usage = [x + y for x, y in zip(self.q, self.sum_p)]
         return _codelength_terms(self.q_total, self.q, usage) + self.const
 
     def move_delta(self, v: int, target: int, w_va: float, w_vb: float) -> float:
@@ -253,7 +276,7 @@ class _LocalState:
         target community (excluding v itself).
         """
         a = self.assignment[v]
-        d_v = (self.net.strength[v] - 2.0 * self.net.loop[v]) * self.inv_two_w
+        d_v = self.d[v]
         p_v = self.p[v]
 
         qa, qb = self.q[a], self.q[target]
@@ -273,9 +296,55 @@ class _LocalState:
             + (_plogp(ua_new) + _plogp(ub_new) - _plogp(ua) - _plogp(ub))
         )
 
+    def best_move(self, v: int, w_to: dict[int, float]) -> tuple[int, float]:
+        """First strict minimum of ``move_delta`` over the communities in
+        sorted(w_to) other than v's own, as (community, delta), or
+        (own community, 0.0) when no delta is negative.
+
+        w_to: normalized edge weight from v into each neighbor community.
+        The terms of the delta that do not depend on the target are
+        computed once per call or read from the caches.  Each candidate's
+        delta is still move_delta's expression, added in the same order
+        (``base`` is the left operand Python adds first), so it is the same
+        double, bit for bit.
+        """
+        q, sum_p, plogp_q, plogp_u = self.q, self.sum_p, self.plogp_q, self.plogp_u
+        a = self.assignment[v]
+        d_v = self.d[v]
+        p_v = self.p[v]
+        qa = q[a]
+        qa_new = qa - d_v + 2.0 * w_to.get(a, 0.0)
+        base = self.q_total + (qa_new - qa)
+        old_total = _plogp(self.q_total)
+        plogp_qa_new = _plogp(qa_new)
+        plogp_ua_new = _plogp(qa_new + sum_p[a] - p_v)
+        plogp_qa = plogp_q[a]
+        plogp_ua = plogp_u[a]
+
+        best_c, best_delta = a, 0.0
+        for b in sorted(w_to):
+            if b == a:
+                continue
+            qb = q[b]
+            qb_new = qb + d_v - 2.0 * w_to[b]
+            delta = (
+                _plogp(base + (qb_new - qb))
+                - old_total
+                - 2.0 * (plogp_qa_new + _plogp(qb_new) - plogp_qa - plogp_q[b])
+                + (
+                    plogp_ua_new
+                    + _plogp(qb_new + sum_p[b] + p_v)
+                    - plogp_ua
+                    - plogp_u[b]
+                )
+            )
+            if delta < best_delta:
+                best_c, best_delta = b, delta
+        return best_c, best_delta
+
     def apply_move(self, v: int, target: int, w_va: float, w_vb: float) -> None:
         a = self.assignment[v]
-        d_v = (self.net.strength[v] - 2.0 * self.net.loop[v]) * self.inv_two_w
+        d_v = self.d[v]
         p_v = self.p[v]
         qa_new = self.q[a] - d_v + 2.0 * w_va
         qb_new = self.q[target] + d_v - 2.0 * w_vb
@@ -284,6 +353,9 @@ class _LocalState:
         self.q[target] = qb_new
         self.sum_p[a] -= p_v
         self.sum_p[target] += p_v
+        for c in (a, target):
+            self.plogp_q[c] = _plogp(self.q[c])
+            self.plogp_u[c] = _plogp(self.q[c] + self.sum_p[c])
         self.assignment[v] = target
 
 
@@ -294,33 +366,25 @@ def _local_move_passes(
     assignment = list(range(net.n))
     state = _LocalState(net, assignment)
     indptr = net.indptr.tolist()
-    nbrs = net.indices.tolist()
-    wts = net.weights.tolist()
+    inv_two_w = state.inv_two_w
     while True:
         moved = False
         order = rng.permutation(net.n)
         for v in order.tolist():
-            a = state.assignment[v]
             # normalized weight from v into each neighbor community
             w_to: dict[int, float] = {}
             s, e = indptr[v], indptr[v + 1]
-            for u, w in zip(nbrs[s:e], wts[s:e]):
-                c = state.assignment[u]
-                w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
-            w_va = w_to.get(a, 0.0)
-            best_c, best_delta = a, 0.0
-            for c in sorted(w_to):
-                if c == a:
-                    continue
-                delta = state.move_delta(v, c, w_va, w_to[c])
-                if delta < best_delta:
-                    best_delta, best_c = delta, c
+            for u, w in zip(net.indices[s:e].tolist(), net.weights[s:e].tolist()):
+                c = assignment[u]
+                w_to[c] = w_to.get(c, 0.0) + w * inv_two_w
+            a = assignment[v]
+            best_c, best_delta = state.best_move(v, w_to)
             if best_c != a and best_delta < -tol:
-                state.apply_move(v, best_c, w_va, w_to[best_c])
+                state.apply_move(v, best_c, w_to.get(a, 0.0), w_to[best_c])
                 moved = True
         if not moved:
             break
-    return state.assignment
+    return assignment
 
 
 def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:

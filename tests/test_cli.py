@@ -204,7 +204,7 @@ def test_bench_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n\tmethod\tmedian_ms"
     methods = {line.split("\t")[1] for line in lines[1:]}
-    assert methods == {"weights", "epsilon", "knn", "en"}
+    assert methods == {"weights", "epsilon", "knn", "en", "detect"}
 
 
 def test_tfidf_dump(tmp_path, corpus):
@@ -240,6 +240,8 @@ def test_pipeline_rejects_non_finite_feature(tmp_path, corpus, capsys):
         pytest.param("a\tb\tinf\n", id="inf-weight"),
         pytest.param("a\tb\t0\n", id="zero-weight"),
         pytest.param("a\tb\t-1.5\n", id="negative-weight"),
+        pytest.param("a\ta\t1\n", id="self-loop"),
+        pytest.param("a\tb\t1\nb\ta\t2\n", id="repeated-pair"),
         pytest.param(
             "a\tb\t1e308\nb\tc\t1e308\n",
             id="weight-sum-overflows",

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import weight_set
+from malcom import graph
 from malcom.graph import (
     GraphError,
     RelationGraph,
@@ -202,3 +205,65 @@ def test_epsilon_file_lists_isolated_placeholders(tmp_path, six_weight_set):
     assert "4\t\t0" in path.read_text()
     loaded = read_edges(path)
     assert loaded.n == 4
+
+
+def sorted_edge_lines(g):
+    """Reference edge lines: one (src, dst, weight) tuple per edge, sorted."""
+    lines = []
+    for i, j, w in zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()):
+        a, b = g.vertices[i], g.vertices[j]
+        if b < a:
+            a, b = b, a
+        lines.append((a, b, f"{w:.10g}"))
+    return [f"{a}\t{b}\t{w}\n" for a, b, w in sorted(lines)]
+
+
+@st.composite
+def distinct_pair_graphs(draw):
+    n = draw(st.integers(2, 12))
+    ids = draw(
+        st.lists(
+            st.text("aZ19_\u00e9", min_size=1, max_size=3),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.sets(pair.filter(lambda t: t[0] < t[1]), max_size=30))
+    pairs = draw(st.permutations(sorted(pairs)))
+    w = draw(st.lists(st.floats(1e-9, 1e9), min_size=len(pairs), max_size=len(pairs)))
+    return RelationGraph(
+        ids,
+        np.array([i for i, _ in pairs], dtype=np.int64),
+        np.array([j for _, j in pairs], dtype=np.int64),
+        np.array(w, dtype=np.float64),
+    )
+
+
+@given(distinct_pair_graphs(), st.integers(1, 4))
+def test_edge_file_matches_sorted_lines(tmp_path_factory, g, chunk):
+    path = tmp_path_factory.mktemp("edges") / "edges.tsv"
+    with mock.patch.object(graph, "_WRITE_CHUNK", chunk):
+        write_edges(g, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    assert text == f"# vertices: {g.n}\n" + "".join(sorted_edge_lines(g))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# vertices: 2\na\tb\t1\nb\tb\t1\n", "line 3: self-loop on 'b'"),
+        (
+            "a\tb\t1\nb\tc\t1\n\nc\tb\t2\nb\ta\t3\n",
+            "line 4: repeats the pair 'c', 'b'",
+        ),
+        ("a\tb\t1\nc\t\t0\na\tb\t1\n", "line 3: repeats the pair 'a', 'b'"),
+    ],
+)
+def test_read_edges_rejects_loop_and_repeated_pair(tmp_path, text, message):
+    path = tmp_path / "edges.tsv"
+    path.write_text(text)
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        read_edges(path)

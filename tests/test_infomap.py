@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from conftest import entropy_bits, make_graph, random_graph
+from malcom import infomap
+from malcom.graph import RelationGraph
 from malcom.infomap import (
     DetectorConfig,
     InfomapError,
     Partition,
     _aggregate,
     _breakdown,
+    _exits,
     _LocalState,
     _net_from_graph,
+    _plogp,
+    _sum_by,
     codelength,
     compute_flows,
     detect,
@@ -193,3 +198,159 @@ class TestIncrementalConsistency:
             agg = _aggregate(net, part.assignment, part.m)
             identity = _breakdown(agg, list(range(part.m)), part.m).codelength
             assert identity == pytest.approx(original, abs=1e-9)
+
+
+class _ScalarState:
+    """The local-move state as it was before best_move: numpy arrays and
+    all eight plogp terms of the delta evaluated for every candidate."""
+
+    def __init__(self, net, assignment):
+        self.net = net
+        self.assignment = assignment
+        self.p = net.visit_rates()
+        two_w = 2.0 * net.total_weight if net.total_weight > 0 else 1.0
+        self.inv_two_w = 1.0 / two_w
+        m = max(assignment) + 1
+        comm = np.asarray(assignment, dtype=np.int64)
+        self.sum_p = _sum_by(comm, self.p, m)
+        exit_comm, exit_w = _exits(net, comm)
+        self.q = _sum_by(exit_comm, exit_w * self.inv_two_w, m)
+        self.q_total = float(self.q.sum())
+
+    def move_delta(self, v, target, w_va, w_vb):
+        a = self.assignment[v]
+        d_v = (self.net.strength[v] - 2.0 * self.net.loop[v]) * self.inv_two_w
+        p_v = self.p[v]
+        qa, qb = self.q[a], self.q[target]
+        qa_new = qa - d_v + 2.0 * w_va
+        qb_new = qb + d_v - 2.0 * w_vb
+        q_tot_new = self.q_total + (qa_new - qa) + (qb_new - qb)
+        ua = qa + self.sum_p[a]
+        ub = qb + self.sum_p[target]
+        ua_new = qa_new + self.sum_p[a] - p_v
+        ub_new = qb_new + self.sum_p[target] + p_v
+        return (
+            _plogp(q_tot_new)
+            - _plogp(self.q_total)
+            - 2.0 * (_plogp(qa_new) + _plogp(qb_new) - _plogp(qa) - _plogp(qb))
+            + (_plogp(ua_new) + _plogp(ub_new) - _plogp(ua) - _plogp(ub))
+        )
+
+    def apply_move(self, v, target, w_va, w_vb):
+        a = self.assignment[v]
+        d_v = (self.net.strength[v] - 2.0 * self.net.loop[v]) * self.inv_two_w
+        p_v = self.p[v]
+        qa_new = self.q[a] - d_v + 2.0 * w_va
+        qb_new = self.q[target] + d_v - 2.0 * w_vb
+        self.q_total += (qa_new - self.q[a]) + (qb_new - self.q[target])
+        self.q[a] = qa_new
+        self.q[target] = qb_new
+        self.sum_p[a] -= p_v
+        self.sum_p[target] += p_v
+        self.assignment[v] = target
+
+
+def scalar_local_move_passes(net, rng, tol):
+    """Reference local-move loop: every candidate scored by move_delta."""
+    assignment = list(range(net.n))
+    state = _ScalarState(net, assignment)
+    indptr = net.indptr.tolist()
+    nbrs = net.indices.tolist()
+    wts = net.weights.tolist()
+    while True:
+        moved = False
+        order = rng.permutation(net.n)
+        for v in order.tolist():
+            a = state.assignment[v]
+            w_to = {}
+            s, e = indptr[v], indptr[v + 1]
+            for u, w in zip(nbrs[s:e], wts[s:e]):
+                c = state.assignment[u]
+                w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
+            w_va = w_to.get(a, 0.0)
+            best_c, best_delta = a, 0.0
+            for c in sorted(w_to):
+                if c == a:
+                    continue
+                delta = state.move_delta(v, c, w_va, w_to[c])
+                if delta < best_delta:
+                    best_delta, best_c = delta, c
+            if best_c != a and best_delta < -tol:
+                state.apply_move(v, best_c, w_va, w_to[best_c])
+                moved = True
+        if not moved:
+            break
+    return state.assignment
+
+
+def oracle_graph(rng):
+    """Random graph of 2-60 vertices in up to 6 planted groups, denser
+    inside a group than across; every other graph has integer weights, so
+    equal deltas and near-ties between candidates are common."""
+    n = int(rng.integers(2, 61))
+    group = rng.integers(0, rng.integers(1, 7), size=n)
+    i, j = np.triu_indices(n, k=1)
+    p_edge = np.where(
+        group[i] == group[j], rng.uniform(0.2, 0.9), rng.uniform(0.0, 0.15)
+    )
+    keep = rng.random(len(i)) < p_edge
+    i, j = i[keep], j[keep]
+    if rng.random() < 0.5:
+        w = rng.integers(1, 4, size=len(i)).astype(np.float64)
+    else:
+        w = rng.uniform(0.01, 5.0, size=len(i))
+    if len(w) == 0:
+        i, j, w = np.array([0]), np.array([1]), np.array([1.0])
+    return RelationGraph([f"v{k}" for k in range(n)], i, j, w)
+
+
+def neighbor_weights(state, net, v):
+    w_to = {}
+    s, e = net.indptr[v], net.indptr[v + 1]
+    for u, w in zip(net.indices[s:e].tolist(), net.weights[s:e].tolist()):
+        c = state.assignment[u]
+        w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
+    return w_to
+
+
+class TestBestMove:
+    def test_matches_first_strict_minimum_of_move_delta(self):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            net = _net_from_graph(oracle_graph(rng))
+            if trial % 2:
+                # an aggregated net: super-vertices carry self-loops
+                coarse = random_partition(rng, net.n)
+                net = _aggregate(net, coarse.assignment, coarse.m)
+            part = random_partition(rng, net.n)
+            state = _LocalState(net, list(part.assignment))
+            for _ in range(10):
+                v = int(rng.integers(net.n))
+                a = state.assignment[v]
+                w_to = neighbor_weights(state, net, v)
+                w_va = w_to.get(a, 0.0)
+                want_c, want_delta = a, 0.0
+                for c in sorted(w_to):
+                    if c == a:
+                        continue
+                    delta = state.move_delta(v, c, w_va, w_to[c])
+                    if delta < want_delta:
+                        want_c, want_delta = c, delta
+                got_c, got_delta = state.best_move(v, w_to)
+                assert got_c == want_c
+                assert got_delta.hex() == want_delta.hex()
+                # move v somewhere, so later checks read updated caches
+                target = int(rng.integers(part.m))
+                if target != a:
+                    state.apply_move(v, target, w_va, w_to.get(target, 0.0))
+
+    def test_detect_matches_scalar_oracle(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        graphs = [oracle_graph(rng) for _ in range(240)]
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=len(graphs))]
+        got = [detect(g, DetectorConfig(rng_seed=s)) for g, s in zip(graphs, seeds)]
+        monkeypatch.setattr(infomap, "_local_move_passes", scalar_local_move_passes)
+        for g, s, (part, bd) in zip(graphs, seeds, got):
+            want_part, want_bd = detect(g, DetectorConfig(rng_seed=s))
+            assert part.assignment == want_part.assignment
+            assert bd.codelength == want_bd.codelength
