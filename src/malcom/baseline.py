@@ -7,9 +7,12 @@ point farthest from its current center.  Deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class KMeansError(ValueError):
@@ -39,6 +42,8 @@ class KMeansResult:
 
 def tfidf_matrix(model) -> tuple[sparse.csr_matrix, list[str]]:
     """CSR matrix of tf-idf values, columns in ascending feature name."""
+    from scipy import sparse  # deferred: scipy's import cost only k-means pays
+
     names = sorted({name for row in model.values for name in row})
     col = {name: k for k, name in enumerate(names)}
     indptr = [0]
@@ -110,6 +115,8 @@ def _assign(
 
 
 def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
+    from scipy import sparse
+
     cfg.validate(model.n)
     X, names = tfidf_matrix(model)
     n = model.n

@@ -281,6 +281,8 @@ def _cmd_sweep(parser, args):
         grid = [float(p) for p in args.p_grid.split(",") if p.strip()]
     except ValueError:
         parser.error(f"--p-grid must be comma-separated numbers: {args.p_grid!r}")
+    if not grid:
+        parser.error(f"--p-grid lists no p value: {args.p_grid!r}")
     grid_params = [
         _graph_params(parser, len(d), method="en", p=p, k=args.k) for p in grid
     ]
@@ -289,8 +291,10 @@ def _cmd_sweep(parser, args):
         "p\tedges\tnum_communities\trs\taccuracy\tgraph_ms\tdetect_ms\tcumulative_ms"
     ]
     cumulative = 0.0
+    weights = None  # only the graph depends on p: weigh the corpus once
     for params in grid_params:
-        report = run_pipeline(d, params, seed=args.seed)
+        report = run_pipeline(d, params, seed=args.seed, weights=weights)
+        weights = report.weights
         cumulative += sum(report.timings_ms.values())
         ev = report.evaluation
         rs = f"{ev.rand_statistic:.6f}" if ev else ""

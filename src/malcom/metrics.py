@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 class EvalError(ValueError):
@@ -96,6 +95,10 @@ def rand_statistic(
 def accuracy(
     P: Sequence[Hashable], C: Sequence[Hashable]
 ) -> tuple[ContingencyMatrix, float]:
+    # deferred: scipy.optimize takes most of the package's import time, and
+    # only evaluation needs it
+    from scipy.optimize import linear_sum_assignment
+
     n = _check_lengths(P, C, min_n=1)
     families, communities, counts = contingency(P, C)
     size = max(len(families), len(communities))

@@ -13,7 +13,7 @@ from . import metrics
 from .dataset import Dataset, DatasetError
 from .graph import GraphBuildParams, RelationGraph, build_graph, write_edges
 from .infomap import DetectorConfig, detect
-from .weighting import compute_tfidf, pairwise_weights
+from .weighting import WeightSet, compute_tfidf, pairwise_weights
 
 
 @dataclass
@@ -25,6 +25,8 @@ class PipelineReport:
     num_communities: int = 0
     q_total: float = 0.0
     evaluation: Optional[metrics.EvaluationReport] = None
+    # the pair weights the graph was built from; not part of report.json
+    weights: Optional[WeightSet] = None
 
     def to_json(self) -> dict:
         obj = {
@@ -88,11 +90,18 @@ def run_pipeline(
     seed: int = 0,
     out_dir=None,
     scope: str = "all",
+    weights: Optional[WeightSet] = None,
 ) -> PipelineReport:
     """Run the full pipeline on an in-memory dataset.
 
     When out_dir is given, writes edges.tsv, partition.csv, report.json and
     (for fully labeled corpora) eval.json there.
+
+    ``weights`` are the dataset's pair weights from an earlier call (its
+    ``report.weights``); they are used in place of recomputing them, so a
+    sweep over graph parameters weighs the corpus once.  They must cover
+    the dataset's samples in the same order, else DatasetError.  The graph
+    builders never modify a weight set, which is what makes it reusable.
     """
     report = PipelineReport(
         parameters={
@@ -111,11 +120,15 @@ def run_pipeline(
     t1 = time.perf_counter()
     report.timings_ms["tfidf"] = (t1 - t0) * 1000.0
 
-    ws = pairwise_weights(model)
-    t2 = time.perf_counter()
-    report.timings_ms["weights"] = (t2 - t1) * 1000.0
+    if weights is None:
+        weights = pairwise_weights(model)
+        report.timings_ms["weights"] = (time.perf_counter() - t1) * 1000.0
+    elif weights.ids != model.sample_ids:
+        raise DatasetError("the given pair weights belong to another corpus")
+    report.weights = weights
 
-    g = build_graph(ws, params)
+    t2 = time.perf_counter()
+    g = build_graph(weights, params)
     t3 = time.perf_counter()
     report.timings_ms["graph"] = (t3 - t2) * 1000.0
     report.graph_stats = _graph_stats(g)

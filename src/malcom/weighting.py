@@ -83,12 +83,12 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
     for s in d.samples:
         for name in s.features:
             doc_freq[name] = doc_freq.get(name, 0) + 1
+    idf = {name: math.log(n / c) for name, c in doc_freq.items()}
     values = []
     for s in d.samples:
         row = {}
         for name, tf in s.features.items():
-            idf = math.log(n / doc_freq[name])
-            v = tf * idf
+            v = tf * idf[name]
             if v != 0.0:
                 row[name] = v
         values.append(row)
@@ -163,14 +163,17 @@ def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:
     families = sorted({s.family for s in d.samples})
     fam_index = {f: k for k, f in enumerate(families)}
     sample_fam = np.array([fam_index[s.family] for s in d.samples], dtype=np.int64)
-    sizes = np.bincount(sample_fam, minlength=len(families)).astype(np.float64)
+    nf = len(families)
+    sizes = np.bincount(sample_fam, minlength=nf).astype(np.float64)
 
-    sums = np.zeros((len(families), len(families)), dtype=np.float64)
-    for i, j, w in zip(ws.i, ws.j, ws.w):
-        a, b = sample_fam[i], sample_fam[j]
-        sums[a, b] += w
-        if a != b:
-            sums[b, a] += w
+    # one sum per unordered family pair (min, max), adding the pairs in
+    # input order as the per-pair loop did; then mirror it below the diagonal
+    a, b = sample_fam[ws.i], sample_fam[ws.j]
+    key = np.minimum(a, b)
+    key *= nf
+    key += np.maximum(a, b, out=a)  # in place: a is not read again
+    sums = np.bincount(key, weights=ws.w, minlength=nf * nf).reshape(nf, nf)
+    sums = np.triu(sums) + np.triu(sums, k=1).T
 
     counts = np.outer(sizes, sizes)
     np.fill_diagonal(counts, sizes * (sizes - 1) / 2.0)

@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import malcom
 from malcom.cli import main
+from malcom.dataset import load_dataset
+from malcom.graph import GraphBuildParams
+from malcom.pipeline import run_pipeline
 
 
 def run(args):
@@ -70,6 +78,7 @@ def test_pipeline_unlabeled_skips_eval(tmp_path, corpus):
         pytest.param("sweep", ["--k", 0], id="sweep-k-zero"),
         pytest.param("sweep", ["--k", 32], id="sweep-k-n"),
         pytest.param("sweep", ["--p-grid", "5,0"], id="sweep-p-zero"),
+        pytest.param("sweep", ["--p-grid", ","], id="sweep-p-grid-empty"),
         pytest.param(
             "graph", ["--method", "epsilon", "--epsilon", -1], id="graph-epsilon-negative"
         ),
@@ -194,6 +203,57 @@ def test_sweep_rows(tmp_path, corpus):
     cums = [float(line.split("\t")[cum_idx]) for line in lines[1:]]
     assert all(c >= 0 for c in cums)
     assert cums == sorted(cums)
+
+
+def test_sweep_rows_match_fresh_runs(tmp_path, corpus):
+    """The sweep weighs the corpus once; its rows must equal runs that
+    each compute their own weights, including p values that need the
+    k-NN fallback."""
+    data, _ = corpus
+    grid = [1, 3, 10, 40]
+    out = tmp_path / "sweep.tsv"
+    assert run(
+        [
+            "sweep",
+            "--input", data,
+            "--p-grid", ",".join(str(p) for p in grid),
+            "--seed", 3,
+            "--out", out,
+        ]
+    ) == 0
+    rows = [line.split("\t")[:5] for line in out.read_text().splitlines()[1:]]
+
+    d = load_dataset(data)
+    expect, fallback_edges = [], 0
+    for p in grid:
+        rep = run_pipeline(d, GraphBuildParams(method="en", p=p, k=1), seed=3)
+        ev = rep.evaluation
+        expect.append(
+            [
+                f"{p:g}",
+                str(rep.graph_stats["edges"]),
+                str(rep.num_communities),
+                f"{ev.rand_statistic:.6f}",
+                f"{ev.accuracy:.6f}",
+            ]
+        )
+        fallback_edges += rep.graph_stats.get("fallback_edges", 0)
+    assert fallback_edges > 0
+    assert rows == expect
+
+
+def test_cli_import_defers_scipy():
+    code = (
+        "import sys, malcom.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
+    )
+    src = str(Path(malcom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=60,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_bench_rows(tmp_path):

@@ -9,9 +9,11 @@ from conftest import weight_set
 from malcom import graph
 from malcom.graph import (
     GraphError,
+    GraphBuildParams,
     RelationGraph,
     build_en,
     build_epsilon,
+    build_graph,
     build_knn,
     csr,
     percentile_cutoff,
@@ -185,6 +187,38 @@ class TestBuildEn:
             isolated = {ids[v] for v in range(n) if deg[v] == 0}
             for a, b in en_edges - eps_edges:
                 assert a in isolated or b in isolated
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        pytest.param(GraphBuildParams(method="epsilon", p=30), id="epsilon-by-p"),
+        pytest.param(
+            GraphBuildParams(method="epsilon", epsilon=1.0), id="epsilon-by-value"
+        ),
+        pytest.param(GraphBuildParams(method="knn", k=2), id="knn"),
+        pytest.param(GraphBuildParams(method="en", p=5, k=2), id="en"),
+    ],
+)
+def test_build_graph_leaves_weights_unchanged(params):
+    """A sweep hands one weight set to every build, so no builder may
+    reorder or partition ws.i/j/w in place."""
+    rng = np.random.default_rng(5)
+    n = 40
+    ids = [f"v{i:02d}" for i in range(n)]
+    entries = {
+        (ids[a], ids[b]): float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.1, 3)]))
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < 0.4
+    }
+    ws = weight_set(ids, entries)
+    before = [ws.i.tobytes(), ws.j.tobytes(), ws.w.tobytes()]
+    g = build_graph(ws, params)
+    assert g.num_edges > 0
+    if params.method == "en":
+        assert g.meta["fallback_edges"] > 0
+    assert [ws.i.tobytes(), ws.j.tobytes(), ws.w.tobytes()] == before
 
 
 def test_edge_file_round_trip(tmp_path, six_weight_set):

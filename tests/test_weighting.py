@@ -6,6 +6,7 @@ import pytest
 from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.weighting import (
+    WeightSet,
     compute_tfidf,
     dump_tfidf,
     family_similarity,
@@ -29,6 +30,25 @@ def brute_force_weights(model):
             if w > 0:
                 out[(a, b)] = w
     return out
+
+
+def loop_family_similarity(d, ws):
+    """family_similarity's matrix summed by the per-pair loop its bincount
+    replaced; the reference it must match byte for byte."""
+    families = sorted({s.family for s in d.samples})
+    fam_index = {f: k for k, f in enumerate(families)}
+    sample_fam = np.array([fam_index[s.family] for s in d.samples], dtype=np.int64)
+    sizes = np.bincount(sample_fam, minlength=len(families)).astype(np.float64)
+    sums = np.zeros((len(families), len(families)), dtype=np.float64)
+    for i, j, w in zip(ws.i, ws.j, ws.w):
+        a, b = sample_fam[i], sample_fam[j]
+        sums[a, b] += w
+        if a != b:
+            sums[b, a] += w
+    counts = np.outer(sizes, sizes)
+    np.fill_diagonal(counts, sizes * (sizes - 1) / 2.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(counts > 0, sums / counts, 0.0)
 
 
 def random_model(rng, n):
@@ -173,6 +193,23 @@ class TestFamilySimilarity:
         expected = (ws.get(0, 1) + ws.get(0, 3) + ws.get(2, 1) + ws.get(2, 3)) / 4
         assert sim.matrix[a, b] == pytest.approx(expected, abs=1e-12)
         assert np.allclose(sim.matrix, sim.matrix.T)
+
+    def test_sums_match_pair_loop_bytewise(self):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            n = int(rng.integers(2, 60))
+            fams = [f"F{int(x)}" for x in rng.integers(0, int(rng.integers(1, 7)), n)]
+            d = Dataset(samples=[Sample(f"s{v}", fams[v], {}) for v in range(n)])
+            i, j = np.triu_indices(n, k=1)
+            keep = rng.random(len(i)) < 0.6
+            ws = WeightSet(
+                [s.id for s in d.samples],
+                i[keep],
+                j[keep],
+                rng.uniform(0.01, 10.0, int(keep.sum())),
+            )
+            expect = loop_family_similarity(d, ws)
+            assert family_similarity(d, ws).matrix.tobytes() == expect.tobytes()
 
     def test_unlabeled_rejected(self):
         d = Dataset(samples=[Sample("s1", None, {}), Sample("s2", "A", {})])
