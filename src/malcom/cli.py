@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import metrics
-from .baseline import KMeansConfig, kmeans
+from .baseline import KMeansConfig, KMeansError, kmeans
 from .dataset import (
     DatasetError,
     load_dataset,
@@ -216,7 +216,7 @@ def _cmd_graph(parser, args):
     params = _graph_params(
         parser, len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
     )
-    ws = pairwise_weights(compute_tfidf(d))
+    ws = pairwise_weights(compute_tfidf(d), top_p=params.weights_top_p())
     write_edges(build_graph(ws, params), args.out)
 
 
@@ -293,7 +293,9 @@ def _cmd_sweep(parser, args):
     cumulative = 0.0
     weights = None  # only the graph depends on p: weigh the corpus once
     for params in grid_params:
-        report = run_pipeline(d, params, seed=args.seed, weights=weights)
+        report = run_pipeline(
+            d, params, seed=args.seed, weights=weights, complete_weights=True
+        )
         weights = report.weights
         cumulative += sum(report.timings_ms.values())
         ev = report.evaluation
@@ -332,6 +334,7 @@ def _cmd_bench(parser, args):
         g = build_en(ws, args.p, args.k)
         builders = {
             "weights": lambda: pairwise_weights(model),
+            "weights-top": lambda: pairwise_weights(model, top_p=args.p),
             "epsilon": lambda: build_epsilon(ws, percentile_cutoff(ws, args.p)[0]),
             "knn": lambda: build_knn(ws, args.k),
             "en": lambda: build_en(ws, args.p, args.k),
@@ -385,7 +388,13 @@ def main(argv=None) -> int:
     try:
         _COMMANDS[args.command](parser, args)
     except (
-        DatasetError, metrics.EvalError, GraphError, InfomapError, SynthError, OSError
+        DatasetError,
+        metrics.EvalError,
+        GraphError,
+        InfomapError,
+        KMeansError,
+        SynthError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,11 +65,19 @@ class GraphBuildParams:
     k: int = 1
     epsilon: Optional[float] = None
 
+    def weights_top_p(self) -> Optional[float]:
+        """The top percent of pair weights this build reads: p for E-N and
+        for epsilon by percent; None (every pair) for k-NN and for an
+        epsilon given as a value."""
+        if self.method == "en" or (self.method == "epsilon" and self.epsilon is None):
+            return self.p
+        return None
+
     def validate(self, n: int) -> None:
         """The one check of graph parameters; the CLI exits 2 on its errors."""
         if self.method not in ("epsilon", "knn", "en"):
             raise GraphError(f"unknown graph method {self.method!r}")
-        if self.epsilon is None and not (0 < self.p <= 100):
+        if (self.epsilon is None or self.method == "en") and not (0 < self.p <= 100):
             raise GraphError(f"p must be in (0, 100], got {self.p}")
         if self.epsilon is not None and not self.epsilon >= 0:
             raise GraphError(f"epsilon must be >= 0, got {self.epsilon}")
@@ -80,21 +88,29 @@ class GraphBuildParams:
 
 
 def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
-    """Threshold for keeping the top p percent of stored weights.
+    """Threshold for keeping the top p percent of all |W| positive weights.
 
     Returns (cutoff, m) where m = ceil(p/100 * |W|) and the cutoff is the
     m-th largest weight.  All pairs with weight >= cutoff become edges, so
-    ties at the cutoff can push the edge count above m.
+    ties at the cutoff can push the edge count above m.  A weight set
+    pruned to its top_p percent holds the top m pairs of every p <= top_p,
+    and raises GraphError for a larger p.
     """
-    if len(ws) == 0:
+    if ws.total == 0:
         raise GraphError("cannot take a percentile of an empty weight set")
     if not (0 < p <= 100):
         raise GraphError(f"p must be in (0, 100], got {p}")
-    total = len(ws)
+    if ws.top_p is not None and p > ws.top_p:
+        raise GraphError(
+            f"the weight set holds only the top {ws.top_p:g}% of pair weights,"
+            f" not the top {p:g}%"
+        )
+    total = ws.total
     m = math.ceil(p / 100.0 * total)
     m = min(m, total)
-    # m-th largest == (total - m)-th smallest; introselect, no full sort
-    cutoff = float(np.partition(ws.w, total - m)[total - m])
+    # m-th largest == (held - m)-th smallest; introselect, no full sort
+    held = len(ws)
+    cutoff = float(np.partition(ws.w, held - m)[held - m])
     return cutoff, m
 
 
@@ -113,9 +129,9 @@ def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
 
 
 def _floor_weight(ws: WeightSet) -> float:
-    if len(ws) == 0:
+    if ws.min_w is None:
         return DEFAULT_FLOOR
-    return float(ws.w.min()) * FLOOR_FACTOR
+    return ws.min_w * FLOOR_FACTOR
 
 
 def csr(
@@ -129,11 +145,13 @@ def csr(
     order, exactly as appending both directions edge by edge would.
     """
     src = np.column_stack((i, j)).ravel()
-    dst = np.column_stack((j, i)).ravel()
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order], np.repeat(w, 2)[order]
+    del src  # each temporary is freed once read: E can be millions
+    indices = np.column_stack((j, i)).ravel()[order]
+    order >>= 1  # entry k of the interleaved list is edge k // 2
+    return indptr, indices, w[order]
 
 
 def _k_nearest(
@@ -216,8 +234,7 @@ def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
     epsilon, _ = percentile_cutoff(ws, p)
     base = build_epsilon(ws, epsilon)
     is_iso = base.degrees() == 0
-    touch = is_iso[ws.i] | is_iso[ws.j]
-    adj = csr(n, ws.i[touch], ws.j[touch], ws.w[touch])
+    adj = csr(n, *ws.pairs_of(is_iso))
     isolated = np.flatnonzero(is_iso).tolist()
     g = _knn_union(
         ws, (base.edge_i, base.edge_j, base.edge_w), isolated, adj, k, False
@@ -236,6 +253,8 @@ def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
 
 def build_graph(ws: WeightSet, params: GraphBuildParams) -> RelationGraph:
     params.validate(ws.n)
+    if ws.top_p is not None and params.weights_top_p() is None:
+        raise GraphError(f"{params.method} needs the complete weight set")
     if params.method == "epsilon":
         eps = params.epsilon
         if eps is None:

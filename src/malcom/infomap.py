@@ -103,7 +103,7 @@ class _Net:
     """One aggregation level, built from edge arrays (ei, ej, ew).
 
     Non-loop edges form the CSR adjacency of ``graph.csr`` (``indptr``,
-    ``indices``, ``weights``; ``rows`` is each entry's row vertex).  Loop
+    ``indices``, ``weights``; ``rows()`` is each entry's row vertex).  Loop
     weight lives in ``loop``, counts twice toward strength and once toward
     total weight, so aggregation preserves flows exactly.  All sums run in
     edge order (bincount, cumsum), as an edge-by-edge loop would add.
@@ -114,20 +114,23 @@ class _Net:
         is_loop = ei == ej
         self.loop = _sum_by(ei[is_loop], ew[is_loop], n)
         # both endpoints in edge order; a loop adds 2w once, at its edge
-        ends = np.column_stack((ei, ej)).ravel()
-        end_w = np.column_stack(
-            (np.where(is_loop, 2.0 * ew, ew), np.where(is_loop, 0.0, ew))
-        ).ravel()
-        self.strength = _sum_by(ends, end_w, n)
+        end_w = np.repeat(ew, 2)
+        end_w[0::2][is_loop] *= 2.0
+        end_w[1::2][is_loop] = 0.0
+        self.strength = _sum_by(np.column_stack((ei, ej)).ravel(), end_w, n)
+        del end_w  # each temporary is freed once read: E can be millions
         self.total_weight = float(np.cumsum(ew)[-1]) if len(ew) else 0.0
-        keep = ~is_loop
-        self.indptr, self.indices, self.weights = csr(
-            n, ei[keep], ej[keep], ew[keep]
-        )
-        self.rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        if is_loop.any():
+            keep = ~is_loop
+            ei, ej, ew = ei[keep], ej[keep], ew[keep]
+        self.indptr, self.indices, self.weights = csr(n, ei, ej, ew)
         # sum of plogp over the FINEST level's visit rates; aggregated nets
         # inherit it so codelengths stay comparable across levels
         self.fine_vertex_plogp: Optional[float] = None
+
+    def rows(self) -> np.ndarray:
+        """Row vertex of every CSR entry; built per call, not kept."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
 
     def own_vertex_plogp(self) -> float:
         return float(sum(_plogp(pv) for pv in self.visit_rates()))
@@ -158,7 +161,7 @@ def compute_flows(g: RelationGraph) -> FlowModel:
 def _exits(net: _Net, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Community and weight of every CSR entry that leaves its row
     vertex's community, in CSR order."""
-    row_comm = assignment[net.rows]
+    row_comm = assignment[net.rows()]
     leaves = row_comm != assignment[net.indices]
     return row_comm[leaves], net.weights[leaves]
 
@@ -395,17 +398,25 @@ def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:
     """
     comm = np.asarray(assignment, dtype=np.int64)
     looped = np.flatnonzero(net.loop > 0)
-    upper = net.indices > net.rows
-    src = np.concatenate((looped, net.rows[upper]))
-    dst = np.concatenate((looped, net.indices[upper]))
-    w = np.concatenate((net.loop[looped], net.weights[upper]))
+    # each temporary is freed once read: the first level has |E| entries
+    rows = net.rows()
+    upper = net.indices > rows
+    src = np.concatenate((looped, rows[upper]))
+    del rows
     # stable by fine vertex; loops were listed first
     order = np.argsort(src, kind="stable")
-    ca, cb = comm[src[order]], comm[dst[order]]
-    keys, inverse = np.unique(
-        np.minimum(ca, cb) * m + np.maximum(ca, cb), return_inverse=True
-    )
-    out = _Net(m, keys // m, keys % m, _sum_by(inverse, w[order], len(keys)))
+    ca = comm[src[order]]
+    del src
+    cb = comm[np.concatenate((looped, net.indices[upper]))[order]]
+    w = np.concatenate((net.loop[looped], net.weights[upper]))[order]
+    del upper, order
+    key = np.minimum(ca, cb)
+    key *= m
+    key += np.maximum(ca, cb, out=ca)
+    del ca, cb
+    keys, inverse = np.unique(key, return_inverse=True)
+    del key
+    out = _Net(m, keys // m, keys % m, _sum_by(inverse, w, len(keys)))
     out.fine_vertex_plogp = net.fine_vertex_plogp
     return out
 

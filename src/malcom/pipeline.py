@@ -91,17 +91,24 @@ def run_pipeline(
     out_dir=None,
     scope: str = "all",
     weights: Optional[WeightSet] = None,
+    complete_weights: bool = False,
 ) -> PipelineReport:
     """Run the full pipeline on an in-memory dataset.
 
     When out_dir is given, writes edges.tsv, partition.csv, report.json and
     (for fully labeled corpora) eval.json there.
 
+    The pair weights are pruned to the top ``params.p`` percent that an
+    E-N or epsilon-by-percent graph reads (``params.weights_top_p()``);
+    ``complete_weights`` keeps them all.  ``report.weights`` is therefore
+    valid for any p <= its ``top_p``, or for any build when complete.
+
     ``weights`` are the dataset's pair weights from an earlier call (its
     ``report.weights``); they are used in place of recomputing them, so a
     sweep over graph parameters weighs the corpus once.  They must cover
-    the dataset's samples in the same order, else DatasetError.  The graph
-    builders never modify a weight set, which is what makes it reusable.
+    the dataset's samples in the same order, else DatasetError, and hold
+    the pairs ``params`` reads, else GraphError.  The graph builders never
+    modify a weight set, which is what makes it reusable.
     """
     report = PipelineReport(
         parameters={
@@ -121,7 +128,8 @@ def run_pipeline(
     report.timings_ms["tfidf"] = (t1 - t0) * 1000.0
 
     if weights is None:
-        weights = pairwise_weights(model)
+        top_p = None if complete_weights else params.weights_top_p()
+        weights = pairwise_weights(model, top_p=top_p)
         report.timings_ms["weights"] = (time.perf_counter() - t1) * 1000.0
     elif weights.ids != model.sample_ids:
         raise DatasetError("the given pair weights belong to another corpus")

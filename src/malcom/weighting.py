@@ -6,8 +6,10 @@ The weight of a sample pair is the sum over shared features of the mean of
 the two tf-idf values.  Accumulation happens feature by feature in
 ascending feature-name order, so results are bit-reproducible and match a
 brute-force double loop exactly.  Pairs are accumulated one block of rows
-at a time, with no dense n x n buffer: memory is O(b * n + |W|) for a
-block of b rows and |W| weighted pairs.
+at a time, with no dense n x n buffer.  The complete set holds all |W|
+positive pairs.  A set pruned to the top p percent holds O(b * n + m)
+pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2), plus any
+ties at its threshold: all that an epsilon or E-N graph at that p reads.
 """
 from __future__ import annotations
 
@@ -33,19 +35,43 @@ class TfIdfModel:
     values: list[dict[str, float]]
 
 
+# (sample indices ascending, their tf-idf values) of one feature
+Feature = tuple[np.ndarray, np.ndarray]
+
+
 class WeightSet:
     """Sparse symmetric positive pair weights over n vertices.
 
     Stored as parallel arrays (i, j, w) with i < j (vertex indices in
-    dataset order) and w > 0.
+    dataset order), w > 0, in row-major order.  A complete set holds all
+    ``total`` positive pairs and has ``top_p`` None.  A pruned set holds
+    exactly the pairs at or above some weight, which include the top
+    ``top_p`` percent of all pairs, and keeps the feature lists it was
+    weighed from so that ``pairs_of`` can recompute whole rows.
     """
 
-    def __init__(self, ids: list[str], i: np.ndarray, j: np.ndarray, w: np.ndarray):
+    def __init__(
+        self,
+        ids: list[str],
+        i: np.ndarray,
+        j: np.ndarray,
+        w: np.ndarray,
+        top_p: Optional[float] = None,
+        total: Optional[int] = None,
+        min_w: Optional[float] = None,
+        features: Optional[list[Feature]] = None,
+    ):
         self.ids = ids
         self.i = np.asarray(i, dtype=np.int64)
         self.j = np.asarray(j, dtype=np.int64)
         self.w = np.asarray(w, dtype=np.float64)
-        self._index: Optional[dict[tuple[int, int], float]] = None
+        self.top_p = top_p
+        # |W| and the smallest positive weight of the complete set
+        self.total = len(self.w) if total is None else total
+        if min_w is None and len(self.w):
+            min_w = float(self.w.min())
+        self.min_w = min_w
+        self._features = features
 
     @property
     def n(self) -> int:
@@ -57,16 +83,16 @@ class WeightSet:
     def pairs(self) -> Iterator[tuple[int, int, float]]:
         yield from zip(self.i.tolist(), self.j.tolist(), self.w.tolist())
 
-    def get(self, a: int, b: int) -> float:
-        """Weight between vertex indices a and b; 0 when the pair is absent."""
-        if a == b:
-            raise ValueError("no self-pairs in a weight set")
-        if self._index is None:
-            self._index = {
-                (ii, jj): ww for ii, jj, ww in zip(self.i, self.j, self.w)
-            }
-        key = (a, b) if a < b else (b, a)
-        return self._index.get(key, 0.0)
+    def pairs_of(
+        self, vertices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, w) of every positive pair with an endpoint where the
+        boolean mask ``vertices`` is set, in row-major order: the held pairs
+        of a complete set, or the vertices' rows recomputed for a pruned one."""
+        if self.top_p is None:
+            touch = vertices[self.i] | vertices[self.j]
+            return self.i[touch], self.j[touch], self.w[touch]
+        return _rows_of(self._features, self.n, vertices)
 
 
 @dataclass
@@ -100,38 +126,39 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
     )
 
 
-def pairwise_weights(m: TfIdfModel) -> WeightSet:
+def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     """Symmetric pair weights via an inverted index over features.
 
     For each feature (ascending name) the tf-idf values of the samples
     containing it are combined pairwise as (t_i + t_j) / 2 and accumulated
     into the pair's weight.  Accumulation streams through blocks of b rows
     [r0, r1) against the columns j >= r0, b = _BLOCK_CELLS // n, so there
-    is no dense n x n buffer.  The output arrays reserve room for all
-    n(n-1)/2 pairs, but only the |W| positive pairs are written and kept,
-    so resident memory is O(b * n + |W|).  Every pair still sums its
-    features from 0.0 in the same order, so the weights do not depend on b.
-    """
-    n = m.n
-    inverted: dict[str, tuple[list[int], list[float]]] = {}
-    for idx, row in enumerate(m.values):
-        for name, v in row.items():
-            bucket = inverted.setdefault(name, ([], []))
-            bucket[0].append(idx)
-            bucket[1].append(v)
-    # ix is ascending: samples were appended in index order
-    features = [
-        (np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-        for idx, vals in (inverted[name] for name in sorted(inverted))
-        if len(idx) >= 2
-    ]
+    is no dense n x n buffer.  Every pair sums its features from 0.0 in
+    the same order, so the weights do not depend on b.
 
+    With ``top_p`` None every positive pair is kept.  With ``top_p`` set,
+    a pair is kept when its weight is at or above a running threshold:
+    whenever more than 2 * m_max pairs are held, m_max = ceil(top_p/100 *
+    n(n-1)/2), the threshold rises to the m_max-th largest held weight and
+    the pairs below it are dropped.  The top ceil(p/100 * |W|) <= m_max
+    pairs of any p <= top_p are never dropped.  If the threshold never
+    rose, the set is complete.  The output arrays reserve room for all
+    n(n-1)/2 pairs, but only the pairs held are written, so resident
+    memory is O(b * n + held pairs).
+    """
+    if top_p is not None and not 0 < top_p <= 100:
+        raise ValueError(f"top_p must be in (0, 100], got {top_p}")
+    n = m.n
+    features = _feature_lists(m)
     rows = max(1, _BLOCK_CELLS // n)
-    # room for every pair; pages past the last positive pair stay untouched
+    # room for every pair; pages past the last pair held stay untouched
     size = n * (n - 1) // 2
+    m_max = size if top_p is None else math.ceil(top_p / 100.0 * size)
     i, j = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     w = np.empty(size, dtype=np.float64)
-    count = 0
+    count = total = 0
+    min_w = math.inf
+    threshold = 0.0
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
@@ -145,15 +172,90 @@ def pairwise_weights(m: TfIdfModel) -> WeightSet:
             acc[flat] += ((t[lo:hi, None] + t[None, lo:]) * 0.5).ravel()
         acc = acc.reshape(r1 - r0, width)
         # row-major (i, j) with j > i and w > 0
-        bi, bj = np.nonzero(np.triu(acc > 0, k=1))
+        keep = np.triu(acc > 0, k=1)
+        total += int(np.count_nonzero(keep))
+        min_w = min(min_w, float(acc.min(where=keep, initial=math.inf)))
+        if threshold > 0:
+            keep &= acc >= threshold
+        bi, bj = np.nonzero(keep)
         end = count + len(bi)
         w[count:end] = acc[bi, bj]
         np.add(bi, r0, out=i[count:end])
         np.add(bj, r0, out=j[count:end])
         count = end
+        if count > 2 * m_max:
+            threshold = float(np.partition(w[:count], count - m_max)[count - m_max])
+            held = w[:count] >= threshold
+            count = int(np.count_nonzero(held))
+            for a in (i, j, w):
+                a[:count] = a[: len(held)][held]  # a stable, in-place compaction
     for a in (i, j, w):
         a.resize(count, refcheck=False)  # in place: no copy of the pairs
-    return WeightSet(ids=list(m.sample_ids), i=i, j=j, w=w)
+    pruned = threshold > 0
+    return WeightSet(
+        list(m.sample_ids),
+        i,
+        j,
+        w,
+        top_p=top_p if pruned else None,
+        total=total,
+        min_w=min_w if total else None,
+        features=features if pruned else None,
+    )
+
+
+def _feature_lists(m: TfIdfModel) -> list[Feature]:
+    """(sample indices, tf-idf values) of every feature present in at
+    least two samples, in ascending feature-name order."""
+    inverted: dict[str, tuple[list[int], list[float]]] = {}
+    for idx, row in enumerate(m.values):
+        for name, v in row.items():
+            bucket = inverted.setdefault(name, ([], []))
+            bucket[0].append(idx)
+            bucket[1].append(v)
+    # ix is ascending: samples were appended in index order
+    return [
+        (np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
+        for idx, vals in (inverted[name] for name in sorted(inverted))
+        if len(idx) >= 2
+    ]
+
+
+def _rows_of(
+    features: list[Feature], n: int, vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``WeightSet.pairs_of`` recomputed from the feature lists.
+
+    Row v sums its features in the same ascending order from 0.0 as the
+    block kernel, and t_v + t_u == t_u + t_v in IEEE arithmetic, so every
+    weight is the double ``pairwise_weights`` computes.  A pair of two
+    listed vertices is taken from the row of the smaller one."""
+    chosen = np.flatnonzero(vertices)
+    pos = np.full(n, -1, dtype=np.int64)
+    none = np.empty(0, dtype=np.int64)
+    parts = [(none, none, np.empty(0, dtype=np.float64))]
+    rows = max(1, _BLOCK_CELLS // n)
+    for s in range(0, len(chosen), rows):
+        block = chosen[s : s + rows]
+        pos[block] = np.arange(len(block))
+        acc = np.zeros(len(block) * n, dtype=np.float64)
+        for ix, t in features:
+            r = pos[ix]
+            sel = np.flatnonzero(r >= 0)
+            if len(sel) == 0:
+                continue
+            flat = (r[sel, None] * n + ix[None, :]).ravel()
+            acc[flat] += ((t[sel, None] + t[None, :]) * 0.5).ravel()
+        pos[block] = -1
+        acc = acc.reshape(len(block), n)
+        # drop the self-pair, and the pairs the smaller vertex's row lists
+        keep = (acc > 0) & ~((np.arange(n) <= block[:, None]) & vertices)
+        bi, bj = np.nonzero(keep)
+        v = block[bi]
+        parts.append((np.minimum(v, bj), np.maximum(v, bj), acc[bi, bj]))
+    i, j, w = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((j, i))
+    return i[order], j[order], w[order]
 
 
 def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:

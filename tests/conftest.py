@@ -21,6 +21,17 @@ def four_sample_dataset():
     )
 
 
+def pair_weight(ws, a, b):
+    """Weight between vertex indices a and b of a complete weight set; 0.0
+    when the pair is absent."""
+    assert ws.top_p is None, "a pruned set lacks the pairs it dropped"
+    if a == b:
+        raise ValueError("no self-pairs in a weight set")
+    a, b = min(a, b), max(a, b)
+    hit = np.flatnonzero((ws.i == a) & (ws.j == b))
+    return float(ws.w[hit[0]]) if len(hit) else 0.0
+
+
 def weight_set(ids, entries):
     index = {v: k for k, v in enumerate(ids)}
     i, j, w = [], [], []

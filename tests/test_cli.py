@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import malcom
+from malcom import baseline
 from malcom.cli import main
 from malcom.dataset import load_dataset
 from malcom.graph import GraphBuildParams
@@ -72,6 +73,10 @@ def test_pipeline_unlabeled_skips_eval(tmp_path, corpus):
     [
         pytest.param("pipeline", ["--p", 0], id="pipeline-p-zero"),
         pytest.param("pipeline", ["--p", 101], id="pipeline-p-above-100"),
+        # E-N reads p even when an epsilon is given
+        pytest.param(
+            "pipeline", ["--epsilon", 1, "--p", 0], id="pipeline-en-epsilon-p-zero"
+        ),
         pytest.param("pipeline", ["--k", 0], id="pipeline-k-zero"),
         # the corpus has 32 samples
         pytest.param("pipeline", ["--k", 32], id="pipeline-k-n"),
@@ -264,7 +269,24 @@ def test_bench_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n\tmethod\tmedian_ms"
     methods = {line.split("\t")[1] for line in lines[1:]}
-    assert methods == {"weights", "epsilon", "knn", "en", "detect"}
+    assert methods == {"weights", "weights-top", "epsilon", "knn", "en", "detect"}
+
+
+def test_kmeans_error_exit_1(tmp_path, corpus, capsys, monkeypatch):
+    """A Lloyd step whose objective rises ends with error:, not a traceback."""
+    real = baseline._assign
+    factor = iter(10.0**e for e in range(100))
+
+    def rising(*args):
+        assignment, cost = real(*args)
+        return assignment, cost * next(factor)
+
+    monkeypatch.setattr(baseline, "_assign", rising)
+    data, _ = corpus
+    code = run(["kmeans", "--input", data, "--c", 4, "--out", tmp_path / "k.csv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: objective increased across Lloyd iterations" in err
 
 
 def test_tfidf_dump(tmp_path, corpus):

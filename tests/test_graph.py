@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import weight_set
-from malcom import graph
+from malcom import graph, weighting
+from malcom.dataset import Dataset, Sample
 from malcom.graph import (
     GraphError,
     GraphBuildParams,
@@ -20,6 +21,7 @@ from malcom.graph import (
     read_edges,
     write_edges,
 )
+from malcom.weighting import compute_tfidf, pairwise_weights
 
 
 def edge_ids(g):
@@ -301,3 +303,117 @@ def test_read_edges_rejects_loop_and_repeated_pair(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(GraphError, match=f"^{message}$"):
         read_edges(path)
+
+
+@st.composite
+def tied_models(draw):
+    """Tf-idf models whose samples repeat a few feature templates, so that
+    pair weights tie at the cutoff and at the k-th neighbour, and may add
+    a few features of their own, so that weights also differ.  Up to two
+    samples share no feature and have no positive pair at all."""
+    n = draw(st.integers(2, 24))
+    names = [f"perm/f{c}" for c in range(6)]
+    templates = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(names), st.sampled_from([1.0, 2.0]),
+                            min_size=1, max_size=4),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    picks = draw(st.lists(st.sampled_from(templates), min_size=n, max_size=n))
+    extra = st.dictionaries(
+        st.sampled_from([f"api/e{c}" for c in range(10)]),
+        st.integers(1, 4).map(float),
+        max_size=3,
+    )
+    extras = draw(st.lists(extra, min_size=n, max_size=n))
+    lonely = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    labels = draw(st.permutations(range(n)))  # id order unlike index order
+    samples = [
+        Sample(
+            f"s{labels[v]:02d}",
+            None,
+            {f"own/{v}": 1.0} if v in lonely else {**picks[v], **extras[v]},
+        )
+        for v in range(n)
+    ]
+    return compute_tfidf(Dataset(samples=samples))
+
+
+tiny_50_100 = st.one_of(st.floats(0.01, 5.0), st.just(50.0), st.just(100.0))
+block_cells = st.sampled_from([lambda n: 1, lambda n: 3 * n + 1])  # 1 or 3 rows
+
+
+def assert_same_graph(a, b):
+    assert a.edge_i.tolist() == b.edge_i.tolist()
+    assert a.edge_j.tolist() == b.edge_j.tolist()
+    assert a.edge_w.tobytes() == b.edge_w.tobytes()
+    assert a.meta == b.meta
+
+
+@given(tied_models(), tiny_50_100, st.integers(1, 3), block_cells)
+def test_pruned_weights_build_the_same_graphs(model, p, k, cells):
+    k = min(k, model.n - 1)
+    with mock.patch.object(weighting, "_BLOCK_CELLS", cells(model.n)):
+        full = pairwise_weights(model)
+        top = pairwise_weights(model, top_p=p)
+    # the pruned set is the complete set's pairs at or above its threshold
+    assert (top.total, top.min_w) == (full.total, full.min_w)
+    held = full.w >= (top.w.min() if len(top) else np.inf)
+    assert top.i.tolist() == full.i[held].tolist()
+    assert top.j.tolist() == full.j[held].tolist()
+    assert top.w.tobytes() == full.w[held].tobytes()
+    assert top.top_p in (None, p) and (top.top_p or len(top) == full.total)
+    builds = [
+        lambda ws: build_en(ws, p, k),
+        lambda ws: build_graph(ws, GraphBuildParams(method="epsilon", p=p)),
+    ]
+    for build in builds:
+        if full.total == 0:
+            for ws in (full, top):
+                with pytest.raises(GraphError, match="empty weight set"):
+                    build(ws)
+        else:
+            assert_same_graph(build(top), build(full))
+
+
+@given(tied_models(), st.data(), block_cells)
+def test_recomputed_rows_match_complete_set(model, data, cells):
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=model.n,
+                                       max_size=model.n)))
+    with mock.patch.object(weighting, "_BLOCK_CELLS", cells(model.n)):
+        full = pairwise_weights(model)
+        got = weighting._rows_of(weighting._feature_lists(model), model.n, mask)
+    for a, b in zip(got, full.pairs_of(mask)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def pruned_example():
+    """16 samples in two groups: at p=1 the threshold rises while weighing."""
+    samples = [
+        Sample(f"s{v}", None, {f"perm/g{v % 2}": 1.0, f"perm/x{v % 5}": 1.0 + v % 3})
+        for v in range(16)
+    ]
+    return compute_tfidf(Dataset(samples=samples))
+
+
+def test_pruned_set_rejects_larger_p():
+    top = pairwise_weights(pruned_example(), top_p=1)
+    assert top.top_p == 1 and len(top) < top.total
+    percentile_cutoff(top, 1)
+    with pytest.raises(GraphError, match="only the top 1% of pair weights"):
+        percentile_cutoff(top, 1.5)
+    with pytest.raises(GraphError, match="needs the complete weight set"):
+        build_graph(top, GraphBuildParams(method="knn", k=1))
+    with pytest.raises(GraphError, match="needs the complete weight set"):
+        build_graph(top, GraphBuildParams(method="epsilon", epsilon=0.1))
+
+
+def test_pruned_set_recomputes_isolated_rows():
+    model = pruned_example()
+    full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
+    assert top.top_p == 1
+    g = build_en(top, 1, 2)
+    assert g.meta["isolated_before_fallback"] > 0
+    assert_same_graph(g, build_en(full, 1, 2))

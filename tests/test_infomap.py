@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import entropy_bits, make_graph, random_graph
 from malcom import infomap
@@ -14,6 +16,7 @@ from malcom.infomap import (
     _breakdown,
     _exits,
     _LocalState,
+    _Net,
     _net_from_graph,
     _plogp,
     _sum_by,
@@ -48,6 +51,48 @@ class TestComputeFlows:
         g = make_graph(["a", "b"], {})
         with pytest.raises(InfomapError):
             compute_flows(g)
+
+
+def reference_net_arrays(n, ei, ej, ew):
+    """strength, indptr, indices, weights and rows as _Net built them with
+    every temporary alive at once; the arrays it must still produce."""
+    is_loop = ei == ej
+    ends = np.column_stack((ei, ej)).ravel()
+    end_w = np.column_stack(
+        (np.where(is_loop, 2.0 * ew, ew), np.where(is_loop, 0.0, ew))
+    ).ravel()
+    strength = _sum_by(ends, end_w, n)
+    i, j, w = ei[~is_loop], ej[~is_loop], ew[~is_loop]
+    src = np.column_stack((i, j)).ravel()
+    dst = np.column_stack((j, i)).ravel()
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    return strength, indptr, dst[order], np.repeat(w, 2)[order], rows
+
+
+@st.composite
+def edge_arrays_with_loops(draw):
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.floats(0.001, 100.0)),
+                          max_size=30))
+    cols = list(zip(*edges)) or [(), (), ()]
+    return (
+        n,
+        np.array(cols[0], dtype=np.int64),
+        np.array(cols[1], dtype=np.int64),
+        np.array(cols[2], dtype=np.float64),
+    )
+
+
+@given(edge_arrays_with_loops())
+def test_net_arrays_match_reference(case):
+    net = _Net(*case)
+    got = (net.strength, net.indptr, net.indices, net.weights, net.rows())
+    for a, b in zip(got, reference_net_arrays(*case)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestCodelength:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import pair_weight
 from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.weighting import (
@@ -105,21 +106,22 @@ class TestComputeTfidf:
 class TestPairwiseWeights:
     def test_hand_values(self, four_sample_dataset):
         ws = pairwise_weights(compute_tfidf(four_sample_dataset))
-        assert ws.get(0, 1) == pytest.approx((2 * LN2 + 1 * LN2) / 2, abs=1e-12)
-        assert ws.get(0, 3) == pytest.approx(LN2, abs=1e-12)
+        expected = (2 * LN2 + 1 * LN2) / 2
+        assert pair_weight(ws, 0, 1) == pytest.approx(expected, abs=1e-12)
+        assert pair_weight(ws, 0, 3) == pytest.approx(LN2, abs=1e-12)
 
     def test_no_shared_feature_pair_absent(self, four_sample_dataset):
         ws = pairwise_weights(compute_tfidf(four_sample_dataset))
-        assert ws.get(0, 2) == 0.0
+        assert pair_weight(ws, 0, 2) == 0.0
         assert (0, 2) not in set(zip(ws.i.tolist(), ws.j.tolist()))
 
     def test_symmetry(self, four_sample_dataset):
         ws = pairwise_weights(compute_tfidf(four_sample_dataset))
         for a, b, _ in ws.pairs():
-            assert ws.get(a, b) == ws.get(b, a)
+            assert pair_weight(ws, a, b) == pair_weight(ws, b, a)
 
     def test_monotone_in_shared_features(self, four_sample_dataset):
-        base = pairwise_weights(compute_tfidf(four_sample_dataset)).get(0, 1)
+        base = pair_weight(pairwise_weights(compute_tfidf(four_sample_dataset)), 0, 1)
         d = four_sample_dataset
         grown = Dataset(
             samples=[
@@ -129,7 +131,7 @@ class TestPairwiseWeights:
                 d.samples[3],
             ]
         )
-        assert pairwise_weights(compute_tfidf(grown)).get(0, 1) >= base
+        assert pair_weight(pairwise_weights(compute_tfidf(grown)), 0, 1) >= base
 
     def test_matches_brute_force_bit_identical(self):
         rng = np.random.default_rng(42)
@@ -190,7 +192,7 @@ class TestFamilySimilarity:
         sim = family_similarity(four_sample_dataset, ws)
         a, b = sim.families.index("A"), sim.families.index("B")
         # pairs across {s1,s3} x {s2,s4}: w12, w14 positive, w32=w23, w34 absent? w23 shared c
-        expected = (ws.get(0, 1) + ws.get(0, 3) + ws.get(2, 1) + ws.get(2, 3)) / 4
+        expected = sum(pair_weight(ws, a, b) for a in (0, 2) for b in (1, 3)) / 4
         assert sim.matrix[a, b] == pytest.approx(expected, abs=1e-12)
         assert np.allclose(sim.matrix, sim.matrix.T)
 
