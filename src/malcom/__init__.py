@@ -13,6 +13,7 @@ from .dataset import (
     save_dataset,
     save_dictionary,
 )
+from .errors import MalcomError
 from .weighting import (
     TfIdfModel,
     WeightSet,
@@ -33,12 +34,10 @@ from .graph import (
 )
 from .infomap import (
     DetectorConfig,
-    FlowModel,
     InfomapError,
     MapEquationBreakdown,
     Partition,
     codelength,
-    compute_flows,
     detect,
     exhaustive_min_codelength,
 )

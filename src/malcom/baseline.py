@@ -11,11 +11,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .errors import MalcomError
+
 if TYPE_CHECKING:
     from scipy import sparse
 
 
-class KMeansError(ValueError):
+class KMeansError(MalcomError):
     pass
 
 

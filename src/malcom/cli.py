@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import metrics
-from .baseline import KMeansConfig, KMeansError, kmeans
+from .baseline import KMeansConfig, kmeans
 from .dataset import (
     DatasetError,
     load_dataset,
@@ -22,6 +22,7 @@ from .dataset import (
     save_dataset,
     save_dictionary,
 )
+from .errors import MalcomError
 from .graph import (
     GraphBuildParams,
     GraphError,
@@ -33,7 +34,7 @@ from .graph import (
     read_edges,
     write_edges,
 )
-from .infomap import DetectorConfig, InfomapError, detect
+from .infomap import DetectorConfig, detect
 from .pipeline import (
     read_partition,
     run_pipeline,
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="TSV output path")
 
     sp = sub.add_parser(
-        "bench", help="pair-weight, graph construction and detect timings"
+        "bench", help="pair-weight, graph construction, detect and eval timings"
     )
     sp.add_argument(
         "--sizes",
@@ -332,6 +333,7 @@ def _cmd_bench(parser, args):
         model = compute_tfidf(d)
         ws = pairwise_weights(model)
         g = build_en(ws, args.p, args.k)
+        part, _ = detect(g, DetectorConfig(rng_seed=args.seed))
         builders = {
             "weights": lambda: pairwise_weights(model),
             "weights-top": lambda: pairwise_weights(model, top_p=args.p),
@@ -339,6 +341,7 @@ def _cmd_bench(parser, args):
             "knn": lambda: build_knn(ws, args.k),
             "en": lambda: build_en(ws, args.p, args.k),
             "detect": lambda: detect(g, DetectorConfig(rng_seed=args.seed)),
+            "eval": lambda: metrics.evaluate(d.labels(), part.assignment),
         }
         for method, builder in builders.items():
             times = []
@@ -387,15 +390,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.command](parser, args)
-    except (
-        DatasetError,
-        metrics.EvalError,
-        GraphError,
-        InfomapError,
-        KMeansError,
-        SynthError,
-        OSError,
-    ) as exc:
+    except (MalcomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .errors import MalcomError
+
 CATEGORIES = frozenset(f"FS{i}" for i in range(1, 12))
 SCOPES = ("platform-defined", "app-specific")
 VALUE_KINDS = ("boolean", "numeric")
@@ -37,7 +39,7 @@ PREFIX_CATEGORY = {
 }
 
 
-class DatasetError(ValueError):
+class DatasetError(MalcomError):
     """Malformed corpus or dictionary input."""
 
 

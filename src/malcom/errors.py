@@ -1,0 +1,6 @@
+"""The package's base error: every malcom error class subclasses it."""
+
+
+class MalcomError(ValueError):
+    """Invalid input, parameters or state; the CLI reports it as ``error: …``
+    and exits 1."""

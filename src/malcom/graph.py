@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import MalcomError
 from .weighting import WeightSet
 
 # Fallback edges for vertices with no positive weight at all get this
@@ -29,7 +30,7 @@ DEFAULT_FLOOR = 1e-3  # used when the weight set has no positive entry
 _WRITE_CHUNK = 1 << 16  # edge lines formatted per write
 
 
-class GraphError(ValueError):
+class GraphError(MalcomError):
     pass
 
 

@@ -33,10 +33,11 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import MalcomError
 from .graph import RelationGraph, csr
 
 
-class InfomapError(ValueError):
+class InfomapError(MalcomError):
     pass
 
 
@@ -71,12 +72,6 @@ class Partition:
                 remap[lab] = len(remap)
             dense.append(remap[lab])
         return Partition(assignment=dense, m=len(remap))
-
-    def communities(self) -> list[list[int]]:
-        groups: list[list[int]] = [[] for _ in range(self.m)]
-        for v, c in enumerate(self.assignment):
-            groups[c].append(v)
-        return groups
 
 
 @dataclass

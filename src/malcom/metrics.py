@@ -2,8 +2,8 @@
 
 Rand Statistic counts agreeing vertex pairs from the contingency table in
 O(n + |P|*|C|); Accuracy uses a maximum-weight bipartite matching between
-communities and families (Hungarian algorithm on the zero-padded square
-contingency table).
+communities and families (shortest augmenting paths on the zero-padded
+square contingency table).
 """
 from __future__ import annotations
 
@@ -13,8 +13,10 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
+from .errors import MalcomError
 
-class EvalError(ValueError):
+
+class EvalError(MalcomError):
     pass
 
 
@@ -95,26 +97,98 @@ def rand_statistic(
 def accuracy(
     P: Sequence[Hashable], C: Sequence[Hashable]
 ) -> tuple[ContingencyMatrix, float]:
-    # deferred: scipy.optimize takes most of the package's import time, and
-    # only evaluation needs it
-    from scipy.optimize import linear_sum_assignment
+    """Fraction of samples whose community is matched to their family.
 
+    Communities and families are matched one to one by a maximum-weight
+    assignment on the contingency table, zero-padded to a square of side
+    max(families, communities).  The assignment is the shortest augmenting
+    path algorithm of Crouse, "On implementing 2D rectangular assignment
+    algorithms", IEEE TAES 52(4), 2016, as scipy.optimize's
+    linear_sum_assignment(padded, maximize=True) runs it: the same rows,
+    scan order, float64 expressions and tie rule, so on ties it picks the
+    same matching, and ``mapping`` equals what that call gives.
+    """
     n = _check_lengths(P, C, min_n=1)
     families, communities, counts = contingency(P, C)
-    size = max(len(families), len(communities))
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: len(families), : len(communities)] = counts
-    rows, cols = linear_sum_assignment(padded, maximize=True)
+    cols = _max_assignment(counts)
     mapping = {}
     correct = 0
-    for r, c in zip(rows, cols):
-        if r < len(families) and c < len(communities) and padded[r, c] > 0:
+    for r, c in enumerate(cols[: len(families)].tolist()):
+        if c < len(communities) and counts[r, c] > 0:
             mapping[communities[c]] = families[r]
-            correct += int(padded[r, c])
+            correct += int(counts[r, c])
     cm = ContingencyMatrix(
         families=families, communities=communities, counts=counts, mapping=mapping
     )
     return cm, correct / n
+
+
+def _max_assignment(counts: np.ndarray) -> np.ndarray:
+    """Column matched to each row of ``counts`` zero-padded to a square,
+    maximising the matched total.
+
+    Minimises the negated float64 matrix row by row (Crouse 2016).  Each
+    row grows one shortest augmenting path: the remaining columns, kept in
+    swap-removal order starting from the last column, are scanned with
+    ``min_val + cost[i, j] - u[i] - v[j]``; the next column is the last
+    unassigned one at the minimum reduced cost, or else the first one at
+    it.  Padded cells are built per row, so memory stays O(counts + side).
+    """
+    nf, nc = counts.shape
+    size = max(nf, nc)
+    neg = -counts.astype(np.float64)
+    pad = np.full(size - nc, -0.0)
+    zero_row = np.full(size, -0.0)
+    u, v = np.zeros(size), np.zeros(size)
+    spc = np.empty(size)  # shortest path cost per column
+    path = np.full(size, -1, dtype=np.int64)
+    col4row = np.full(size, -1, dtype=np.int64)
+    row4col = np.full(size, -1, dtype=np.int64)
+    sr = np.zeros(size, dtype=bool)  # rows on the search tree
+    sc = np.zeros(size, dtype=bool)  # columns on the search tree
+    for cur in range(size):
+        remaining = np.arange(size - 1, -1, -1)
+        left = size
+        sr[:] = False
+        sc[:] = False
+        spc[:] = np.inf
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            sr[i] = True
+            rem = remaining[:left]
+            row = np.concatenate((neg[i], pad)) if i < nf else zero_row
+            r = min_val + row[rem] - u[i] - v[rem]
+            old = spc[rem]
+            better = r < old
+            path[rem[better]] = i
+            cand = np.where(better, r, old)
+            spc[rem] = cand
+            at_min = cand == cand.min()
+            free = np.flatnonzero(at_min & (row4col[rem] == -1))
+            index = int(free[-1]) if len(free) else int(np.argmax(at_min))
+            min_val = cand[index]
+            j = int(rem[index])
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = int(row4col[j])
+            sc[j] = True
+            left -= 1
+            remaining[index] = remaining[left]
+        u[cur] += min_val
+        tree = np.flatnonzero(sr)
+        tree = tree[tree != cur]
+        u[tree] += min_val - spc[col4row[tree]]
+        v[sc] -= min_val - spc[sc]
+        j = sink
+        while True:  # augment along the path back to row cur
+            i = int(path[j])
+            row4col[j] = i
+            col4row[i], j = j, int(col4row[i])
+            if i == cur:
+                break
+    return col4row
 
 
 def community_family_matrix(

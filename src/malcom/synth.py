@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, FeatureDictionaryEntry, Sample
+from .errors import MalcomError
 
 
-class SynthError(ValueError):
+class SynthError(MalcomError):
     pass
 
 

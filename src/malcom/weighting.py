@@ -168,8 +168,11 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
             if hi == lo:
                 continue
             cols = ix[lo:] - r0
-            flat = (cols[: hi - lo, None] * width + cols[None, :]).ravel()
-            acc[flat] += ((t[lo:hi, None] + t[None, lo:]) * 0.5).ravel()
+            # a feature's cells are distinct: each gets one add, in order
+            flat = np.add.outer(cols[: hi - lo] * width, cols).ravel()
+            vals = np.add.outer(t[lo:hi], t[lo:]).ravel()
+            vals *= 0.5
+            np.add.at(acc, flat, vals)
         acc = acc.reshape(r1 - r0, width)
         # row-major (i, j) with j > i and w > 0
         keep = np.triu(acc > 0, k=1)
@@ -244,8 +247,10 @@ def _rows_of(
             sel = np.flatnonzero(r >= 0)
             if len(sel) == 0:
                 continue
-            flat = (r[sel, None] * n + ix[None, :]).ravel()
-            acc[flat] += ((t[sel, None] + t[None, :]) * 0.5).ravel()
+            flat = np.add.outer(r[sel] * n, ix).ravel()
+            vals = np.add.outer(t[sel], t).ravel()
+            vals *= 0.5
+            np.add.at(acc, flat, vals)
         pos[block] = -1
         acc = acc.reshape(len(block), n)
         # drop the self-pair, and the pairs the smaller vertex's row lists

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -247,18 +249,30 @@ def test_sweep_rows_match_fresh_runs(tmp_path, corpus):
     assert rows == expect
 
 
-def test_cli_import_defers_scipy():
-    code = (
-        "import sys, malcom.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])"
-    )
+def _scipy_modules_after(code):
+    """scipy modules loaded after running ``code`` in a fresh interpreter."""
+    code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(malcom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=60,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_defers_scipy(tmp_path, corpus):
+    assert _scipy_modules_after("import sys, malcom.cli") == "[]"
+    data, dic = corpus
+    runs = [
+        ["pipeline", "--input", data, "--dict", dic, "--out-dir", tmp_path / "run"],
+        ["sweep", "--input", data, "--p-grid", "5,10", "--out", tmp_path / "s.tsv"],
+    ]
+    for argv in runs:
+        code = f"import sys; from malcom.cli import main; main({[str(a) for a in argv]!r})"
+        assert _scipy_modules_after(code) == "[]"
+    assert (tmp_path / "run" / "eval.json").exists()
+    assert len((tmp_path / "s.tsv").read_text().splitlines()) == 3
 
 
 def test_bench_rows(tmp_path):
@@ -269,7 +283,29 @@ def test_bench_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n\tmethod\tmedian_ms"
     methods = {line.split("\t")[1] for line in lines[1:]}
-    assert methods == {"weights", "weights-top", "epsilon", "knn", "en", "detect"}
+    assert methods == {
+        "weights", "weights-top", "epsilon", "knn", "en", "detect", "eval"
+    }
+
+
+def test_every_error_class_is_a_malcom_error():
+    """cli.main reports MalcomError as error: and exit 1, so every error
+    class the package defines must derive from it."""
+    classes = {
+        obj
+        for info in pkgutil.iter_modules(malcom.__path__)
+        for obj in vars(importlib.import_module(f"malcom.{info.name}")).values()
+        if isinstance(obj, type)
+        and issubclass(obj, Exception)
+        and obj.__module__.startswith("malcom.")
+    }
+    names = {c.__name__ for c in classes}
+    assert {
+        "DatasetError", "EvalError", "GraphError", "InfomapError",
+        "KMeansError", "SynthError", "MalcomError",
+    } <= names
+    assert all(issubclass(c, malcom.MalcomError) for c in classes)
+    assert issubclass(malcom.MalcomError, ValueError)
 
 
 def test_kmeans_error_exit_1(tmp_path, corpus, capsys, monkeypatch):

@@ -3,9 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from malcom.metrics import (
     EvalError,
+    _max_assignment,
     accuracy,
     community_family_matrix,
     evaluate,
@@ -141,6 +145,49 @@ class TestAccuracy:
             C = rng.integers(0, 5, size=n).tolist()
             cm, acc = accuracy(P, C)
             assert acc >= cm.counts.max() / n
+
+
+def scipy_assignment(counts):
+    """(rows, cols) of scipy's maximising solver on counts zero-padded to a
+    square, as accuracy pads them."""
+    size = max(counts.shape)
+    padded = np.zeros((size, size), dtype=np.int64)
+    padded[: counts.shape[0], : counts.shape[1]] = counts
+    return linear_sum_assignment(padded, maximize=True)
+
+
+@st.composite
+def tie_heavy_counts(draw):
+    """Contingency tables of 1-12 rows and columns with values in {0..1},
+    {0..2} or {0..60}, so equal reduced costs are common."""
+    nf, nc = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    hi = draw(st.sampled_from([1, 2, 60]))
+    cells = draw(st.lists(st.integers(0, hi), min_size=nf * nc, max_size=nf * nc))
+    return np.array(cells, dtype=np.int64).reshape(nf, nc)
+
+
+class TestMaxAssignment:
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_counts())
+    def test_equals_scipy(self, counts):
+        rows, cols = scipy_assignment(counts)
+        assert np.array_equal(rows, np.arange(max(counts.shape)))
+        assert np.array_equal(_max_assignment(counts), cols)
+
+    def test_all_singletons_equal_scipy(self):
+        """3900 samples of 13 families, each sample its own community."""
+        n = 3900
+        P = [f"f{k % 13}" for k in range(n)]
+        C = list(range(n))
+        cm, acc = accuracy(P, C)
+        _, cols = scipy_assignment(cm.counts)
+        assert np.array_equal(_max_assignment(cm.counts), cols)
+        assert acc == 13 / n
+        assert len(cm.mapping) == 13
+
+    def test_more_families_than_communities(self):
+        counts = np.array([[3, 0], [0, 2], [1, 1], [0, 4]], dtype=np.int64)
+        assert np.array_equal(_max_assignment(counts), scipy_assignment(counts)[1])
 
 
 class TestCommunityFamilyMatrix:
