@@ -16,6 +16,9 @@ from .errors import MalcomError
 if TYPE_CHECKING:
     from scipy import sparse
 
+MAX_ITERATIONS = 100
+TOLERANCE = 1e-6  # relative objective improvement that ends the iterations
+
 
 class KMeansError(MalcomError):
     pass
@@ -25,8 +28,6 @@ class KMeansError(MalcomError):
 class KMeansConfig:
     c: int
     rng_seed: int = 0
-    max_iterations: int = 100
-    tolerance: float = 1e-6  # relative objective improvement
 
     def validate(self, n: int) -> None:
         if not (1 <= self.c <= n):
@@ -130,7 +131,7 @@ def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
     assignment = np.zeros(n, dtype=np.int64)
     obj = 0.0
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         assignment, cost = _assign(X, x_sq, centers, cfg.c)
         obj = float(cost.sum())
         if obj > prev_obj * (1.0 + 1e-12) + 1e-12:
@@ -145,7 +146,7 @@ def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
         counts = np.bincount(assignment, minlength=cfg.c).astype(np.float64)
         centers = sums / counts[:, None]
 
-        if np.isfinite(prev_obj) and prev_obj - obj <= cfg.tolerance * max(
+        if np.isfinite(prev_obj) and prev_obj - obj <= TOLERANCE * max(
             prev_obj, 1e-300
         ):
             prev_obj = obj

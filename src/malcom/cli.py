@@ -175,13 +175,11 @@ def _graph_params(parser, n, **fields) -> GraphBuildParams:
 
 
 def _load_filtered(parser, args):
-    d = load_dataset(args.input)
     scope = SCOPE_TOKENS[args.scope]
-    if scope != "all":
-        if args.dict_path is None:
-            parser.error("--scope other than 'all' requires --dict")
-        d.dictionary = load_dictionary(args.dict_path)
-    elif args.dict_path is not None:
+    if scope != "all" and args.dict_path is None:
+        parser.error("--scope other than 'all' requires --dict")
+    d = load_dataset(args.input)
+    if args.dict_path is not None:
         d.dictionary = load_dictionary(args.dict_path)
     return filter_by_scope(d, scope)
 
@@ -262,6 +260,8 @@ def _cmd_eval(parser, args):
 
 
 def _cmd_stats(parser, args):
+    if args.top < 0:
+        parser.error(f"--top must be >= 0, got {args.top}")
     d = _load_filtered(parser, args)
     rows = feature_frequency(d, args.top)
     lines = ["feature\tfraction"]
@@ -288,16 +288,20 @@ def _cmd_sweep(parser, args):
         _graph_params(parser, len(d), method="en", p=p, k=args.k) for p in grid
     ]
 
+    # the largest p first: its pruned pair weights hold every smaller p's,
+    # so the corpus is weighed once; the sort is stable, so equal p keep
+    # their order
+    reports = [None] * len(grid)
+    weights = None
+    for k in sorted(range(len(grid)), key=lambda k: -grid[k]):
+        reports[k] = run_pipeline(d, grid_params[k], seed=args.seed, weights=weights)
+        weights = reports[k].weights
+
     lines = [
         "p\tedges\tnum_communities\trs\taccuracy\tgraph_ms\tdetect_ms\tcumulative_ms"
     ]
     cumulative = 0.0
-    weights = None  # only the graph depends on p: weigh the corpus once
-    for params in grid_params:
-        report = run_pipeline(
-            d, params, seed=args.seed, weights=weights, complete_weights=True
-        )
-        weights = report.weights
+    for params, report in zip(grid_params, reports):
         cumulative += sum(report.timings_ms.values())
         ev = report.evaluation
         rs = f"{ev.rand_statistic:.6f}" if ev else ""
@@ -330,6 +334,7 @@ def _cmd_bench(parser, args):
             rng_seed=args.seed,
         )
         d = generate(cfg)
+        _graph_params(parser, len(d), method="en", p=args.p, k=args.k)
         model = compute_tfidf(d)
         ws = pairwise_weights(model)
         g = build_en(ws, args.p, args.k)

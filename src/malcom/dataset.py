@@ -217,13 +217,12 @@ def save_dictionary(entries: Iterable[FeatureDictionaryEntry], path) -> None:
             writer.writerow([e.feature, e.category, e.scope, e.value_kind])
 
 
-def filter_by_scope(d: Dataset, scope: str, on_missing: str = "error") -> Dataset:
+def filter_by_scope(d: Dataset, scope: str) -> Dataset:
     """Keep only features whose dictionary scope matches.
 
     ``scope`` is "platform-defined", "app-specific" or "all".  Samples left
     with no features are retained; they participate as low-similarity
-    vertices.  ``on_missing`` controls features absent from the dictionary:
-    "error" (default) or "app-specific".
+    vertices.  A feature absent from the dictionary raises DatasetError.
     """
     if scope == "all":
         return d
@@ -231,19 +230,15 @@ def filter_by_scope(d: Dataset, scope: str, on_missing: str = "error") -> Datase
         raise DatasetError(f"unknown scope {scope!r}")
     if d.dictionary is None:
         raise DatasetError("scope filtering requires a feature dictionary")
-    if on_missing not in ("error", "app-specific"):
-        raise DatasetError(f"unknown on_missing policy {on_missing!r}")
     filtered = []
     for s in d.samples:
         kept = {}
         for name, value in s.features.items():
             fscope = d.scope_of(name)
             if fscope is None:
-                if on_missing == "error":
-                    raise DatasetError(
-                        f"feature {name!r} (sample {s.id!r}) missing from dictionary"
-                    )
-                fscope = "app-specific"
+                raise DatasetError(
+                    f"feature {name!r} (sample {s.id!r}) missing from dictionary"
+                )
             if fscope == scope:
                 kept[name] = value
         filtered.append(Sample(id=s.id, family=s.family, features=kept))

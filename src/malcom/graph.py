@@ -55,9 +55,6 @@ class RelationGraph:
             self.edge_j, minlength=self.n
         )
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.edge_i.tolist(), self.edge_j.tolist()))
-
 
 @dataclass
 class GraphBuildParams:
@@ -122,9 +119,9 @@ def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
     mask = ws.w >= epsilon
     return RelationGraph(
         vertices=list(ws.ids),
-        edge_i=ws.i[mask].copy(),
-        edge_j=ws.j[mask].copy(),
-        edge_w=ws.w[mask].copy(),
+        edge_i=ws.i[mask],
+        edge_j=ws.j[mask],
+        edge_w=ws.w[mask],
         meta={"method": "epsilon", "epsilon": epsilon},
     )
 

@@ -28,13 +28,15 @@ SIMD log2 may differ in the last ulp and so flip a near-tied choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import MalcomError
 from .graph import RelationGraph, csr
+
+CONVERGENCE_TOLERANCE = 1e-10  # bits a local move must gain to be applied
 
 
 class InfomapError(MalcomError):
@@ -49,12 +51,6 @@ def _sum_by(index: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
     """Float64 sums of w per index in 0..m-1, added in input order."""
     # np.bincount yields an int64 array when index is empty
     return np.bincount(index, weights=w, minlength=m).astype(np.float64)
-
-
-@dataclass
-class FlowModel:
-    total_weight: float
-    visit_rates: np.ndarray  # p_v per vertex; sums to 1
 
 
 @dataclass
@@ -87,11 +83,6 @@ class MapEquationBreakdown:
 @dataclass
 class DetectorConfig:
     rng_seed: int = 0
-    convergence_tolerance: float = 1e-10  # bits
-
-    def __post_init__(self):
-        if self.convergence_tolerance <= 0:
-            raise InfomapError("convergence tolerance must be > 0")
 
 
 class _Net:
@@ -144,13 +135,6 @@ def _net_from_graph(g: RelationGraph) -> _Net:
     net = _Net(g.n, g.edge_i, g.edge_j, g.edge_w)
     net.fine_vertex_plogp = net.own_vertex_plogp()
     return net
-
-
-def compute_flows(g: RelationGraph) -> FlowModel:
-    if g.n == 0:
-        raise InfomapError("empty graph")
-    net = _net_from_graph(g)
-    return FlowModel(total_weight=net.total_weight, visit_rates=net.visit_rates())
 
 
 def _exits(net: _Net, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,12 +413,11 @@ def detect(
     if g.n == 0:
         raise InfomapError("empty graph")
     rng = np.random.default_rng(cfg.rng_seed)
-    tol = cfg.convergence_tolerance
 
     fine = net = _net_from_graph(g)
     vertex_node = list(range(g.n))  # original vertex -> current-level node
     while True:
-        assignment = _local_move_passes(net, rng, tol)
+        assignment = _local_move_passes(net, rng, CONVERGENCE_TOLERANCE)
         dense = Partition.from_labels(assignment)
         if dense.m == net.n:
             break  # no merges at this level; converged

@@ -91,7 +91,6 @@ def run_pipeline(
     out_dir=None,
     scope: str = "all",
     weights: Optional[WeightSet] = None,
-    complete_weights: bool = False,
 ) -> PipelineReport:
     """Run the full pipeline on an in-memory dataset.
 
@@ -99,9 +98,9 @@ def run_pipeline(
     (for fully labeled corpora) eval.json there.
 
     The pair weights are pruned to the top ``params.p`` percent that an
-    E-N or epsilon-by-percent graph reads (``params.weights_top_p()``);
-    ``complete_weights`` keeps them all.  ``report.weights`` is therefore
-    valid for any p <= its ``top_p``, or for any build when complete.
+    E-N or epsilon-by-percent graph reads (``params.weights_top_p()``), so
+    ``report.weights`` serves any p <= its ``top_p``, and any build when
+    ``top_p`` is None.
 
     ``weights`` are the dataset's pair weights from an earlier call (its
     ``report.weights``); they are used in place of recomputing them, so a
@@ -128,8 +127,7 @@ def run_pipeline(
     report.timings_ms["tfidf"] = (t1 - t0) * 1000.0
 
     if weights is None:
-        top_p = None if complete_weights else params.weights_top_p()
-        weights = pairwise_weights(model, top_p=top_p)
+        weights = pairwise_weights(model, top_p=params.weights_top_p())
         report.timings_ms["weights"] = (time.perf_counter() - t1) * 1000.0
     elif weights.ids != model.sample_ids:
         raise DatasetError("the given pair weights belong to another corpus")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class WeightSet:
 
     def __len__(self) -> int:
         return len(self.w)
-
-    def pairs(self) -> Iterator[tuple[int, int, float]]:
-        yield from zip(self.i.tolist(), self.j.tolist(), self.w.tolist())
 
     def pairs_of(
         self, vertices: np.ndarray

@@ -193,8 +193,8 @@ def test_criterion_7_en_structure():
             eps_g = build_epsilon(ws, cutoff)
             en_g = build_en(ws, p, 1)
             ok &= bool((en_g.degrees() >= 1).all())
-            eps_edges = eps_g.edge_set()
-            en_edges = en_g.edge_set()
+            eps_edges = set(zip(eps_g.edge_i.tolist(), eps_g.edge_j.tolist()))
+            en_edges = set(zip(en_g.edge_i.tolist(), en_g.edge_j.tolist()))
             ok &= eps_edges <= en_edges
             deg = eps_g.degrees()
             isolated = set(np.flatnonzero(deg == 0).tolist())

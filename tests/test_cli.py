@@ -14,6 +14,7 @@ from malcom.cli import main
 from malcom.dataset import load_dataset
 from malcom.graph import GraphBuildParams
 from malcom.pipeline import run_pipeline
+from malcom.weighting import pairwise_weights
 
 
 def run(args):
@@ -104,6 +105,34 @@ def test_invalid_graph_params_exit_2(tmp_path, corpus, command, extra):
     }[command]
     with pytest.raises(SystemExit) as exc:
         run([command, "--input", data, *out, *extra])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param(["--p", 0], id="p-zero"),
+        pytest.param(["--k", 0], id="k-zero"),
+        pytest.param(["--k", 5000], id="k-n"),
+    ],
+)
+def test_bench_invalid_graph_params_exit_2(extra):
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--sizes", 40, "--repeats", 1, *extra])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param(["--top", -1], id="top-negative"),
+        pytest.param(["--scope", "app"], id="scope-without-dict"),
+    ],
+)
+def test_stats_params_checked_before_input_read(tmp_path, extra):
+    # reading the missing input would exit 1
+    with pytest.raises(SystemExit) as exc:
+        run(["stats", "--input", tmp_path / "missing.jsonl", *extra])
     assert exc.value.code == 2
 
 
@@ -213,11 +242,11 @@ def test_sweep_rows(tmp_path, corpus):
 
 
 def test_sweep_rows_match_fresh_runs(tmp_path, corpus):
-    """The sweep weighs the corpus once; its rows must equal runs that
-    each compute their own weights, including p values that need the
-    k-NN fallback."""
+    """The sweep weighs the corpus once; its rows, in grid order, must equal
+    runs that each compute their own weights, including p values that need
+    the k-NN fallback and a p listed twice."""
     data, _ = corpus
-    grid = [1, 3, 10, 40]
+    grid = [10, 1, 40, 3, 10]
     out = tmp_path / "sweep.tsv"
     assert run(
         [
@@ -247,6 +276,23 @@ def test_sweep_rows_match_fresh_runs(tmp_path, corpus):
         fallback_edges += rep.graph_stats.get("fallback_edges", 0)
     assert fallback_edges > 0
     assert rows == expect
+
+
+def test_sweep_weighs_once_at_largest_p(tmp_path, corpus, monkeypatch):
+    calls = []
+
+    def counted(model, top_p=None):
+        calls.append(top_p)
+        return pairwise_weights(model, top_p=top_p)
+
+    monkeypatch.setattr("malcom.pipeline.pairwise_weights", counted)
+    data, _ = corpus
+    out = tmp_path / "sweep.tsv"
+    assert run(
+        ["sweep", "--input", data, "--p-grid", "10,1,40,3,10", "--out", out]
+    ) == 0
+    assert calls == [40]
+    assert len(out.read_text().splitlines()) == 6
 
 
 def _scipy_modules_after(code):

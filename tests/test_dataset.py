@@ -226,5 +226,3 @@ class TestFilterByScope:
         d.samples[0].features["perm/extra"] = 1.0
         with pytest.raises(DatasetError, match="missing from dictionary"):
             filter_by_scope(d, "platform-defined")
-        relaxed = filter_by_scope(d, "app-specific", on_missing="app-specific")
-        assert "perm/extra" in relaxed.samples[0].features

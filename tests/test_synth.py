@@ -81,6 +81,6 @@ class TestGenerate:
         ws = pairwise_weights(compute_tfidf(d))
         fam = [s.family for s in d.samples]
         within, cross = [], []
-        for i, j, w in ws.pairs():
+        for i, j, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
             (within if fam[i] == fam[j] else cross).append(w)
         assert np.mean(within) > np.mean(cross)

@@ -117,7 +117,7 @@ class TestPairwiseWeights:
 
     def test_symmetry(self, four_sample_dataset):
         ws = pairwise_weights(compute_tfidf(four_sample_dataset))
-        for a, b, _ in ws.pairs():
+        for a, b, _ in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
             assert pair_weight(ws, a, b) == pair_weight(ws, b, a)
 
     def test_monotone_in_shared_features(self, four_sample_dataset):
@@ -139,7 +139,7 @@ class TestPairwiseWeights:
             model = random_model(rng, int(rng.integers(2, 65)))
             ws = pairwise_weights(model)
             expect = brute_force_weights(model)
-            got = {(a, b): w for a, b, w in ws.pairs()}
+            got = {(a, b): w for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())}
             assert got == expect  # exact, not approximate
 
     @pytest.mark.parametrize(
@@ -159,7 +159,7 @@ class TestPairwiseWeights:
             ws = pairwise_weights(model)
             assert (ws.i < ws.j).all()
             assert (np.diff(ws.i * n + ws.j) > 0).all()  # row-major order
-            got = {(a, b): w for a, b, w in ws.pairs()}
+            got = {(a, b): w for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())}
             assert got == brute_force_weights(model)  # exact
 
 
