@@ -123,7 +123,13 @@ def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
     cfg.validate(model.n)
     X, names = tfidf_matrix(model)
     n = model.n
-    x_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        x_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+        # every squared distance is <= 4 max(x_sq), and a sum of n of them
+        # must stay finite too
+        bound = 4.0 * n * float(x_sq.max(initial=0.0))
+    if not np.isfinite(bound):
+        raise KMeansError("squared tf-idf distances overflow the float64 range")
     rng = np.random.default_rng(cfg.rng_seed)
 
     centers = _plusplus_seed(X, x_sq, cfg.c, rng)

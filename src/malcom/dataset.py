@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -160,7 +161,8 @@ def _parse_sample(obj: dict, lineno: int) -> Sample:
             raise DatasetError(f"line {lineno}: feature {name!r} value negative")
         if value == 0:
             continue  # absence means 0; never store zeros
-        features[name] = value
+        # interned: every sample that has the feature shares one name string
+        features[sys.intern(name)] = value
     return Sample(id=sid, family=family, features=features)
 
 

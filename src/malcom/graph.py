@@ -14,13 +14,14 @@ which add in input order like an edge-by-edge loop (``np.sum`` does not).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import MalcomError
-from .weighting import WeightSet
+from .weighting import VERTEX_ID, WeightSet, check_vertex_count
 
 # Fallback edges for vertices with no positive weight at all get this
 # fraction of the smallest positive weight, keeping them flow-connected
@@ -37,7 +38,7 @@ class GraphError(MalcomError):
 @dataclass
 class RelationGraph:
     vertices: list[str]
-    edge_i: np.ndarray  # int64, edge_i < edge_j
+    edge_i: np.ndarray  # int32 (VERTEX_ID), edge_i < edge_j
     edge_j: np.ndarray
     edge_w: np.ndarray  # float64, all > 0
     meta: dict = field(default_factory=dict)
@@ -141,13 +142,15 @@ def csr(
     Each edge appears in both endpoint rows.  A stable sort of the
     interleaved list (i0->j0, j0->i0, i1->j1, ...) keeps every row in edge
     order, exactly as appending both directions edge by edge would.
+    ``indptr`` is int64 and ``indices`` int32 (``VERTEX_ID``).
     """
+    check_vertex_count(n)
     src = np.column_stack((i, j)).ravel()
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     del src  # each temporary is freed once read: E can be millions
-    indices = np.column_stack((j, i)).ravel()[order]
+    indices = np.column_stack((j, i)).ravel()[order].astype(VERTEX_ID, copy=False)
     order >>= 1  # entry k of the interleaved list is edge k // 2
     return indptr, indices, w[order]
 
@@ -197,7 +200,7 @@ def _knn_union(
             for v in vertices
             for u, w in _k_nearest(v, k, adj, ws.ids, floor, full_sort)
         ],
-        dtype=[("i", np.int64), ("j", np.int64), ("w", np.float64)],
+        dtype=[("i", VERTEX_ID), ("j", VERTEX_ID), ("w", np.float64)],
     )
     ei, ej, ew = (np.concatenate((col, picks[f])) for col, f in zip(base, "ijw"))
     order = np.lexsort((ej, ei))
@@ -270,7 +273,7 @@ def write_edges(g: RelationGraph, path) -> None:
     ids = g.vertices
     by_name = sorted(range(g.n), key=ids.__getitem__)
     names = [ids[v] for v in by_name]
-    rank = np.empty(g.n, dtype=np.int64)
+    rank = np.empty(g.n, dtype=VERTEX_ID)
     rank[by_name] = np.arange(g.n)
     ri, rj = rank[g.edge_i], rank[g.edge_j]
     lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
@@ -309,11 +312,17 @@ def read_edges(path) -> RelationGraph:
 
     def vid(name: str) -> int:
         if name not in index:
+            check_vertex_count(len(ids) + 1)
             index[name] = len(ids)
             ids.append(name)
         return index[name]
 
-    triples = []
+    # one typed entry per column and edge line: no per-line Python tuple
+    ends_i, ends_j = array("i"), array("i")
+    weights, linenos = array("d"), array("q")
+    add_i, add_j, add_w, add_line = (
+        a.append for a in (ends_i, ends_j, weights, linenos)
+    )
     n_declared = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -339,20 +348,29 @@ def read_edges(path) -> RelationGraph:
                 )
             if src == dst:
                 raise GraphError(f"line {lineno}: self-loop on {src!r}")
-            triples.append((vid(src), vid(dst), weight, lineno))
-    ei = np.array([t[0] for t in triples], dtype=np.int64)
-    ej = np.array([t[1] for t in triples], dtype=np.int64)
-    ew = np.array([t[2] for t in triples], dtype=np.float64)
+            add_i(vid(src))
+            add_j(vid(dst))
+            add_w(weight)
+            add_line(lineno)
+    # views of the arrays' buffers ("i" is a C int, int32 where numpy's is)
+    ei = np.frombuffer(ends_i, dtype=np.intc).astype(VERTEX_ID, copy=False)
+    ej = np.frombuffer(ends_j, dtype=np.intc).astype(VERTEX_ID, copy=False)
+    ew = np.frombuffer(weights, dtype=np.float64)
     swap = ei > ej
     ei[swap], ej[swap] = ej[swap], ei[swap]
     # a stable sort keeps each pair's lines in file order: all but the
     # first of a run repeat it, and the earliest of those is reported
-    key = ei * len(ids) + ej
+    key = ei.astype(np.int64)  # int64: ei * n overflows int32 ids
+    key *= len(ids)
+    key += ej
     order = np.argsort(key, kind="stable")
     repeats = order[1:][key[order[1:]] == key[order[:-1]]]
     if len(repeats):
-        a, b, _, lineno = triples[repeats.min()]
-        raise GraphError(f"line {lineno}: repeats the pair {ids[a]!r}, {ids[b]!r}")
+        e = repeats.min()
+        a, b = (ej[e], ei[e]) if swap[e] else (ei[e], ej[e])  # as the line lists them
+        raise GraphError(
+            f"line {linenos[e]}: repeats the pair {ids[a]!r}, {ids[b]!r}"
+        )
     g = RelationGraph(vertices=ids, edge_i=ei, edge_j=ej, edge_w=ew)
     if n_declared is not None and n_declared != g.n:
         raise GraphError(

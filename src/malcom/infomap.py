@@ -24,6 +24,12 @@ scores are still bit-identical to ``_LocalState.move_delta``: each
 candidate adds the same doubles in the same order.  plogp stays
 ``math.log2`` on Python floats and is not vectorized with numpy, whose
 SIMD log2 may differ in the last ulp and so flip a near-tied choice.
+
+Community exit sums and the aggregated edge weights walk the CSR rows in
+slices of about ``_CHUNK`` entries and add with ``np.add.at``, one term
+at a time in CSR order, as a bincount over all entries would: the sums
+are the same doubles, and no temporary is |E| long.  Vertex and community
+ids are int32.
 """
 from __future__ import annotations
 
@@ -35,8 +41,10 @@ import numpy as np
 
 from .errors import MalcomError
 from .graph import RelationGraph, csr
+from .weighting import VERTEX_ID
 
 CONVERGENCE_TOLERANCE = 1e-10  # bits a local move must gain to be applied
+_CHUNK = 1 << 16  # CSR entries per row slice of the exit and pair sums
 
 
 class InfomapError(MalcomError):
@@ -89,23 +97,25 @@ class _Net:
     """One aggregation level, built from edge arrays (ei, ej, ew).
 
     Non-loop edges form the CSR adjacency of ``graph.csr`` (``indptr``,
-    ``indices``, ``weights``; ``rows()`` is each entry's row vertex).  Loop
-    weight lives in ``loop``, counts twice toward strength and once toward
-    total weight, so aggregation preserves flows exactly.  All sums run in
-    edge order (bincount, cumsum), as an edge-by-edge loop would add.
+    ``indices`` with int32 vertex ids, ``weights``).  Loop weight lives in
+    ``loop``, counts twice toward strength and once toward total weight,
+    so aggregation preserves flows exactly.  All sums run in edge order
+    (bincount, cumsum), as an edge-by-edge loop would add.  A sum that
+    overflows is kept as inf, and ``visit_rates`` rejects the graph.
     """
 
     def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, ew: np.ndarray):
         self.n = n
         is_loop = ei == ej
         self.loop = _sum_by(ei[is_loop], ew[is_loop], n)
-        # both endpoints in edge order; a loop adds 2w once, at its edge
-        end_w = np.repeat(ew, 2)
-        end_w[0::2][is_loop] *= 2.0
-        end_w[1::2][is_loop] = 0.0
-        self.strength = _sum_by(np.column_stack((ei, ej)).ravel(), end_w, n)
-        del end_w  # each temporary is freed once read: E can be millions
-        self.total_weight = float(np.cumsum(ew)[-1]) if len(ew) else 0.0
+        with np.errstate(over="ignore"):  # visit_rates rejects an inf total
+            # both endpoints in edge order; a loop adds 2w once, at its edge
+            end_w = np.repeat(ew, 2)
+            end_w[0::2][is_loop] *= 2.0
+            end_w[1::2][is_loop] = 0.0
+            self.strength = _sum_by(np.column_stack((ei, ej)).ravel(), end_w, n)
+            del end_w  # each temporary is freed once read: E can be millions
+            self.total_weight = float(np.cumsum(ew)[-1]) if len(ew) else 0.0
         if is_loop.any():
             keep = ~is_loop
             ei, ej, ew = ei[keep], ej[keep], ew[keep]
@@ -114,16 +124,15 @@ class _Net:
         # inherit it so codelengths stay comparable across levels
         self.fine_vertex_plogp: Optional[float] = None
 
-    def rows(self) -> np.ndarray:
-        """Row vertex of every CSR entry; built per call, not kept."""
-        return np.repeat(np.arange(self.n), np.diff(self.indptr))
-
     def own_vertex_plogp(self) -> float:
         return float(sum(_plogp(pv) for pv in self.visit_rates()))
 
     def visit_rates(self) -> np.ndarray:
-        if not math.isfinite(self.total_weight):
-            raise InfomapError(f"graph total weight is {self.total_weight}")
+        # strengths sum to twice the total weight, which must be finite too
+        if not math.isfinite(2.0 * self.total_weight):
+            raise InfomapError(
+                f"graph total weight {self.total_weight} overflows the float64 range"
+            )
         if self.total_weight <= 0.0:
             if self.n == 1:
                 return np.array([1.0])
@@ -137,22 +146,46 @@ def _net_from_graph(g: RelationGraph) -> _Net:
     return net
 
 
-def _exits(net: _Net, assignment: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Community and weight of every CSR entry that leaves its row
-    vertex's community, in CSR order."""
-    row_comm = assignment[net.rows()]
-    leaves = row_comm != assignment[net.indices]
-    return row_comm[leaves], net.weights[leaves]
+def _row_slices(net: _Net):
+    """(r0, r1, entries, rows) of row ranges [r0, r1), in order and
+    covering every row, of about _CHUNK CSR entries each (more when one
+    row alone has more): ``entries`` slices their CSR entries, and
+    ``rows`` holds each such entry's row vertex."""
+    indptr = net.indptr
+    r0 = 0
+    while r0 < net.n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + _CHUNK, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        counts = np.diff(indptr[r0 : r1 + 1])
+        rows = np.repeat(np.arange(r0, r1, dtype=VERTEX_ID), counts)
+        yield r0, r1, slice(indptr[r0], indptr[r1]), rows
+        r0 = r1
+
+
+def _exit_sums(net: _Net, assignment: np.ndarray, m: int, scale: float) -> np.ndarray:
+    """Per community, the sum of weight * scale over the CSR entries that
+    leave their row vertex's community, added in CSR order.
+
+    Rows are walked in slices of about _CHUNK entries.  np.add.at adds a
+    slice's terms one by one, in order, as np.bincount over all entries
+    would, so every sum is the same double while only one slice's
+    temporaries are alive, not |E|-long arrays.
+    """
+    sums = np.zeros(m, dtype=np.float64)
+    for _, _, entries, rows in _row_slices(net):
+        row_comm = assignment[rows]
+        leaves = row_comm != assignment[net.indices[entries]]
+        np.add.at(sums, row_comm[leaves], net.weights[entries][leaves] * scale)
+    return sums
 
 
 def _breakdown(net: _Net, assignment: list[int], m: int) -> MapEquationBreakdown:
     p = net.visit_rates()
     two_w = 2.0 * net.total_weight if net.total_weight > 0 else 1.0
-    comm = np.asarray(assignment, dtype=np.int64)
+    comm = np.asarray(assignment, dtype=VERTEX_ID)
 
     # raw inter-community weight per community
-    cut = _sum_by(*_exits(net, comm), m)
-    q_exit = cut / two_w
+    q_exit = _exit_sums(net, comm, m, 1.0) / two_w
     q_total = float(q_exit.sum())
 
     if q_total > 0.0:
@@ -235,9 +268,8 @@ class _LocalState:
         self.inv_two_w = 1.0 / two_w
         self.d = ((net.strength - 2.0 * net.loop) * self.inv_two_w).tolist()
         m = max(assignment) + 1
-        comm = np.asarray(assignment, dtype=np.int64)
-        exit_comm, exit_w = _exits(net, comm)
-        q = _sum_by(exit_comm, exit_w * self.inv_two_w, m)
+        comm = np.asarray(assignment, dtype=VERTEX_ID)
+        q = _exit_sums(net, comm, m, self.inv_two_w)
         self.q_total = float(q.sum())
         self.p = p.tolist()
         self.q = q.tolist()
@@ -373,31 +405,51 @@ def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:
     """Net with one super-vertex per community, edges in (a, b) order.
 
     Vertex by vertex, its self-loop and then its upper-triangle CSR entries
-    are summed per community pair in that order, by bincount.
+    are summed per community pair in that order.  The rows are walked
+    twice, in the slices of ``_row_slices``: once for the sorted set of
+    community-pair keys, once to add each term to its key's sum with
+    np.add.at, in the order one bincount over all terms would add them.
     """
-    comm = np.asarray(assignment, dtype=np.int64)
-    looped = np.flatnonzero(net.loop > 0)
-    # each temporary is freed once read: the first level has |E| entries
-    rows = net.rows()
-    upper = net.indices > rows
-    src = np.concatenate((looped, rows[upper]))
-    del rows
-    # stable by fine vertex; loops were listed first
-    order = np.argsort(src, kind="stable")
-    ca = comm[src[order]]
-    del src
-    cb = comm[np.concatenate((looped, net.indices[upper]))[order]]
-    w = np.concatenate((net.loop[looped], net.weights[upper]))[order]
-    del upper, order
-    key = np.minimum(ca, cb)
-    key *= m
-    key += np.maximum(ca, cb, out=ca)
-    del ca, cb
-    keys, inverse = np.unique(key, return_inverse=True)
-    del key
-    out = _Net(m, keys // m, keys % m, _sum_by(inverse, w, len(keys)))
+    comm = np.asarray(assignment, dtype=VERTEX_ID)
+    keys = np.unique(
+        np.concatenate(
+            [np.unique(_pair_terms(net, comm, m, *r)[0]) for r in _row_slices(net)]
+        )
+    )
+    sums = np.zeros(len(keys), dtype=np.float64)
+    for r in _row_slices(net):
+        key, w = _pair_terms(net, comm, m, *r)
+        np.add.at(sums, np.searchsorted(keys, key), w)
+    out = _Net(m, keys // m, keys % m, sums)
     out.fine_vertex_plogp = net.fine_vertex_plogp
     return out
+
+
+def _pair_terms(
+    net: _Net,
+    comm: np.ndarray,
+    m: int,
+    r0: int,
+    r1: int,
+    entries: slice,
+    rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(community-pair key min * m + max, weight) of the self-loops and
+    upper-triangle CSR entries of one ``_row_slices`` slice: by row
+    vertex, each vertex's loop before its entries, in CSR order."""
+    upper = net.indices[entries] > rows
+    rows = rows[upper]
+    ca, cb = comm[rows], comm[net.indices[entries][upper]]
+    w = net.weights[entries][upper]
+    looped = r0 + np.flatnonzero(net.loop[r0:r1] > 0)
+    if len(looped):  # only aggregated nets have loops
+        at = np.searchsorted(rows, looped)  # before the vertex's own entries
+        ca, cb = np.insert(ca, at, comm[looped]), np.insert(cb, at, comm[looped])
+        w = np.insert(w, at, net.loop[looped])
+    key = np.minimum(ca, cb).astype(np.int64)  # int64: a * m overflows int32
+    key *= m
+    key += np.maximum(ca, cb)
+    return key, w
 
 
 def detect(

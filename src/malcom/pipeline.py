@@ -131,6 +131,7 @@ def run_pipeline(
         report.timings_ms["weights"] = (time.perf_counter() - t1) * 1000.0
     elif weights.ids != model.sample_ids:
         raise DatasetError("the given pair weights belong to another corpus")
+    del model  # the pair weights are all later stages read
     report.weights = weights
 
     t2 = time.perf_counter()

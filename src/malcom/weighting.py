@@ -10,6 +10,8 @@ at a time, with no dense n x n buffer.  The complete set holds all |W|
 positive pairs.  A set pruned to the top p percent holds O(b * n + m)
 pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2), plus any
 ties at its threshold: all that an epsilon or E-N graph at that p reads.
+Vertex ids are int32 (``VERTEX_ID``), so a held pair takes 16 bytes: two
+ids and its weight.
 """
 from __future__ import annotations
 
@@ -21,9 +23,19 @@ from typing import Optional
 import numpy as np
 
 from .dataset import Dataset, DatasetError
+from .errors import MalcomError
 
 # Cells of one row block of the pair-weight accumulator (4 MiB of float64).
 _BLOCK_CELLS = 1 << 19
+# dtype of vertex ids in pair, edge and CSR arrays; a key that multiplies
+# two ids (a * m + b) is built in int64, where the product cannot overflow
+VERTEX_ID = np.int32
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise MalcomError when n vertices do not fit ``VERTEX_ID``."""
+    if n > np.iinfo(VERTEX_ID).max:
+        raise MalcomError(f"{n} vertices exceed the {2**31 - 1} that int32 ids hold")
 
 
 @dataclass
@@ -42,8 +54,8 @@ Feature = tuple[np.ndarray, np.ndarray]
 class WeightSet:
     """Sparse symmetric positive pair weights over n vertices.
 
-    Stored as parallel arrays (i, j, w) with i < j (vertex indices in
-    dataset order), w > 0, in row-major order.  A complete set holds all
+    Stored as parallel arrays (i, j, w) with i < j (int32 vertex indices
+    in dataset order), w > 0, in row-major order.  A complete set holds all
     ``total`` positive pairs and has ``top_p`` None.  A pruned set holds
     exactly the pairs at or above some weight, which include the top
     ``top_p`` percent of all pairs, and keeps the feature lists it was
@@ -62,8 +74,8 @@ class WeightSet:
         features: Optional[list[Feature]] = None,
     ):
         self.ids = ids
-        self.i = np.asarray(i, dtype=np.int64)
-        self.j = np.asarray(j, dtype=np.int64)
+        self.i = np.asarray(i, dtype=VERTEX_ID)
+        self.j = np.asarray(j, dtype=VERTEX_ID)
         self.w = np.asarray(w, dtype=np.float64)
         self.top_p = top_p
         # |W| and the smallest positive weight of the complete set
@@ -112,6 +124,10 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
         row = {}
         for name, tf in s.features.items():
             v = tf * idf[name]
+            if not math.isfinite(v):
+                raise DatasetError(
+                    f"sample {s.id!r}: tf-idf of feature {name!r} overflows"
+                )
             if v != 0.0:
                 row[name] = v
         values.append(row)
@@ -141,17 +157,19 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     pairs of any p <= top_p are never dropped.  If the threshold never
     rose, the set is complete.  The output arrays reserve room for all
     n(n-1)/2 pairs, but only the pairs held are written, so resident
-    memory is O(b * n + held pairs).
+    memory is O(b * n + held pairs), 16 bytes per held pair.  A weight
+    that overflows the float64 range raises DatasetError.
     """
     if top_p is not None and not 0 < top_p <= 100:
         raise ValueError(f"top_p must be in (0, 100], got {top_p}")
     n = m.n
+    check_vertex_count(n)
     features = _feature_lists(m)
     rows = max(1, _BLOCK_CELLS // n)
     # room for every pair; pages past the last pair held stay untouched
     size = n * (n - 1) // 2
     m_max = size if top_p is None else math.ceil(top_p / 100.0 * size)
-    i, j = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    i, j = np.empty(size, dtype=VERTEX_ID), np.empty(size, dtype=VERTEX_ID)
     w = np.empty(size, dtype=np.float64)
     count = total = 0
     min_w = math.inf
@@ -159,29 +177,22 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
-        acc = np.zeros((r1 - r0) * width, dtype=np.float64)
-        for ix, t in features:
-            lo, hi = np.searchsorted(ix, (r0, r1))
-            if hi == lo:
-                continue
-            cols = ix[lo:] - r0
-            # a feature's cells are distinct: each gets one add, in order
-            flat = np.add.outer(cols[: hi - lo] * width, cols).ravel()
-            vals = np.add.outer(t[lo:hi], t[lo:]).ravel()
-            vals *= 0.5
-            np.add.at(acc, flat, vals)
-        acc = acc.reshape(r1 - r0, width)
+        acc = _accumulate(features, r0, r1, width)
         # row-major (i, j) with j > i and w > 0
         keep = np.triu(acc > 0, k=1)
         total += int(np.count_nonzero(keep))
         min_w = min(min_w, float(acc.min(where=keep, initial=math.inf)))
         if threshold > 0:
             keep &= acc >= threshold
-        bi, bj = np.nonzero(keep)
-        end = count + len(bi)
-        w[count:end] = acc[bi, bj]
-        np.add(bi, r0, out=i[count:end])
-        np.add(bj, r0, out=j[count:end])
+        flat = np.flatnonzero(keep)
+        del keep
+        end = count + len(flat)
+        np.take(acc, flat, out=w[count:end], mode="clip")  # unbuffered
+        # cell (a, b) of the block is flat index a * width + b; ids < 2**31
+        np.floor_divide(flat, width, out=i[count:end], casting="unsafe")
+        i[count:end] += r0
+        np.remainder(flat, width, out=j[count:end], casting="unsafe")
+        j[count:end] += r0
         count = end
         if count > 2 * m_max:
             threshold = float(np.partition(w[:count], count - m_max)[count - m_max])
@@ -204,6 +215,31 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     )
 
 
+def _accumulate(features: list[Feature], r0: int, r1: int, width: int) -> np.ndarray:
+    """Pair weights of rows [r0, r1) against columns [r0, r0 + width), as a
+    (r1 - r0, width) block; DatasetError when a weight overflows."""
+    acc = np.zeros((r1 - r0) * width, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for ix, t in features:
+            lo, hi = np.searchsorted(ix, (r0, r1))
+            if hi == lo:
+                continue
+            cols = ix[lo:] - r0
+            # a feature's cells are distinct: each gets one add, in order
+            flat = np.add.outer(cols[: hi - lo] * width, cols).ravel()
+            vals = np.add.outer(t[lo:hi], t[lo:]).ravel()
+            vals *= 0.5
+            np.add.at(acc, flat, vals)
+    _reject_overflow(acc)
+    return acc.reshape(r1 - r0, width)
+
+
+def _reject_overflow(acc: np.ndarray) -> None:
+    """DatasetError when a block of pair weights holds an overflowed sum."""
+    if acc.max(initial=0.0) == math.inf:
+        raise DatasetError("a pair weight overflows the float64 range")
+
+
 def _feature_lists(m: TfIdfModel) -> list[Feature]:
     """(sample indices, tf-idf values) of every feature present in at
     least two samples, in ascending feature-name order."""
@@ -213,7 +249,8 @@ def _feature_lists(m: TfIdfModel) -> list[Feature]:
             bucket = inverted.setdefault(name, ([], []))
             bucket[0].append(idx)
             bucket[1].append(v)
-    # ix is ascending: samples were appended in index order
+    # ix is ascending: samples were appended in index order; it stays
+    # int64, since the kernel's cols * width overflows int32 once n > 46,340
     return [
         (np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
         for idx, vals in (inverted[name] for name in sorted(inverted))
@@ -232,29 +269,37 @@ def _rows_of(
     listed vertices is taken from the row of the smaller one."""
     chosen = np.flatnonzero(vertices)
     pos = np.full(n, -1, dtype=np.int64)
-    none = np.empty(0, dtype=np.int64)
+    none = np.empty(0, dtype=VERTEX_ID)
     parts = [(none, none, np.empty(0, dtype=np.float64))]
     rows = max(1, _BLOCK_CELLS // n)
     for s in range(0, len(chosen), rows):
         block = chosen[s : s + rows]
         pos[block] = np.arange(len(block))
         acc = np.zeros(len(block) * n, dtype=np.float64)
-        for ix, t in features:
-            r = pos[ix]
-            sel = np.flatnonzero(r >= 0)
-            if len(sel) == 0:
-                continue
-            flat = np.add.outer(r[sel] * n, ix).ravel()
-            vals = np.add.outer(t[sel], t).ravel()
-            vals *= 0.5
-            np.add.at(acc, flat, vals)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            for ix, t in features:
+                r = pos[ix]
+                sel = np.flatnonzero(r >= 0)
+                if len(sel) == 0:
+                    continue
+                flat = np.add.outer(r[sel] * n, ix).ravel()
+                vals = np.add.outer(t[sel], t).ravel()
+                vals *= 0.5
+                np.add.at(acc, flat, vals)
+        _reject_overflow(acc)
         pos[block] = -1
         acc = acc.reshape(len(block), n)
         # drop the self-pair, and the pairs the smaller vertex's row lists
         keep = (acc > 0) & ~((np.arange(n) <= block[:, None]) & vertices)
         bi, bj = np.nonzero(keep)
         v = block[bi]
-        parts.append((np.minimum(v, bj), np.maximum(v, bj), acc[bi, bj]))
+        parts.append(
+            (
+                np.minimum(v, bj).astype(VERTEX_ID),
+                np.maximum(v, bj).astype(VERTEX_ID),
+                acc[bi, bj],
+            )
+        )
     i, j, w = (np.concatenate(col) for col in zip(*parts))
     order = np.lexsort((j, i))
     return i[order], j[order], w[order]
@@ -281,8 +326,10 @@ def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:
 
     counts = np.outer(sizes, sizes)
     np.fill_diagonal(counts, sizes * (sizes - 1) / 2.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         matrix = np.where(counts > 0, sums / counts, 0.0)
+    if not np.isfinite(matrix).all():
+        raise DatasetError("a family's summed pair weight overflows the float64 range")
     return FamilySimilarityMatrix(families=families, matrix=matrix)
 
 

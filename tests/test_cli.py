@@ -406,13 +406,11 @@ def test_pipeline_rejects_non_finite_feature(tmp_path, corpus, capsys):
         pytest.param("a\tb\t-1.5\n", id="negative-weight"),
         pytest.param("a\ta\t1\n", id="self-loop"),
         pytest.param("a\tb\t1\nb\ta\t2\n", id="repeated-pair"),
-        pytest.param(
-            "a\tb\t1e308\nb\tc\t1e308\n",
-            id="weight-sum-overflows",
-            marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning"),
-        ),
+        pytest.param("a\tb\t1e308\nb\tc\t1e308\n", id="weight-sum-overflows"),
+        pytest.param("a\tb\t1e308\n", id="doubled-weight-overflows"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_detect_rejects_malformed_edges(tmp_path, capsys, text):
     edges = tmp_path / "edges.tsv"
     edges.write_text(text)
@@ -420,6 +418,73 @@ def test_detect_rejects_malformed_edges(tmp_path, capsys, text):
     assert run(["detect", "--edges", edges, "--out-dir", out]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "detect.json").exists()
+
+
+def big_value_corpus(tmp_path, holders, value="1e308"):
+    """Ten samples in two families; the first ``holders`` also carry the
+    feature api/big with ``value``, written as is."""
+    lines = []
+    for v in range(10):
+        feats = f'"perm/p{v % 3}": 1, "api/a{v % 2}": 2'
+        if v < holders:
+            feats += f', "api/big": {value}'
+        lines.append(f'{{"id": "s{v}", "family": "F{v % 2}", "features": {{{feats}}}}}')
+    path = tmp_path / "big.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+OVERFLOW_COMMANDS = {
+    "tfidf": ["--out", "out"],
+    "family-sim": ["--out", "out"],
+    "kmeans": ["--c", 2, "--out", "out"],
+    "graph": ["--out", "out"],
+    "pipeline": ["--out-dir", "out"],
+    "sweep": ["--out", "out"],
+}
+
+
+def run_overflow(tmp_path, capsys, data, command):
+    extra = [tmp_path / a if a == "out" else a for a in OVERFLOW_COMMANDS[command]]
+    code = run([command, "--input", data, *extra])
+    return code, capsys.readouterr().err
+
+
+# one sample's tf-idf is inf (the feature's idf is ln 10)
+@pytest.mark.parametrize("value", ["1.5e308", "1e308"])
+@pytest.mark.parametrize("command", sorted(OVERFLOW_COMMANDS))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_tfidf_ends_in_error(tmp_path, capsys, command, value):
+    data = big_value_corpus(tmp_path, holders=1, value=value)
+    code, err = run_overflow(tmp_path, capsys, data, command)
+    assert code == 1 and err.startswith("error: ") and "overflows" in err
+    assert not (tmp_path / "out").exists()
+
+
+# finite tf-idf values (1.6e308 each) whose pair weight sums to inf
+@pytest.mark.parametrize("command", sorted(set(OVERFLOW_COMMANDS) - {"tfidf"}))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_pair_weight_ends_in_error(tmp_path, capsys, command):
+    data = big_value_corpus(tmp_path, holders=2)
+    code, err = run_overflow(tmp_path, capsys, data, command)
+    assert code == 1 and err.startswith("error: ") and "overflow" in err
+    assert not (tmp_path / "out").exists()
+
+
+# finite pair weights (1.05e307) whose family and graph sums overflow;
+# the edge file itself is valid
+@pytest.mark.parametrize(
+    "command, code", [("family-sim", 1), ("kmeans", 1), ("pipeline", 1),
+                      ("sweep", 1), ("graph", 0), ("tfidf", 0)]
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_weight_sums_end_in_error(tmp_path, capsys, command, code):
+    data = big_value_corpus(tmp_path, holders=9)
+    got, err = run_overflow(tmp_path, capsys, data, command)
+    assert got == code
+    if code:
+        assert err.startswith("error: ") and "overflow" in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

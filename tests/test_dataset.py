@@ -226,3 +226,13 @@ class TestFilterByScope:
         d.samples[0].features["perm/extra"] = 1.0
         with pytest.raises(DatasetError, match="missing from dictionary"):
             filter_by_scope(d, "platform-defined")
+
+
+def test_loaded_samples_share_one_string_per_feature_name(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [
+        '{"id": "a", "features": {"str/http://x.com/a": 1, "perm/X": 1}}',
+        '{"id": "b", "features": {"str/http://x.com/a": 2}}',
+    ])
+    a, b = (next(iter(s.features)) for s in load_dataset(path).samples)
+    assert a == b == "str/http://x.com/a" and a is b

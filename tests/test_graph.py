@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import weight_set
-from malcom import graph, weighting
+from malcom import graph, infomap, weighting
 from malcom.dataset import Dataset, Sample
 from malcom.graph import (
     GraphError,
@@ -385,8 +385,8 @@ def test_recomputed_rows_match_complete_set(model, data, cells):
     with mock.patch.object(weighting, "_BLOCK_CELLS", cells(model.n)):
         full = pairwise_weights(model)
         got = weighting._rows_of(weighting._feature_lists(model), model.n, mask)
-    for a, b in zip(got, full.pairs_of(mask)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a, b, dtype in zip(got, full.pairs_of(mask), (np.int32, np.int32, np.float64)):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
 
 
 def pruned_example():
@@ -417,3 +417,24 @@ def test_pruned_set_recomputes_isolated_rows():
     g = build_en(top, 1, 2)
     assert g.meta["isolated_before_fallback"] > 0
     assert_same_graph(g, build_en(full, 1, 2))
+
+
+def test_vertex_ids_are_int32(tmp_path):
+    samples = [
+        Sample(f"s{v}", None, {f"perm/g{v % 2}": 1.0, f"perm/x{v % 5}": 1.0 + v % 3})
+        for v in range(16)
+    ]
+    model = compute_tfidf(Dataset(samples=samples))
+    full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
+    assert top.top_p == 1  # pruned: pairs_of recomputes rows
+    mask = np.arange(16) % 3 == 0
+    arrays = [full.i, full.j, top.i, top.j]
+    arrays += [*full.pairs_of(mask)[:2], *top.pairs_of(mask)[:2]]
+    graphs = [build_epsilon(full, 0.5), build_knn(full, 2), build_en(top, 1, 1)]
+    write_edges(graphs[-1], tmp_path / "edges.tsv")
+    graphs.append(read_edges(tmp_path / "edges.tsv"))
+    for g in graphs:
+        arrays += [g.edge_i, g.edge_j, infomap._net_from_graph(g).indices]
+    # an edge list given as int64 still yields int32 CSR indices
+    arrays.append(csr(3, np.array([0, 1]), np.array([1, 2]), np.ones(2))[1])
+    assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)

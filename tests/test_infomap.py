@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from malcom.infomap import (
     Partition,
     _aggregate,
     _breakdown,
-    _exits,
+    _exit_sums,
     _LocalState,
     _Net,
     _net_from_graph,
@@ -53,8 +55,8 @@ class TestComputeFlows:
 
 
 def reference_net_arrays(n, ei, ej, ew):
-    """strength, indptr, indices, weights and rows as _Net built them with
-    every temporary alive at once; the arrays it must still produce."""
+    """strength, indptr, indices and weights as _Net built them with every
+    temporary alive at once; the arrays it must still produce."""
     is_loop = ei == ej
     ends = np.column_stack((ei, ej)).ravel()
     end_w = np.column_stack(
@@ -67,8 +69,40 @@ def reference_net_arrays(n, ei, ej, ew):
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    return strength, indptr, dst[order], np.repeat(w, 2)[order], rows
+    return strength, indptr, dst[order], np.repeat(w, 2)[order]
+
+
+def rows_of(net):
+    """Row vertex of every CSR entry, as one |E|-long array."""
+    return np.repeat(np.arange(net.n), np.diff(net.indptr))
+
+
+def exits(net, assignment):
+    """Community and weight of every CSR entry that leaves its row vertex's
+    community, in CSR order: the whole-array form of ``_exit_sums``."""
+    row_comm = assignment[rows_of(net)]
+    leaves = row_comm != assignment[net.indices]
+    return row_comm[leaves], net.weights[leaves]
+
+
+def reference_aggregate(net, assignment, m):
+    """``_aggregate`` in one pass over |E|-long arrays: each fine vertex's
+    loop, then its upper-triangle entries, summed per community pair by one
+    bincount."""
+    comm = np.asarray(assignment, dtype=np.int64)
+    looped = np.flatnonzero(net.loop > 0)
+    rows = rows_of(net)
+    upper = net.indices > rows
+    src = np.concatenate((looped, rows[upper]))
+    order = np.argsort(src, kind="stable")
+    ca = comm[src[order]]
+    cb = comm[np.concatenate((looped, net.indices[upper]))[order]]
+    w = np.concatenate((net.loop[looped], net.weights[upper]))[order]
+    key = np.minimum(ca, cb) * m + np.maximum(ca, cb)
+    keys, inverse = np.unique(key, return_inverse=True)
+    out = _Net(m, keys // m, keys % m, _sum_by(inverse, w, len(keys)))
+    out.fine_vertex_plogp = net.fine_vertex_plogp
+    return out
 
 
 @st.composite
@@ -89,9 +123,80 @@ def edge_arrays_with_loops(draw):
 @given(edge_arrays_with_loops())
 def test_net_arrays_match_reference(case):
     net = _Net(*case)
-    got = (net.strength, net.indptr, net.indices, net.weights, net.rows())
-    for a, b in zip(got, reference_net_arrays(*case)):
+    got = (net.strength, net.indptr, net.indices, net.weights)
+    dtypes = (np.float64, np.int64, np.int32, np.float64)
+    for a, b, dtype in zip(got, reference_net_arrays(*case), dtypes):
+        assert a.dtype == dtype and a.tobytes() == b.astype(dtype).tobytes()
+
+
+@st.composite
+def nets_with_partitions(draw):
+    """A random net with loops, or such a net aggregated by a random
+    partition (super-vertices carry loops), and a random partition of it."""
+    n, ei, ej, ew = draw(edge_arrays_with_loops())
+    net = _Net(n, ei, ej, ew)
+    vertex_labels = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        coarse = Partition.from_labels(draw(vertex_labels))
+        net = reference_aggregate(net, coarse.assignment, coarse.m)
+    labels = draw(st.lists(st.integers(0, 9), min_size=net.n, max_size=net.n))
+    return net, Partition.from_labels(labels)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+@given(case=nets_with_partitions(), scale=st.floats(0.001, 10.0))
+def test_exit_sums_match_bincount_over_all_exits(chunk, case, scale):
+    net, part = case
+    comm = np.asarray(part.assignment, dtype=np.int32)
+    exit_comm, exit_w = exits(net, comm)
+    want = _sum_by(exit_comm, exit_w * scale, part.m)
+    with mock.patch.object(infomap, "_CHUNK", chunk):
+        got = _exit_sums(net, comm, part.m, scale)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
+@given(case=nets_with_partitions())
+def test_aggregate_matches_reference(chunk, case):
+    net, part = case
+    want = reference_aggregate(net, part.assignment, part.m)
+    with mock.patch.object(infomap, "_CHUNK", chunk):
+        got = _aggregate(net, part.assignment, part.m)
+    assert (got.n, got.total_weight) == (want.n, want.total_weight)
+    for name in ("loop", "strength", "indptr", "indices", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_first_level_sums_allocate_a_fraction_of_the_csr():
+    """The local-move state at singletons, the breakdown and the
+    aggregation hold one row slice of temporaries, not |E|-long arrays:
+    each allocates (tracemalloc counts numpy buffers) under a fixed share
+    of the CSR bytes above the net it reads."""
+    rng = np.random.default_rng(3)
+    n, edges = 3000, 400_000
+    a, b = rng.integers(0, n, size=(2, 2 * edges))
+    key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    key = rng.permutation(key[key // n != key % n])[:edges]
+    g = RelationGraph(
+        [f"v{v}" for v in range(n)], key // n, key % n, rng.uniform(0.1, 5.0, edges)
+    )
+    net = _net_from_graph(g)
+    csr_bytes = net.indptr.nbytes + net.indices.nbytes + net.weights.nbytes
+    labels = rng.integers(0, 40, size=n).tolist()
+    part = Partition.from_labels(labels)
+
+    def allocated(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert allocated(lambda: _LocalState(net, list(range(n)))) < 0.4 * csr_bytes
+    assert allocated(lambda: _breakdown(net, part.assignment, part.m)) < 0.4 * csr_bytes
+    assert allocated(lambda: _aggregate(net, part.assignment, part.m)) < 0.4 * csr_bytes
 
 
 class TestCodelength:
@@ -257,7 +362,7 @@ class _ScalarState:
         m = max(assignment) + 1
         comm = np.asarray(assignment, dtype=np.int64)
         self.sum_p = _sum_by(comm, self.p, m)
-        exit_comm, exit_w = _exits(net, comm)
+        exit_comm, exit_w = exits(net, comm)
         self.q = _sum_by(exit_comm, exit_w * self.inv_two_w, m)
         self.q_total = float(self.q.sum())
 

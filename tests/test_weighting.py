@@ -6,6 +6,7 @@ import pytest
 from conftest import pair_weight
 from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
+from malcom.errors import MalcomError
 from malcom.weighting import (
     WeightSet,
     compute_tfidf,
@@ -261,3 +262,17 @@ def test_dump_tfidf_ten_significant_digits(tmp_path, four_sample_dataset):
     first = json.loads(lines[0])
     assert first["id"] == "s1"
     assert first["tfidf"]["perm/b"] == pytest.approx(2 * LN2, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recomputed_rows_reject_an_overflowing_weight():
+    features = [(np.array([0, 1, 2]), np.array([1.0, 1e308, 1e308]))]
+    with pytest.raises(DatasetError, match="overflows"):
+        weighting._rows_of(features, 3, np.array([False, True, False]))
+
+
+def test_int32_vertex_ids_bound_the_sample_count():
+    weighting.check_vertex_count(2**31 - 1)
+    model = weighting.TfIdfModel(n=2**31, sample_ids=[], doc_freq={}, values=[])
+    with pytest.raises(MalcomError, match="int32"):
+        pairwise_weights(model)
