@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import metrics
-from .baseline import KMeansConfig, kmeans
+from .baseline import KMeansConfig, KMeansError, kmeans
 from .dataset import (
     DatasetError,
     load_dataset,
@@ -238,10 +238,13 @@ def _cmd_detect(parser, args):
 
 def _cmd_kmeans(parser, args):
     d = _load_filtered(parser, args)
-    if not (1 <= args.c <= len(d)):
-        parser.error(f"--c must be in [1, {len(d)}], got {args.c}")
+    cfg = KMeansConfig(c=args.c, rng_seed=args.seed)
+    try:
+        cfg.validate(len(d))
+    except KMeansError as exc:
+        parser.error(str(exc))
     model = compute_tfidf(d)
-    result = kmeans(model, KMeansConfig(c=args.c, rng_seed=args.seed))
+    result = kmeans(model, cfg)
     write_partition(model.sample_ids, result.assignment, args.out)
 
 
@@ -321,6 +324,10 @@ def _cmd_bench(parser, args):
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
         parser.error(f"--sizes must be comma-separated integers: {args.sizes!r}")
+    if not sizes:
+        parser.error(f"--sizes lists no sample count: {args.sizes!r}")
+    if min(sizes) < 1:
+        parser.error(f"--sizes must be >= 1, got {min(sizes)}")
     if args.repeats < 1:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
 

@@ -3,10 +3,12 @@ E-N method (epsilon edges plus k-NN fallback for isolated vertices).
 
 The percentile cutoff counts only strictly positive stored weights and is
 found by selection (introselect via numpy.partition), never by a full sort.
-The k-NN builder deliberately performs a per-vertex full sort; it is the
-slow baseline the E-N method is benchmarked against.
+Both k-NN rules, the k-NN graph and the E-N fallback, pick a vertex's k
+nearest from dense weight rows (``WeightSet.row_blocks``) by one full sort
+of each row; the k-NN graph, which sorts every row, is the slow baseline
+the E-N method is benchmarked against.
 
-Code that walks neighbours reads the CSR adjacency from ``csr``: row v,
+The detector walks neighbours through the CSR adjacency from ``csr``: row v,
 ``indices[indptr[v]:indptr[v + 1]]`` with ``weights`` alongside, lists v's
 neighbours in edge order.  Sums over it use ``np.bincount``/``np.cumsum``,
 which add in input order like an edge-by-edge loop (``np.sum`` does not).
@@ -155,54 +157,39 @@ def csr(
     return indptr, indices, w[order]
 
 
-def _k_nearest(
-    v: int,
-    k: int,
-    adj: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ids: list[str],
-    floor: float,
-    full_sort: bool,
-) -> list[tuple[int, float]]:
-    """Top-k neighbors of v by descending weight, ties by ascending id.
-
-    Absent pairs count as weight 0 and, if selected, carry the floor weight.
-    """
-    indptr, indices, weights = adj
-    nbr = indices[indptr[v] : indptr[v + 1]]
-    wts = weights[indptr[v] : indptr[v + 1]]
-    if not full_sort and len(wts) > k:
-        # partial selection: partition by weight, then resolve the boundary
-        keep = wts >= -np.partition(-wts, k - 1)[k - 1]
-        nbr, wts = nbr[keep], wts[keep]
-    ranked = sorted(
-        zip(nbr.tolist(), wts.tolist()), key=lambda t: (-t[1], ids[t[0]])
-    )
-    chosen = ranked[:k]
-    if len(chosen) < k:
-        have = {u for u, _ in chosen} | {v}
-        fill = sorted(
-            (u for u in range(len(ids)) if u not in have), key=lambda u: ids[u]
-        )
-        chosen.extend((u, floor) for u in fill[: k - len(chosen)])
-    return chosen
+def _name_rank(ids: list[str]) -> np.ndarray:
+    """``rank[v]``, the position of ids[v] in ascending id order (int32)."""
+    by_name = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=VERTEX_ID)
+    rank[by_name] = np.arange(len(ids))
+    return rank
 
 
-def _knn_union(
-    ws: WeightSet, base: tuple, vertices, adj: tuple, k: int, full_sort: bool
-) -> RelationGraph:
-    """The base edges (i, j, w) plus an edge from each listed vertex to each
-    of its k nearest neighbours in ``adj``, a CSR adjacency of ws, as
-    distinct pairs sorted by (i, j).  A pair picked twice has one weight."""
+def _knn_union(ws: WeightSet, base: tuple, mask: np.ndarray, k: int) -> RelationGraph:
+    """The base edges (i, j, w) plus an edge from each vertex where the
+    boolean mask is set to each of its k nearest neighbours, as distinct
+    pairs sorted by (i, j).  A pair picked twice has one weight.
+
+    The k nearest are the k largest pair weights, ties by ascending id,
+    found by a full sort of each masked row.  An absent pair counts, and is
+    picked, at the floor weight, below every present one."""
     floor = _floor_weight(ws)
-    picks = np.array(
-        [
-            (min(v, u), max(v, u), w if w > 0 else floor)
-            for v in vertices
-            for u, w in _k_nearest(v, k, adj, ws.ids, floor, full_sort)
-        ],
-        dtype=[("i", VERTEX_ID), ("j", VERTEX_ID), ("w", np.float64)],
-    )
-    ei, ej, ew = (np.concatenate((col, picks[f])) for col, f in zip(base, "ijw"))
+    rank = _name_rank(ws.ids)
+    parts = [base]
+    for rows, block in ws.row_blocks(mask):
+        block[block == 0] = floor
+        block[np.arange(len(rows)), rows] = -np.inf  # never its own neighbour
+        np.negative(block, out=block)
+        nearest = np.lexsort((np.broadcast_to(rank, block.shape), block))[:, :k]
+        v, u = np.repeat(rows, k), nearest.ravel()
+        parts.append(
+            (
+                np.minimum(v, u).astype(VERTEX_ID),
+                np.maximum(v, u).astype(VERTEX_ID),
+                -np.take_along_axis(block, nearest, axis=1).ravel(),
+            )
+        )
+    ei, ej, ew = (np.concatenate(col) for col in zip(*parts))
     order = np.lexsort((ej, ei))
     ei, ej, ew = ei[order], ej[order], ew[order]
     first = np.ones(len(ei), dtype=bool)
@@ -213,14 +200,15 @@ def _knn_union(
 def build_knn(ws: WeightSet, k: int) -> RelationGraph:
     """Undirected union of every vertex's k largest-weight neighbors.
 
-    Uses a per-vertex full sort on purpose: this is the quadratic baseline
-    whose construction time the E-N method must beat.
+    Sorts every row of the complete weight set in full on purpose: this is
+    the quadratic baseline whose construction time the E-N method must
+    beat.
     """
     n = ws.n
     if not (1 <= k < n):
         raise GraphError(f"k must satisfy 1 <= k < n ({n}), got {k}")
     no_base = (ws.i[:0], ws.j[:0], ws.w[:0])
-    g = _knn_union(ws, no_base, range(n), csr(n, ws.i, ws.j, ws.w), k, True)
+    g = _knn_union(ws, no_base, np.ones(n, dtype=bool), k)
     g.meta = {"method": "knn", "k": k}
     return g
 
@@ -235,17 +223,13 @@ def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
     epsilon, _ = percentile_cutoff(ws, p)
     base = build_epsilon(ws, epsilon)
     is_iso = base.degrees() == 0
-    adj = csr(n, *ws.pairs_of(is_iso))
-    isolated = np.flatnonzero(is_iso).tolist()
-    g = _knn_union(
-        ws, (base.edge_i, base.edge_j, base.edge_w), isolated, adj, k, False
-    )
+    g = _knn_union(ws, (base.edge_i, base.edge_j, base.edge_w), is_iso, k)
     g.meta = {
         "method": "en",
         "p": p,
         "k": k,
         "epsilon": epsilon,
-        "isolated_before_fallback": len(isolated),
+        "isolated_before_fallback": int(np.count_nonzero(is_iso)),
         # an isolated vertex has no epsilon edge to duplicate
         "fallback_edges": g.num_edges - base.num_edges,
     }
@@ -271,10 +255,8 @@ def write_edges(g: RelationGraph, path) -> None:
     lexicographically, lines sorted by (src, dst).  Epsilon graphs list
     isolated vertices as placeholder lines ``id<TAB><TAB>0``."""
     ids = g.vertices
-    by_name = sorted(range(g.n), key=ids.__getitem__)
-    names = [ids[v] for v in by_name]
-    rank = np.empty(g.n, dtype=VERTEX_ID)
-    rank[by_name] = np.arange(g.n)
+    names = sorted(ids)
+    rank = _name_rank(ids)
     ri, rj = rank[g.edge_i], rank[g.edge_j]
     lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
     # pairs are distinct, so (lo, hi) orders the lines as sorting them would

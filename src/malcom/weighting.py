@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class WeightSet:
     ``total`` positive pairs and has ``top_p`` None.  A pruned set holds
     exactly the pairs at or above some weight, which include the top
     ``top_p`` percent of all pairs, and keeps the feature lists it was
-    weighed from so that ``pairs_of`` can recompute whole rows.
+    weighed from so that ``row_blocks`` can recompute whole rows.
     """
 
     def __init__(
@@ -92,16 +92,29 @@ class WeightSet:
     def __len__(self) -> int:
         return len(self.w)
 
-    def pairs_of(
+    def row_blocks(
         self, vertices: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(i, j, w) of every positive pair with an endpoint where the
-        boolean mask ``vertices`` is set, in row-major order: the held pairs
-        of a complete set, or the vertices' rows recomputed for a pruned one."""
-        if self.top_p is None:
-            touch = vertices[self.i] | vertices[self.j]
-            return self.i[touch], self.j[touch], self.w[touch]
-        return _rows_of(self._features, self.n, vertices)
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """(rows, block) for the vertices where the boolean mask ``vertices``
+        is set, ascending, about ``_BLOCK_CELLS`` cells per block:
+        ``block[r, u]`` is the weight of the pair (rows[r], u), 0.0 for an
+        absent pair and on the diagonal.  A complete set scatters its held
+        pairs into the block; a pruned one recomputes the rows."""
+        chosen = np.flatnonzero(vertices)
+        step = max(1, _BLOCK_CELLS // self.n)
+        for s in range(0, len(chosen), step):
+            rows = chosen[s : s + step]
+            if self.top_p is not None:
+                yield rows, _rows_of(self._features, self.n, rows)
+                continue
+            pos = np.full(self.n, -1, dtype=VERTEX_ID)
+            pos[rows] = np.arange(len(rows))
+            block = np.zeros((len(rows), self.n))
+            for a, b in ((self.i, self.j), (self.j, self.i)):
+                r = pos[a]
+                at = np.flatnonzero(r >= 0)
+                block[r[at], b[at]] = self.w[at]
+            yield rows, block
 
 
 @dataclass
@@ -258,51 +271,30 @@ def _feature_lists(m: TfIdfModel) -> list[Feature]:
     ]
 
 
-def _rows_of(
-    features: list[Feature], n: int, vertices: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``WeightSet.pairs_of`` recomputed from the feature lists.
+def _rows_of(features: list[Feature], n: int, rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), n) block of ``WeightSet.row_blocks`` recomputed from
+    the feature lists; DatasetError when a weight overflows.
 
     Row v sums its features in the same ascending order from 0.0 as the
     block kernel, and t_v + t_u == t_u + t_v in IEEE arithmetic, so every
-    weight is the double ``pairwise_weights`` computes.  A pair of two
-    listed vertices is taken from the row of the smaller one."""
-    chosen = np.flatnonzero(vertices)
+    weight is the double ``pairwise_weights`` computes."""
     pos = np.full(n, -1, dtype=np.int64)
-    none = np.empty(0, dtype=VERTEX_ID)
-    parts = [(none, none, np.empty(0, dtype=np.float64))]
-    rows = max(1, _BLOCK_CELLS // n)
-    for s in range(0, len(chosen), rows):
-        block = chosen[s : s + rows]
-        pos[block] = np.arange(len(block))
-        acc = np.zeros(len(block) * n, dtype=np.float64)
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            for ix, t in features:
-                r = pos[ix]
-                sel = np.flatnonzero(r >= 0)
-                if len(sel) == 0:
-                    continue
-                flat = np.add.outer(r[sel] * n, ix).ravel()
-                vals = np.add.outer(t[sel], t).ravel()
-                vals *= 0.5
-                np.add.at(acc, flat, vals)
-        _reject_overflow(acc)
-        pos[block] = -1
-        acc = acc.reshape(len(block), n)
-        # drop the self-pair, and the pairs the smaller vertex's row lists
-        keep = (acc > 0) & ~((np.arange(n) <= block[:, None]) & vertices)
-        bi, bj = np.nonzero(keep)
-        v = block[bi]
-        parts.append(
-            (
-                np.minimum(v, bj).astype(VERTEX_ID),
-                np.maximum(v, bj).astype(VERTEX_ID),
-                acc[bi, bj],
-            )
-        )
-    i, j, w = (np.concatenate(col) for col in zip(*parts))
-    order = np.lexsort((j, i))
-    return i[order], j[order], w[order]
+    pos[rows] = np.arange(len(rows))
+    acc = np.zeros(len(rows) * n, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        for ix, t in features:
+            r = pos[ix]
+            sel = np.flatnonzero(r >= 0)
+            if len(sel) == 0:
+                continue
+            flat = np.add.outer(r[sel] * n, ix).ravel()
+            vals = np.add.outer(t[sel], t).ravel()
+            vals *= 0.5
+            np.add.at(acc, flat, vals)
+    _reject_overflow(acc)
+    acc = acc.reshape(len(rows), n)
+    acc[np.arange(len(rows)), rows] = 0.0  # no self-pair
+    return acc
 
 
 def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:

@@ -123,6 +123,34 @@ def test_bench_invalid_graph_params_exit_2(extra):
 
 
 @pytest.mark.parametrize(
+    "sizes",
+    [
+        pytest.param(",", id="empty"),
+        pytest.param("40,0", id="zero"),
+        pytest.param("-5", id="negative"),
+    ],
+)
+def test_bench_invalid_sizes_exit_2(tmp_path, sizes, capsys):
+    out = tmp_path / "bench.tsv"
+    with pytest.raises(SystemExit) as exc:
+        run(["bench", "--sizes", sizes, "--repeats", 1, "--out", out])
+    assert exc.value.code == 2
+    assert "--sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c", [0, 33])
+def test_kmeans_cluster_count_out_of_range_exit_2(tmp_path, corpus, c, capsys):
+    data, _ = corpus  # 32 samples
+    out = tmp_path / "k.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["kmeans", "--input", data, "--c", c, "--out", out])
+    assert exc.value.code == 2
+    assert f"cluster count must be in [1, 32], got {c}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         pytest.param(["--top", -1], id="top-negative"),

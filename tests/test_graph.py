@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import weight_set
@@ -378,15 +378,71 @@ def test_pruned_weights_build_the_same_graphs(model, p, k, cells):
             assert_same_graph(build(top), build(full))
 
 
+def knn_reference(ws, base, mask, k):
+    """Brute-force k-nearest rule: for every vertex where ``mask`` is set, a
+    full sort of its positive pairs in the complete set ``ws`` by (-weight,
+    id), topped up to k with the absent pairs in ascending id order at the
+    floor weight.  Returns the sorted (i, j, w) triples of the base edges
+    plus the picks; a pair picked again keeps its first weight."""
+    ids = ws.ids
+    near = [[] for _ in range(ws.n)]
+    for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
+        near[a].append((b, w))
+        near[b].append((a, w))
+    floor = graph.DEFAULT_FLOOR if ws.min_w is None else ws.min_w * graph.FLOOR_FACTOR
+    edges = dict(zip(zip(base.edge_i.tolist(), base.edge_j.tolist()),
+                     base.edge_w.tolist()))
+    for v in np.flatnonzero(mask).tolist():
+        chosen = sorted(near[v], key=lambda t: (-t[1], ids[t[0]]))[:k]
+        have = {u for u, _ in chosen} | {v}
+        fill = sorted((u for u in range(ws.n) if u not in have), key=ids.__getitem__)
+        chosen += [(u, floor) for u in fill[: k - len(chosen)]]
+        for u, w in chosen:
+            edges.setdefault((min(u, v), max(u, v)), w)
+    return sorted((i, j, w) for (i, j), w in edges.items())
+
+
+def edge_triples(g):
+    return list(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()))
+
+
+@settings(deadline=None)
+@given(tied_models(), tiny_50_100, st.integers(1, 3), block_cells)
+def test_knn_and_en_match_brute_force_rule(model, p, k, cells):
+    k = min(k, model.n - 1)
+    with mock.patch.object(weighting, "_BLOCK_CELLS", cells(model.n)):
+        full = pairwise_weights(model)
+        top = pairwise_weights(model, top_p=p)
+        nobody = build_epsilon(full, np.inf)
+        assert edge_triples(build_knn(full, k)) == knn_reference(
+            full, nobody, np.ones(model.n, dtype=bool), k
+        )
+        if full.total == 0:
+            return
+        base = build_epsilon(full, percentile_cutoff(full, p)[0])
+        expect = knn_reference(full, base, base.degrees() == 0, k)
+        for ws in (full, top):
+            assert edge_triples(build_en(ws, p, k)) == expect
+
+
 @given(tied_models(), st.data(), block_cells)
 def test_recomputed_rows_match_complete_set(model, data, cells):
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=model.n,
                                        max_size=model.n)))
     with mock.patch.object(weighting, "_BLOCK_CELLS", cells(model.n)):
         full = pairwise_weights(model)
-        got = weighting._rows_of(weighting._feature_lists(model), model.n, mask)
-    for a, b, dtype in zip(got, full.pairs_of(mask), (np.int32, np.int32, np.float64)):
-        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+        # no pair held: every row is recomputed from the feature lists
+        pruned = weighting.WeightSet(
+            full.ids, full.i[:0], full.j[:0], full.w[:0], top_p=1,
+            features=weighting._feature_lists(model),
+        )
+        got, expect = list(pruned.row_blocks(mask)), list(full.row_blocks(mask))
+    rows = [r.tolist() for r, _ in got]
+    assert rows == [r.tolist() for r, _ in expect]
+    assert sum(rows, []) == np.flatnonzero(mask).tolist()
+    for (r, a), (_, b) in zip(got, expect):
+        assert a.shape == b.shape == (len(r), model.n)
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
 
 
 def pruned_example():
@@ -426,10 +482,8 @@ def test_vertex_ids_are_int32(tmp_path):
     ]
     model = compute_tfidf(Dataset(samples=samples))
     full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
-    assert top.top_p == 1  # pruned: pairs_of recomputes rows
-    mask = np.arange(16) % 3 == 0
+    assert top.top_p == 1  # pruned: the E-N fallback recomputes rows
     arrays = [full.i, full.j, top.i, top.j]
-    arrays += [*full.pairs_of(mask)[:2], *top.pairs_of(mask)[:2]]
     graphs = [build_epsilon(full, 0.5), build_knn(full, 2), build_en(top, 1, 1)]
     write_edges(graphs[-1], tmp_path / "edges.tsv")
     graphs.append(read_edges(tmp_path / "edges.tsv"))

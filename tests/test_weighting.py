@@ -267,8 +267,12 @@ def test_dump_tfidf_ten_significant_digits(tmp_path, four_sample_dataset):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_recomputed_rows_reject_an_overflowing_weight():
     features = [(np.array([0, 1, 2]), np.array([1.0, 1e308, 1e308]))]
+    none = np.empty(0)
+    pruned = weighting.WeightSet(
+        ["a", "b", "c"], none, none, none, top_p=1, features=features
+    )
     with pytest.raises(DatasetError, match="overflows"):
-        weighting._rows_of(features, 3, np.array([False, True, False]))
+        list(pruned.row_blocks(np.array([False, True, False])))
 
 
 def test_int32_vertex_ids_bound_the_sample_count():
