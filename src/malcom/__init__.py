@@ -17,6 +17,7 @@ from .errors import MalcomError
 from .weighting import (
     TfIdfModel,
     WeightSet,
+    WeightingError,
     compute_tfidf,
     family_similarity,
     feature_frequency,

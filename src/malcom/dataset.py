@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -42,6 +43,20 @@ PREFIX_CATEGORY = {
 
 class DatasetError(MalcomError):
     """Malformed corpus or dictionary input."""
+
+
+@contextmanager
+def open_text(path, error: type[MalcomError] = DatasetError, newline=None):
+    """``path`` opened for reading as UTF-8 text.  A byte sequence that is
+    not UTF-8, or a CSV field over the csv module's size limit, raises
+    ``error`` naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise error(f"{path}: {exc}") from None
 
 
 def split_feature(name: str) -> tuple[str, str]:
@@ -169,7 +184,7 @@ def _parse_sample(obj: dict, lineno: int) -> Sample:
 def load_dataset(path) -> Dataset:
     """Read a JSON Lines corpus, preserving line order."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -191,7 +206,7 @@ def save_dataset(d: Dataset, path) -> None:
 
 def load_dictionary(path) -> list[FeatureDictionaryEntry]:
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         expected = ["feature", "category", "scope", "value_kind"]
         if reader.fieldnames != expected:

@@ -4,9 +4,10 @@ E-N method (epsilon edges plus k-NN fallback for isolated vertices).
 The percentile cutoff counts only strictly positive stored weights and is
 found by selection (introselect via numpy.partition), never by a full sort.
 Both k-NN rules, the k-NN graph and the E-N fallback, pick a vertex's k
-nearest from dense weight rows (``WeightSet.row_blocks``) by one full sort
-of each row; the k-NN graph, which sorts every row, is the slow baseline
-the E-N method is benchmarked against.
+nearest by one full sort of its dense weight row, which
+``WeightSet.row_blocks`` recomputes for complete and pruned sets alike; the
+k-NN graph, which sorts every row, is the slow baseline the E-N method is
+benchmarked against.
 
 The detector walks neighbours through the CSR adjacency from ``csr``: row v,
 ``indices[indptr[v]:indptr[v + 1]]`` with ``weights`` alongside, lists v's
@@ -22,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dataset import open_text
 from .errors import MalcomError
 from .weighting import VERTEX_ID, WeightSet, check_vertex_count
 
@@ -252,8 +254,8 @@ def build_graph(ws: WeightSet, params: GraphBuildParams) -> RelationGraph:
 
 def write_edges(g: RelationGraph, path) -> None:
     """TSV edge list: ``src<TAB>dst<TAB>weight`` with src < dst
-    lexicographically, lines sorted by (src, dst).  Epsilon graphs list
-    isolated vertices as placeholder lines ``id<TAB><TAB>0``."""
+    lexicographically, lines sorted by (src, dst), then a placeholder line
+    ``id<TAB><TAB>0`` for each isolated vertex, ascending by id."""
     ids = g.vertices
     names = sorted(ids)
     rank = _name_rank(ids)
@@ -262,10 +264,7 @@ def write_edges(g: RelationGraph, path) -> None:
     # pairs are distinct, so (lo, hi) orders the lines as sorting them would
     order = np.lexsort((hi, lo))
     lo, hi, w = lo[order], hi[order], g.edge_w[order]
-    extra = []
-    if g.meta.get("method") == "epsilon":
-        deg = g.degrees()
-        extra = sorted(ids[v] for v in range(g.n) if deg[v] == 0)
+    extra = sorted(ids[v] for v in np.flatnonzero(g.degrees() == 0).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vertices: {g.n}\n")
         for s in range(0, len(order), _WRITE_CHUNK):
@@ -306,7 +305,7 @@ def read_edges(path) -> RelationGraph:
         a.append for a in (ends_i, ends_j, weights, linenos)
     )
     n_declared = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, GraphError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

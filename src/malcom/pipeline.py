@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import metrics
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, open_text
 from .graph import GraphBuildParams, RelationGraph, build_graph, write_edges
 from .infomap import DetectorConfig, detect
 from .weighting import WeightSet, compute_tfidf, pairwise_weights
@@ -60,7 +60,7 @@ def read_partition(path) -> tuple[list[str], list[int]]:
     """Inverse of write_partition; a malformed file raises DatasetError."""
     ids: list[str] = []
     comms: list[int] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["sample_id", "community_id"]:

@@ -3,15 +3,16 @@
 tfidf(m, j) = tf(m, j) * ln(n / s_m), with tf the raw stored feature value,
 n the sample count and s_m the number of samples containing feature m.
 The weight of a sample pair is the sum over shared features of the mean of
-the two tf-idf values.  Accumulation happens feature by feature in
-ascending feature-name order, so results are bit-reproducible and match a
-brute-force double loop exactly.  Pairs are accumulated one block of rows
-at a time, with no dense n x n buffer.  The complete set holds all |W|
-positive pairs.  A set pruned to the top p percent holds O(b * n + m)
-pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2), plus any
-ties at its threshold: all that an epsilon or E-N graph at that p reads.
-Vertex ids are int32 (``VERTEX_ID``), so a held pair takes 16 bytes: two
-ids and its weight.
+the two tf-idf values.  One kernel, ``_weight_rows``, sums each pair's
+features from 0.0 in ascending feature-name order, so weights are
+bit-reproducible and match a brute-force double loop exactly.  Weighing
+streams it over blocks of rows (no dense n x n buffer), and
+``WeightSet.row_blocks`` recomputes whole rows with it.  The complete set
+holds all |W| positive pairs.  A set pruned to the top p percent holds
+O(b * n + m) pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2),
+plus any ties at its threshold: all that an epsilon or E-N graph at that p
+reads.  Vertex ids are int32 (``VERTEX_ID``), so a held pair takes 16
+bytes: two ids and its weight.
 """
 from __future__ import annotations
 
@@ -30,6 +31,10 @@ _BLOCK_CELLS = 1 << 19
 # dtype of vertex ids in pair, edge and CSR arrays; a key that multiplies
 # two ids (a * m + b) is built in int64, where the product cannot overflow
 VERTEX_ID = np.int32
+
+
+class WeightingError(MalcomError):
+    """Invalid pair-weighting parameters."""
 
 
 def check_vertex_count(n: int) -> None:
@@ -58,8 +63,8 @@ class WeightSet:
     in dataset order), w > 0, in row-major order.  A complete set holds all
     ``total`` positive pairs and has ``top_p`` None.  A pruned set holds
     exactly the pairs at or above some weight, which include the top
-    ``top_p`` percent of all pairs, and keeps the feature lists it was
-    weighed from so that ``row_blocks`` can recompute whole rows.
+    ``top_p`` percent of all pairs.  Either keeps the feature lists it was
+    weighed from, and ``row_blocks`` recomputes whole rows from them.
     """
 
     def __init__(
@@ -68,10 +73,10 @@ class WeightSet:
         i: np.ndarray,
         j: np.ndarray,
         w: np.ndarray,
+        features: list[Feature],
         top_p: Optional[float] = None,
         total: Optional[int] = None,
         min_w: Optional[float] = None,
-        features: Optional[list[Feature]] = None,
     ):
         self.ids = ids
         self.i = np.asarray(i, dtype=VERTEX_ID)
@@ -98,22 +103,14 @@ class WeightSet:
         """(rows, block) for the vertices where the boolean mask ``vertices``
         is set, ascending, about ``_BLOCK_CELLS`` cells per block:
         ``block[r, u]`` is the weight of the pair (rows[r], u), 0.0 for an
-        absent pair and on the diagonal.  A complete set scatters its held
-        pairs into the block; a pruned one recomputes the rows."""
+        absent pair and on the diagonal, recomputed from the feature lists;
+        DatasetError when a weight overflows."""
         chosen = np.flatnonzero(vertices)
         step = max(1, _BLOCK_CELLS // self.n)
         for s in range(0, len(chosen), step):
             rows = chosen[s : s + step]
-            if self.top_p is not None:
-                yield rows, _rows_of(self._features, self.n, rows)
-                continue
-            pos = np.full(self.n, -1, dtype=VERTEX_ID)
-            pos[rows] = np.arange(len(rows))
-            block = np.zeros((len(rows), self.n))
-            for a, b in ((self.i, self.j), (self.j, self.i)):
-                r = pos[a]
-                at = np.flatnonzero(r >= 0)
-                block[r[at], b[at]] = self.w[at]
+            block = _weight_rows(self._features, self.n, rows, 0)
+            block[np.arange(len(rows)), rows] = 0.0  # no self-pair
             yield rows, block
 
 
@@ -174,7 +171,7 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     that overflows the float64 range raises DatasetError.
     """
     if top_p is not None and not 0 < top_p <= 100:
-        raise ValueError(f"top_p must be in (0, 100], got {top_p}")
+        raise WeightingError(f"top_p must be in (0, 100], got {top_p}")
     n = m.n
     check_vertex_count(n)
     features = _feature_lists(m)
@@ -190,7 +187,7 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
-        acc = _accumulate(features, r0, r1, width)
+        acc = _weight_rows(features, n, np.arange(r0, r1), r0)
         # row-major (i, j) with j > i and w > 0
         keep = np.triu(acc > 0, k=1)
         total += int(np.count_nonzero(keep))
@@ -221,36 +218,43 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
         i,
         j,
         w,
+        features,
         top_p=top_p if pruned else None,
         total=total,
         min_w=min_w if total else None,
-        features=features if pruned else None,
     )
 
 
-def _accumulate(features: list[Feature], r0: int, r1: int, width: int) -> np.ndarray:
-    """Pair weights of rows [r0, r1) against columns [r0, r0 + width), as a
-    (r1 - r0, width) block; DatasetError when a weight overflows."""
-    acc = np.zeros((r1 - r0) * width, dtype=np.float64)
+def _weight_rows(
+    features: list[Feature], n: int, rows: np.ndarray, c0: int
+) -> np.ndarray:
+    """Pair weights of the ascending vertices ``rows`` against the columns
+    [c0, n), as a (len(rows), n - c0) block; DatasetError when a weight
+    overflows.  Cell (r, u), the pair (rows[r], c0 + u), sums (t_a + t_b) / 2
+    over the features both hold, from 0.0 in ascending feature-name order;
+    t_a + t_b == t_b + t_a in IEEE arithmetic, so every cell is the double a
+    brute-force double loop computes.  A row's cell against itself holds a
+    sum too: callers drop or zero it."""
+    width = n - c0
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[rows] = np.arange(len(rows))
+    acc = np.zeros(len(rows) * width, dtype=np.float64)
+    span = (rows[0], rows[-1] + 1, c0)
     with np.errstate(over="ignore"):  # an overflow is reported below
         for ix, t in features:
-            lo, hi = np.searchsorted(ix, (r0, r1))
+            lo, hi, c = np.searchsorted(ix, span)
             if hi == lo:
                 continue
-            cols = ix[lo:] - r0
+            r = pos[ix[lo:hi]]
+            hit = r >= 0
             # a feature's cells are distinct: each gets one add, in order
-            flat = np.add.outer(cols[: hi - lo] * width, cols).ravel()
-            vals = np.add.outer(t[lo:hi], t[lo:]).ravel()
+            flat = np.add.outer(r[hit] * width, ix[c:] - c0).ravel()
+            vals = np.add.outer(t[lo:hi][hit], t[c:]).ravel()
             vals *= 0.5
             np.add.at(acc, flat, vals)
-    _reject_overflow(acc)
-    return acc.reshape(r1 - r0, width)
-
-
-def _reject_overflow(acc: np.ndarray) -> None:
-    """DatasetError when a block of pair weights holds an overflowed sum."""
     if acc.max(initial=0.0) == math.inf:
         raise DatasetError("a pair weight overflows the float64 range")
+    return acc.reshape(len(rows), width)
 
 
 def _feature_lists(m: TfIdfModel) -> list[Feature]:
@@ -269,32 +273,6 @@ def _feature_lists(m: TfIdfModel) -> list[Feature]:
         for idx, vals in (inverted[name] for name in sorted(inverted))
         if len(idx) >= 2
     ]
-
-
-def _rows_of(features: list[Feature], n: int, rows: np.ndarray) -> np.ndarray:
-    """The (len(rows), n) block of ``WeightSet.row_blocks`` recomputed from
-    the feature lists; DatasetError when a weight overflows.
-
-    Row v sums its features in the same ascending order from 0.0 as the
-    block kernel, and t_v + t_u == t_u + t_v in IEEE arithmetic, so every
-    weight is the double ``pairwise_weights`` computes."""
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[rows] = np.arange(len(rows))
-    acc = np.zeros(len(rows) * n, dtype=np.float64)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        for ix, t in features:
-            r = pos[ix]
-            sel = np.flatnonzero(r >= 0)
-            if len(sel) == 0:
-                continue
-            flat = np.add.outer(r[sel] * n, ix).ravel()
-            vals = np.add.outer(t[sel], t).ravel()
-            vals *= 0.5
-            np.add.at(acc, flat, vals)
-    _reject_overflow(acc)
-    acc = acc.reshape(len(rows), n)
-    acc[np.arange(len(rows)), rows] = 0.0  # no self-pair
-    return acc
 
 
 def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:

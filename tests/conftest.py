@@ -32,17 +32,34 @@ def pair_weight(ws, a, b):
     return float(ws.w[hit[0]]) if len(hit) else 0.0
 
 
+def brute_force_weights(model):
+    """O(n^2 * features) double loop; sums shared features in ascending
+    name order, the reference the inverted index must match bit for bit."""
+    out = {}
+    for a in range(model.n):
+        for b in range(a + 1, model.n):
+            ra, rb = model.values[a], model.values[b]
+            w = 0.0
+            for name in sorted(ra.keys() & rb.keys()):
+                w += (ra[name] + rb[name]) * 0.5
+            if w > 0:
+                out[(a, b)] = w
+    return out
+
+
 def weight_set(ids, entries):
+    """Complete weight set of the given pair weights.  Each pair gets a
+    two-sample feature of its own with tf-idf w at both ends, so rows
+    recomputed from the feature lists hold (w + w) * 0.5 == w exactly."""
     index = {v: k for k, v in enumerate(ids)}
-    i, j, w = [], [], []
+    i, j, w, features = [], [], [], []
     for (a, b), weight in entries.items():
-        ia, ib = index[a], index[b]
-        if ia > ib:
-            ia, ib = ib, ia
+        ia, ib = sorted((index[a], index[b]))
         i.append(ia)
         j.append(ib)
         w.append(weight)
-    return WeightSet(list(ids), np.array(i), np.array(j), np.array(w))
+        features.append((np.array([ia, ib]), np.array([weight, weight])))
+    return WeightSet(list(ids), np.array(i), np.array(j), np.array(w), features)
 
 
 @pytest.fixture

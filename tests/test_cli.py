@@ -376,7 +376,7 @@ def test_every_error_class_is_a_malcom_error():
     names = {c.__name__ for c in classes}
     assert {
         "DatasetError", "EvalError", "GraphError", "InfomapError",
-        "KMeansError", "SynthError", "MalcomError",
+        "KMeansError", "SynthError", "WeightingError", "MalcomError",
     } <= names
     assert all(issubclass(c, malcom.MalcomError) for c in classes)
     assert issubclass(malcom.MalcomError, ValueError)
@@ -533,6 +533,41 @@ def test_eval_rejects_malformed_partition(tmp_path, corpus, capsys, text):
     assert run(["eval", "--input", data, "--partition", part, "--out", out]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+NOT_UTF8 = b'{"id":"s1","features":{}}\n\xff\n'
+HUGE = "x" * 200_000  # over the csv module's 131,072-character field limit
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        pytest.param(["stats", "--input", "BAD"], NOT_UTF8, id="stats"),
+        pytest.param(["graph", "--input", "BAD", "--out", "OUT"], NOT_UTF8, id="graph"),
+        pytest.param(["detect", "--edges", "BAD", "--out-dir", "OUT"],
+                     b"# vertices: 2\na\t\xff\t1\n", id="detect"),
+        pytest.param(["stats", "--input", "DATA", "--dict", "BAD"],
+                     b"feature,category,scope,value_kind\n\xff\n", id="dict"),
+        pytest.param(["eval", "--input", "DATA", "--partition", "BAD", "--out", "OUT"],
+                     b"sample_id,community_id\n\xff,0\n", id="eval"),
+        pytest.param(["stats", "--input", "DATA", "--dict", "BAD"],
+                     f"feature,category,scope,value_kind\n{HUGE},FS1,app-specific,"
+                     "boolean\n".encode(), id="dict-huge-field"),
+        pytest.param(["eval", "--input", "DATA", "--partition", "BAD", "--out", "OUT"],
+                     f"sample_id,community_id\n{HUGE},0\n".encode(),
+                     id="eval-huge-field"),
+    ],
+)
+def test_unreadable_text_ends_in_error(tmp_path, corpus, capsys, argv, content):
+    """Bytes that are not UTF-8 and CSV fields over the csv module's limit
+    end in error: and exit 1, naming the file, in every reader."""
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    names = {"BAD": bad, "DATA": corpus[0], "OUT": tmp_path / "out"}
+    assert run([names.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_single_sample_exit_1(tmp_path, capsys):

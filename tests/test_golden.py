@@ -1,0 +1,78 @@
+"""Golden digests: the byte-identical output contract as a test.
+
+Each case runs one CLI command on a synthetic corpus of n = 650 (easy and
+hard families, corpus and detector seeds 7 and 3) and compares the sha256
+of every file it writes with ``golden/digests.json``.  A change that alters
+one output byte fails here.
+
+The digests hold only for the numpy and Python versions they were recorded
+with (numpy 2.4, Python 3.11): another numpy may sum or format a double
+differently and so write other bytes without any change to this package.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from malcom.cli import main
+
+DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+
+CORPORA = {
+    "easy": ["--leak", "0.05", "--presence", "0.9"],
+    "hard": ["--leak", "0.15", "--presence", "0.6"],
+}
+SEEDS = (7, 3)
+
+# command after "--input CORPUS", and the files it writes into the case
+# directory OUT
+RUNS = {
+    "graph-en-p10": (["graph", "--method", "en", "--p", "10", "--k", "1"], ["edges.tsv"]),
+    "graph-en-p1": (["graph", "--method", "en", "--p", "1", "--k", "1"], ["edges.tsv"]),
+    "graph-knn-k1": (["graph", "--method", "knn", "--k", "1"], ["edges.tsv"]),
+    "graph-knn-k3": (["graph", "--method", "knn", "--k", "3"], ["edges.tsv"]),
+    "graph-epsilon-p10": (["graph", "--method", "epsilon", "--p", "10"], ["edges.tsv"]),
+    "graph-epsilon-60": (["graph", "--method", "epsilon", "--epsilon", "60"], ["edges.tsv"]),
+    "family-sim": (["family-sim"], ["family-sim.tsv"]),
+    "pipeline": (["pipeline"], ["edges.tsv", "partition.csv"]),
+}
+
+
+def run_case(corpus: Path, seed: int, run: str, out: Path) -> dict[str, str]:
+    """Run one case into the directory ``out``; sha256 of each file written."""
+    args, files = RUNS[run]
+    argv = args + ["--input", str(corpus)]
+    if run == "pipeline":
+        argv += ["--seed", str(seed), "--out-dir", str(out)]
+    else:
+        argv += ["--out", str(out / files[0])]
+    out.mkdir(parents=True, exist_ok=True)
+    assert main(argv) == 0
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+
+
+def make_corpus(kind: str, seed: int, path: Path) -> Path:
+    argv = ["synth", "--samples-per-family", "50", "--seed", str(seed), "--out", str(path)]
+    assert main(argv + CORPORA[kind]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def corpora(tmp_path_factory):
+    made = {}
+
+    def get(kind, seed):
+        if (kind, seed) not in made:
+            path = tmp_path_factory.mktemp("golden") / f"{kind}-{seed}.jsonl"
+            made[kind, seed] = make_corpus(kind, seed, path)
+        return made[kind, seed]
+
+    return get
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+@pytest.mark.parametrize("kind,seed", [(k, s) for s in SEEDS for k in sorted(CORPORA)])
+def test_output_digests(corpora, tmp_path, kind, seed, run):
+    got = run_case(corpora(kind, seed), seed, run, tmp_path)
+    assert got == DIGESTS[f"{kind}-{seed}"][run]

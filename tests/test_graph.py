@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import weight_set
+from conftest import brute_force_weights, weight_set
 from malcom import graph, infomap, weighting
 from malcom.dataset import Dataset, Sample
 from malcom.graph import (
@@ -236,22 +236,31 @@ def test_edge_file_round_trip(tmp_path, six_weight_set):
 
 def test_epsilon_file_lists_isolated_placeholders(tmp_path, six_weight_set):
     g = build_epsilon(six_weight_set, 1.0)
-    path = tmp_path / "edges.tsv"
+    path, again = tmp_path / "edges.tsv", tmp_path / "again.tsv"
     write_edges(g, path)
     assert "4\t\t0" in path.read_text()
     loaded = read_edges(path)
     assert loaded.n == 4
+    # the graph read back has no method in its meta; rewriting it keeps
+    # the isolated vertex, byte for byte
+    write_edges(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def sorted_edge_lines(g):
-    """Reference edge lines: one (src, dst, weight) tuple per edge, sorted."""
+    """Reference edge lines: one (src, dst, weight) tuple per edge, sorted,
+    then a placeholder line per isolated vertex, sorted."""
     lines = []
     for i, j, w in zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()):
         a, b = g.vertices[i], g.vertices[j]
         if b < a:
             a, b = b, a
         lines.append((a, b, f"{w:.10g}"))
-    return [f"{a}\t{b}\t{w}\n" for a, b, w in sorted(lines)]
+    touched = set(g.edge_i.tolist()) | set(g.edge_j.tolist())
+    isolated = sorted(v for k, v in enumerate(g.vertices) if k not in touched)
+    return [f"{a}\t{b}\t{w}\n" for a, b, w in sorted(lines)] + [
+        f"{v}\t\t0\n" for v in isolated
+    ]
 
 
 @st.composite
@@ -425,24 +434,32 @@ def test_knn_and_en_match_brute_force_rule(model, p, k, cells):
             assert edge_triples(build_en(ws, p, k)) == expect
 
 
-@given(tied_models(), st.data(), block_cells)
-def test_recomputed_rows_match_complete_set(model, data, cells):
+@given(tied_models(), st.data(), tiny_50_100, block_cells)
+def test_row_blocks_match_brute_force_rows(model, data, p, cells):
+    """Complete and pruned sets alike recompute the rows they give."""
     mask = np.array(data.draw(st.lists(st.booleans(), min_size=model.n,
                                        max_size=model.n)))
+    dense = np.zeros((model.n, model.n))
+    for (a, b), w in brute_force_weights(model).items():
+        dense[a, b] = dense[b, a] = w
     with mock.patch.object(weighting, "_BLOCK_CELLS", cells(model.n)):
         full = pairwise_weights(model)
-        # no pair held: every row is recomputed from the feature lists
-        pruned = weighting.WeightSet(
-            full.ids, full.i[:0], full.j[:0], full.w[:0], top_p=1,
-            features=weighting._feature_lists(model),
+        # no pair held: rows come from the feature lists alone
+        empty = weighting.WeightSet(
+            full.ids, full.i[:0], full.j[:0], full.w[:0],
+            weighting._feature_lists(model), top_p=1,
         )
-        got, expect = list(pruned.row_blocks(mask)), list(full.row_blocks(mask))
-    rows = [r.tolist() for r, _ in got]
-    assert rows == [r.tolist() for r, _ in expect]
-    assert sum(rows, []) == np.flatnonzero(mask).tolist()
-    for (r, a), (_, b) in zip(got, expect):
-        assert a.shape == b.shape == (len(r), model.n)
-        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        sets = [full, pairwise_weights(model, top_p=p), empty]
+        blocks = [list(ws.row_blocks(mask)) for ws in sets]
+    step = max(1, cells(model.n) // model.n)
+    chosen = np.flatnonzero(mask)
+    for got in blocks:
+        assert [r.tolist() for r, _ in got] == [
+            chosen[s : s + step].tolist() for s in range(0, len(chosen), step)
+        ]
+        for rows, block in got:
+            assert block.dtype == np.float64
+            assert block.tobytes() == dense[rows].tobytes()
 
 
 def pruned_example():

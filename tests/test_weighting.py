@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import pair_weight
+from conftest import brute_force_weights, pair_weight, weight_set
 from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.errors import MalcomError
 from malcom.weighting import (
-    WeightSet,
     compute_tfidf,
     dump_tfidf,
     family_similarity,
@@ -17,21 +16,6 @@ from malcom.weighting import (
 )
 
 LN2 = math.log(2.0)
-
-
-def brute_force_weights(model):
-    """O(n^2 * features) double loop; sums shared features in ascending
-    name order, the reference the inverted index must match bit for bit."""
-    out = {}
-    for a in range(model.n):
-        for b in range(a + 1, model.n):
-            ra, rb = model.values[a], model.values[b]
-            w = 0.0
-            for name in sorted(ra.keys() & rb.keys()):
-                w += (ra[name] + rb[name]) * 0.5
-            if w > 0:
-                out[(a, b)] = w
-    return out
 
 
 def loop_family_similarity(d, ws):
@@ -174,8 +158,6 @@ class TestFamilySimilarity:
         )
         ws = pairwise_weights(compute_tfidf(d))
         # idf is 0 here, so synthesize a weight set directly
-        from conftest import weight_set
-
         ws = weight_set(["s1", "s2"], {("s1", "s2"): 2.5})
         sim = family_similarity(d, ws)
         a, b = sim.families.index("A"), sim.families.index("B")
@@ -205,19 +187,16 @@ class TestFamilySimilarity:
             d = Dataset(samples=[Sample(f"s{v}", fams[v], {}) for v in range(n)])
             i, j = np.triu_indices(n, k=1)
             keep = rng.random(len(i)) < 0.6
-            ws = WeightSet(
+            w = rng.uniform(0.01, 10.0, int(keep.sum()))
+            ws = weight_set(
                 [s.id for s in d.samples],
-                i[keep],
-                j[keep],
-                rng.uniform(0.01, 10.0, int(keep.sum())),
+                {(f"s{a}", f"s{b}"): x for a, b, x in zip(i[keep], j[keep], w)},
             )
             expect = loop_family_similarity(d, ws)
             assert family_similarity(d, ws).matrix.tobytes() == expect.tobytes()
 
     def test_unlabeled_rejected(self):
         d = Dataset(samples=[Sample("s1", None, {}), Sample("s2", "A", {})])
-        from conftest import weight_set
-
         ws = weight_set(["s1", "s2"], {("s1", "s2"): 1.0})
         with pytest.raises(DatasetError):
             family_similarity(d, ws)
@@ -273,6 +252,13 @@ def test_recomputed_rows_reject_an_overflowing_weight():
     )
     with pytest.raises(DatasetError, match="overflows"):
         list(pruned.row_blocks(np.array([False, True, False])))
+
+
+@pytest.mark.parametrize("top_p", [0, -1, 100.5, math.nan])
+def test_top_p_outside_range_is_a_malcom_error(four_sample_dataset, top_p):
+    model = compute_tfidf(four_sample_dataset)
+    with pytest.raises(MalcomError, match="top_p must be in"):
+        pairwise_weights(model, top_p=top_p)
 
 
 def test_int32_vertex_ids_bound_the_sample_count():
