@@ -343,15 +343,15 @@ def _cmd_bench(parser, args):
         d = generate(cfg)
         _graph_params(parser, len(d), method="en", p=args.p, k=args.k)
         model = compute_tfidf(d)
-        # E-N and epsilon time the top-p set that the pipeline builds
-        ws, top = pairwise_weights(model), pairwise_weights(model, top_p=args.p)
+        # the graph builders time the top-p set that the pipeline builds
+        top = pairwise_weights(model, top_p=args.p)
         g = build_en(top, args.p, args.k)
         part, _ = detect(g, DetectorConfig(rng_seed=args.seed))
         builders = {
             "weights": lambda: pairwise_weights(model),
             "weights-top": lambda: pairwise_weights(model, top_p=args.p),
             "epsilon": lambda: build_epsilon(top, percentile_cutoff(top, args.p)[0]),
-            "knn": lambda: build_knn(ws, args.k),
+            "knn": lambda: build_knn(top, args.k),
             "en": lambda: build_en(top, args.p, args.k),
             "detect": lambda: detect(g, DetectorConfig(rng_seed=args.seed)),
             "eval": lambda: metrics.evaluate(d.labels(), part.assignment),

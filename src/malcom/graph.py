@@ -68,19 +68,18 @@ class GraphBuildParams:
     k: int = 1
     epsilon: Optional[float] = None
 
-    def weights_top_p(self) -> Optional[float]:
-        """The top percent of pair weights this build reads: p for E-N and
-        for epsilon by percent; None (every pair) for k-NN and for an
-        epsilon given as a value."""
-        if self.method == "en" or (self.method == "epsilon" and self.epsilon is None):
-            return self.p
-        return None
+    def weights_top_p(self) -> float:
+        """The top percent of pair weights to weigh for this build: 100 for
+        an epsilon given as a value, else p (k-NN reads no held pair)."""
+        if self.method == "epsilon" and self.epsilon is not None:
+            return 100.0
+        return self.p
 
     def validate(self, n: int) -> None:
         """The one check of graph parameters; the CLI exits 2 on its errors."""
         if self.method not in ("epsilon", "knn", "en"):
             raise GraphError(f"unknown graph method {self.method!r}")
-        if (self.epsilon is None or self.method == "en") and not (0 < self.p <= 100):
+        if not 0 < self.weights_top_p() <= 100:
             raise GraphError(f"p must be in (0, 100], got {self.p}")
         if self.epsilon is not None and not self.epsilon >= 0:
             raise GraphError(f"epsilon must be >= 0, got {self.epsilon}")
@@ -95,32 +94,29 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
 
     Returns (cutoff, m) where m = ceil(p/100 * |W|) and the cutoff is the
     m-th largest weight.  All pairs with weight >= cutoff become edges, so
-    ties at the cutoff can push the edge count above m.  A weight set
-    pruned to its top_p percent holds the top m pairs of every p <= top_p,
-    and raises GraphError for a larger p.
+    ties at the cutoff can push the edge count above m.  GraphError when
+    the set holds fewer than m pairs; else it holds the top m.
     """
     if ws.total == 0:
         raise GraphError("cannot take a percentile of an empty weight set")
     if not (0 < p <= 100):
         raise GraphError(f"p must be in (0, 100], got {p}")
-    if ws.top_p is not None and p > ws.top_p:
-        raise GraphError(
-            f"the weight set holds only the top {ws.top_p:g}% of pair weights,"
-            f" not the top {p:g}%"
-        )
-    total = ws.total
-    m = math.ceil(p / 100.0 * total)
-    m = min(m, total)
+    total, held = ws.total, len(ws)
+    m = min(math.ceil(p / 100.0 * total), total)
+    if m > held:
+        raise GraphError(f"the top {p:g}% are {m} pairs; the set holds only {held}")
     # m-th largest == (held - m)-th smallest; introselect, no full sort
-    held = len(ws)
     cutoff = float(np.partition(ws.w, held - m)[held - m])
     return cutoff, m
 
 
 def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
-    """Edge for every pair with weight >= epsilon; isolated vertices allowed."""
+    """Edge for every pair with weight >= epsilon; isolated vertices allowed.
+    GraphError when pairs the set dropped would be edges."""
     if epsilon < 0:
         raise GraphError(f"epsilon must be >= 0, got {epsilon}")
+    if len(ws) < ws.total and epsilon < ws.w.min():
+        raise GraphError(f"the set holds only the pair weights >= {ws.w.min():.10g}")
     mask = ws.w >= epsilon
     return RelationGraph(
         vertices=list(ws.ids),
@@ -202,9 +198,9 @@ def _knn_union(ws: WeightSet, base: tuple, mask: np.ndarray, k: int) -> Relation
 def build_knn(ws: WeightSet, k: int) -> RelationGraph:
     """Undirected union of every vertex's k largest-weight neighbors.
 
-    Sorts every row of the complete weight set in full on purpose: this is
-    the quadratic baseline whose construction time the E-N method must
-    beat.
+    Sorts every row, recomputed from the feature lists, in full on
+    purpose: this is the quadratic baseline whose construction time the E-N
+    method must beat.  It reads no held pair.
     """
     n = ws.n
     if not (1 <= k < n):
@@ -240,8 +236,6 @@ def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
 
 def build_graph(ws: WeightSet, params: GraphBuildParams) -> RelationGraph:
     params.validate(ws.n)
-    if ws.top_p is not None and params.weights_top_p() is None:
-        raise GraphError(f"{params.method} needs the complete weight set")
     if params.method == "epsilon":
         eps = params.epsilon
         if eps is None:

@@ -97,10 +97,9 @@ def run_pipeline(
     When out_dir is given, writes edges.tsv, partition.csv, report.json and
     (for fully labeled corpora) eval.json there.
 
-    The pair weights are pruned to the top ``params.p`` percent that an
-    E-N or epsilon-by-percent graph reads (``params.weights_top_p()``), so
-    ``report.weights`` serves any p <= its ``top_p``, and any build when
-    ``top_p`` is None.
+    The pair weights are weighed at ``params.weights_top_p()``, so
+    ``report.weights`` holds the top p percent (every pair for an epsilon
+    given as a value) and serves any build whose pairs it holds.
 
     ``weights`` are the dataset's pair weights from an earlier call (its
     ``report.weights``); they are used in place of recomputing them, so a

@@ -7,12 +7,12 @@ the two tf-idf values.  One kernel, ``_weight_rows``, sums each pair's
 features from 0.0 in ascending feature-name order, so weights are
 bit-reproducible and match a brute-force double loop exactly.  Weighing
 streams it over blocks of rows (no dense n x n buffer), and
-``WeightSet.row_blocks`` recomputes whole rows with it.  The complete set
-holds all |W| positive pairs.  A set pruned to the top p percent holds
-O(b * n + m) pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2),
-plus any ties at its threshold: all that an epsilon or E-N graph at that p
-reads.  Vertex ids are int32 (``VERTEX_ID``), so a held pair takes 16
-bytes: two ids and its weight.
+``WeightSet.row_blocks`` recomputes whole rows with it.  Weighed at p, a
+set holds O(b * n + m) pairs for a block of b rows and m = ceil(p/100 *
+n(n-1)/2), plus any ties at its threshold: all that an epsilon or E-N graph
+at that p reads; at p = 100 it holds all |W| positive pairs.  The k-NN
+rules read recomputed rows, not held pairs.  Vertex ids are int32
+(``VERTEX_ID``), so a held pair takes 16 bytes: two ids and its weight.
 """
 from __future__ import annotations
 
@@ -60,11 +60,11 @@ class WeightSet:
     """Sparse symmetric positive pair weights over n vertices.
 
     Stored as parallel arrays (i, j, w) with i < j (int32 vertex indices
-    in dataset order), w > 0, in row-major order.  A complete set holds all
-    ``total`` positive pairs and has ``top_p`` None.  A pruned set holds
-    exactly the pairs at or above some weight, which include the top
-    ``top_p`` percent of all pairs.  Either keeps the feature lists it was
-    weighed from, and ``row_blocks`` recomputes whole rows from them.
+    in dataset order), w > 0, in row-major order.  The set holds either
+    all ``total`` positive pairs, or exactly the pairs at or above its
+    smallest held weight; what it can serve follows from that alone.  It
+    keeps the feature lists it was weighed from, and ``row_blocks``
+    recomputes whole rows from them.
     """
 
     def __init__(
@@ -74,7 +74,6 @@ class WeightSet:
         j: np.ndarray,
         w: np.ndarray,
         features: list[Feature],
-        top_p: Optional[float] = None,
         total: Optional[int] = None,
         min_w: Optional[float] = None,
     ):
@@ -82,7 +81,6 @@ class WeightSet:
         self.i = np.asarray(i, dtype=VERTEX_ID)
         self.j = np.asarray(j, dtype=VERTEX_ID)
         self.w = np.asarray(w, dtype=np.float64)
-        self.top_p = top_p
         # |W| and the smallest positive weight of the complete set
         self.total = len(self.w) if total is None else total
         if min_w is None and len(self.w):
@@ -149,7 +147,7 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
     )
 
 
-def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
+def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     """Symmetric pair weights via an inverted index over features.
 
     For each feature (ascending name) the tf-idf values of the samples
@@ -159,18 +157,18 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     is no dense n x n buffer.  Every pair sums its features from 0.0 in
     the same order, so the weights do not depend on b.
 
-    With ``top_p`` None every positive pair is kept.  With ``top_p`` set,
-    a pair is kept when its weight is at or above a running threshold:
+    A pair is kept when its weight is at or above a running threshold:
     whenever more than 2 * m_max pairs are held, m_max = ceil(top_p/100 *
     n(n-1)/2), the threshold rises to the m_max-th largest held weight and
     the pairs below it are dropped.  The top ceil(p/100 * |W|) <= m_max
     pairs of any p <= top_p are never dropped.  If the threshold never
-    rose, the set is complete.  The output arrays reserve room for all
-    n(n-1)/2 pairs, but only the pairs held are written, so resident
-    memory is O(b * n + held pairs), 16 bytes per held pair.  A weight
-    that overflows the float64 range raises DatasetError.
+    rose, as at top_p = 100 (m_max = n(n-1)/2), the set is complete.  The
+    output arrays reserve room for all n(n-1)/2 pairs, but only the pairs
+    held are written, so resident memory is O(b * n + held pairs), 16
+    bytes per held pair.  A weight that overflows the float64 range raises
+    DatasetError.
     """
-    if top_p is not None and not 0 < top_p <= 100:
+    if not 0 < top_p <= 100:
         raise WeightingError(f"top_p must be in (0, 100], got {top_p}")
     n = m.n
     check_vertex_count(n)
@@ -178,7 +176,7 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
     rows = max(1, _BLOCK_CELLS // n)
     # room for every pair; pages past the last pair held stay untouched
     size = n * (n - 1) // 2
-    m_max = size if top_p is None else math.ceil(top_p / 100.0 * size)
+    m_max = math.ceil(top_p / 100.0 * size)
     i, j = np.empty(size, dtype=VERTEX_ID), np.empty(size, dtype=VERTEX_ID)
     w = np.empty(size, dtype=np.float64)
     count = total = 0
@@ -212,16 +210,8 @@ def pairwise_weights(m: TfIdfModel, top_p: Optional[float] = None) -> WeightSet:
                 a[:count] = a[: len(held)][held]  # a stable, in-place compaction
     for a in (i, j, w):
         a.resize(count, refcheck=False)  # in place: no copy of the pairs
-    pruned = threshold > 0
     return WeightSet(
-        list(m.sample_ids),
-        i,
-        j,
-        w,
-        features,
-        top_p=top_p if pruned else None,
-        total=total,
-        min_w=min_w if total else None,
+        list(m.sample_ids), i, j, w, features, total, min_w if total else None
     )
 
 
@@ -276,9 +266,14 @@ def _feature_lists(m: TfIdfModel) -> list[Feature]:
 
 
 def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:
-    """Mean pair weight between (and within) ground-truth families."""
+    """Mean pair weight between (and within) ground-truth families, from a
+    weight set that holds every pair (else DatasetError)."""
     if not d.fully_labeled():
         raise DatasetError("family similarity requires every sample labeled")
+    if len(ws) < ws.total:
+        raise DatasetError(
+            f"family similarity needs all {ws.total} pairs, not {len(ws)}"
+        )
     families = sorted({s.family for s in d.samples})
     fam_index = {f: k for k, f in enumerate(families)}
     sample_fam = np.array([fam_index[s.family] for s in d.samples], dtype=np.int64)

@@ -24,7 +24,7 @@ def four_sample_dataset():
 def pair_weight(ws, a, b):
     """Weight between vertex indices a and b of a complete weight set; 0.0
     when the pair is absent."""
-    assert ws.top_p is None, "a pruned set lacks the pairs it dropped"
+    assert len(ws) == ws.total, "a pruned set lacks the pairs it dropped"
     if a == b:
         raise ValueError("no self-pairs in a weight set")
     a, b = min(a, b), max(a, b)

@@ -94,6 +94,12 @@ def test_pipeline_unlabeled_skips_eval(tmp_path, corpus):
             "graph", ["--method", "epsilon", "--epsilon", "nan"], id="graph-epsilon-nan"
         ),
         pytest.param("graph", ["--method", "knn", "--k", 32], id="graph-knn-k-n"),
+        # k-NN weighs at p, so p is checked even when an epsilon is given
+        pytest.param(
+            "graph",
+            ["--method", "knn", "--epsilon", 3, "--p", 500],
+            id="graph-knn-epsilon-p-above-100",
+        ),
     ],
 )
 def test_invalid_graph_params_exit_2(tmp_path, corpus, command, extra):
@@ -309,7 +315,7 @@ def test_sweep_rows_match_fresh_runs(tmp_path, corpus):
 def test_sweep_weighs_once_at_largest_p(tmp_path, corpus, monkeypatch):
     calls = []
 
-    def counted(model, top_p=None):
+    def counted(model, top_p=100.0):
         calls.append(top_p)
         return pairwise_weights(model, top_p=top_p)
 

@@ -1,9 +1,13 @@
 """Golden digests: the byte-identical output contract as a test.
 
-Each case runs one CLI command on a synthetic corpus of n = 650 (easy and
-hard families, corpus and detector seeds 7 and 3) and compares the sha256
-of every file it writes with ``golden/digests.json``.  A change that alters
-one output byte fails here.
+Each case runs one CLI command on a synthetic corpus of n = 650 (corpus
+and detector seeds 7 and 3) and compares the sha256 of every file it writes
+with ``golden/digests.json``.  A change that alters one output byte fails
+here.  The easy and hard corpora run every command.  Two more run only the
+k-NN rules, on the inputs that reach their edge cases: "sparse" has
+samples that share no feature with any other (zero-weight vertices, linked
+at the floor weight), and "twins" repeats each family's sample, so that
+k-th neighbours tie and the id tie-break picks among them.
 
 The digests hold only for the numpy and Python versions they were recorded
 with (numpy 2.4, Python 3.11): another numpy may sum or format a double
@@ -22,6 +26,8 @@ DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_te
 CORPORA = {
     "easy": ["--leak", "0.05", "--presence", "0.9"],
     "hard": ["--leak", "0.15", "--presence", "0.6"],
+    "sparse": ["--common", "0", "--presence", "0.05", "--leak", "0"],
+    "twins": ["--common", "0", "--noise", "0", "--presence", "1.0", "--leak", "0"],
 }
 SEEDS = (7, 3)
 
@@ -36,6 +42,13 @@ RUNS = {
     "graph-epsilon-60": (["graph", "--method", "epsilon", "--epsilon", "60"], ["edges.tsv"]),
     "family-sim": (["family-sim"], ["family-sim.tsv"]),
     "pipeline": (["pipeline"], ["edges.tsv", "partition.csv"]),
+}
+# the runs of each corpus
+CORPUS_RUNS = {
+    "easy": sorted(RUNS),
+    "hard": sorted(RUNS),
+    "sparse": ["graph-en-p1", "graph-knn-k1", "graph-knn-k3"],
+    "twins": ["graph-en-p1", "graph-knn-k1", "graph-knn-k3"],
 }
 
 
@@ -71,8 +84,10 @@ def corpora(tmp_path_factory):
     return get
 
 
-@pytest.mark.parametrize("run", sorted(RUNS))
-@pytest.mark.parametrize("kind,seed", [(k, s) for s in SEEDS for k in sorted(CORPORA)])
+@pytest.mark.parametrize(
+    "kind,seed,run",
+    [(k, s, r) for s in SEEDS for k in sorted(CORPORA) for r in CORPUS_RUNS[k]],
+)
 def test_output_digests(corpora, tmp_path, kind, seed, run):
     got = run_case(corpora(kind, seed), seed, run, tmp_path)
     assert got == DIGESTS[f"{kind}-{seed}"][run]

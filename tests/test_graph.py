@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from malcom.graph import (
     read_edges,
     write_edges,
 )
+from malcom.synth import SynthConfig, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
 
@@ -373,7 +375,6 @@ def test_pruned_weights_build_the_same_graphs(model, p, k, cells):
     assert top.i.tolist() == full.i[held].tolist()
     assert top.j.tolist() == full.j[held].tolist()
     assert top.w.tobytes() == full.w[held].tobytes()
-    assert top.top_p in (None, p) and (top.top_p or len(top) == full.total)
     builds = [
         lambda ws: build_en(ws, p, k),
         lambda ws: build_graph(ws, GraphBuildParams(method="epsilon", p=p)),
@@ -447,7 +448,7 @@ def test_row_blocks_match_brute_force_rows(model, data, p, cells):
         # no pair held: rows come from the feature lists alone
         empty = weighting.WeightSet(
             full.ids, full.i[:0], full.j[:0], full.w[:0],
-            weighting._feature_lists(model), top_p=1,
+            weighting._feature_lists(model),
         )
         sets = [full, pairwise_weights(model, top_p=p), empty]
         blocks = [list(ws.row_blocks(mask)) for ws in sets]
@@ -472,21 +473,63 @@ def pruned_example():
 
 
 def test_pruned_set_rejects_larger_p():
-    top = pairwise_weights(pruned_example(), top_p=1)
-    assert top.top_p == 1 and len(top) < top.total
-    percentile_cutoff(top, 1)
-    with pytest.raises(GraphError, match="only the top 1% of pair weights"):
-        percentile_cutoff(top, 1.5)
-    with pytest.raises(GraphError, match="needs the complete weight set"):
-        build_graph(top, GraphBuildParams(method="knn", k=1))
-    with pytest.raises(GraphError, match="needs the complete weight set"):
+    model = pruned_example()
+    full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
+    assert len(top) < top.total
+    # exact: a p is served when the set holds its top m pairs
+    served = []
+    for p in np.linspace(0.5, 100, 200).tolist():
+        if math.ceil(p / 100 * top.total) <= len(top):
+            assert percentile_cutoff(top, p) == percentile_cutoff(full, p)
+            served.append(p)
+        else:
+            with pytest.raises(GraphError, match=f"holds only {len(top)}$"):
+                percentile_cutoff(top, p)
+    assert 1 < max(served) < 100
+    knn = GraphBuildParams(method="knn", k=1)
+    assert_same_graph(build_graph(top, knn), build_graph(full, knn))
+    with pytest.raises(GraphError, match="holds only the pair weights >="):
         build_graph(top, GraphBuildParams(method="epsilon", epsilon=0.1))
+
+
+def test_pruned_set_rejects_epsilon_below_held():
+    model = compute_tfidf(generate(SynthConfig(samples_per_family=10, rng_seed=7)))
+    full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
+    assert len(top) < top.total
+    with pytest.raises(GraphError, match="holds only the pair weights >="):
+        build_epsilon(top, 0.0)
+    lowest = float(top.w.min())
+    assert_same_graph(build_epsilon(top, lowest), build_epsilon(full, lowest))
+
+
+@settings(deadline=None)
+@given(tied_models(), tiny_50_100, tiny_50_100, st.integers(1, 3), st.data())
+def test_pruned_set_builds_exactly_or_raises(model, p, q, k, data):
+    """A set weighed at p serves each build exactly or raises GraphError,
+    and serves every p' <= p and every epsilon >= its smallest weight."""
+    k = min(k, model.n - 1)
+    full, top = pairwise_weights(model), pairwise_weights(model, top_p=p)
+    if full.total == 0:
+        return
+    epsilon = data.draw(st.sampled_from([0.0, *full.w.tolist()]))
+    builds = [
+        (lambda ws: build_en(ws, q, k), q <= p),
+        (lambda ws: build_graph(ws, GraphBuildParams(method="epsilon", p=q)), q <= p),
+        (lambda ws: build_epsilon(ws, epsilon), epsilon >= top.w.min()),
+    ]
+    for build, served in builds:
+        try:
+            got = build(top)
+        except GraphError:
+            assert not served
+        else:
+            assert_same_graph(got, build(full))
 
 
 def test_pruned_set_recomputes_isolated_rows():
     model = pruned_example()
     full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
-    assert top.top_p == 1
+    assert len(top) < top.total
     g = build_en(top, 1, 2)
     assert g.meta["isolated_before_fallback"] > 0
     assert_same_graph(g, build_en(full, 1, 2))
@@ -499,7 +542,7 @@ def test_vertex_ids_are_int32(tmp_path):
     ]
     model = compute_tfidf(Dataset(samples=samples))
     full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
-    assert top.top_p == 1  # pruned: the E-N fallback recomputes rows
+    assert len(top) < top.total  # pruned: the E-N fallback recomputes rows
     arrays = [full.i, full.j, top.i, top.j]
     graphs = [build_epsilon(full, 0.5), build_knn(full, 2), build_en(top, 1, 1)]
     write_edges(graphs[-1], tmp_path / "edges.tsv")

@@ -31,18 +31,17 @@ def test_weights_pruned_to_what_params_read():
             Sample(f"s{v}", None, {f"perm/x{v % 5}": 1.0 + v % 3}) for v in range(20)
         ]
     )
-    en_1, en_2 = (GraphBuildParams(method="en", p=p, k=1) for p in (1, 2))
+    en_1, en_50 = (GraphBuildParams(method="en", p=p, k=1) for p in (1, 50))
     first = run_pipeline(d, en_1)
-    assert first.weights.top_p == 1 and len(first.weights) < first.weights.total
-    with pytest.raises(GraphError, match="only the top 1%"):
-        run_pipeline(d, en_2, weights=first.weights)
-    for params in (
-        GraphBuildParams(method="knn", k=1),
-        GraphBuildParams(method="epsilon", epsilon=0.5),
-    ):
-        assert run_pipeline(d, params).weights.top_p is None
+    assert len(first.weights) < first.weights.total
+    with pytest.raises(GraphError, match="holds only"):
+        run_pipeline(d, en_50, weights=first.weights)
+    # k-NN weighs at p like E-N; only an epsilon value needs every pair
+    knn = run_pipeline(d, GraphBuildParams(method="knn", p=1, k=1)).weights
+    assert knn.w.tobytes() == first.weights.w.tobytes()
+    full = run_pipeline(d, GraphBuildParams(method="epsilon", epsilon=0.5)).weights
+    assert len(full) == full.total > len(first.weights)
     # a set pruned at the larger p serves the smaller one
-    kept = run_pipeline(d, en_2)
-    assert kept.weights.top_p == 2
+    kept = run_pipeline(d, en_50)
     again = run_pipeline(d, en_1, weights=kept.weights)
     assert again.graph_stats == first.graph_stats

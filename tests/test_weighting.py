@@ -7,6 +7,7 @@ from conftest import brute_force_weights, pair_weight, weight_set
 from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.errors import MalcomError
+from malcom.synth import SynthConfig, generate
 from malcom.weighting import (
     compute_tfidf,
     dump_tfidf,
@@ -201,6 +202,15 @@ class TestFamilySimilarity:
         with pytest.raises(DatasetError):
             family_similarity(d, ws)
 
+    def test_pruned_set_rejected(self):
+        d = generate(SynthConfig(samples_per_family=10, rng_seed=7))
+        model = compute_tfidf(d)
+        family_similarity(d, pairwise_weights(model))
+        top = pairwise_weights(model, top_p=1)
+        assert len(top) < top.total
+        with pytest.raises(DatasetError, match=f"needs all {top.total} pairs, not {len(top)}$"):
+            family_similarity(d, top)
+
 
 class TestFeatureFrequency:
     def test_fractions_and_order(self, four_sample_dataset):
@@ -247,11 +257,9 @@ def test_dump_tfidf_ten_significant_digits(tmp_path, four_sample_dataset):
 def test_recomputed_rows_reject_an_overflowing_weight():
     features = [(np.array([0, 1, 2]), np.array([1.0, 1e308, 1e308]))]
     none = np.empty(0)
-    pruned = weighting.WeightSet(
-        ["a", "b", "c"], none, none, none, top_p=1, features=features
-    )
+    ws = weighting.WeightSet(["a", "b", "c"], none, none, none, features=features)
     with pytest.raises(DatasetError, match="overflows"):
-        list(pruned.row_blocks(np.array([False, True, False])))
+        list(ws.row_blocks(np.array([False, True, False])))
 
 
 @pytest.mark.parametrize("top_p", [0, -1, 100.5, math.nan])
