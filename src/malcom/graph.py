@@ -113,7 +113,7 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
 def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
     """Edge for every pair with weight >= epsilon; isolated vertices allowed.
     GraphError when pairs the set dropped would be edges."""
-    if epsilon < 0:
+    if not epsilon >= 0:  # NaN too: every comparison with it is false
         raise GraphError(f"epsilon must be >= 0, got {epsilon}")
     if len(ws) < ws.total and epsilon < ws.w.min():
         raise GraphError(f"the set holds only the pair weights >= {ws.w.min():.10g}")

@@ -21,9 +21,26 @@ eight plogp terms of a move's codelength change do not depend on the
 target: they are computed once per vertex (``_LocalState.best_move``) or
 kept per community in caches that each applied move refreshes.  The
 scores are still bit-identical to ``_LocalState.move_delta``: each
-candidate adds the same doubles in the same order.  plogp stays
-``math.log2`` on Python floats and is not vectorized with numpy, whose
-SIMD log2 may differ in the last ulp and so flip a near-tied choice.
+candidate adds the same doubles in the same order, with ``math.log2``.
+The local moves choose exactly the moves of that scalar search, the
+first strict minimum of ``move_delta`` in sorted candidate order, while
+skipping repeated work (``_local_move_passes``):
+
+- A vertex's neighbor-community weights ``w_to`` read only its
+  neighbors' communities, so they are cached per vertex until a neighbor
+  moves; each move drops the cached ``w_to`` of the mover's neighbors.
+- A vertex that stayed at its last visit is skipped while a move counter
+  shows no move anywhere since: it would meet the same state bit for bit.
+- A row of at least ``_ARRAY_MIN`` entries sums ``w_to`` with one
+  ``np.bincount``, which adds in row order and so gives the same doubles.
+  A visit with at least ``_ARRAY_MIN`` candidates is scored with numpy in
+  ``best_move``'s order (``_LocalState.near_best``).  numpy's SIMD log2
+  may differ from ``math.log2`` in the last ulp, so each numpy delta is
+  within ``_DELTA_EPS`` of the exact one, and the numpy scores serve only
+  as a certificate: nothing moves when their minimum is at least
+  -tolerance + ``_DELTA_EPS``, and otherwise the exact ``best_move``
+  re-scores the candidates within 2 * ``_DELTA_EPS`` of that minimum,
+  among which the exact first minimum must lie.
 
 Community exit sums and the aggregated edge weights walk the CSR rows in
 slices of about ``_CHUNK`` entries and add with ``np.add.at``, one term
@@ -45,6 +62,18 @@ from .weighting import VERTEX_ID
 
 CONVERGENCE_TOLERANCE = 1e-10  # bits a local move must gain to be applied
 _CHUNK = 1 << 16  # CSR entries per row slice of the exit and pair sums
+# Row entries, and neighbor communities of a visit, from which numpy beats
+# the scalar loop at summing w_to and at scoring candidates: of 24 to 192,
+# 96 ran the benchmark's seed-7 graphs fastest (48 to 128 within noise).
+_ARRAY_MIN = 96
+# Bound on |numpy delta - move_delta| of one candidate.  Its three
+# target-dependent plogp terms take x in [0, 2] (exit and visit rates sum
+# to at most 1 each), where |x * log2(x)| <= 2, so a log2 off by k ulp
+# moves a term by under (k + 1) * 4.4e-16: 2.2e-15 at k = 4 (numpy 2.4's
+# np.log2 was measured within 1 ulp on x86-64).  The delta counts one term
+# twice and rounds about ten sums of magnitude below 16 (3.6e-15 each):
+# under 5e-14 in all, which 1e-12 covers 20-fold.
+_DELTA_EPS = 1e-12
 
 
 class InfomapError(MalcomError):
@@ -248,6 +277,28 @@ def _codelength_terms(q_tot: float, q: list[float], usage: list[float]) -> float
     )
 
 
+def _plogp_array(x: np.ndarray) -> np.ndarray:
+    """plogp of each element with np.log2: within _DELTA_EPS / 8 of
+    ``_plogp`` on [0, 2], and not always the same double."""
+    out = np.zeros_like(x)
+    np.log2(x, out=out, where=x > 0.0)
+    out *= x
+    return out
+
+
+@dataclass
+class MoveCounts:
+    """What the local moves of a level did, summed over its passes."""
+
+    visits: int = 0
+    skipped: int = 0  # visits skipped: v stayed last time, nothing moved since
+    cached: int = 0  # visits that reused v's w_to
+    cleared: int = 0  # cached w_to dropped because a neighbor moved
+    array_rows: int = 0  # w_to summed by np.bincount
+    wide: int = 0  # visits scored with numpy
+    rescored: int = 0  # wide visits re-scored exactly near the numpy minimum
+
+
 class _LocalState:
     """Incrementally maintained codelength state for one level.
 
@@ -258,6 +309,8 @@ class _LocalState:
     ``plogp_u[c]`` cache plogp(q[c]) and plogp(q[c] + sum_p[c]), the terms
     of community c's codelength that do not depend on a candidate move;
     ``apply_move`` refreshes both for the two communities it changes.
+    ``arrays`` mirrors q, sum_p, plogp_q and plogp_u as float64 arrays for
+    ``near_best``, and ``comm`` the assignment as an int32 array.
     """
 
     def __init__(self, net: _Net, assignment: list[int]):
@@ -268,14 +321,15 @@ class _LocalState:
         self.inv_two_w = 1.0 / two_w
         self.d = ((net.strength - 2.0 * net.loop) * self.inv_two_w).tolist()
         m = max(assignment) + 1
-        comm = np.asarray(assignment, dtype=VERTEX_ID)
-        q = _exit_sums(net, comm, m, self.inv_two_w)
+        self.comm = np.asarray(assignment, dtype=VERTEX_ID)
+        q = _exit_sums(net, self.comm, m, self.inv_two_w)
         self.q_total = float(q.sum())
         self.p = p.tolist()
         self.q = q.tolist()
-        self.sum_p = _sum_by(comm, p, m).tolist()
+        self.sum_p = _sum_by(self.comm, p, m).tolist()
         self.plogp_q = [_plogp(x) for x in self.q]
         self.plogp_u = [_plogp(x + y) for x, y in zip(self.q, self.sum_p)]
+        self.arrays = np.array([self.q, self.sum_p, self.plogp_q, self.plogp_u])
         fine = net.fine_vertex_plogp
         self.const = -(fine if fine is not None else net.own_vertex_plogp())
 
@@ -310,6 +364,20 @@ class _LocalState:
             + (_plogp(ua_new) + _plogp(ub_new) - _plogp(ua) - _plogp(ub))
         )
 
+    def _own_terms(self, v: int, w_va: float) -> tuple[float, ...]:
+        """The terms of v's move deltas that do not depend on the target."""
+        a = self.assignment[v]
+        qa = self.q[a]
+        qa_new = qa - self.d[v] + 2.0 * w_va
+        return (
+            self.q_total + (qa_new - qa),
+            _plogp(self.q_total),
+            _plogp(qa_new),
+            _plogp(qa_new + self.sum_p[a] - self.p[v]),
+            self.plogp_q[a],
+            self.plogp_u[a],
+        )
+
     def best_move(self, v: int, w_to: dict[int, float]) -> tuple[int, float]:
         """First strict minimum of ``move_delta`` over the communities in
         sorted(w_to) other than v's own, as (community, delta), or
@@ -319,42 +387,88 @@ class _LocalState:
         The terms of the delta that do not depend on the target are
         computed once per call or read from the caches.  Each candidate's
         delta is still move_delta's expression, added in the same order
-        (``base`` is the left operand Python adds first), so it is the same
-        double, bit for bit.
+        (``base`` is the left operand Python adds first), with plogp
+        inlined, so it is the same double, bit for bit.  w_to is walked in
+        any order: among equal deltas the smaller id wins, and a zero delta
+        never beats staying, as a walk in sorted order would choose.
         """
+        log2 = math.log2
         q, sum_p, plogp_q, plogp_u = self.q, self.sum_p, self.plogp_q, self.plogp_u
         a = self.assignment[v]
         d_v = self.d[v]
         p_v = self.p[v]
-        qa = q[a]
-        qa_new = qa - d_v + 2.0 * w_to.get(a, 0.0)
-        base = self.q_total + (qa_new - qa)
-        old_total = _plogp(self.q_total)
-        plogp_qa_new = _plogp(qa_new)
-        plogp_ua_new = _plogp(qa_new + sum_p[a] - p_v)
-        plogp_qa = plogp_q[a]
-        plogp_ua = plogp_u[a]
+        base, old_total, plogp_qa_new, plogp_ua_new, plogp_qa, plogp_ua = (
+            self._own_terms(v, w_to.get(a, 0.0))
+        )
 
         best_c, best_delta = a, 0.0
-        for b in sorted(w_to):
+        for b, w_vb in w_to.items():
             if b == a:
                 continue
             qb = q[b]
-            qb_new = qb + d_v - 2.0 * w_to[b]
+            qb_new = qb + d_v - 2.0 * w_vb
+            x = base + (qb_new - qb)
+            u = qb_new + sum_p[b] + p_v
             delta = (
-                _plogp(base + (qb_new - qb))
+                (x * log2(x) if x > 0.0 else 0.0)
                 - old_total
-                - 2.0 * (plogp_qa_new + _plogp(qb_new) - plogp_qa - plogp_q[b])
+                - 2.0 * (
+                    plogp_qa_new
+                    + (qb_new * log2(qb_new) if qb_new > 0.0 else 0.0)
+                    - plogp_qa
+                    - plogp_q[b]
+                )
                 + (
                     plogp_ua_new
-                    + _plogp(qb_new + sum_p[b] + p_v)
+                    + (u * log2(u) if u > 0.0 else 0.0)
                     - plogp_ua
                     - plogp_u[b]
                 )
             )
-            if delta < best_delta:
+            if delta < best_delta or (
+                delta == best_delta and best_c != a and b < best_c
+            ):
                 best_c, best_delta = b, delta
         return best_c, best_delta
+
+    def near_best(
+        self, v: int, comms: np.ndarray, w: np.ndarray, tol: float
+    ) -> Optional[dict[int, float]]:
+        """The part of w_to = dict(zip(comms, w)) that holds ``best_move``'s
+        choice, or None when that choice is certain not to gain more than
+        tol.
+
+        Every candidate's delta is computed with numpy, in best_move's
+        order; it differs from move_delta's double only through np.log2, by
+        less than _DELTA_EPS.  When the numpy minimum is >= -tol +
+        _DELTA_EPS, no delta is < -tol.  Otherwise each candidate at the
+        exact minimum lies within 2 * _DELTA_EPS of the numpy minimum, so
+        the candidates there, with v's own community, decide best_move.
+        """
+        a = self.assignment[v]
+        own = comms == a
+        w_va = float(w[own][0]) if own.any() else 0.0
+        b, w_vb = comms[~own], w[~own]
+        q, sum_p, plogp_q, plogp_u = self.arrays[:, b]
+        d_v = self.d[v]
+        p_v = self.p[v]
+        base, old_total, plogp_qa_new, plogp_ua_new, plogp_qa, plogp_ua = (
+            self._own_terms(v, w_va)
+        )
+        qb_new = q + d_v - 2.0 * w_vb
+        delta = (
+            _plogp_array(base + (qb_new - q))
+            - old_total
+            - 2.0 * (plogp_qa_new + _plogp_array(qb_new) - plogp_qa - plogp_q)
+            + (plogp_ua_new + _plogp_array(qb_new + sum_p + p_v) - plogp_ua - plogp_u)
+        )
+        low = delta.min(initial=math.inf)
+        if low >= -tol + _DELTA_EPS:
+            return None
+        near = delta <= low + 2.0 * _DELTA_EPS
+        w_to = dict(zip(b[near].tolist(), w_vb[near].tolist()))
+        w_to[a] = w_va
+        return w_to
 
     def apply_move(self, v: int, target: int, w_va: float, w_vb: float) -> None:
         a = self.assignment[v]
@@ -370,33 +484,89 @@ class _LocalState:
         for c in (a, target):
             self.plogp_q[c] = _plogp(self.q[c])
             self.plogp_u[c] = _plogp(self.q[c] + self.sum_p[c])
+            self.arrays[:, c] = (
+                self.q[c], self.sum_p[c], self.plogp_q[c], self.plogp_u[c]
+            )
         self.assignment[v] = target
+        self.comm[v] = target
 
 
 def _local_move_passes(
-    net: _Net, rng: np.random.Generator, tol: float
+    net: _Net, rng: np.random.Generator, tol: float, counts: Optional[MoveCounts] = None
 ) -> list[int]:
-    """Run shuffled local-move passes from all-singletons to convergence."""
+    """Run shuffled local-move passes from all-singletons to convergence.
+
+    Each visit moves v to ``best_move``'s choice when it gains more than
+    tol.  Three rules skip work without changing a choice:
+
+    - w_to reads only the communities of v's neighbors, so v keeps it in
+      ``cache`` until a neighbor moves; a move drops the cached w_to of
+      every neighbor of the mover.  Only w_to of fewer than _ARRAY_MIN
+      communities are kept, so the cache holds < n * _ARRAY_MIN entries.
+    - A vertex that stayed at its last visit, with no move anywhere since,
+      meets the same state bit for bit and would stay again: it is skipped.
+    - A row of >= _ARRAY_MIN entries sums w_to with one np.bincount, which
+      adds in row order as the dict loop does, and a visit with
+      >= _ARRAY_MIN neighbor communities is scored by ``near_best``.
+    """
     assignment = list(range(net.n))
     state = _LocalState(net, assignment)
     indptr = net.indptr.tolist()
-    inv_two_w = state.inv_two_w
+    indices, inv_two_w = net.indices, state.inv_two_w
+    cache: list[Optional[dict[int, float]]] = [None] * net.n
+    stayed_at = [-1] * net.n  # the move count at v's last visit, if v stayed
+    moves = 0
+    c = counts if counts is not None else MoveCounts()
     while True:
-        moved = False
+        moves_before = moves
         order = rng.permutation(net.n)
+        c.visits += net.n
         for v in order.tolist():
-            # normalized weight from v into each neighbor community
-            w_to: dict[int, float] = {}
+            if stayed_at[v] == moves:
+                c.skipped += 1
+                continue
             s, e = indptr[v], indptr[v + 1]
-            for u, w in zip(net.indices[s:e].tolist(), net.weights[s:e].tolist()):
-                c = assignment[u]
-                w_to[c] = w_to.get(c, 0.0) + w * inv_two_w
+            w_to = cache[v]
+            if w_to is not None:
+                c.cached += 1
+            elif e - s < _ARRAY_MIN:
+                w_to = {}
+                for u, w in zip(
+                    indices[s:e].tolist(), (net.weights[s:e] * inv_two_w).tolist()
+                ):
+                    k = assignment[u]
+                    if k in w_to:
+                        w_to[k] += w
+                    else:
+                        w_to[k] = w  # == 0.0 + w, as a bincount adds it
+                cache[v] = w_to
+            else:
+                c.array_rows += 1
+                row_comm = state.comm[indices[s:e]]
+                comms = np.flatnonzero(np.bincount(row_comm))
+                sums = np.bincount(row_comm, weights=net.weights[s:e] * inv_two_w)
+                if len(comms) < _ARRAY_MIN:
+                    w_to = dict(zip(comms.tolist(), sums[comms].tolist()))
+                    cache[v] = w_to
+                else:
+                    c.wide += 1
+                    w_to = state.near_best(v, comms, sums[comms], tol)
+                    if w_to is None:
+                        stayed_at[v] = moves
+                        continue
+                    c.rescored += 1
             a = assignment[v]
             best_c, best_delta = state.best_move(v, w_to)
             if best_c != a and best_delta < -tol:
                 state.apply_move(v, best_c, w_to.get(a, 0.0), w_to[best_c])
-                moved = True
-        if not moved:
+                moves += 1
+                for u in indices[s:e].tolist():
+                    if cache[u] is not None:
+                        cache[u] = None
+                        c.cleared += 1
+            else:
+                stayed_at[v] = moves
+        if moves == moves_before:
             break
     return assignment
 

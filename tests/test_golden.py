@@ -7,7 +7,9 @@ here.  The easy and hard corpora run every command.  Two more run only the
 k-NN rules, on the inputs that reach their edge cases: "sparse" has
 samples that share no feature with any other (zero-weight vertices, linked
 at the floor weight), and "twins" repeats each family's sample, so that
-k-th neighbours tie and the id tie-break picks among them.
+k-th neighbours tie and the id tie-break picks among them.  The detector
+has cases of its own: ``detect --edges --seed 5`` on the hard corpus's E-N
+graphs at p = 1, 10 and the dense p = 40.
 
 The digests hold only for the numpy and Python versions they were recorded
 with (numpy 2.4, Python 3.11): another numpy may sum or format a double
@@ -91,3 +93,20 @@ def corpora(tmp_path_factory):
 def test_output_digests(corpora, tmp_path, kind, seed, run):
     got = run_case(corpora(kind, seed), seed, run, tmp_path)
     assert got == DIGESTS[f"{kind}-{seed}"][run]
+
+
+DETECT_P = (1, 10, 40)
+DETECT_SEED = 5
+
+
+@pytest.mark.parametrize("seed,p", [(s, p) for s in SEEDS for p in DETECT_P])
+def test_detect_digests(corpora, tmp_path, seed, p):
+    edges = tmp_path / "edges.tsv"
+    graph = ["graph", "--method", "en", "--p", str(p), "--k", "1", "--out", str(edges)]
+    assert main(graph + ["--input", str(corpora("hard", seed))]) == 0
+    out = tmp_path / "out"
+    assert main(["detect", "--edges", str(edges), "--seed", str(DETECT_SEED),
+                 "--out-dir", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in ("partition.csv", "detect.json")}
+    assert got == DIGESTS[f"hard-{seed}"][f"detect-en-p{p}"]

@@ -116,6 +116,11 @@ class TestBuildEpsilon:
     def test_zero_threshold_keeps_all(self, six_weight_set):
         assert build_epsilon(six_weight_set, 0.0).num_edges == 6
 
+    @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
+    def test_negative_or_nan_threshold_rejected(self, six_weight_set, epsilon):
+        with pytest.raises(GraphError, match="epsilon must be >= 0"):
+            build_epsilon(six_weight_set, epsilon)
+
 
 class TestBuildKnn:
     def test_hand_enumeration(self, six_weight_set):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -13,14 +14,17 @@ from malcom.graph import RelationGraph
 from malcom.infomap import (
     DetectorConfig,
     InfomapError,
+    MoveCounts,
     Partition,
     _aggregate,
     _breakdown,
     _exit_sums,
+    _local_move_passes,
     _LocalState,
     _Net,
     _net_from_graph,
     _plogp,
+    _plogp_array,
     _sum_by,
     codelength,
     detect,
@@ -494,12 +498,112 @@ class TestBestMove:
                     state.apply_move(v, target, w_va, w_to.get(target, 0.0))
 
     def test_detect_matches_scalar_oracle(self, monkeypatch):
+        """At the measured _ARRAY_MIN, with every row and visit on the array
+        paths (1) and with none on them (above any degree), and on the array
+        paths with a np.log2 that errs by up to the bound's budget."""
         rng = np.random.default_rng(37)
         graphs = [oracle_graph(rng) for _ in range(240)]
         seeds = [int(s) for s in rng.integers(0, 2**31, size=len(graphs))]
-        got = [detect(g, DetectorConfig(rng_seed=s)) for g, s in zip(graphs, seeds)]
+        noise = np.random.default_rng(43)
+
+        def plogp_off_by_up_to_eps_over_8(x):
+            return _plogp_array(x) + noise.uniform(-1.0, 1.0, len(x)) * (
+                infomap._DELTA_EPS / 8
+            )
+
+        variants = {
+            "measured": {"_ARRAY_MIN": infomap._ARRAY_MIN},
+            "all-array": {"_ARRAY_MIN": 1},
+            "no-array": {"_ARRAY_MIN": 1 << 30},
+            "all-array-noisy-log2": {
+                "_ARRAY_MIN": 1, "_plogp_array": plogp_off_by_up_to_eps_over_8
+            },
+        }
+        got = {}
+        for name, patches in variants.items():
+            with mock.patch.multiple(infomap, **patches):
+                got[name] = [
+                    detect(g, DetectorConfig(rng_seed=s)) for g, s in zip(graphs, seeds)
+                ]
         monkeypatch.setattr(infomap, "_local_move_passes", scalar_local_move_passes)
-        for g, s, (part, bd) in zip(graphs, seeds, got):
+        for k, (g, s) in enumerate(zip(graphs, seeds)):
             want_part, want_bd = detect(g, DetectorConfig(rng_seed=s))
-            assert part.assignment == want_part.assignment
-            assert bd.codelength == want_bd.codelength
+            for name in variants:
+                part, bd = got[name][k]
+                assert part.assignment == want_part.assignment, name
+                assert bd.codelength == want_bd.codelength, name
+
+    @pytest.mark.parametrize("array_min", [1, 16, 1 << 30])
+    def test_multi_pass_local_moves_match_scalar_oracle(self, array_min):
+        """300-vertex planted graphs that take >= 3 passes, so that cached
+        w_to are dropped and unchanged visits skipped: the same partition
+        as the scalar loop."""
+        rng = np.random.default_rng(47)
+        tol = infomap.CONVERGENCE_TOLERANCE
+        totals = MoveCounts()
+        for trial in range(4):
+            net = _net_from_graph(planted_graph(rng, 300))
+            counts = MoveCounts()
+            with mock.patch.object(infomap, "_ARRAY_MIN", array_min):
+                got = _local_move_passes(net, np.random.default_rng(trial), tol, counts)
+            want = scalar_local_move_passes(net, np.random.default_rng(trial), tol)
+            assert got == want
+            assert counts.visits >= 3 * net.n
+            for field in dataclasses.fields(MoveCounts):
+                name = field.name
+                setattr(totals, name, getattr(totals, name) + getattr(counts, name))
+        assert totals.skipped > 0
+        if array_min > 1:  # the cache holds only w_to of < array_min communities
+            assert totals.cleared > 0 and totals.cached > 0
+        if array_min < 1 << 30:
+            assert totals.array_rows > 0 and totals.rescored > 0
+
+    def test_twin_communities_are_both_rescored(self):
+        """v joins two unit-weight 4-cliques, each a community, by edges of
+        weight 2.  Moving v into either one gains, and the two moves tie
+        exactly: both lie inside the certificate's bound, so near_best hands
+        both to the exact re-score, which picks the smaller id as best_move
+        over all of w_to does."""
+        ids = [f"v{k}" for k in range(9)]
+        edges = {(ids[0], ids[1]): 2.0, (ids[0], ids[5]): 2.0}
+        for block in ((1, 2, 3, 4), (5, 6, 7, 8)):
+            for x in block:
+                for y in block:
+                    if x < y:
+                        edges[(ids[x], ids[y])] = 1.0
+        net = _net_from_graph(make_graph(ids, edges))
+        state = _LocalState(net, [0, 1, 1, 1, 1, 2, 2, 2, 2])
+        w_to = neighbor_weights(state, net, 0)
+        assert w_to[1] == w_to[2]
+        tol = infomap.CONVERGENCE_TOLERANCE
+        near = state.near_best(0, np.array([1, 2]), np.array([w_to[1], w_to[2]]), tol)
+        assert near == {0: 0.0, 1: w_to[1], 2: w_to[2]}
+        best = state.best_move(0, near)
+        assert best == state.best_move(0, w_to) and best[0] == 1
+        assert best[1] < -tol
+
+
+def planted_graph(rng, n):
+    """n vertices in 12 planted groups, integer weights 1-3, denser inside
+    a group than across."""
+    group = rng.integers(0, 12, size=n)
+    i, j = np.triu_indices(n, k=1)
+    keep = rng.random(len(i)) < np.where(group[i] == group[j], 0.3, 0.02)
+    w = rng.integers(1, 4, size=int(keep.sum())).astype(np.float64)
+    return RelationGraph([f"v{k}" for k in range(n)], i[keep], j[keep], w)
+
+
+def test_vectorised_plogp_within_delta_bound():
+    """Each np.log2 plogp term on (0, 2], subnormals included, is far
+    inside the _DELTA_EPS / 8 that the certificate grants each term."""
+    rng = np.random.default_rng(41)
+    tiny = np.finfo(np.float64).smallest_normal
+    x = np.concatenate([
+        rng.uniform(0.0, 2.0, 200_000),
+        2.0 ** rng.uniform(-1074.0, 1.0, 50_000),
+        [5e-324, np.nextafter(tiny, 0.0), tiny, np.nextafter(tiny, 1.0), 0.5, 1.0, 2.0],
+    ])
+    x = x[x > 0.0]
+    err = np.abs(_plogp_array(x) - np.array([_plogp(t) for t in x.tolist()]))
+    assert err.max() < infomap._DELTA_EPS / 8 / 64
+    assert _plogp_array(np.array([0.0]))[0] == 0.0
