@@ -1,8 +1,9 @@
 """Lloyd k-means on tf-idf vectors, the traditional-clustering baseline.
 
 k-means++ seeding from a fixed seed, squared Euclidean distances computed
-sparsely as ||x||^2 - 2 x.c + ||c||^2, empty clusters reseeded to the
-point farthest from its current center.  Deterministic for a fixed seed.
+sparsely as ||x||^2 - 2 x.c + ||c||^2, an empty cluster reseeded to the
+point farthest from its current center whose cluster keeps another member.
+Deterministic for a fixed seed.
 
 The vectors are CSR arrays (indptr, indices, data), columns in ascending
 feature name.  Every sum adds the doubles scipy.sparse would add, in its
@@ -44,19 +45,14 @@ class KMeansResult:
 
 
 def tfidf_matrix(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR arrays (indptr, indices, data) of tf-idf values, columns in
-    ascending feature name."""
-    names = sorted({name for row in model.values for name in row})
-    col = {name: k for k, name in enumerate(names)}
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for row in model.values:
-        for name in sorted(row):
-            indices.append(col[name])
-            data.append(row[name])
-        indptr.append(len(indices))
-    return np.array(indptr), np.array(indices, dtype=np.int64), np.array(data)
+    """CSR arrays (indptr, indices, data) of tf-idf values: the columns
+    number the features that hold a value in ascending name order, and
+    each row lists its columns ascending."""
+    ids = model.indices
+    rows = np.repeat(np.arange(model.n), np.diff(model.indptr))
+    order = np.lexsort((ids, rows))
+    col = np.cumsum(np.bincount(ids, minlength=len(model.names)) > 0) - 1
+    return model.indptr, col[ids[order]], model.data[order]
 
 
 def _set_row(out: np.ndarray, X, i: int) -> None:
@@ -109,9 +105,10 @@ def _assign(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center assignment with empty-cluster repair.
 
-    An empty cluster is reseeded to the point currently farthest from its
-    assigned center, which strictly lowers the objective.  Returns
-    (assignment, per-point cost).
+    An empty cluster is reseeded to the point farthest from its assigned
+    center among the points whose cluster keeps another member, which
+    does not raise the objective and leaves no cluster empty (c <= n).
+    Returns (assignment, per-point cost).
     """
     n = len(x_sq)
     d = _sq_dists(X, x_sq, centers)
@@ -119,7 +116,10 @@ def _assign(
     cost = d[np.arange(n), assignment].copy()
     counts = np.bincount(assignment, minlength=c)
     for k in np.flatnonzero(counts == 0):
-        far = int(cost.argmax())
+        donors = np.flatnonzero(counts[assignment] > 1)
+        far = int(donors[cost[donors].argmax()])
+        counts[assignment[far]] -= 1
+        counts[k] = 1
         assignment[far] = k
         _set_row(centers[k], X, far)
         cost[far] = 0.0

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import metrics
 from .baseline import KMeansConfig, KMeansError, kmeans
 from .dataset import (
+    Dataset,
     DatasetError,
     load_dataset,
     load_dictionary,
@@ -180,7 +181,7 @@ def _load_filtered(parser, args):
         parser.error("--scope other than 'all' requires --dict")
     d = load_dataset(args.input)
     if args.dict_path is not None:
-        d.dictionary = load_dictionary(args.dict_path)
+        d = Dataset(d.samples, load_dictionary(args.dict_path))
     return filter_by_scope(d, scope)
 
 

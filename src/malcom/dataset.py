@@ -8,6 +8,15 @@ Feature names are namespaced as ``<prefix>/<name>`` so the category is
 recoverable without the dictionary.  The optional feature dictionary is a
 CSV with header ``feature,category,scope,value_kind`` mapping each feature
 to one of the 11 categories and a platform-defined / app-specific scope.
+
+A ``Dataset`` is not modified after construction: its samples, their
+feature maps and its dictionary stay as they were built.  That lets it
+cache derived data.  ``Dataset.columns()`` is the stored values as CSR
+arrays (``FeatureColumns``), built from the samples' maps on its first
+call and returned as the same object afterwards; tf-idf, feature
+frequencies and the pair weights read it, not the per-sample maps.  A
+dataset derived from another one, such as ``filter_by_scope``'s result,
+builds its own view.
 """
 from __future__ import annotations
 
@@ -17,7 +26,10 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import MalcomError
 
@@ -99,6 +111,10 @@ class Sample:
     features: dict[str, float]
 
     def __post_init__(self):
+        values = self.features.values()
+        # all finite and > 0: a NaN or an infinity makes the sum non-finite
+        if min(values, default=1.0) > 0 and math.isfinite(sum(values)):
+            return
         for name, value in self.features.items():
             if not math.isfinite(value):
                 raise DatasetError(
@@ -114,11 +130,26 @@ class Sample:
                 )
 
 
+@dataclass(frozen=True)
+class FeatureColumns:
+    """The stored feature values of a dataset as CSR arrays.  Row r is
+    sample r: its entries ``indptr[r]:indptr[r + 1]`` are the sample's
+    features in the order its map holds them."""
+
+    names: list[str]     # every stored feature name, ascending
+    indptr: np.ndarray   # int64, one more than there are samples
+    ids: np.ndarray      # int32 index into names, one per stored value
+    values: np.ndarray   # float64, finite and > 0
+
+
 @dataclass
 class Dataset:
     samples: list[Sample]
     dictionary: Optional[list[FeatureDictionaryEntry]] = None
     _scope_index: Optional[dict[str, str]] = field(
+        default=None, repr=False, compare=False
+    )
+    _columns: Optional[FeatureColumns] = field(
         default=None, repr=False, compare=False
     )
 
@@ -139,6 +170,25 @@ class Dataset:
             self._scope_index = {e.feature: e.scope for e in self.dictionary}
         return self._scope_index.get(feature)
 
+    def columns(self) -> FeatureColumns:
+        """The columnar view of the stored values, built on the first call."""
+        if self._columns is None:
+            maps = [s.features for s in self.samples]
+            indptr = np.zeros(len(maps) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, maps), np.int64, len(maps)), out=indptr[1:])
+            size = int(indptr[-1])
+            flat = list(chain.from_iterable(maps))
+            names = sorted(set(flat))
+            index = dict(zip(names, range(len(names))))
+            ids = np.fromiter(map(index.__getitem__, flat), np.int32, size)
+            values = np.fromiter(
+                chain.from_iterable(m.values() for m in maps), np.float64, size
+            )
+            for a in (indptr, ids, values):
+                a.flags.writeable = False  # shared by every reader
+            self._columns = FeatureColumns(names, indptr, ids, values)
+        return self._columns
+
     def labels(self) -> list[Optional[str]]:
         return [s.family for s in self.samples]
 
@@ -146,7 +196,10 @@ class Dataset:
         return all(s.family is not None for s in self.samples)
 
 
-def _parse_sample(obj: dict, lineno: int) -> Sample:
+def _parse_sample(obj: dict, lineno: int, names: dict[str, str]) -> Sample:
+    """The sample on line ``lineno``.  ``names`` maps each feature name the
+    file has used so far to its validated, interned string; new names are
+    checked and added."""
     if not isinstance(obj, dict):
         raise DatasetError(f"line {lineno}: expected a JSON object")
     try:
@@ -163,27 +216,31 @@ def _parse_sample(obj: dict, lineno: int) -> Sample:
         raise DatasetError(f"line {lineno}: features must be an object")
     features: dict[str, float] = {}
     for name, value in raw.items():
-        split_feature(name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DatasetError(f"line {lineno}: feature {name!r} value not numeric")
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise DatasetError(f"line {lineno}: feature {name!r} value not finite")
-        if value < 0:
-            raise DatasetError(f"line {lineno}: feature {name!r} value negative")
-        if value == 0:
-            continue  # absence means 0; never store zeros
-        # interned: every sample that has the feature shares one name string
-        features[sys.intern(name)] = value
+        key = names.get(name)
+        if key is None:
+            split_feature(name)
+            # interned: every sample that has the feature shares one string
+            key = names[name] = sys.intern(name)
+        if type(value) is not float:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DatasetError(f"line {lineno}: feature {name!r} value not numeric")
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+        if not 0.0 < value < math.inf:
+            if value == 0:
+                continue  # absence means 0; never store zeros
+            why = "negative" if math.isfinite(value) else "not finite"
+            raise DatasetError(f"line {lineno}: feature {name!r} value {why}")
+        features[key] = value
     return Sample(id=sid, family=family, features=features)
 
 
 def load_dataset(path) -> Dataset:
     """Read a JSON Lines corpus, preserving line order."""
     samples = []
+    names: dict[str, str] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -194,7 +251,7 @@ def load_dataset(path) -> Dataset:
             except (json.JSONDecodeError, RecursionError) as exc:
                 why = getattr(exc, "msg", "nested too deeply")
                 raise DatasetError(f"line {lineno}: invalid JSON ({why})") from None
-            samples.append(_parse_sample(obj, lineno))
+            samples.append(_parse_sample(obj, lineno, names))
     return Dataset(samples=samples)
 
 

@@ -253,26 +253,29 @@ def write_edges(g: RelationGraph, path) -> None:
     lexicographically, lines sorted by (src, dst), then a placeholder line
     ``id<TAB><TAB>0`` for each isolated vertex, ascending by id."""
     ids = g.vertices
-    names = sorted(ids)
+    names = np.array(sorted(ids), dtype=object)
     rank = _name_rank(ids)
-    ri, rj = rank[g.edge_i], rank[g.edge_j]
-    lo, hi = np.minimum(ri, rj), np.maximum(ri, rj)
+    a, b = rank[g.edge_i], rank[g.edge_j]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b, out=a)
+    del a, b
     # pairs are distinct, so (lo, hi) orders the lines as sorting them would
     order = np.lexsort((hi, lo))
-    lo, hi, w = lo[order], hi[order], g.edge_w[order]
+    lo = lo[order]
+    hi = hi[order]
+    w = g.edge_w[order]
+    del order  # only the sorted columns stay while the lines are formatted
     extra = sorted(ids[v] for v in np.flatnonzero(g.degrees() == 0).tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vertices: {g.n}\n")
-        for s in range(0, len(order), _WRITE_CHUNK):
-            e = s + _WRITE_CHUNK
-            fh.write(
-                "".join(
-                    f"{names[a]}\t{names[b]}\t{x:.10g}\n"
-                    for a, b, x in zip(
-                        lo[s:e].tolist(), hi[s:e].tolist(), w[s:e].tolist()
-                    )
-                )
-            )
+        for s in range(0, len(w), _WRITE_CHUNK):
+            e = min(s + _WRITE_CHUNK, len(w))
+            # one % over the chunk's (src, dst, weight) cells, row by row
+            cells = np.empty((e - s, 3), dtype=object)
+            cells[:, 0] = names[lo[s:e]]
+            cells[:, 1] = names[hi[s:e]]
+            cells[:, 2] = w[s:e].tolist()
+            fh.write(("%s\t%s\t%.10g\n" * (e - s)) % tuple(cells.ravel().tolist()))
         for vid in extra:
             fh.write(f"{vid}\t\t0\n")
 

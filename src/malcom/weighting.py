@@ -2,6 +2,10 @@
 
 tfidf(m, j) = tf(m, j) * ln(n / s_m), with tf the raw stored feature value,
 n the sample count and s_m the number of samples containing feature m.
+``compute_tfidf`` reads the dataset's columnar view (``Dataset.columns()``,
+built on its first use and cached by the dataset, so a sweep that computes
+tf-idf at every point reads the samples' maps once) and returns CSR arrays
+over the same feature-name ids.
 The weight of a sample pair is the sum over shared features of the mean of
 the two tf-idf values.  One kernel, ``_weight_rows``, sums each pair's
 features from 0.0 in ascending feature-name order, so weights are
@@ -45,11 +49,29 @@ def check_vertex_count(n: int) -> None:
 
 @dataclass
 class TfIdfModel:
+    """Tf-idf values as CSR arrays: row r holds sample r's nonzero values,
+    in the order of the dataset's columnar view."""
+
     n: int
     sample_ids: list[str]
-    doc_freq: dict[str, int]
-    # per-sample sparse maps, parallel to sample_ids; zeros never stored
-    values: list[dict[str, float]]
+    names: list[str]     # every stored feature name, ascending
+    df: np.ndarray       # samples that store each name
+    indptr: np.ndarray   # int64, n + 1
+    indices: np.ndarray  # int32 index into names
+    data: np.ndarray     # float64, no zeros
+
+    @property
+    def doc_freq(self) -> dict[str, int]:
+        """Feature name -> number of samples that store it."""
+        return dict(zip(self.names, self.df.tolist()))
+
+    @property
+    def values(self) -> list[dict[str, float]]:
+        """Per-sample maps name -> tf-idf value, parallel to sample_ids."""
+        names = [self.names[k] for k in self.indices.tolist()]
+        data = self.data.tolist()
+        bounds = self.indptr.tolist()
+        return [dict(zip(names[a:b], data[a:b])) for a, b in zip(bounds, bounds[1:])]
 
 
 # (sample indices ascending, their tf-idf values) of one feature
@@ -122,28 +144,33 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
     if len(d) == 0:
         raise DatasetError("cannot compute tf-idf on an empty dataset")
     n = len(d)
-    doc_freq: dict[str, int] = {}
-    for s in d.samples:
-        for name in s.features:
-            doc_freq[name] = doc_freq.get(name, 0) + 1
-    idf = {name: math.log(n / c) for name, c in doc_freq.items()}
-    values = []
-    for s in d.samples:
-        row = {}
-        for name, tf in s.features.items():
-            v = tf * idf[name]
-            if not math.isfinite(v):
-                raise DatasetError(
-                    f"sample {s.id!r}: tf-idf of feature {name!r} overflows"
-                )
-            if v != 0.0:
-                row[name] = v
-        values.append(row)
+    cols = d.columns()
+    df = np.bincount(cols.ids, minlength=len(cols.names))
+    # math.log per name, not np.log: numpy's SIMD log may round differently
+    idf = np.array([math.log(n / c) for c in df.tolist()], dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        data = cols.values * idf[cols.ids]
+    if data.max(initial=0.0) == math.inf:
+        first = int(np.argmax(data == math.inf))  # in sample order
+        s = d.samples[int(np.searchsorted(cols.indptr, first, side="right")) - 1]
+        raise DatasetError(
+            f"sample {s.id!r}: tf-idf of feature {cols.names[cols.ids[first]]!r}"
+            " overflows"
+        )
+    indptr, indices = cols.indptr, cols.ids
+    kept = data != 0.0  # idf 0 (a feature in every sample), or an underflow
+    if not kept.all():
+        at = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(kept, out=at[1:])
+        indptr, indices, data = at[indptr], indices[kept], data[kept]
     return TfIdfModel(
         n=n,
         sample_ids=[s.id for s in d.samples],
-        doc_freq=doc_freq,
-        values=values,
+        names=cols.names,
+        df=df,
+        indptr=indptr,
+        indices=indices,
+        data=data,
     )
 
 
@@ -250,18 +277,17 @@ def _weight_rows(
 def _feature_lists(m: TfIdfModel) -> list[Feature]:
     """(sample indices, tf-idf values) of every feature present in at
     least two samples, in ascending feature-name order."""
-    inverted: dict[str, tuple[list[int], list[float]]] = {}
-    for idx, row in enumerate(m.values):
-        for name, v in row.items():
-            bucket = inverted.setdefault(name, ([], []))
-            bucket[0].append(idx)
-            bucket[1].append(v)
-    # ix is ascending: samples were appended in index order; it stays
-    # int64, since the kernel's cols * width overflows int32 once n > 46,340
+    # a stable transpose: each feature's entries stay in row order, so its
+    # sample indices ascend; they are int64, since the kernel's cols * width
+    # overflows int32 once n > 46,340
+    order = np.argsort(m.indices, kind="stable")
+    rows = np.repeat(np.arange(m.n, dtype=np.int64), np.diff(m.indptr))[order]
+    data = m.data[order]
+    ends = np.cumsum(np.bincount(m.indices, minlength=len(m.names))).tolist()
     return [
-        (np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=np.float64))
-        for idx, vals in (inverted[name] for name in sorted(inverted))
-        if len(idx) >= 2
+        (rows[a:b], data[a:b])
+        for a, b in zip([0] + ends, ends)
+        if b - a >= 2
     ]
 
 
@@ -306,12 +332,11 @@ def feature_frequency(d: Dataset, top: int) -> list[tuple[str, float]]:
     n = len(d)
     if n == 0:
         return []
-    counts: dict[str, int] = {}
-    for s in d.samples:
-        for name in s.features:
-            counts[name] = counts.get(name, 0) + 1
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [(name, c / n) for name, c in ranked[:top]]
+    cols = d.columns()
+    counts = np.bincount(cols.ids, minlength=len(cols.names))
+    # names ascend, so a stable sort on -count breaks ties by name
+    ranked = np.argsort(-counts, kind="stable")[:top].tolist()
+    return [(cols.names[k], int(counts[k]) / n) for k in ranked]
 
 
 def dump_tfidf(m: TfIdfModel, path) -> None:

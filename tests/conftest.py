@@ -5,7 +5,7 @@ import pytest
 
 from malcom.dataset import Dataset, Sample
 from malcom.graph import RelationGraph
-from malcom.weighting import WeightSet
+from malcom.weighting import TfIdfModel, WeightSet
 
 
 @pytest.fixture
@@ -18,6 +18,24 @@ def four_sample_dataset():
             Sample("s3", "A", {"perm/c": 2.0}),
             Sample("s4", "B", {"perm/a": 1.0, "perm/d": 1.0}),
         ]
+    )
+
+
+def tfidf_model(rows, n=None):
+    """A TfIdfModel holding the given per-sample tf-idf maps as its values
+    (zeros are not stored); ``n`` overrides the sample count."""
+    names = sorted({name for row in rows for name in row})
+    col = {name: k for k, name in enumerate(names)}
+    rows = [{k: v for k, v in row.items() if v != 0} for row in rows]
+    indices = [col[name] for row in rows for name in row]
+    return TfIdfModel(
+        n=len(rows) if n is None else n,
+        sample_ids=[f"s{i}" for i in range(len(rows))],
+        names=names,
+        df=np.bincount(np.array(indices, dtype=np.int64), minlength=len(names)),
+        indptr=np.cumsum([0] + [len(row) for row in rows], dtype=np.int64),
+        indices=np.array(indices, dtype=np.int32),
+        data=np.array([v for row in rows for v in row.values()], dtype=np.float64),
     )
 
 
@@ -36,9 +54,10 @@ def brute_force_weights(model):
     """O(n^2 * features) double loop; sums shared features in ascending
     name order, the reference the inverted index must match bit for bit."""
     out = {}
+    values = model.values  # built on each access
     for a in range(model.n):
         for b in range(a + 1, model.n):
-            ra, rb = model.values[a], model.values[b]
+            ra, rb = values[a], values[b]
             w = 0.0
             for name in sorted(ra.keys() & rb.keys()):
                 w += (ra[name] + rb[name]) * 0.5

@@ -4,20 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from conftest import tfidf_model
+from test_weighting import tfidf_corpora
+
 from malcom import baseline
 from malcom.baseline import KMeansConfig, KMeansError, kmeans, tfidf_matrix
-from malcom.dataset import Dataset, Sample
-from malcom.weighting import TfIdfModel, compute_tfidf
+from malcom.dataset import Dataset, DatasetError, Sample
+from malcom.weighting import compute_tfidf
 from malcom.synth import SynthConfig, generate
 
 
 def model_1d(values):
-    return TfIdfModel(
-        n=len(values),
-        sample_ids=[f"s{i}" for i in range(len(values))],
-        doc_freq={"perm/x": 1},
-        values=[{"perm/x": v} if v != 0 else {} for v in values],
-    )
+    return tfidf_model([{"perm/x": v} for v in values])
 
 
 class TestKMeans:
@@ -67,6 +65,16 @@ class TestKMeans:
         chosen = dists[np.arange(len(dense)), res.assignment]
         assert np.allclose(chosen, nearest)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_samples_fill_every_cluster(self, seed):
+        # every cost is 0 once three identical points share a centre, so an
+        # empty cluster must not take a point that another one just took
+        m = tfidf_model([{"perm/x": 1.0}] * 3 + [{"perm/y": 2.0}])
+        res = kmeans(m, KMeansConfig(c=4, rng_seed=seed))
+        assert sorted(res.assignment) == [0, 1, 2, 3]
+        assert np.isfinite(res.centers).all() and res.objective == 0.0
+
     def test_clusters_non_empty(self):
         d = generate(SynthConfig(num_families=2, samples_per_family=6, rng_seed=9))
         m = compute_tfidf(d)
@@ -89,6 +97,31 @@ def test_tfidf_matrix_columns_sorted():
     assert data.tolist() == [2.0 * idf, idf, idf]
 
 
+def dict_tfidf_matrix(values):
+    """tfidf_matrix by the per-sample dict pass that the array version
+    replaced, the reference it must match."""
+    names = sorted({name for row in values for name in row})
+    col = {name: k for k, name in enumerate(names)}
+    indptr, indices, data = [0], [], []
+    for row in values:
+        for name in sorted(row):
+            indices.append(col[name])
+            data.append(row[name])
+        indptr.append(len(indices))
+    return np.array(indptr), np.array(indices, dtype=np.int64), np.array(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tfidf_corpora())
+def test_tfidf_matrix_equals_dict_pass(d):
+    try:
+        m = compute_tfidf(d)
+    except DatasetError:  # an overflowing tf-idf value
+        return
+    for got, expect in zip(tfidf_matrix(m), dict_tfidf_matrix(m.values)):
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
 def scipy_kmeans(model, cfg):
     """The scipy.sparse k-means that the package's numpy sums must match
     bit for bit: (assignment, centers, objective)."""
@@ -108,8 +141,15 @@ def scipy_kmeans(model, cfg):
         d = sq_dists(centers)
         assignment = d.argmin(axis=1)
         cost = d[np.arange(n), assignment].copy()
-        for k in np.flatnonzero(np.bincount(assignment, minlength=cfg.c) == 0):
-            far = int(cost.argmax())
+        counts = np.bincount(assignment, minlength=cfg.c)
+        for k in np.flatnonzero(counts == 0):
+            # the farthest point whose cluster keeps another member
+            far = max(
+                (v for v in range(n) if counts[assignment[v]] > 1),
+                key=lambda v: (cost[v], -v),
+            )
+            counts[assignment[far]] -= 1
+            counts[k] = 1
             assignment[far] = k
             centers[k] = X[far].toarray().ravel()
             cost[far] = 0.0
@@ -170,10 +210,8 @@ def kmeans_cases(draw):
         values = 10.0 ** rng.uniform(-3.0, 3.0, len(names))
         values[rng.random(len(names)) < 0.1] = 1e-170
         rows.append(dict(zip(names, values.tolist())))
-    model = TfIdfModel(
-        n=n, sample_ids=[f"s{i}" for i in range(n)], doc_freq={}, values=rows
-    )
-    return model, KMeansConfig(c=draw(st.integers(1, n)), rng_seed=draw(st.integers(0, 99)))
+    cfg = KMeansConfig(c=draw(st.integers(1, n)), rng_seed=draw(st.integers(0, 99)))
+    return tfidf_model(rows), cfg
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,6 +86,46 @@ class TestLoadDataset:
     def test_non_finite_sample_rejected(self):
         with pytest.raises(DatasetError, match="non-finite"):
             Sample("s1", None, {"perm/a": float("nan")})
+
+    @pytest.mark.parametrize(
+        "value,why",
+        [
+            ("-1", "value negative"),
+            ("NaN", "value not finite"),
+            ("true", "value not numeric"),
+            ('"2"', "value not numeric"),
+            ("1" + "0" * 400, "value not finite"),
+        ],
+        ids=["negative", "nan", "bool", "string", "int-overflow"],
+    )
+    def test_bad_value_under_a_known_name_reports_its_line(self, tmp_path, value, why):
+        f = tmp_path / "d.jsonl"
+        write_lines(f, [
+            '{"id":"s1","features":{"perm/a":1,"perm/b":2}}',
+            '{"id":"s2","features":{"perm/b":1}}',
+            '{"id":"s3","features":{"perm/b":3,"perm/a":%s}}' % value,
+        ])
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(f)
+        assert str(exc.value) == f"line 3: feature 'perm/a' {why}"
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (-1.0, "sample 's1': negative value for feature 'perm/b'"),
+            (0.0, "sample 's1': zero value stored for feature 'perm/b'"),
+            (float("inf"), "sample 's1': non-finite value for feature 'perm/b'"),
+            (float("-inf"), "sample 's1': non-finite value for feature 'perm/b'"),
+            (float("nan"), "sample 's1': non-finite value for feature 'perm/b'"),
+        ],
+    )
+    def test_sample_names_its_bad_value(self, value, message):
+        with pytest.raises(DatasetError) as exc:
+            Sample("s1", None, {"perm/a": 1.0, "perm/b": value, "perm/c": 2.0})
+        assert str(exc.value) == message
+
+    def test_sample_values_may_sum_past_the_float_range(self):
+        Sample("s1", None, {"perm/a": 1e308, "perm/b": 1e308})
 
     def test_line_order_preserved(self, tmp_path):
         f = tmp_path / "d.jsonl"
@@ -226,6 +267,46 @@ class TestFilterByScope:
         d.samples[0].features["perm/extra"] = 1.0
         with pytest.raises(DatasetError, match="missing from dictionary"):
             filter_by_scope(d, "platform-defined")
+
+
+class TestColumns:
+    def test_csr_arrays_in_map_order(self, tmp_path):
+        f = tmp_path / "d.jsonl"
+        write_lines(f, [
+            '{"id":"s1","features":{"str/x":2,"perm/b":1.5}}',
+            '{"id":"s2","features":{}}',
+            '{"id":"s3","features":{"perm/b":3,"perm/a":0,"api/c":4}}',
+        ])
+        cols = load_dataset(f).columns()
+        assert cols.names == ["api/c", "perm/b", "str/x"]
+        assert cols.indptr.tolist() == [0, 2, 2, 4]
+        assert cols.ids.dtype == np.int32 and cols.ids.tolist() == [2, 1, 1, 0]
+        assert cols.values.dtype == np.float64
+        assert cols.values.tolist() == [2.0, 1.5, 3.0, 4.0]
+
+    def test_second_call_returns_the_cached_view(self, tmp_path):
+        f = tmp_path / "d.jsonl"
+        write_lines(f, ['{"id":"s1","features":{"perm/a":1}}'])
+        d = load_dataset(f)
+        cols = d.columns()
+        assert d.columns() is cols
+        assert not cols.values.flags.writeable
+
+    def test_filtered_dataset_builds_its_own_view(self):
+        d = scoped_dataset()
+        cols = d.columns()
+        platform = filter_by_scope(d, "platform-defined")
+        own = platform.columns()
+        assert own is not cols and platform.columns() is own
+        assert own.names == ["perm/INTERNET"]
+        assert own.indptr.tolist() == [0, 1, 1]
+        assert own.ids.tolist() == [0] and own.values.tolist() == [1.0]
+        assert d.columns() is cols and cols.names == ["perm/INTERNET", "str/foo"]
+
+    def test_empty_dataset(self):
+        cols = Dataset(samples=[]).columns()
+        assert cols.names == [] and cols.indptr.tolist() == [0]
+        assert len(cols.ids) == len(cols.values) == 0
 
 
 def test_loaded_samples_share_one_string_per_feature_name(tmp_path):

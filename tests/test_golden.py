@@ -9,8 +9,12 @@ samples that share no feature with any other (zero-weight vertices, linked
 at the floor weight), and "twins" repeats each family's sample, so that
 k-th neighbours tie and the id tie-break picks among them.  The detector
 has cases of its own: ``detect --edges --seed 5`` on the hard corpus's E-N
-graphs at p = 1, 10 and the dense p = 40.  ``kmeans --c 13`` takes the
-corpus seed as its seed.
+graphs at p = 1, 10 and the dense p = 40.  ``kmeans --c 13``, ``sweep``
+and ``pipeline`` take the corpus seed as their seed.
+
+Two files carry wall times, which change from run to run: report.json is
+digested without its ``timings_ms`` object, and the sweep's TSV by its
+first five columns (p, edges, communities, RS and accuracy).
 
 The digests hold only for the numpy and Python versions they were recorded
 with (numpy 2.4, Python 3.11): another numpy may sum or format a double
@@ -44,10 +48,30 @@ RUNS = {
     "graph-epsilon-p10": (["graph", "--method", "epsilon", "--p", "10"], ["edges.tsv"]),
     "graph-epsilon-60": (["graph", "--method", "epsilon", "--epsilon", "60"], ["edges.tsv"]),
     "family-sim": (["family-sim"], ["family-sim.tsv"]),
-    "pipeline": (["pipeline"], ["edges.tsv", "partition.csv"]),
+    "pipeline": (
+        ["pipeline"], ["edges.tsv", "partition.csv", "eval.json", "report.json"]
+    ),
     "kmeans": (["kmeans", "--c", "13"], ["partition.csv"]),
     "tfidf": (["tfidf"], ["tfidf.jsonl"]),
+    "sweep": (["sweep", "--p-grid", "1,10,40"], ["sweep.tsv"]),
 }
+
+
+def _without_timings(data: bytes) -> bytes:
+    obj = json.loads(data)
+    del obj["timings_ms"]
+    return json.dumps(obj, sort_keys=True).encode()
+
+
+def _first_columns(data: bytes) -> bytes:
+    return b"".join(
+        b"\t".join(line.split(b"\t")[:5]) + b"\n" for line in data.splitlines()
+    )
+
+
+# the bytes digested of a file that holds wall times
+DETERMINISTIC = {"report.json": _without_timings, "sweep.tsv": _first_columns}
+
 # the runs of each corpus
 CORPUS_RUNS = {
     "easy": sorted(RUNS),
@@ -61,7 +85,7 @@ def run_case(corpus: Path, seed: int, run: str, out: Path) -> dict[str, str]:
     """Run one case into the directory ``out``; sha256 of each file written."""
     args, files = RUNS[run]
     argv = args + ["--input", str(corpus)]
-    if run in ("pipeline", "kmeans"):
+    if run in ("pipeline", "kmeans", "sweep"):
         argv += ["--seed", str(seed)]
     if run == "pipeline":
         argv += ["--out-dir", str(out)]
@@ -69,7 +93,12 @@ def run_case(corpus: Path, seed: int, run: str, out: Path) -> dict[str, str]:
         argv += ["--out", str(out / files[0])]
     out.mkdir(parents=True, exist_ok=True)
     assert main(argv) == 0
-    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+    return {f: _digest(f, (out / f).read_bytes()) for f in files}
+
+
+def _digest(name: str, data: bytes) -> str:
+    data = DETERMINISTIC.get(name, lambda b: b)(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def make_corpus(kind: str, seed: int, path: Path) -> Path:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_weights, pair_weight, weight_set
+from conftest import brute_force_weights, pair_weight, tfidf_model, weight_set
 from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.errors import MalcomError
@@ -87,6 +89,116 @@ class TestComputeTfidf:
         by_id1 = dict(zip(m1.sample_ids, m1.values))
         by_id2 = dict(zip(m2.sample_ids, m2.values))
         assert by_id1 == by_id2
+
+
+def dict_tfidf(d):
+    """(doc_freq, values): tf-idf by the per-sample dict formula that the
+    CSR arrays replaced, the reference they must match bit for bit.  An
+    overflow raises the DatasetError the formula raised."""
+    n = len(d)
+    doc_freq: dict[str, int] = {}
+    for s in d.samples:
+        for name in s.features:
+            doc_freq[name] = doc_freq.get(name, 0) + 1
+    idf = {name: math.log(n / c) for name, c in doc_freq.items()}
+    values = []
+    for s in d.samples:
+        row = {}
+        for name, tf in s.features.items():
+            v = tf * idf[name]
+            if not math.isfinite(v):
+                raise DatasetError(
+                    f"sample {s.id!r}: tf-idf of feature {name!r} overflows"
+                )
+            if v != 0.0:
+                row[name] = v
+        values.append(row)
+    return doc_freq, values
+
+
+def dict_feature_lists(values):
+    """(sample indices, values) per feature held by >= 2 samples, ascending
+    name, from per-sample dicts."""
+    inverted: dict[str, tuple[list[int], list[float]]] = {}
+    for idx, row in enumerate(values):
+        for name, v in row.items():
+            bucket = inverted.setdefault(name, ([], []))
+            bucket[0].append(idx)
+            bucket[1].append(v)
+    return [inverted[name] for name in sorted(inverted) if len(inverted[name][0]) >= 2]
+
+
+def as_bytes(floats):
+    return np.array(floats, dtype=np.float64).tobytes()
+
+
+@st.composite
+def tfidf_corpora(draw):
+    """Up to 12 samples over 8 names in random map order, optionally one
+    name in every sample (idf 0).  Values include the smallest subnormals,
+    whose tf-idf underflows to 0 at idf < 1/2, and 1.7e308, whose tf-idf
+    overflows at idf > 1.06."""
+    n = draw(st.integers(1, 12))
+    every = draw(st.booleans())
+    value = st.one_of(
+        st.floats(0.5, 9.0), st.sampled_from([5e-324, 1e-323, 1.7e308, 3.0])
+    )
+    names = [f"perm/f{k}" for k in range(8)]
+    samples = []
+    for i in range(n):
+        chosen = draw(st.lists(st.sampled_from(names), unique=True, max_size=8))
+        if every:
+            chosen.insert(draw(st.integers(0, len(chosen))), "api/all")
+        features = {name: draw(value) for name in chosen}
+        samples.append(Sample(f"s{i}", None, features))
+    return Dataset(samples=samples)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tfidf_corpora())
+def test_csr_tfidf_equals_dict_formula(d):
+    try:
+        doc_freq, values = dict_tfidf(d)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as got:
+            compute_tfidf(d)
+        assert str(got.value) == str(exc)  # the first bad sample and feature
+        return
+    m = compute_tfidf(d)
+    assert m.names == sorted(doc_freq)
+    assert dict(zip(m.names, m.df.tolist())) == doc_freq
+    assert m.doc_freq == doc_freq
+    # each row lists the sample's nonzero values in its map order
+    for r, row in enumerate(values):
+        at = slice(m.indptr[r], m.indptr[r + 1])
+        assert [m.names[k] for k in m.indices[at]] == list(row)
+        assert m.data[at].tobytes() == as_bytes(list(row.values()))
+    assert m.indptr[-1] == len(m.data) == len(m.indices)
+    assert [list(row.items()) for row in m.values] == [
+        list(row.items()) for row in values
+    ]
+    got = weighting._feature_lists(m)
+    expect = dict_feature_lists(values)
+    assert len(got) == len(expect)
+    for (ix, t), (eix, et) in zip(got, expect):
+        assert ix.dtype == np.int64 and ix.tolist() == eix
+        assert t.tobytes() == as_bytes(et)
+
+
+def test_tfidf_overflow_names_the_first_sample_and_feature():
+    # n = 6 and df = 2, so idf = ln 3 > 1 for every name; s1 maps perm/b
+    # before perm/a
+    d = Dataset(
+        samples=[
+            Sample("s0", None, {"perm/c": 1.0}),
+            Sample("s1", None, {"perm/c": 1.0, "perm/b": 1.7e308, "perm/a": 1.7e308}),
+            Sample("s2", None, {"perm/b": 1.0, "perm/a": 1.7e308}),
+        ]
+        + [Sample(f"s{i}", None, {}) for i in range(3, 6)]
+    )
+    with pytest.raises(DatasetError) as exc:
+        compute_tfidf(d)
+    assert str(exc.value) == "sample 's1': tf-idf of feature 'perm/b' overflows"
 
 
 class TestPairwiseWeights:
@@ -271,6 +383,6 @@ def test_top_p_outside_range_is_a_malcom_error(four_sample_dataset, top_p):
 
 def test_int32_vertex_ids_bound_the_sample_count():
     weighting.check_vertex_count(2**31 - 1)
-    model = weighting.TfIdfModel(n=2**31, sample_ids=[], doc_freq={}, values=[])
+    model = tfidf_model([], n=2**31)
     with pytest.raises(MalcomError, match="int32"):
         pairwise_weights(model)
