@@ -1,6 +1,6 @@
 """Command-line pipeline: corpus generation, weighting, graph construction,
 community detection, baselines, evaluation, parameter sweeps and the
-pair-weight and graph construction timing harness.
+per-stage pipeline timing harness.
 
 Exit codes: 0 success, 1 I/O or format error, 2 invalid parameters.
 """
@@ -27,11 +27,8 @@ from .errors import MalcomError
 from .graph import (
     GraphBuildParams,
     GraphError,
-    build_en,
-    build_epsilon,
     build_graph,
     build_knn,
-    percentile_cutoff,
     read_edges,
     write_edges,
 )
@@ -52,7 +49,7 @@ from .weighting import (
 
 SCOPE_TOKENS = {"all": "all", "platform": "platform-defined", "app": "app-specific"}
 DEFAULT_SWEEP_GRID = list(range(1, 21)) + [25, 30, 40]
-DEFAULT_BENCH_SIZES = [250, 500, 1000, 2000]
+DEFAULT_BENCH_SIZES = [650, 2002, 3900]  # 13 families of 50, 154, 300
 
 
 def _add_io_args(sp):
@@ -143,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="TSV output path")
 
     sp = sub.add_parser(
-        "bench", help="pair-weight, graph construction, detect and eval timings"
+        "bench", help="median pipeline stage timings and the k-NN baseline"
     )
     sp.add_argument(
         "--sizes",
@@ -332,7 +329,7 @@ def _cmd_bench(parser, args):
     if args.repeats < 1:
         parser.error(f"--repeats must be >= 1, got {args.repeats}")
 
-    lines = ["n\tmethod\tmedian_ms"]
+    lines = ["n\tstage\tmedian_ms"]
     for n in sizes:
         per_family = max(1, round(n / 13))
         cfg = SynthConfig(
@@ -342,28 +339,20 @@ def _cmd_bench(parser, args):
             rng_seed=args.seed,
         )
         d = generate(cfg)
-        _graph_params(parser, len(d), method="en", p=args.p, k=args.k)
-        model = compute_tfidf(d)
-        # the graph builders time the top-p set that the pipeline builds
-        top = pairwise_weights(model, top_p=args.p)
-        g = build_en(top, args.p, args.k)
-        part, _ = detect(g, DetectorConfig(rng_seed=args.seed))
-        builders = {
-            "weights": lambda: pairwise_weights(model),
-            "weights-top": lambda: pairwise_weights(model, top_p=args.p),
-            "epsilon": lambda: build_epsilon(top, percentile_cutoff(top, args.p)[0]),
-            "knn": lambda: build_knn(top, args.k),
-            "en": lambda: build_en(top, args.p, args.k),
-            "detect": lambda: detect(g, DetectorConfig(rng_seed=args.seed)),
-            "eval": lambda: metrics.evaluate(d.labels(), part.assignment),
-        }
-        for method, builder in builders.items():
-            times = []
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                builder()
-                times.append((time.perf_counter() - t0) * 1000.0)
-            lines.append(f"{len(d)}\t{method}\t{statistics.median(times):.3f}")
+        params = _graph_params(parser, len(d), method="en", p=args.p, k=args.k)
+        times: dict[str, list[float]] = {}
+        for _ in range(args.repeats):
+            report = run_pipeline(d, params, seed=args.seed)
+            # the full-sort k-NN baseline that E-N's graph stage must beat
+            t0 = time.perf_counter()
+            build_knn(report.weights, args.k)
+            report.timings_ms["knn"] = (time.perf_counter() - t0) * 1000.0
+            for stage, ms in report.timings_ms.items():
+                times.setdefault(stage, []).append(ms)
+        lines += [
+            f"{len(d)}\t{stage}\t{statistics.median(ms):.3f}"
+            for stage, ms in times.items()
+        ]
     _emit(lines, args.out)
 
 

@@ -146,9 +146,6 @@ class FeatureColumns:
 class Dataset:
     samples: list[Sample]
     dictionary: Optional[list[FeatureDictionaryEntry]] = None
-    _scope_index: Optional[dict[str, str]] = field(
-        default=None, repr=False, compare=False
-    )
     _columns: Optional[FeatureColumns] = field(
         default=None, repr=False, compare=False
     )
@@ -162,13 +159,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def scope_of(self, feature: str) -> Optional[str]:
-        if self.dictionary is None:
-            return None
-        if self._scope_index is None:
-            self._scope_index = {e.feature: e.scope for e in self.dictionary}
-        return self._scope_index.get(feature)
 
     def columns(self) -> FeatureColumns:
         """The columnar view of the stored values, built on the first call."""
@@ -196,24 +186,24 @@ class Dataset:
         return all(s.family is not None for s in self.samples)
 
 
-def _parse_sample(obj: dict, lineno: int, names: dict[str, str]) -> Sample:
-    """The sample on line ``lineno``.  ``names`` maps each feature name the
+def _parse_sample(obj: dict, names: dict[str, str]) -> Sample:
+    """The sample a corpus line holds.  ``names`` maps each feature name the
     file has used so far to its validated, interned string; new names are
     checked and added."""
     if not isinstance(obj, dict):
-        raise DatasetError(f"line {lineno}: expected a JSON object")
+        raise DatasetError("expected a JSON object")
     try:
         sid = obj["id"]
         raw = obj["features"]
     except KeyError as exc:
-        raise DatasetError(f"line {lineno}: missing field {exc}") from None
+        raise DatasetError(f"missing field {exc}") from None
     if not isinstance(sid, str) or not sid:
-        raise DatasetError(f"line {lineno}: id must be a non-empty string")
+        raise DatasetError("id must be a non-empty string")
     family = obj.get("family")
     if family is not None and not isinstance(family, str):
-        raise DatasetError(f"line {lineno}: family must be a string or null")
+        raise DatasetError("family must be a string or null")
     if not isinstance(raw, dict):
-        raise DatasetError(f"line {lineno}: features must be an object")
+        raise DatasetError("features must be an object")
     features: dict[str, float] = {}
     for name, value in raw.items():
         key = names.get(name)
@@ -223,7 +213,7 @@ def _parse_sample(obj: dict, lineno: int, names: dict[str, str]) -> Sample:
             key = names[name] = sys.intern(name)
         if type(value) is not float:
             if not isinstance(value, int) or isinstance(value, bool):
-                raise DatasetError(f"line {lineno}: feature {name!r} value not numeric")
+                raise DatasetError(f"feature {name!r} value not numeric")
             try:
                 value = float(value)
             except OverflowError:  # an int beyond the float range
@@ -232,13 +222,14 @@ def _parse_sample(obj: dict, lineno: int, names: dict[str, str]) -> Sample:
             if value == 0:
                 continue  # absence means 0; never store zeros
             why = "negative" if math.isfinite(value) else "not finite"
-            raise DatasetError(f"line {lineno}: feature {name!r} value {why}")
+            raise DatasetError(f"feature {name!r} value {why}")
         features[key] = value
     return Sample(id=sid, family=family, features=features)
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSON Lines corpus, preserving line order."""
+    """Read a JSON Lines corpus, preserving line order.  An error in a
+    line's sample names the line."""
     samples = []
     names: dict[str, str] = {}
     with open_text(path) as fh:
@@ -251,7 +242,10 @@ def load_dataset(path) -> Dataset:
             except (json.JSONDecodeError, RecursionError) as exc:
                 why = getattr(exc, "msg", "nested too deeply")
                 raise DatasetError(f"line {lineno}: invalid JSON ({why})") from None
-            samples.append(_parse_sample(obj, lineno, names))
+            try:
+                samples.append(_parse_sample(obj, names))
+            except DatasetError as exc:
+                raise DatasetError(f"line {lineno}: {exc}") from None
     return Dataset(samples=samples)
 
 
@@ -273,14 +267,17 @@ def load_dictionary(path) -> list[FeatureDictionaryEntry]:
                 f"got {reader.fieldnames}"
             )
         for row in reader:
-            entries.append(
-                FeatureDictionaryEntry(
-                    feature=row["feature"],
-                    category=row["category"],
-                    scope=row["scope"],
-                    value_kind=row["value_kind"],
+            try:
+                entries.append(
+                    FeatureDictionaryEntry(
+                        feature=row["feature"],
+                        category=row["category"],
+                        scope=row["scope"],
+                        value_kind=row["value_kind"],
+                    )
                 )
-            )
+            except DatasetError as exc:
+                raise DatasetError(f"line {reader.line_num}: {exc}") from None
     return entries
 
 
@@ -305,11 +302,12 @@ def filter_by_scope(d: Dataset, scope: str) -> Dataset:
         raise DatasetError(f"unknown scope {scope!r}")
     if d.dictionary is None:
         raise DatasetError("scope filtering requires a feature dictionary")
+    scope_of = {e.feature: e.scope for e in d.dictionary}
     filtered = []
     for s in d.samples:
         kept = {}
         for name, value in s.features.items():
-            fscope = d.scope_of(name)
+            fscope = scope_of.get(name)
             if fscope is None:
                 raise DatasetError(
                     f"feature {name!r} (sample {s.id!r}) missing from dictionary"

@@ -97,7 +97,9 @@ def run_pipeline(
     """Run the full pipeline on an in-memory dataset.
 
     When out_dir is given, writes edges.tsv, partition.csv, report.json and
-    (for fully labeled corpora) eval.json there.
+    (for fully labeled corpora) eval.json there.  ``report.timings_ms``
+    holds each stage's wall time: tfidf, weights (unless given), graph,
+    detect and (for fully labeled corpora) eval.
 
     The pair weights are weighed at ``params.weights_top_p()``, so
     ``report.weights`` holds the top p percent (every pair for an epsilon
@@ -122,35 +124,32 @@ def run_pipeline(
         }
     )
 
-    t0 = time.perf_counter()
-    model = compute_tfidf(dataset)
-    t1 = time.perf_counter()
-    report.timings_ms["tfidf"] = (t1 - t0) * 1000.0
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        report.timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
+        return result
 
+    model = timed("tfidf", compute_tfidf, dataset)
     if weights is None:
-        weights = pairwise_weights(model, top_p=params.weights_top_p())
-        report.timings_ms["weights"] = (time.perf_counter() - t1) * 1000.0
+        weights = timed("weights", pairwise_weights, model, params.weights_top_p())
     elif weights.ids != model.sample_ids:
         raise DatasetError("the given pair weights belong to another corpus")
     del model  # the pair weights are all later stages read
     report.weights = weights
 
-    t2 = time.perf_counter()
-    g = build_graph(weights, params)
-    t3 = time.perf_counter()
-    report.timings_ms["graph"] = (t3 - t2) * 1000.0
+    g = timed("graph", build_graph, weights, params)
     report.graph_stats = _graph_stats(g)
 
-    part, breakdown = detect(g, DetectorConfig(rng_seed=seed))
-    t4 = time.perf_counter()
-    report.timings_ms["detect"] = (t4 - t3) * 1000.0
+    part, breakdown = timed("detect", detect, g, DetectorConfig(rng_seed=seed))
     report.codelength_bits = breakdown.codelength
     report.num_communities = part.m
     report.q_total = breakdown.q_total
 
     if dataset.fully_labeled() and len(dataset) >= 2:
-        report.evaluation = metrics.evaluate(dataset.labels(), part.assignment)
-        report.timings_ms["eval"] = (time.perf_counter() - t4) * 1000.0
+        report.evaluation = timed(
+            "eval", metrics.evaluate, dataset.labels(), part.assignment
+        )
 
     if out_dir is not None:
         out = Path(out_dir)

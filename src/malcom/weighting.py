@@ -329,6 +329,8 @@ def feature_frequency(d: Dataset, top: int) -> list[tuple[str, float]]:
 
     Descending by fraction, ties broken by ascending feature name.
     """
+    if top < 0:
+        raise WeightingError(f"top must be >= 0, got {top}")
     n = len(d)
     if n == 0:
         return []
@@ -340,10 +342,17 @@ def feature_frequency(d: Dataset, top: int) -> list[tuple[str, float]]:
 
 
 def dump_tfidf(m: TfIdfModel, path) -> None:
-    """Write the model as JSON Lines with 10-significant-digit values."""
+    """Write the model as JSON Lines with 10-significant-digit values, each
+    row's entries in ascending feature-name order."""
+    keys = [json.dumps(name) + ":" for name in m.names]
+    rows = np.repeat(np.arange(m.n), np.diff(m.indptr))
+    order = np.lexsort((m.indices, rows))  # names ascend with their ids
+    entries = [
+        f"{keys[k]}{v:.10g}"
+        for k, v in zip(m.indices[order].tolist(), m.data[order].tolist())
+    ]
+    bounds = m.indptr.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for sid, row in zip(m.sample_ids, m.values):
-            parts = ",".join(
-                f'{json.dumps(k)}:{v:.10g}' for k, v in sorted(row.items())
-            )
+        for sid, a, b in zip(m.sample_ids, bounds, bounds[1:]):
+            parts = ",".join(entries[a:b])
             fh.write(f'{{"id":{json.dumps(sid)},"tfidf":{{{parts}}}}}\n')

@@ -394,11 +394,9 @@ def test_bench_rows(tmp_path):
         ["bench", "--sizes", "40", "--repeats", 2, "--out", out]
     ) == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "n\tmethod\tmedian_ms"
-    methods = {line.split("\t")[1] for line in lines[1:]}
-    assert methods == {
-        "weights", "weights-top", "epsilon", "knn", "en", "detect", "eval"
-    }
+    assert lines[0] == "n\tstage\tmedian_ms"
+    stages = [line.split("\t")[1] for line in lines[1:]]
+    assert stages == ["tfidf", "weights", "graph", "detect", "eval", "knn"]
 
 
 def test_every_error_class_is_a_malcom_error():
@@ -632,6 +630,30 @@ def test_deeply_nested_json_line_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: line 2: invalid JSON (nested too deeply)\n"
     assert not out.exists()
+
+
+def test_bad_feature_name_names_its_corpus_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text(
+        '{"id":"s1","features":{"perm/a":1}}\n{"id":"s2","features":{"nope":1}}\n'
+    )
+    assert run(["stats", "--input", data]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 2: feature name 'nope' lacks a category prefix\n"
+    )
+
+
+def test_bad_dictionary_row_names_its_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"id":"s1","features":{"perm/a":1}}\n')
+    dic = tmp_path / "dict.csv"
+    dic.write_text(
+        "feature,category,scope,value_kind\n"
+        "perm/a,FS1,platform-defined,boolean\n"
+        "perm/b,FS99,platform-defined,boolean\n"
+    )
+    assert run(["stats", "--input", data, "--dict", dic]) == 1
+    assert capsys.readouterr().err == "error: line 3: unknown category 'FS99'\n"
 
 
 def test_eval_single_sample_exit_1(tmp_path, capsys):

@@ -1,5 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import malcom
+from malcom.cli import main
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.graph import GraphBuildParams, GraphError
 from malcom.pipeline import run_pipeline
@@ -45,3 +53,40 @@ def test_weights_pruned_to_what_params_read():
     kept = run_pipeline(d, en_50)
     again = run_pipeline(d, en_1, weights=kept.weights)
     assert again.graph_stats == first.graph_stats
+
+
+REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "replay.py"
+STAGE_SPANS = {"weighting.tfidf", "graph.build", "infomap.detect", "metrics.evaluate"}
+
+
+@pytest.mark.parametrize(
+    "command, points",
+    [
+        pytest.param(["pipeline", "--out-dir", "run"], 1, id="pipeline"),
+        pytest.param(
+            ["sweep", "--p-grid", "5,10", "--out", "sweep.tsv"], 2, id="sweep"
+        ),
+    ],
+)
+def test_replay_sees_every_stage(tmp_path, command, points):
+    """The benchmark's traced replay wraps the stage functions where
+    run_pipeline looks them up; every call to it must reach each of them,
+    tf-idf once, and the pair weights only on the sweep's first point."""
+    synth = ["synth", "--out", tmp_path / "data.jsonl", "--families", 4,
+             "--samples-per-family", 10, "--seed", 7]
+    assert main([str(a) for a in synth]) == 0
+    result = subprocess.run(
+        [sys.executable, str(REPLAY), "--spans", "spans.json", "--",
+         *command, "--input", "data.jsonl", "--seed", "7"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(malcom.__file__).parent.parent)),
+    )
+    assert result.returncode == 0, result.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    runs = [s["id"] for s in spans if s["name"] == "pipeline.run"]
+    assert len(runs) == points
+    for run_id in runs:
+        children = [s["name"] for s in spans if s["parent"] == run_id]
+        assert STAGE_SPANS <= set(children)
+        assert children.count("weighting.tfidf") == 1
+    assert [s["name"] for s in spans].count("weighting.pairwise") == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -351,6 +352,11 @@ class TestFeatureFrequency:
             "perm/b",
         ]
 
+    def test_negative_top_rejected(self):
+        d = Dataset(samples=[Sample("s1", None, {"perm/a": 1.0, "perm/b": 1.0})])
+        with pytest.raises(weighting.WeightingError, match="top must be >= 0, got -1"):
+            feature_frequency(d, top=-1)
+
 
 def test_dump_tfidf_ten_significant_digits(tmp_path, four_sample_dataset):
     model = compute_tfidf(four_sample_dataset)
@@ -358,11 +364,29 @@ def test_dump_tfidf_ten_significant_digits(tmp_path, four_sample_dataset):
     dump_tfidf(model, out)
     lines = out.read_text().splitlines()
     assert len(lines) == 4
-    import json
-
     first = json.loads(lines[0])
     assert first["id"] == "s1"
     assert first["tfidf"]["perm/b"] == pytest.approx(2 * LN2, rel=1e-9)
+
+
+def test_dump_tfidf_equals_per_value_encoding(tmp_path):
+    """The CSR writer's lines equal a json.dumps of every sorted map entry;
+    the names need escaping and are stored out of order."""
+    d = Dataset(
+        samples=[
+            Sample(f"s{k}", None, {"str/\u00e9": 1.5, 'str/"q"': 0.25, "perm/z": 3.0})
+            for k in range(3)
+        ]
+        + [Sample("s3", None, {"str/\u00e9": 2.0}), Sample("s4", None, {})]
+    )
+    model = compute_tfidf(d)
+    out = tmp_path / "tfidf.jsonl"
+    dump_tfidf(model, out)
+    expected = []
+    for sid, row in zip(model.sample_ids, model.values):
+        parts = ",".join(f"{json.dumps(k)}:{v:.10g}" for k, v in sorted(row.items()))
+        expected.append(f'{{"id":{json.dumps(sid)},"tfidf":{{{parts}}}}}')
+    assert out.read_text(encoding="utf-8").splitlines() == expected
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
