@@ -13,11 +13,10 @@ from .dataset import (
     save_dataset,
     save_dictionary,
 )
-from .errors import MalcomError
+from .errors import MalcomError, ParameterError
 from .weighting import (
     TfIdfModel,
     WeightSet,
-    WeightingError,
     compute_tfidf,
     family_similarity,
     feature_frequency,
@@ -51,7 +50,7 @@ from .metrics import (
     rand_statistic,
 )
 from .baseline import KMeansConfig, KMeansResult, kmeans
-from .synth import SynthConfig, SynthError, generate
+from .synth import SynthConfig, generate
 from .pipeline import PipelineReport, run_pipeline
 
 __all__ = [name for name in dir() if not name.startswith("_")]

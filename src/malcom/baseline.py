@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalcomError
+from .errors import MalcomError, ParameterError
 
 MAX_ITERATIONS = 100
 TOLERANCE = 1e-6  # relative objective improvement that ends the iterations
@@ -34,7 +34,7 @@ class KMeansConfig:
 
     def validate(self, n: int) -> None:
         if not (1 <= self.c <= n):
-            raise KMeansError(f"cluster count must be in [1, {n}], got {self.c}")
+            raise ParameterError(f"cluster count must be in [1, {n}], got {self.c}")
 
 
 @dataclass

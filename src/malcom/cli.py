@@ -2,7 +2,8 @@
 community detection, baselines, evaluation, parameter sweeps and the
 per-stage pipeline timing harness.
 
-Exit codes: 0 success, 1 I/O or format error, 2 invalid parameters.
+Exit codes: 0 success, 1 I/O, format or memory error, 2 invalid
+parameters: a usage error or a ParameterError from any stage.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import metrics
-from .baseline import KMeansConfig, KMeansError, kmeans
+from .baseline import KMeansConfig, kmeans
 from .dataset import (
     Dataset,
     DatasetError,
@@ -23,10 +24,9 @@ from .dataset import (
     save_dataset,
     save_dictionary,
 )
-from .errors import MalcomError
+from .errors import MalcomError, ParameterError
 from .graph import (
     GraphBuildParams,
-    GraphError,
     build_graph,
     build_knn,
     read_edges,
@@ -38,7 +38,7 @@ from .pipeline import (
     run_pipeline,
     write_partition,
 )
-from .synth import SynthConfig, SynthError, generate
+from .synth import SynthConfig, generate
 from .weighting import (
     compute_tfidf,
     dump_tfidf,
@@ -50,6 +50,19 @@ from .weighting import (
 SCOPE_TOKENS = {"all": "all", "platform": "platform-defined", "app": "app-specific"}
 DEFAULT_SWEEP_GRID = list(range(1, 21)) + [25, 30, 40]
 DEFAULT_BENCH_SIZES = [650, 2002, 3900]  # 13 families of 50, 154, 300
+
+
+def _listing(kind):
+    """An argparse type: a comma-separated list of at least one ``kind``."""
+
+    def parse(text: str) -> list:
+        values = [kind(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise ValueError(text)
+        return values
+
+    parse.__name__ = f"comma-separated {kind.__name__}"  # argparse's message
+    return parse
 
 
 def _add_io_args(sp):
@@ -134,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
         "--p-grid",
+        type=_listing(float),
         default=",".join(str(p) for p in DEFAULT_SWEEP_GRID),
         help="comma-separated p values",
     )
@@ -144,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--sizes",
+        type=_listing(int),
         default=",".join(str(n) for n in DEFAULT_BENCH_SIZES),
         help="comma-separated sample counts",
     )
@@ -162,27 +177,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _graph_params(parser, n, **fields) -> GraphBuildParams:
-    """GraphBuildParams for an n-sample corpus; invalid values exit 2."""
+def _graph_params(n, **fields) -> GraphBuildParams:
+    """GraphBuildParams for an n-sample corpus, checked before any stage runs."""
     params = GraphBuildParams(**fields)
-    try:
-        params.validate(n)
-    except GraphError as exc:
-        parser.error(str(exc))
+    params.validate(n)
     return params
 
 
-def _load_filtered(parser, args):
+def _load_filtered(args):
     scope = SCOPE_TOKENS[args.scope]
     if scope != "all" and args.dict_path is None:
-        parser.error("--scope other than 'all' requires --dict")
+        raise ParameterError("--scope other than 'all' requires --dict")
     d = load_dataset(args.input)
     if args.dict_path is not None:
         d = Dataset(d.samples, load_dictionary(args.dict_path))
     return filter_by_scope(d, scope)
 
 
-def _cmd_synth(parser, args):
+def _cmd_synth(args):
     cfg = SynthConfig(
         num_families=args.families,
         samples_per_family=args.samples_per_family,
@@ -193,31 +205,27 @@ def _cmd_synth(parser, args):
         cross_family_leak_prob=args.leak,
         rng_seed=args.seed,
     )
-    try:
-        cfg.validate()
-    except SynthError as exc:
-        parser.error(str(exc))
     d = generate(cfg)
     save_dataset(d, args.out)
     if args.dict_out:
         save_dictionary(d.dictionary, args.dict_out)
 
 
-def _cmd_tfidf(parser, args):
-    d = _load_filtered(parser, args)
+def _cmd_tfidf(args):
+    d = _load_filtered(args)
     dump_tfidf(compute_tfidf(d), args.out)
 
 
-def _cmd_graph(parser, args):
-    d = _load_filtered(parser, args)
+def _cmd_graph(args):
+    d = _load_filtered(args)
     params = _graph_params(
-        parser, len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
+        len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
     )
     ws = pairwise_weights(compute_tfidf(d), top_p=params.weights_top_p())
     write_edges(build_graph(ws, params), args.out)
 
 
-def _cmd_detect(parser, args):
+def _cmd_detect(args):
     g = read_edges(args.edges)
     part, breakdown = detect(g, DetectorConfig(rng_seed=args.seed))
     out = Path(args.out_dir)
@@ -234,19 +242,14 @@ def _cmd_detect(parser, args):
     )
 
 
-def _cmd_kmeans(parser, args):
-    d = _load_filtered(parser, args)
-    cfg = KMeansConfig(c=args.c, rng_seed=args.seed)
-    try:
-        cfg.validate(len(d))
-    except KMeansError as exc:
-        parser.error(str(exc))
+def _cmd_kmeans(args):
+    d = _load_filtered(args)
     model = compute_tfidf(d)
-    result = kmeans(model, cfg)
+    result = kmeans(model, KMeansConfig(c=args.c, rng_seed=args.seed))
     write_partition(model.sample_ids, result.assignment, args.out)
 
 
-def _cmd_eval(parser, args):
+def _cmd_eval(args):
     d = load_dataset(args.input)
     if not d.fully_labeled():
         raise DatasetError("evaluation requires a fully labeled dataset")
@@ -260,34 +263,27 @@ def _cmd_eval(parser, args):
     metrics.write_report(metrics.evaluate(labels, assignment), args.out)
 
 
-def _cmd_stats(parser, args):
-    if args.top < 0:
-        parser.error(f"--top must be >= 0, got {args.top}")
-    d = _load_filtered(parser, args)
+def _cmd_stats(args):
+    if args.top < 0:  # before the corpus is read
+        raise ParameterError(f"--top must be >= 0, got {args.top}")
+    d = _load_filtered(args)
     rows = feature_frequency(d, args.top)
     lines = ["feature\tfraction"]
     lines += [f"{name}\t{frac:.10g}" for name, frac in rows]
     _emit(lines, args.out)
 
 
-def _cmd_family_sim(parser, args):
-    d = _load_filtered(parser, args)
+def _cmd_family_sim(args):
+    d = _load_filtered(args)
     ws = pairwise_weights(compute_tfidf(d))
     sim = family_similarity(d, ws)
     metrics.write_matrix_tsv(sim.families, sim.families, sim.matrix, args.out)
 
 
-def _cmd_sweep(parser, args):
-    d = _load_filtered(parser, args)
-    try:
-        grid = [float(p) for p in args.p_grid.split(",") if p.strip()]
-    except ValueError:
-        parser.error(f"--p-grid must be comma-separated numbers: {args.p_grid!r}")
-    if not grid:
-        parser.error(f"--p-grid lists no p value: {args.p_grid!r}")
-    grid_params = [
-        _graph_params(parser, len(d), method="en", p=p, k=args.k) for p in grid
-    ]
+def _cmd_sweep(args):
+    d = _load_filtered(args)
+    grid = args.p_grid
+    grid_params = [_graph_params(len(d), method="en", p=p, k=args.k) for p in grid]
 
     # the largest p first: its pruned pair weights hold every smaller p's,
     # so the corpus is weighed once; the sort is stable, so equal p keep
@@ -317,20 +313,14 @@ def _cmd_sweep(parser, args):
     _emit(lines, args.out)
 
 
-def _cmd_bench(parser, args):
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        parser.error(f"--sizes must be comma-separated integers: {args.sizes!r}")
-    if not sizes:
-        parser.error(f"--sizes lists no sample count: {args.sizes!r}")
-    if min(sizes) < 1:
-        parser.error(f"--sizes must be >= 1, got {min(sizes)}")
+def _cmd_bench(args):
+    if min(args.sizes) < 1:
+        raise ParameterError(f"--sizes must be >= 1, got {min(args.sizes)}")
     if args.repeats < 1:
-        parser.error(f"--repeats must be >= 1, got {args.repeats}")
+        raise ParameterError(f"--repeats must be >= 1, got {args.repeats}")
 
     lines = ["n\tstage\tmedian_ms"]
-    for n in sizes:
+    for n in args.sizes:
         per_family = max(1, round(n / 13))
         cfg = SynthConfig(
             num_families=13,
@@ -339,7 +329,7 @@ def _cmd_bench(parser, args):
             rng_seed=args.seed,
         )
         d = generate(cfg)
-        params = _graph_params(parser, len(d), method="en", p=args.p, k=args.k)
+        params = _graph_params(len(d), method="en", p=args.p, k=args.k)
         times: dict[str, list[float]] = {}
         for _ in range(args.repeats):
             report = run_pipeline(d, params, seed=args.seed)
@@ -356,10 +346,10 @@ def _cmd_bench(parser, args):
     _emit(lines, args.out)
 
 
-def _cmd_pipeline(parser, args):
-    d = _load_filtered(parser, args)
+def _cmd_pipeline(args):
+    d = _load_filtered(args)
     params = _graph_params(
-        parser, len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
+        len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
     )
     run_pipeline(d, params, seed=args.seed, out_dir=args.out_dir, scope=args.scope)
 
@@ -392,9 +382,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](parser, args)
-    except (MalcomError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _COMMANDS[args.command](args)
+    except ParameterError as exc:
+        parser.error(str(exc))
+    except (MalcomError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

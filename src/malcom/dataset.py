@@ -31,7 +31,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import MalcomError
+from .errors import MalcomError, ParameterError
 
 CATEGORIES = frozenset(f"FS{i}" for i in range(1, 12))
 SCOPES = ("platform-defined", "app-specific")
@@ -111,6 +111,9 @@ class Sample:
     features: dict[str, float]
 
     def __post_init__(self):
+        # edge and partition files put one id per field and line
+        if "\t" in self.id or "\n" in self.id or "\r" in self.id:
+            raise DatasetError(f"sample id {self.id!r} holds a tab or line break")
         values = self.features.values()
         # all finite and > 0: a NaN or an infinity makes the sum non-finite
         if min(values, default=1.0) > 0 and math.isfinite(sum(values)):
@@ -299,7 +302,7 @@ def filter_by_scope(d: Dataset, scope: str) -> Dataset:
     if scope == "all":
         return d
     if scope not in SCOPES:
-        raise DatasetError(f"unknown scope {scope!r}")
+        raise ParameterError(f"unknown scope {scope!r}")
     if d.dictionary is None:
         raise DatasetError("scope filtering requires a feature dictionary")
     scope_of = {e.feature: e.scope for e in d.dictionary}

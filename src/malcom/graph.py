@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .dataset import open_text
-from .errors import MalcomError
+from .errors import MalcomError, ParameterError
 from .weighting import VERTEX_ID, WeightSet, check_vertex_count
 
 # Fallback edges for vertices with no positive weight at all get this
@@ -76,19 +76,19 @@ class GraphBuildParams:
         return self.p
 
     def validate(self, n: int) -> None:
-        """The one check of graph parameters; the CLI exits 2 on its errors."""
+        """The one check of graph parameters for an n-vertex graph."""
         if self.method not in ("epsilon", "knn", "en"):
-            raise GraphError(f"unknown graph method {self.method!r}")
+            raise ParameterError(f"unknown graph method {self.method!r}")
         if self.epsilon is not None and self.method != "epsilon":
-            raise GraphError(f"method {self.method!r} reads no epsilon")
+            raise ParameterError(f"method {self.method!r} reads no epsilon")
         if not 0 < self.weights_top_p() <= 100:
-            raise GraphError(f"p must be in (0, 100], got {self.p}")
+            raise ParameterError(f"p must be in (0, 100], got {self.p}")
         if self.epsilon is not None and not self.epsilon >= 0:
-            raise GraphError(f"epsilon must be >= 0, got {self.epsilon}")
+            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.k < 1:
-            raise GraphError(f"k must be >= 1, got {self.k}")
+            raise ParameterError(f"k must be >= 1, got {self.k}")
         if self.method in ("knn", "en") and self.k >= n:
-            raise GraphError(f"k must be < n ({n}), got {self.k}")
+            raise ParameterError(f"k must be < n ({n}), got {self.k}")
 
 
 def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
@@ -102,7 +102,7 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
     if ws.total == 0:
         raise GraphError("cannot take a percentile of an empty weight set")
     if not (0 < p <= 100):
-        raise GraphError(f"p must be in (0, 100], got {p}")
+        raise ParameterError(f"p must be in (0, 100], got {p}")
     total, held = ws.total, len(ws)
     m = min(math.ceil(p / 100.0 * total), total)
     if m > held:
@@ -116,7 +116,7 @@ def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
     """Edge for every pair with weight >= epsilon; isolated vertices allowed.
     GraphError when pairs the set dropped would be edges."""
     if not epsilon >= 0:  # NaN too: every comparison with it is false
-        raise GraphError(f"epsilon must be >= 0, got {epsilon}")
+        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     if len(ws) < ws.total and epsilon < ws.w.min():
         raise GraphError(f"the set holds only the pair weights >= {ws.w.min():.10g}")
     mask = ws.w >= epsilon
@@ -206,7 +206,7 @@ def build_knn(ws: WeightSet, k: int) -> RelationGraph:
     """
     n = ws.n
     if not (1 <= k < n):
-        raise GraphError(f"k must satisfy 1 <= k < n ({n}), got {k}")
+        raise ParameterError(f"k must satisfy 1 <= k < n ({n}), got {k}")
     no_base = (ws.i[:0], ws.j[:0], ws.w[:0])
     g = _knn_union(ws, no_base, np.ones(n, dtype=bool), k)
     g.meta = {"method": "knn", "k": k}
@@ -219,7 +219,7 @@ def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
     that touch an isolated vertex."""
     n = ws.n
     if not (1 <= k < n):
-        raise GraphError(f"k must satisfy 1 <= k < n ({n}), got {k}")
+        raise ParameterError(f"k must satisfy 1 <= k < n ({n}), got {k}")
     epsilon, _ = percentile_cutoff(ws, p)
     base = build_epsilon(ws, epsilon)
     is_iso = base.degrees() == 0
@@ -282,6 +282,8 @@ def write_edges(g: RelationGraph, path) -> None:
 
 def read_edges(path) -> RelationGraph:
     """Inverse of write_edges (placeholder lines restore isolated vertices).
+    The ``# vertices:`` header is read on line 1 only, where write_edges
+    puts it, so a vertex id may begin with that text.
 
     Raises GraphError for a line without three tab-separated fields, a
     non-numeric value, an edge weight that is not finite and > 0, a
@@ -309,7 +311,7 @@ def read_edges(path) -> RelationGraph:
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("# vertices:"):
+            if lineno == 1 and line.startswith("# vertices:"):
                 n_declared = _parse_number(int, line.split(":", 1)[1], lineno)
                 continue
             fields = line.split("\t")

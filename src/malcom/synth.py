@@ -13,14 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, FeatureDictionaryEntry, Sample
-from .errors import MalcomError
+from .errors import ParameterError
 
 
 COMMON_PRESENCE_PROB = 0.8  # chance that a sample carries each common feature
-
-
-class SynthError(MalcomError):
-    pass
 
 
 @dataclass
@@ -43,12 +39,12 @@ class SynthConfig:
             self.noise_features_per_sample,
         )
         if any(c < 0 for c in counts):
-            raise SynthError("all counts must be >= 0")
+            raise ParameterError("all counts must be >= 0")
         if self.num_families == 0 and self.samples_per_family > 0:
-            raise SynthError("cannot generate samples with zero families")
+            raise ParameterError("cannot generate samples with zero families")
         probs = (self.signature_presence_prob, self.cross_family_leak_prob)
         if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise SynthError("probabilities must be in [0, 1]")
+            raise ParameterError("probabilities must be in [0, 1]")
 
 
 def _family_label(f: int) -> str:

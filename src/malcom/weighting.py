@@ -28,17 +28,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .dataset import Dataset, DatasetError
-from .errors import MalcomError
+from .errors import MalcomError, ParameterError
 
 # Cells of one row block of the pair-weight accumulator (4 MiB of float64).
 _BLOCK_CELLS = 1 << 19
 # dtype of vertex ids in pair, edge and CSR arrays; a key that multiplies
 # two ids (a * m + b) is built in int64, where the product cannot overflow
 VERTEX_ID = np.int32
-
-
-class WeightingError(MalcomError):
-    """Invalid pair-weighting parameters."""
 
 
 def check_vertex_count(n: int) -> None:
@@ -190,22 +186,23 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     the pairs below it are dropped.  The top ceil(p/100 * |W|) <= m_max
     pairs of any p <= top_p are never dropped.  If the threshold never
     rose, as at top_p = 100 (m_max = n(n-1)/2), the set is complete.  The
-    output arrays reserve room for all n(n-1)/2 pairs, but only the pairs
-    held are written, so resident memory is O(b * n + held pairs), 16
-    bytes per held pair.  A weight that overflows the float64 range raises
-    DatasetError.
+    output arrays reserve room for min(n(n-1)/2, 2 * m_max + b * n) pairs,
+    what the pairs held before a block and the block's own can fill; when
+    ties at the threshold hold more than 2 * m_max pairs, they grow in
+    place.  Memory is O(b * n + held pairs), 16 bytes per held pair.  A
+    weight that overflows the float64 range raises DatasetError.
     """
     if not 0 < top_p <= 100:
-        raise WeightingError(f"top_p must be in (0, 100], got {top_p}")
+        raise ParameterError(f"top_p must be in (0, 100], got {top_p}")
     n = m.n
     check_vertex_count(n)
     features = _feature_lists(m)
     rows = max(1, _BLOCK_CELLS // n)
-    # room for every pair; pages past the last pair held stay untouched
     size = n * (n - 1) // 2
     m_max = math.ceil(top_p / 100.0 * size)
-    i, j = np.empty(size, dtype=VERTEX_ID), np.empty(size, dtype=VERTEX_ID)
-    w = np.empty(size, dtype=np.float64)
+    room = min(size, 2 * m_max + rows * n)
+    i, j = np.empty(room, dtype=VERTEX_ID), np.empty(room, dtype=VERTEX_ID)
+    w = np.empty(room, dtype=np.float64)
     count = total = 0
     min_w = math.inf
     threshold = 0.0
@@ -222,6 +219,9 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         flat = np.flatnonzero(keep)
         del keep
         end = count + len(flat)
+        if end > len(w):  # ties at the threshold hold over 2 * m_max pairs
+            for a in (i, j, w):
+                a.resize(min(size, max(end, 2 * len(a))), refcheck=False)
         np.take(acc, flat, out=w[count:end], mode="clip")  # unbuffered
         # cell (a, b) of the block is flat index a * width + b; ids < 2**31
         np.floor_divide(flat, width, out=i[count:end], casting="unsafe")
@@ -330,7 +330,7 @@ def feature_frequency(d: Dataset, top: int) -> list[tuple[str, float]]:
     Descending by fraction, ties broken by ascending feature name.
     """
     if top < 0:
-        raise WeightingError(f"top must be >= 0, got {top}")
+        raise ParameterError(f"top must be >= 0, got {top}")
     n = len(d)
     if n == 0:
         return []

@@ -8,8 +8,9 @@ from conftest import tfidf_model
 from test_weighting import tfidf_corpora
 
 from malcom import baseline
-from malcom.baseline import KMeansConfig, KMeansError, kmeans, tfidf_matrix
+from malcom.baseline import KMeansConfig, kmeans, tfidf_matrix
 from malcom.dataset import Dataset, DatasetError, Sample
+from malcom.errors import ParameterError
 from malcom.weighting import compute_tfidf
 from malcom.synth import SynthConfig, generate
 
@@ -42,7 +43,7 @@ class TestKMeans:
 
     def test_c_out_of_range(self):
         m = model_1d([1.0, 2.0])
-        with pytest.raises(KMeansError):
+        with pytest.raises(ParameterError):
             kmeans(m, KMeansConfig(c=3))
 
     def test_deterministic_for_fixed_seed(self):

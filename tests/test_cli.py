@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -9,12 +10,20 @@ from pathlib import Path
 import pytest
 
 import malcom
-from malcom import baseline
+from malcom import baseline, cli
+from malcom.baseline import KMeansConfig
 from malcom.cli import main
-from malcom.dataset import load_dataset
-from malcom.graph import GraphBuildParams
+from malcom.dataset import filter_by_scope, load_dataset
+from malcom.graph import (
+    GraphBuildParams,
+    build_en,
+    build_epsilon,
+    build_knn,
+    percentile_cutoff,
+)
 from malcom.pipeline import run_pipeline
-from malcom.weighting import pairwise_weights
+from malcom.synth import SynthConfig
+from malcom.weighting import compute_tfidf, feature_frequency, pairwise_weights
 
 
 def run(args):
@@ -173,6 +182,105 @@ def test_stats_params_checked_before_input_read(tmp_path, extra):
     with pytest.raises(SystemExit) as exc:
         run(["stats", "--input", tmp_path / "missing.jsonl", *extra])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("grid", ["x", "5,x", ","])
+def test_sweep_grid_checked_before_input_read(tmp_path, grid, capsys):
+    # reading the missing input would exit 1
+    with pytest.raises(SystemExit) as exc:
+        run(
+            ["sweep", "--input", tmp_path / "missing.jsonl", "--p-grid", grid,
+             "--out", tmp_path / "sweep.tsv"]
+        )
+    assert exc.value.code == 2
+    assert "--p-grid" in capsys.readouterr().err
+
+
+def weights(d):
+    return pairwise_weights(compute_tfidf(d))
+
+
+# each library parameter check, run on the 32-sample corpus, and its message
+LIBRARY_PARAMETER_ERRORS = [
+    pytest.param(
+        lambda d: GraphBuildParams(k=0).validate(len(d)), "k must be >= 1, got 0",
+        id="graph-params",
+    ),
+    pytest.param(
+        lambda d: percentile_cutoff(weights(d), 0), "p must be in (0, 100], got 0",
+        id="percentile-cutoff",
+    ),
+    pytest.param(
+        lambda d: build_epsilon(weights(d), math.nan), "epsilon must be >= 0, got nan",
+        id="build-epsilon",
+    ),
+    pytest.param(
+        lambda d: build_knn(weights(d), 32), "k must satisfy 1 <= k < n (32), got 32",
+        id="build-knn",
+    ),
+    pytest.param(
+        lambda d: build_en(weights(d), 10, 0), "k must satisfy 1 <= k < n (32), got 0",
+        id="build-en",
+    ),
+    pytest.param(
+        lambda d: KMeansConfig(c=0).validate(len(d)),
+        "cluster count must be in [1, 32], got 0",
+        id="kmeans-config",
+    ),
+    pytest.param(
+        lambda d: SynthConfig(cross_family_leak_prob=2.0).validate(),
+        "probabilities must be in [0, 1]",
+        id="synth-config",
+    ),
+    pytest.param(
+        lambda d: pairwise_weights(compute_tfidf(d), top_p=0),
+        "top_p must be in (0, 100], got 0",
+        id="pairwise-weights",
+    ),
+    pytest.param(
+        lambda d: feature_frequency(d, -1), "top must be >= 0, got -1",
+        id="feature-frequency",
+    ),
+    pytest.param(
+        lambda d: filter_by_scope(d, "everywhere"), "unknown scope 'everywhere'",
+        id="filter-by-scope",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, message", LIBRARY_PARAMETER_ERRORS)
+def test_library_parameter_error_exits_2(corpus, monkeypatch, capsys, check, message):
+    """A ParameterError raised anywhere in a command reaches main, which
+    alone turns it into a usage error: exit 2 and its message."""
+    data, _ = corpus
+    d = load_dataset(data)
+    monkeypatch.setitem(cli._COMMANDS, "stats", lambda args: check(d))
+    with pytest.raises(SystemExit) as exc:
+        run(["stats", "--input", data])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        pytest.param(MemoryError(), "out of memory", id="no-message"),
+        pytest.param(
+            MemoryError("Unable to allocate 58.0 MiB"), "Unable to allocate 58.0 MiB",
+            id="numpy-message",
+        ),
+    ],
+)
+def test_memory_error_exit_1(tmp_path, corpus, monkeypatch, capsys, exc, message):
+    """A stage that runs out of memory ends in error:, not a traceback."""
+
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "pairwise_weights", no_memory)
+    data, _ = corpus
+    assert run(["graph", "--input", data, "--out", tmp_path / "edges.tsv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_pipeline_missing_input_exit_1(tmp_path, capsys):
@@ -400,8 +508,9 @@ def test_bench_rows(tmp_path):
 
 
 def test_every_error_class_is_a_malcom_error():
-    """cli.main reports MalcomError as error: and exit 1, so every error
-    class the package defines must derive from it."""
+    """cli.main reports MalcomError as error: and exit 1 (ParameterError as
+    a usage error, exit 2), so every error class the package defines must
+    derive from it."""
     classes = {
         obj
         for info in pkgutil.iter_modules(malcom.__path__)
@@ -413,7 +522,7 @@ def test_every_error_class_is_a_malcom_error():
     names = {c.__name__ for c in classes}
     assert {
         "DatasetError", "EvalError", "GraphError", "InfomapError",
-        "KMeansError", "SynthError", "WeightingError", "MalcomError",
+        "KMeansError", "MalcomError", "ParameterError",
     } <= names
     assert all(issubclass(c, malcom.MalcomError) for c in classes)
     assert issubclass(malcom.MalcomError, ValueError)

@@ -124,6 +124,15 @@ class TestLoadDataset:
             Sample("s1", None, {"perm/a": 1.0, "perm/b": value, "perm/c": 2.0})
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("sid", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
+    def test_id_with_tab_or_line_break_names_its_line(self, tmp_path, sid):
+        # edge and partition files could not be read back
+        f = tmp_path / "d.jsonl"
+        write_lines(f, ['{"id":"s1","features":{}}', json.dumps({"id": sid, "features": {}})])
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(f)
+        assert str(exc.value) == f"line 2: sample id {sid!r} holds a tab or line break"
+
     def test_sample_values_may_sum_past_the_float_range(self):
         Sample("s1", None, {"perm/a": 1e308, "perm/b": 1e308})
 

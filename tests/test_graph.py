@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_weights, weight_set
 from malcom import graph, infomap, weighting
 from malcom.dataset import Dataset, Sample
+from malcom.errors import ParameterError
 from malcom.graph import (
     GraphError,
     GraphBuildParams,
@@ -118,7 +119,7 @@ class TestBuildEpsilon:
 
     @pytest.mark.parametrize("epsilon", [-1.0, float("nan")])
     def test_negative_or_nan_threshold_rejected(self, six_weight_set, epsilon):
-        with pytest.raises(GraphError, match="epsilon must be >= 0"):
+        with pytest.raises(ParameterError, match="epsilon must be >= 0"):
             build_epsilon(six_weight_set, epsilon)
 
 
@@ -142,7 +143,7 @@ class TestBuildKnn:
             assert (build_knn(six_weight_set, k).degrees() >= k).all()
 
     def test_k_out_of_range(self, six_weight_set):
-        with pytest.raises(GraphError):
+        with pytest.raises(ParameterError):
             build_knn(six_weight_set, 4)
 
 
@@ -239,6 +240,19 @@ def test_edge_file_round_trip(tmp_path, six_weight_set):
     loaded = read_edges(path)
     assert edge_ids(loaded) == edge_ids(g)
     assert loaded.n == g.n
+
+
+def test_vertex_id_like_the_header_round_trips(tmp_path):
+    # only line 1 is the header; the id sorts first, so it starts line 2
+    ids = ["# vertices: 9", "c", "d", "e"]
+    g = RelationGraph(ids, np.array([0, 1]), np.array([1, 2]), np.array([0.69, 2.0]))
+    path, again = tmp_path / "edges.tsv", tmp_path / "again.tsv"
+    write_edges(g, path)
+    loaded = read_edges(path)
+    assert sorted(loaded.vertices) == sorted(ids)
+    assert edge_ids(loaded) == edge_ids(g)
+    write_edges(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_epsilon_file_lists_isolated_placeholders(tmp_path, six_weight_set):

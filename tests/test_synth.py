@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from malcom.dataset import save_dataset
-from malcom.synth import SynthConfig, SynthError, generate
+from malcom.errors import ParameterError
+from malcom.synth import SynthConfig, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
 
@@ -73,7 +74,7 @@ class TestGenerate:
 
     def test_zero_families_with_samples_rejected(self):
         cfg = SynthConfig(num_families=0, samples_per_family=3)
-        with pytest.raises(SynthError):
+        with pytest.raises(ParameterError):
             cfg.validate()
 
     def test_within_family_weight_exceeds_cross_family(self):

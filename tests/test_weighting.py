@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import brute_force_weights, pair_weight, tfidf_model, weight_set
 from malcom import weighting
 from malcom.dataset import Dataset, DatasetError, Sample
-from malcom.errors import MalcomError
+from malcom.errors import MalcomError, ParameterError
 from malcom.synth import SynthConfig, generate
 from malcom.weighting import (
     compute_tfidf,
@@ -354,7 +355,7 @@ class TestFeatureFrequency:
 
     def test_negative_top_rejected(self):
         d = Dataset(samples=[Sample("s1", None, {"perm/a": 1.0, "perm/b": 1.0})])
-        with pytest.raises(weighting.WeightingError, match="top must be >= 0, got -1"):
+        with pytest.raises(ParameterError, match="top must be >= 0, got -1"):
             feature_frequency(d, top=-1)
 
 
@@ -410,3 +411,52 @@ def test_int32_vertex_ids_bound_the_sample_count():
     model = tfidf_model([], n=2**31)
     with pytest.raises(MalcomError, match="int32"):
         pairwise_weights(model)
+
+
+def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
+    """The stream reserves min(n(n-1)/2, 2 m_max + b n) pairs, not all
+    n(n-1)/2 at 16 bytes each."""
+    d = generate(
+        SynthConfig(signature_presence_prob=0.6, cross_family_leak_prob=0.15, rng_seed=7)
+    )
+    model = compute_tfidf(d)
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
+    tracemalloc.start()
+    try:
+        pairwise_weights(model, top_p=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = model.n
+    assert peak < 16 * n * (n - 1) // 2
+
+
+def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
+    """The golden "twins" corpus with each family's first sample repeated:
+    a family's pairs all tie, so at a small p the pairs at the threshold
+    outgrow the 2 m_max + b n reserved, and the set still holds exactly the
+    pairs at or above its smallest weight."""
+    d = generate(
+        SynthConfig(
+            common_features=0,
+            noise_features_per_sample=0,
+            signature_presence_prob=1.0,
+            cross_family_leak_prob=0.0,
+            rng_seed=7,
+        )
+    )
+    first = {}
+    for s in d.samples:
+        first.setdefault(s.family, s.features)
+    model = compute_tfidf(
+        Dataset([Sample(s.id, s.family, first[s.family]) for s in d.samples])
+    )
+    full = pairwise_weights(model)
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 10)  # b = 1 row
+    n, top_p = model.n, 0.1
+    m_max = math.ceil(top_p / 100.0 * (n * (n - 1) // 2))
+    ws = pairwise_weights(model, top_p)
+    assert len(ws) > 2 * m_max + n
+    held = full.w >= ws.w.min()
+    for a in "ijw":
+        assert np.array_equal(getattr(ws, a), getattr(full, a)[held])
