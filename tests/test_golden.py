@@ -10,7 +10,9 @@ at the floor weight), and "twins" repeats each family's sample, so that
 k-th neighbours tie and the id tie-break picks among them.  The detector
 has cases of its own: ``detect --edges --seed 5`` on the hard corpus's E-N
 graphs at p = 1, 10 and the dense p = 40.  ``kmeans --c 13``, ``sweep``
-and ``pipeline`` take the corpus seed as their seed.
+and ``pipeline`` take the corpus seed as their seed.  ``synth`` is digested
+by the corpus and dictionary every case reads, and ``eval`` by its report
+on the ``pipeline`` case's partition.
 
 Two files carry wall times, which change from run to run: report.json is
 digested without its ``timings_ms`` object, and the sweep's TSV by its
@@ -54,6 +56,7 @@ RUNS = {
     "kmeans": (["kmeans", "--c", "13"], ["partition.csv"]),
     "tfidf": (["tfidf"], ["tfidf.jsonl"]),
     "sweep": (["sweep", "--p-grid", "1,10,40"], ["sweep.tsv"]),
+    "stats": (["stats"], ["stats.tsv"]),
 }
 
 
@@ -101,10 +104,15 @@ def _digest(name: str, data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def make_corpus(kind: str, seed: int, path: Path) -> Path:
-    argv = ["synth", "--samples-per-family", "50", "--seed", str(seed), "--out", str(path)]
+SYNTH_FILES = ("corpus.jsonl", "dict.csv")
+
+
+def make_corpus(kind: str, seed: int, out: Path) -> Path:
+    """synth's corpus and dictionary in the directory out; the corpus path."""
+    argv = ["synth", "--samples-per-family", "50", "--seed", str(seed),
+            "--out", str(out / SYNTH_FILES[0]), "--dict-out", str(out / SYNTH_FILES[1])]
     assert main(argv + CORPORA[kind]) == 0
-    return path
+    return out / SYNTH_FILES[0]
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +121,22 @@ def corpora(tmp_path_factory):
 
     def get(kind, seed):
         if (kind, seed) not in made:
-            path = tmp_path_factory.mktemp("golden") / f"{kind}-{seed}.jsonl"
-            made[kind, seed] = make_corpus(kind, seed, path)
+            made[kind, seed] = make_corpus(kind, seed, tmp_path_factory.mktemp("golden"))
         return made[kind, seed]
+
+    return get
+
+
+@pytest.fixture(scope="module")
+def ran(corpora, tmp_path_factory):
+    """Each case run once per module: (output directory, digests)."""
+    done = {}
+
+    def get(kind, seed, run):
+        if (kind, seed, run) not in done:
+            out = tmp_path_factory.mktemp(run)
+            done[kind, seed, run] = out, run_case(corpora(kind, seed), seed, run, out)
+        return done[kind, seed, run]
 
     return get
 
@@ -124,9 +145,24 @@ def corpora(tmp_path_factory):
     "kind,seed,run",
     [(k, s, r) for s in SEEDS for k in sorted(CORPORA) for r in CORPUS_RUNS[k]],
 )
-def test_output_digests(corpora, tmp_path, kind, seed, run):
-    got = run_case(corpora(kind, seed), seed, run, tmp_path)
-    assert got == DIGESTS[f"{kind}-{seed}"][run]
+def test_output_digests(ran, kind, seed, run):
+    assert ran(kind, seed, run)[1] == DIGESTS[f"{kind}-{seed}"][run]
+
+
+@pytest.mark.parametrize("kind,seed", [(k, s) for s in SEEDS for k in sorted(CORPORA)])
+def test_synth_digests(corpora, kind, seed):
+    out = corpora(kind, seed).parent
+    got = {f: _digest(f, (out / f).read_bytes()) for f in SYNTH_FILES}
+    assert got == DIGESTS[f"{kind}-{seed}"]["synth"]
+
+
+@pytest.mark.parametrize("kind,seed", [(k, s) for s in SEEDS for k in ("easy", "hard")])
+def test_eval_digests(corpora, ran, tmp_path, kind, seed):
+    partition = ran(kind, seed, "pipeline")[0] / "partition.csv"
+    out = tmp_path / "eval.json"
+    argv = ["eval", "--input", str(corpora(kind, seed)), "--partition", str(partition)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _digest(out.name, out.read_bytes()) == DIGESTS[f"{kind}-{seed}"]["eval"]["eval.json"]
 
 
 DETECT_P = (1, 10, 40)
