@@ -29,18 +29,15 @@ skipping repeated work (``_local_move_passes``):
 - A vertex's neighbor-community weights ``w_to`` read only its
   neighbors' communities, so they are cached per vertex until a neighbor
   moves; each move drops the cached ``w_to`` of the mover's neighbors.
-- A vertex that stayed at its last visit is skipped while a move counter
-  shows no move anywhere since: it would meet the same state bit for bit.
 - A row of at least ``_ARRAY_MIN`` entries sums ``w_to`` with one
   ``np.bincount``, which adds in row order and so gives the same doubles.
   A visit with at least ``_ARRAY_MIN`` candidates is scored with numpy in
   ``best_move``'s order (``_LocalState.near_best``).  numpy's SIMD log2
   may differ from ``math.log2`` in the last ulp, so each numpy delta is
   within ``_DELTA_EPS`` of the exact one, and the numpy scores serve only
-  as a certificate: nothing moves when their minimum is at least
-  -tolerance + ``_DELTA_EPS``, and otherwise the exact ``best_move``
-  re-scores the candidates within 2 * ``_DELTA_EPS`` of that minimum,
-  among which the exact first minimum must lie.
+  as a certificate: the exact ``best_move`` re-scores the candidates
+  within 2 * ``_DELTA_EPS`` of their minimum, among which the exact first
+  minimum must lie.
 
 Community exit sums and the aggregated edge weights walk the CSR rows in
 slices of about ``_CHUNK`` entries and add with ``np.add.at``, one term
@@ -291,12 +288,10 @@ class MoveCounts:
     """What the local moves of a level did, summed over its passes."""
 
     visits: int = 0
-    skipped: int = 0  # visits skipped: v stayed last time, nothing moved since
     cached: int = 0  # visits that reused v's w_to
     cleared: int = 0  # cached w_to dropped because a neighbor moved
     array_rows: int = 0  # w_to summed by np.bincount
-    wide: int = 0  # visits scored with numpy
-    rescored: int = 0  # wide visits re-scored exactly near the numpy minimum
+    wide: int = 0  # visits scored with numpy, then exactly near its minimum
 
 
 class _LocalState:
@@ -431,19 +426,15 @@ class _LocalState:
                 best_c, best_delta = b, delta
         return best_c, best_delta
 
-    def near_best(
-        self, v: int, comms: np.ndarray, w: np.ndarray, tol: float
-    ) -> Optional[dict[int, float]]:
+    def near_best(self, v: int, comms: np.ndarray, w: np.ndarray) -> dict[int, float]:
         """The part of w_to = dict(zip(comms, w)) that holds ``best_move``'s
-        choice, or None when that choice is certain not to gain more than
-        tol.
+        choice.
 
         Every candidate's delta is computed with numpy, in best_move's
         order; it differs from move_delta's double only through np.log2, by
-        less than _DELTA_EPS.  When the numpy minimum is >= -tol +
-        _DELTA_EPS, no delta is < -tol.  Otherwise each candidate at the
-        exact minimum lies within 2 * _DELTA_EPS of the numpy minimum, so
-        the candidates there, with v's own community, decide best_move.
+        less than _DELTA_EPS.  So each candidate at the exact minimum lies
+        within 2 * _DELTA_EPS of the numpy minimum, and the candidates
+        there, with v's own community, decide best_move.
         """
         a = self.assignment[v]
         own = comms == a
@@ -462,10 +453,7 @@ class _LocalState:
             - 2.0 * (plogp_qa_new + _plogp_array(qb_new) - plogp_qa - plogp_q)
             + (plogp_ua_new + _plogp_array(qb_new + sum_p + p_v) - plogp_ua - plogp_u)
         )
-        low = delta.min(initial=math.inf)
-        if low >= -tol + _DELTA_EPS:
-            return None
-        near = delta <= low + 2.0 * _DELTA_EPS
+        near = delta <= delta.min(initial=math.inf) + 2.0 * _DELTA_EPS
         w_to = dict(zip(b[near].tolist(), w_vb[near].tolist()))
         w_to[a] = w_va
         return w_to
@@ -497,14 +485,12 @@ def _local_move_passes(
     """Run shuffled local-move passes from all-singletons to convergence.
 
     Each visit moves v to ``best_move``'s choice when it gains more than
-    tol.  Three rules skip work without changing a choice:
+    tol.  Two rules skip work without changing a choice:
 
     - w_to reads only the communities of v's neighbors, so v keeps it in
       ``cache`` until a neighbor moves; a move drops the cached w_to of
       every neighbor of the mover.  Only w_to of fewer than _ARRAY_MIN
       communities are kept, so the cache holds < n * _ARRAY_MIN entries.
-    - A vertex that stayed at its last visit, with no move anywhere since,
-      meets the same state bit for bit and would stay again: it is skipped.
     - A row of >= _ARRAY_MIN entries sums w_to with one np.bincount, which
       adds in row order as the dict loop does, and a visit with
       >= _ARRAY_MIN neighbor communities is scored by ``near_best``.
@@ -514,17 +500,13 @@ def _local_move_passes(
     indptr = net.indptr.tolist()
     indices, inv_two_w = net.indices, state.inv_two_w
     cache: list[Optional[dict[int, float]]] = [None] * net.n
-    stayed_at = [-1] * net.n  # the move count at v's last visit, if v stayed
-    moves = 0
     c = counts if counts is not None else MoveCounts()
-    while True:
-        moves_before = moves
+    moved = True
+    while moved:  # until a pass moves nothing
+        moved = False
         order = rng.permutation(net.n)
         c.visits += net.n
         for v in order.tolist():
-            if stayed_at[v] == moves:
-                c.skipped += 1
-                continue
             s, e = indptr[v], indptr[v + 1]
             w_to = cache[v]
             if w_to is not None:
@@ -550,24 +532,16 @@ def _local_move_passes(
                     cache[v] = w_to
                 else:
                     c.wide += 1
-                    w_to = state.near_best(v, comms, sums[comms], tol)
-                    if w_to is None:
-                        stayed_at[v] = moves
-                        continue
-                    c.rescored += 1
+                    w_to = state.near_best(v, comms, sums[comms])
             a = assignment[v]
             best_c, best_delta = state.best_move(v, w_to)
             if best_c != a and best_delta < -tol:
                 state.apply_move(v, best_c, w_to.get(a, 0.0), w_to[best_c])
-                moves += 1
+                moved = True
                 for u in indices[s:e].tolist():
                     if cache[u] is not None:
                         cache[u] = None
                         c.cleared += 1
-            else:
-                stayed_at[v] = moves
-        if moves == moves_before:
-            break
     return assignment
 
 

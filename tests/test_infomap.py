@@ -536,8 +536,7 @@ class TestBestMove:
     @pytest.mark.parametrize("array_min", [1, 16, 1 << 30])
     def test_multi_pass_local_moves_match_scalar_oracle(self, array_min):
         """300-vertex planted graphs that take >= 3 passes, so that cached
-        w_to are dropped and unchanged visits skipped: the same partition
-        as the scalar loop."""
+        w_to are dropped: the same partition as the scalar loop."""
         rng = np.random.default_rng(47)
         tol = infomap.CONVERGENCE_TOLERANCE
         totals = MoveCounts()
@@ -552,11 +551,10 @@ class TestBestMove:
             for field in dataclasses.fields(MoveCounts):
                 name = field.name
                 setattr(totals, name, getattr(totals, name) + getattr(counts, name))
-        assert totals.skipped > 0
         if array_min > 1:  # the cache holds only w_to of < array_min communities
             assert totals.cleared > 0 and totals.cached > 0
         if array_min < 1 << 30:
-            assert totals.array_rows > 0 and totals.rescored > 0
+            assert totals.array_rows > 0 and totals.wide > 0
 
     def test_twin_communities_are_both_rescored(self):
         """v joins two unit-weight 4-cliques, each a community, by edges of
@@ -576,7 +574,7 @@ class TestBestMove:
         w_to = neighbor_weights(state, net, 0)
         assert w_to[1] == w_to[2]
         tol = infomap.CONVERGENCE_TOLERANCE
-        near = state.near_best(0, np.array([1, 2]), np.array([w_to[1], w_to[2]]), tol)
+        near = state.near_best(0, np.array([1, 2]), np.array([w_to[1], w_to[2]]))
         assert near == {0: 0.0, 1: w_to[1], 2: w_to[2]}
         best = state.best_move(0, near)
         assert best == state.best_move(0, w_to) and best[0] == 1
