@@ -35,6 +35,8 @@ class KMeansConfig:
     def validate(self, n: int) -> None:
         if not (1 <= self.c <= n):
             raise ParameterError(f"cluster count must be in [1, {n}], got {self.c}")
+        if self.rng_seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

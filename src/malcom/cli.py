@@ -244,8 +244,10 @@ def _cmd_detect(args):
 
 def _cmd_kmeans(args):
     d = _load_filtered(args)
+    cfg = KMeansConfig(c=args.c, rng_seed=args.seed)
+    cfg.validate(len(d))  # before tf-idf
     model = compute_tfidf(d)
-    result = kmeans(model, KMeansConfig(c=args.c, rng_seed=args.seed))
+    result = kmeans(model, cfg)
     write_partition(model.sample_ids, result.assignment, args.out)
 
 

@@ -71,12 +71,20 @@ def open_text(path, error: type[MalcomError] = DatasetError, newline=None):
             raise error(f"{path}: {exc}") from None
 
 
+def _breaks_fields(label: str) -> bool:
+    """True when label holds a tab, CR or LF: the TSV and CSV outputs write
+    each sample id, family and feature name as one field of a line."""
+    return "\t" in label or "\n" in label or "\r" in label
+
+
 def split_feature(name: str) -> tuple[str, str]:
     """Split a namespaced feature name into (prefix, local name).
 
     Only the first "/" separates prefix from name; the local name may itself
-    contain slashes (e.g. ``str/http://x.com``).
+    contain slashes (e.g. ``str/http://x.com``), but no tab or line break.
     """
+    if _breaks_fields(name):
+        raise DatasetError(f"feature name {name!r} holds a tab or line break")
     if not name or "/" not in name:
         raise DatasetError(f"feature name {name!r} lacks a category prefix")
     prefix, local = name.split("/", 1)
@@ -111,9 +119,10 @@ class Sample:
     features: dict[str, float]
 
     def __post_init__(self):
-        # edge and partition files put one id per field and line
-        if "\t" in self.id or "\n" in self.id or "\r" in self.id:
+        if _breaks_fields(self.id):
             raise DatasetError(f"sample id {self.id!r} holds a tab or line break")
+        if self.family is not None and _breaks_fields(self.family):
+            raise DatasetError(f"family {self.family!r} holds a tab or line break")
         values = self.features.values()
         # all finite and > 0: a NaN or an infinity makes the sum non-finite
         if min(values, default=1.0) > 0 and math.isfinite(sum(values)):

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MalcomError
+from .errors import MalcomError, ParameterError
 from .graph import RelationGraph, csr
 from .weighting import VERTEX_ID
 
@@ -117,6 +117,10 @@ class MapEquationBreakdown:
 @dataclass
 class DetectorConfig:
     rng_seed: int = 0
+
+    def validate(self) -> None:
+        if self.rng_seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 class _Net:
@@ -502,7 +506,7 @@ def _local_move_passes(
     cache: list[Optional[dict[int, float]]] = [None] * net.n
     c = counts if counts is not None else MoveCounts()
     moved = True
-    while moved:  # until a pass moves nothing
+    while moved:
         moved = False
         order = rng.permutation(net.n)
         c.visits += net.n
@@ -606,6 +610,7 @@ def detect(
     """
     if cfg is None:
         cfg = DetectorConfig()
+    cfg.validate()
     if g.n == 0:
         raise InfomapError("empty graph")
     rng = np.random.default_rng(cfg.rng_seed)

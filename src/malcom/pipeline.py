@@ -112,6 +112,8 @@ def run_pipeline(
     the pairs ``params`` reads, else GraphError.  The graph builders never
     modify a weight set, which is what makes it reusable.
     """
+    detector = DetectorConfig(rng_seed=seed)
+    detector.validate()  # before any stage runs
     report = PipelineReport(
         parameters={
             "scope": scope,
@@ -141,7 +143,7 @@ def run_pipeline(
     g = timed("graph", build_graph, weights, params)
     report.graph_stats = _graph_stats(g)
 
-    part, breakdown = timed("detect", detect, g, DetectorConfig(rng_seed=seed))
+    part, breakdown = timed("detect", detect, g, detector)
     report.codelength_bits = breakdown.codelength
     report.num_communities = part.m
     report.q_total = breakdown.q_total

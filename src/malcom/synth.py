@@ -45,6 +45,8 @@ class SynthConfig:
         probs = (self.signature_presence_prob, self.cross_family_leak_prob)
         if any(not (0.0 <= p <= 1.0) for p in probs):
             raise ParameterError("probabilities must be in [0, 1]")
+        if self.rng_seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.rng_seed}")
 
 
 def _family_label(f: int) -> str:

@@ -765,6 +765,69 @@ def test_bad_dictionary_row_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: unknown category 'FS99'\n"
 
 
+def test_dictionary_feature_with_tab_names_its_line(tmp_path, capsys):
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"id":"s1","features":{"perm/a":1}}\n')
+    dic = tmp_path / "dict.csv"
+    dic.write_text(
+        "feature,category,scope,value_kind\n"
+        "perm/a,FS1,platform-defined,boolean\n"
+        "str/a\tb,FS8,app-specific,boolean\n"
+    )
+    assert run(["stats", "--input", data, "--dict", dic]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 3: feature name 'str/a\\tb' holds a tab or line break\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command,family,feature",
+    [
+        pytest.param("family-sim", "F\tX", "perm/a", id="family-tab"),
+        pytest.param("family-sim", "F\nX", "perm/a", id="family-lf"),
+        pytest.param("stats", "A", "str/a\tb", id="feature-tab"),
+    ],
+)
+def test_label_breaking_an_output_line_exit_1(tmp_path, capsys, command, family, feature):
+    """A family or feature name that would split a TSV field or line of the
+    family-sim matrix or the stats rows ends in an error naming its line."""
+    data = tmp_path / "data.jsonl"
+    data.write_text(
+        '{"id":"s1","family":"A","features":{"perm/a":1}}\n'
+        + json.dumps({"id": "s2", "family": family, "features": {feature: 1}}) + "\n"
+    )
+    out = tmp_path / "out.tsv"
+    assert run([command, "--input", data, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline", "detect", "kmeans", "sweep", "bench"])
+def test_negative_seed_exit_2(tmp_path, corpus, monkeypatch, capsys, command):
+    """A negative --seed is a usage error, never numpy's traceback, and no
+    command computes tf-idf first."""
+    data, _ = corpus
+    edges = tmp_path / "edges.tsv"
+    assert run(["graph", "--input", data, "--out", edges]) == 0
+    argv = {
+        "synth": ["--out", tmp_path / "synth.jsonl"],
+        "pipeline": ["--input", data, "--out-dir", tmp_path / "run"],
+        "detect": ["--edges", edges, "--out-dir", tmp_path / "detect"],
+        "kmeans": ["--input", data, "--c", 2, "--out", tmp_path / "kmeans.csv"],
+        "sweep": ["--input", data, "--p-grid", "5,10", "--out", tmp_path / "sweep.tsv"],
+        "bench": ["--sizes", 13, "--repeats", 1],
+    }[command]
+    tfidf_runs = []
+    monkeypatch.setattr("malcom.pipeline.compute_tfidf", tfidf_runs.append)
+    monkeypatch.setattr(cli, "compute_tfidf", tfidf_runs.append)
+    with pytest.raises(SystemExit) as exc:
+        run([command, *argv, "--seed", -1])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert tfidf_runs == []
+
+
 def test_eval_single_sample_exit_1(tmp_path, capsys):
     data = tmp_path / "one.jsonl"
     data.write_text('{"id":"s1","family":"A","features":{"perm/x":1}}\n')

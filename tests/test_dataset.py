@@ -133,6 +133,22 @@ class TestLoadDataset:
             load_dataset(f)
         assert str(exc.value) == f"line 2: sample id {sid!r} holds a tab or line break"
 
+    @pytest.mark.parametrize("text", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
+    @pytest.mark.parametrize("field", ["family", "feature"])
+    def test_label_with_tab_or_line_break_names_its_line(self, tmp_path, field, text):
+        # the family-sim matrix and the stats rows could not be read back
+        obj = {"id": "s2", "family": "A", "features": {"perm/a": 1}}
+        if field == "family":
+            obj["family"], what = text, "family"
+        else:
+            obj["features"], what = {"str/" + text: 1}, "feature name"
+            text = "str/" + text
+        f = tmp_path / "d.jsonl"
+        write_lines(f, ['{"id":"s1","features":{}}', json.dumps(obj)])
+        with pytest.raises(DatasetError) as exc:
+            load_dataset(f)
+        assert str(exc.value) == f"line 2: {what} {text!r} holds a tab or line break"
+
     def test_sample_values_may_sum_past_the_float_range(self):
         Sample("s1", None, {"perm/a": 1e308, "perm/b": 1e308})
 
