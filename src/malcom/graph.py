@@ -7,7 +7,8 @@ Both k-NN rules, the k-NN graph and the E-N fallback, pick a vertex's k
 nearest by one full sort of its dense weight row, which
 ``WeightSet.row_blocks`` recomputes for complete and pruned sets alike; the
 k-NN graph, which sorts every row, is the slow baseline the E-N method is
-benchmarked against.
+benchmarked against.  E-N keeps the epsilon edges as they are and inserts
+only its fallback picks among them.
 
 The detector walks neighbours through the CSR adjacency from ``csr``: row v,
 ``indices[indptr[v]:indptr[v + 1]]`` with ``weights`` alongside, lists v's
@@ -165,36 +166,32 @@ def _name_rank(ids: list[str]) -> np.ndarray:
     return rank
 
 
-def _knn_union(ws: WeightSet, base: tuple, mask: np.ndarray, k: int) -> RelationGraph:
-    """The base edges (i, j, w) plus an edge from each vertex where the
-    boolean mask is set to each of its k nearest neighbours, as distinct
-    pairs sorted by (i, j).  A pair picked twice has one weight.
+def _nearest(ws: WeightSet, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs from each vertex where the boolean mask is set (at least
+    one) to each of its k nearest neighbours, as distinct ascending int64
+    pair keys i·n + j (i < j) and their weights.  A pair picked twice keeps
+    its first pick.
 
     The k nearest are the k largest pair weights, ties by ascending id,
     found by a full sort of each masked row.  An absent pair counts, and is
     picked, at the floor weight, below every present one."""
+    n = ws.n
+    if not (1 <= k < n):
+        raise ParameterError(f"k must satisfy 1 <= k < n ({n}), got {k}")
     floor = _floor_weight(ws)
     rank = _name_rank(ws.ids)
-    parts = [base]
+    keys, weights = [], []
     for rows, block in ws.row_blocks(mask):
         block[block == 0] = floor
         block[np.arange(len(rows)), rows] = -np.inf  # never its own neighbour
         np.negative(block, out=block)
         nearest = np.lexsort((np.broadcast_to(rank, block.shape), block))[:, :k]
         v, u = np.repeat(rows, k), nearest.ravel()
-        parts.append(
-            (
-                np.minimum(v, u).astype(VERTEX_ID),
-                np.maximum(v, u).astype(VERTEX_ID),
-                -np.take_along_axis(block, nearest, axis=1).ravel(),
-            )
-        )
-    ei, ej, ew = (np.concatenate(col) for col in zip(*parts))
-    order = np.lexsort((ej, ei))
-    ei, ej, ew = ei[order], ej[order], ew[order]
-    first = np.ones(len(ei), dtype=bool)
-    first[1:] = (ei[1:] != ei[:-1]) | (ej[1:] != ej[:-1])
-    return RelationGraph(list(ws.ids), ei[first], ej[first], ew[first])
+        keys.append(np.minimum(v, u) * n + np.maximum(v, u))
+        weights.append(-np.take_along_axis(block, nearest, axis=1).ravel())
+    # the first occurrence of each key, as a stable sort would keep it
+    keys, first = np.unique(np.concatenate(keys), return_index=True)
+    return keys, np.concatenate(weights)[first]
 
 
 def build_knn(ws: WeightSet, k: int) -> RelationGraph:
@@ -204,34 +201,35 @@ def build_knn(ws: WeightSet, k: int) -> RelationGraph:
     purpose: this is the quadratic baseline whose construction time the E-N
     method must beat.  It reads no held pair.
     """
-    n = ws.n
-    if not (1 <= k < n):
-        raise ParameterError(f"k must satisfy 1 <= k < n ({n}), got {k}")
-    no_base = (ws.i[:0], ws.j[:0], ws.w[:0])
-    g = _knn_union(ws, no_base, np.ones(n, dtype=bool), k)
-    g.meta = {"method": "knn", "k": k}
-    return g
+    keys, w = _nearest(ws, np.ones(ws.n, dtype=bool), k)
+    i, j = (a.astype(VERTEX_ID) for a in np.divmod(keys, ws.n))
+    return RelationGraph(list(ws.ids), i, j, w, {"method": "knn", "k": k})
 
 
 def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
     """Epsilon graph at the top-p-percent cutoff, then k-NN fallback edges
     for every vertex the first step left isolated, chosen among the pairs
-    that touch an isolated vertex."""
-    n = ws.n
-    if not (1 <= k < n):
-        raise ParameterError(f"k must satisfy 1 <= k < n ({n}), got {k}")
+    that touch an isolated vertex.  The epsilon edges stay as they are, in
+    the weight set's row-major (i, j) order, and only the picks are inserted
+    among them: an isolated vertex has no epsilon edge for a pick to repeat."""
     epsilon, _ = percentile_cutoff(ws, p)
-    base = build_epsilon(ws, epsilon)
-    is_iso = base.degrees() == 0
-    g = _knn_union(ws, (base.edge_i, base.edge_j, base.edge_w), is_iso, k)
+    g = build_epsilon(ws, epsilon)
+    is_iso = g.degrees() == 0
+    keys = ()
+    if is_iso.any():  # np.insert copies every edge, even to insert nothing
+        keys, w = _nearest(ws, is_iso, k)
+        # int64: i * n overflows int32 ids
+        at = np.searchsorted(g.edge_i.astype(np.int64) * ws.n + g.edge_j, keys)
+        g.edge_i = np.insert(g.edge_i, at, keys // ws.n)
+        g.edge_j = np.insert(g.edge_j, at, keys % ws.n)
+        g.edge_w = np.insert(g.edge_w, at, w)
     g.meta = {
         "method": "en",
         "p": p,
         "k": k,
         "epsilon": epsilon,
         "isolated_before_fallback": int(np.count_nonzero(is_iso)),
-        # an isolated vertex has no epsilon edge to duplicate
-        "fallback_edges": g.num_edges - base.num_edges,
+        "fallback_edges": len(keys),
     }
     return g
 

@@ -67,13 +67,14 @@ def brute_force_weights(model):
 
 
 def weight_set(ids, entries):
-    """Complete weight set of the given pair weights.  Each pair gets a
-    two-sample feature of its own with tf-idf w at both ends, so rows
-    recomputed from the feature lists hold (w + w) * 0.5 == w exactly."""
+    """Complete weight set of the given pair weights, in row-major (i, j)
+    order as ``WeightSet`` requires.  Each pair gets a two-sample feature
+    of its own with tf-idf w at both ends, so rows recomputed from the
+    feature lists hold (w + w) * 0.5 == w exactly."""
     index = {v: k for k, v in enumerate(ids)}
+    pairs = sorted((*sorted((index[a], index[b])), w) for (a, b), w in entries.items())
     i, j, w, features = [], [], [], []
-    for (a, b), weight in entries.items():
-        ia, ib = sorted((index[a], index[b]))
+    for ia, ib, weight in pairs:
         i.append(ia)
         j.append(ib)
         w.append(weight)

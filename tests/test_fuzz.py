@@ -3,14 +3,16 @@
 Each example takes one valid input file (a corpus, a feature dictionary,
 an edge file or a partition), applies a few byte edits to it (insert a
 token, delete a span, repeat a span) and runs one command that reads it.
-Whatever the bytes, the command must end with exit 0 and JSON outputs
-free of NaN and infinity, with exit 1 and ``error:``, or with exit 2 and
-a usage line.  An exception that escapes ``main``, which the command line
-shows as a traceback, fails the test.
+Whatever the bytes, the command must end with exit 0, JSON outputs free
+of NaN and infinity and finite numeric TSV and CSV fields, with exit 1 and
+``error:``, or with exit 2 and a usage line.  An exception that escapes
+``main``, which the command line shows as a traceback, fails the test.
 """
 import contextlib
+import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -63,6 +65,22 @@ def finite_json(path: Path) -> None:
     text = path.read_text(encoding="utf-8")
     for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
         json.loads(doc, parse_constant=reject)
+
+
+def finite_fields(path: Path) -> None:
+    """Parse the numeric fields of a TSV or CSV output as finite floats: an
+    edge file's weights, a similarity matrix's cells and a partition's
+    community ids.  Ids and labels are skipped, as a mutated one may
+    legally read NaN."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        if path.suffix == ".csv":  # a header, then sample id, community id
+            rows = list(csv.reader(fh))
+        else:  # a header line, then tab-separated fields
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+    first = 2 if path.name == "edges.tsv" else 1  # after src, dst or a label
+    for row in rows[1:]:
+        for cell in row[first:]:
+            assert math.isfinite(float(cell)), f"{cell!r} in {path.name}"
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +136,8 @@ def test_mutated_input_ends_in_exit_code_not_traceback(valid, kind, data):
         if code == 0:
             for f in (out / "out").glob("*.json*"):
                 finite_json(f)
+            for f in (out / "out").glob("*.[tc]sv"):
+                finite_fields(f)
     message = err.getvalue()
     assert code in (0, 1, 2), message
     if code == 1:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -552,6 +553,29 @@ def test_pruned_set_recomputes_isolated_rows():
     g = build_en(top, 1, 2)
     assert g.meta["isolated_before_fallback"] > 0
     assert_same_graph(g, build_en(full, 1, 2))
+
+
+def test_en_without_isolated_vertices_allocates_under_twice_its_edges():
+    """With no vertex isolated, E-N returns the epsilon edges as they are:
+    build_en allocates (tracemalloc counts numpy buffers) at most twice the
+    bytes of the edges it returns.  The set holds 320k of the 499,500 pairs
+    in row-major order; no row is recomputed, so it needs no feature list."""
+    rng = np.random.default_rng(7)
+    n, held = 1000, 320_000
+    i, j = np.triu_indices(n, 1)
+    keep = np.sort(rng.choice(len(i), held, replace=False))
+    ids = [f"v{v}" for v in range(n)]
+    ws = weighting.WeightSet(ids, i[keep], j[keep], rng.uniform(1, 2, held), [], len(i))
+    del i, j, keep
+    tracemalloc.start()
+    try:
+        g = build_en(ws, 60, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.meta["isolated_before_fallback"] == 0
+    assert g.num_edges >= 299_700  # the top 60% of 499,500 pairs
+    assert peak <= 2 * (g.edge_i.nbytes + g.edge_j.nbytes + g.edge_w.nbytes)
 
 
 def test_vertex_ids_are_int32(tmp_path):
