@@ -65,19 +65,14 @@ def _set_row(out: np.ndarray, X, i: int) -> None:
     out[indices[s]] = data[s]
 
 
-def _sq_dists(X, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # X @ centers.T: step k adds each row's k-th product, so each cell adds
-    # its row's entries in CSR order; rows sorted by length make each step
-    # a prefix
-    indptr, indices, data = X
-    lengths = np.diff(indptr)
-    order = np.argsort(-lengths, kind="stable")
-    ct = np.ascontiguousarray(centers.T)
-    dots = np.zeros((len(order), len(centers)))
-    for k in range(int(lengths.max(initial=0))):
-        e = indptr[order[: np.count_nonzero(lengths > k)]] + k
-        dots[: len(e)] += data[e, None] * ct[indices[e]]
-    dots[order] = dots.copy()
+def _sq_dists(
+    X, rows: np.ndarray, x_sq: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    # X @ centers.T, one column per center: bincount adds each row's
+    # products from 0.0 in CSR order (rows: the row of each entry)
+    _, indices, data = X
+    cols = [np.bincount(rows, data * c[indices], len(x_sq)) for c in centers]
+    dots = np.stack(cols, axis=1)
     c_sq = (centers * centers).sum(axis=1)
     d = x_sq[:, None] - 2.0 * dots + c_sq[None, :]
     np.maximum(d, 0.0, out=d)
@@ -85,12 +80,12 @@ def _sq_dists(X, x_sq: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def _plusplus_seed(
-    X, x_sq: np.ndarray, c: int, dim: int, rng: np.random.Generator
+    X, rows: np.ndarray, x_sq: np.ndarray, c: int, dim: int, rng: np.random.Generator
 ) -> np.ndarray:
     n = len(x_sq)
     centers = np.zeros((c, dim), dtype=np.float64)
     _set_row(centers[0], X, int(rng.integers(n)))
-    d2 = _sq_dists(X, x_sq, centers[:1]).ravel()
+    d2 = _sq_dists(X, rows, x_sq, centers[:1]).ravel()
     for k in range(1, c):
         total = d2.sum()
         if total <= 0.0:
@@ -98,12 +93,12 @@ def _plusplus_seed(
         else:
             idx = int(rng.choice(n, p=d2 / total))
         _set_row(centers[k], X, idx)
-        d2 = np.minimum(d2, _sq_dists(X, x_sq, centers[k : k + 1]).ravel())
+        d2 = np.minimum(d2, _sq_dists(X, rows, x_sq, centers[k : k + 1]).ravel())
     return centers
 
 
 def _assign(
-    X, x_sq: np.ndarray, centers: np.ndarray, c: int
+    X, rows: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, c: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-center assignment with empty-cluster repair.
 
@@ -113,7 +108,7 @@ def _assign(
     Returns (assignment, per-point cost).
     """
     n = len(x_sq)
-    d = _sq_dists(X, x_sq, centers)
+    d = _sq_dists(X, rows, x_sq, centers)
     assignment = d.argmin(axis=1)
     cost = d[np.arange(n), assignment].copy()
     counts = np.bincount(assignment, minlength=c)
@@ -146,10 +141,10 @@ def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
         raise KMeansError("squared tf-idf distances overflow the float64 range")
     rng = np.random.default_rng(cfg.rng_seed)
 
-    centers = _plusplus_seed(X, x_sq, cfg.c, dim, rng)
+    centers = _plusplus_seed(X, rows, x_sq, cfg.c, dim, rng)
     prev_obj = np.inf
     for _ in range(MAX_ITERATIONS):
-        assignment, cost = _assign(X, x_sq, centers, cfg.c)
+        assignment, cost = _assign(X, rows, x_sq, centers, cfg.c)
         obj = float(cost.sum())
         if obj > prev_obj * (1.0 + 1e-12) + 1e-12:
             raise KMeansError("objective increased across Lloyd iterations")
@@ -168,7 +163,7 @@ def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
 
     # final nearest-center pass so the returned assignment matches the
     # returned centers
-    assignment, cost = _assign(X, x_sq, centers, cfg.c)
+    assignment, cost = _assign(X, rows, x_sq, centers, cfg.c)
     return KMeansResult(
         assignment=assignment.tolist(), centers=centers, objective=float(cost.sum())
     )

@@ -277,8 +277,7 @@ def _cmd_stats(args):
 
 def _cmd_family_sim(args):
     d = _load_filtered(args)
-    ws = pairwise_weights(compute_tfidf(d))
-    sim = family_similarity(d, ws)
+    sim = family_similarity(d, compute_tfidf(d))
     metrics.write_matrix_tsv(sim.families, sim.families, sim.matrix, args.out)
 
 

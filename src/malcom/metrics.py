@@ -27,10 +27,6 @@ class PairCounts:
     ds: int  # different family, same community
     dd: int  # different family, different community
 
-    @property
-    def total(self) -> int:
-        return self.ss + self.sd + self.ds + self.dd
-
 
 @dataclass
 class ContingencyMatrix:

@@ -57,11 +57,6 @@ class TfIdfModel:
     data: np.ndarray     # float64, no zeros
 
     @property
-    def doc_freq(self) -> dict[str, int]:
-        """Feature name -> number of samples that store it."""
-        return dict(zip(self.names, self.df.tolist()))
-
-    @property
     def values(self) -> list[dict[str, float]]:
         """Per-sample maps name -> tf-idf value, parallel to sample_ids."""
         names = [self.names[k] for k in self.indices.tolist()]
@@ -291,29 +286,33 @@ def _feature_lists(m: TfIdfModel) -> list[Feature]:
     ]
 
 
-def family_similarity(d: Dataset, ws: WeightSet) -> FamilySimilarityMatrix:
-    """Mean pair weight between (and within) ground-truth families, from a
-    weight set that holds every pair (else DatasetError)."""
+def family_similarity(d: Dataset, m: TfIdfModel) -> FamilySimilarityMatrix:
+    """Mean pair weight between (and within) ground-truth families.  The
+    weights stream in the row blocks ``pairwise_weights`` weighs, and no
+    pair is held."""
     if not d.fully_labeled():
         raise DatasetError("family similarity requires every sample labeled")
-    if len(ws) < ws.total:
-        raise DatasetError(
-            f"family similarity needs all {ws.total} pairs, not {len(ws)}"
-        )
     families = sorted({s.family for s in d.samples})
     fam_index = {f: k for k, f in enumerate(families)}
     sample_fam = np.array([fam_index[s.family] for s in d.samples], dtype=np.int64)
     nf = len(families)
     sizes = np.bincount(sample_fam, minlength=nf).astype(np.float64)
 
-    # one sum per unordered family pair (min, max), adding the pairs in
-    # input order as the per-pair loop did; then mirror it below the diagonal
-    a, b = sample_fam[ws.i], sample_fam[ws.j]
-    key = np.minimum(a, b)
-    key *= nf
-    key += np.maximum(a, b, out=a)  # in place: a is not read again
-    sums = np.bincount(key, weights=ws.w, minlength=nf * nf).reshape(nf, nf)
-    sums = np.triu(sums) + np.triu(sums, k=1).T
+    # one sum per unordered family pair (min, max) that adds the positive
+    # pairs from 0.0 in row-major order, as a complete weight set lists
+    # them; then mirror it below the diagonal
+    n, features = m.n, _feature_lists(m)
+    sums = np.zeros(nf * nf)
+    step = max(1, _BLOCK_CELLS // n)
+    for r0 in range(0, n, step):
+        acc = _weight_rows(features, n, np.arange(r0, min(r0 + step, n)), r0)
+        a, b = np.nonzero(np.triu(acc > 0, k=1))  # row-major
+        fa, fb = sample_fam[a + r0], sample_fam[b + r0]
+        key = np.minimum(fa, fb) * nf + np.maximum(fa, fb)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            np.add.at(sums, key, acc[a, b])
+    sums = np.triu(sums.reshape(nf, nf))
+    sums += np.triu(sums, k=1).T
 
     counts = np.outer(sizes, sizes)
     np.fill_diagonal(counts, sizes * (sizes - 1) / 2.0)

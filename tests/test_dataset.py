@@ -37,16 +37,22 @@ class TestLoadDataset:
         assert s.features == {"perm/INTERNET": 1.0}
 
     def test_duplicate_id_rejected(self, tmp_path):
+        """The reader names the repeating line and the first; a dataset
+        built in code checks its ids too."""
         f = tmp_path / "d.jsonl"
         write_lines(
             f,
             [
                 '{"id":"s1","family":null,"features":{}}',
+                '{"id":"s2","family":null,"features":{}}',
                 '{"id":"s1","family":null,"features":{}}',
             ],
         )
-        with pytest.raises(DatasetError, match="duplicate"):
+        with pytest.raises(DatasetError) as got:
             load_dataset(f)
+        assert str(got.value) == "line 3: duplicate sample id 's1' (first on line 1)"
+        with pytest.raises(DatasetError, match="^duplicate sample id 's1'$"):
+            Dataset(samples=[Sample("s1", None, {}), Sample("s1", None, {})])
 
     def test_empty_feature_map_is_valid(self, tmp_path):
         f = tmp_path / "d.jsonl"

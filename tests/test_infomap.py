@@ -403,7 +403,7 @@ class _ScalarState:
         self.assignment[v] = target
 
 
-def scalar_local_move_passes(net, rng, tol):
+def scalar_local_move_passes(net, rng):
     """Reference local-move loop: every candidate scored by move_delta."""
     assignment = list(range(net.n))
     state = _ScalarState(net, assignment)
@@ -428,7 +428,7 @@ def scalar_local_move_passes(net, rng, tol):
                 delta = state.move_delta(v, c, w_va, w_to[c])
                 if delta < best_delta:
                     best_delta, best_c = delta, c
-            if best_c != a and best_delta < -tol:
+            if best_c != a and best_delta < -infomap.CONVERGENCE_TOLERANCE:
                 state.apply_move(v, best_c, w_va, w_to[best_c])
                 moved = True
         if not moved:
@@ -538,14 +538,13 @@ class TestBestMove:
         """300-vertex planted graphs that take >= 3 passes, so that cached
         w_to are dropped: the same partition as the scalar loop."""
         rng = np.random.default_rng(47)
-        tol = infomap.CONVERGENCE_TOLERANCE
         totals = MoveCounts()
         for trial in range(4):
             net = _net_from_graph(planted_graph(rng, 300))
             counts = MoveCounts()
             with mock.patch.object(infomap, "_ARRAY_MIN", array_min):
-                got = _local_move_passes(net, np.random.default_rng(trial), tol, counts)
-            want = scalar_local_move_passes(net, np.random.default_rng(trial), tol)
+                got = _local_move_passes(net, np.random.default_rng(trial), counts)
+            want = scalar_local_move_passes(net, np.random.default_rng(trial))
             assert got == want
             assert counts.visits >= 3 * net.n
             for field in dataclasses.fields(MoveCounts):

@@ -81,7 +81,7 @@ class TestRandStatistic:
             P = rng.integers(0, 5, size=n).tolist()
             C = rng.integers(0, 6, size=n).tolist()
             pc, rs = rand_statistic(P, C)
-            assert pc.total == n * (n - 1) // 2
+            assert pc.ss + pc.sd + pc.ds + pc.dd == n * (n - 1) // 2
             assert rand_statistic(C, P)[1] == rs
 
     def test_matches_brute_force(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import tracemalloc
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_weights, pair_weight, tfidf_model, weight_set
-from malcom import weighting
+from conftest import brute_force_weights, pair_weight, tfidf_model
+from malcom import cli, weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.errors import MalcomError, ParameterError
 from malcom.synth import SynthConfig, generate
@@ -24,8 +25,8 @@ LN2 = math.log(2.0)
 
 
 def loop_family_similarity(d, ws):
-    """family_similarity's matrix summed by the per-pair loop its bincount
-    replaced; the reference it must match byte for byte."""
+    """family_similarity's matrix summed by a per-pair loop over a complete
+    weight set; the reference it must match byte for byte."""
     families = sorted({s.family for s in d.samples})
     fam_index = {f: k for k, f in enumerate(families)}
     sample_fam = np.array([fam_index[s.family] for s in d.samples], dtype=np.int64)
@@ -77,8 +78,7 @@ class TestComputeTfidf:
 
     def test_doc_freq_bounds(self, four_sample_dataset):
         m = compute_tfidf(four_sample_dataset)
-        for s_m in m.doc_freq.values():
-            assert 1 <= s_m <= m.n
+        assert ((1 <= m.df) & (m.df <= m.n)).all()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DatasetError):
@@ -169,7 +169,6 @@ def test_csr_tfidf_equals_dict_formula(d):
     m = compute_tfidf(d)
     assert m.names == sorted(doc_freq)
     assert dict(zip(m.names, m.df.tolist())) == doc_freq
-    assert m.doc_freq == doc_freq
     # each row lists the sample's nonzero values in its map order
     for r, row in enumerate(values):
         at = slice(m.indptr[r], m.indptr[r + 1])
@@ -268,62 +267,83 @@ class TestFamilySimilarity:
         d = Dataset(
             samples=[
                 Sample("s1", "A", {"perm/x": 1.0}),
-                Sample("s2", "B", {"perm/x": 1.0}),
+                Sample("s2", "B", {"perm/x": 3.0}),
+                Sample("s3", "C", {"perm/y": 1.0}),
             ]
         )
-        ws = pairwise_weights(compute_tfidf(d))
-        # idf is 0 here, so synthesize a weight set directly
-        ws = weight_set(["s1", "s2"], {("s1", "s2"): 2.5})
-        sim = family_similarity(d, ws)
+        sim = family_similarity(d, compute_tfidf(d))
         a, b = sim.families.index("A"), sim.families.index("B")
-        assert sim.matrix[a, b] == 2.5
+        idf = math.log(3 / 2)
+        assert sim.matrix[a, b] == sim.matrix[b, a] == (1.0 * idf + 3.0 * idf) * 0.5
+        assert np.count_nonzero(sim.matrix) == 2  # C shares nothing
 
     def test_absent_intra_weight_is_zero(self, four_sample_dataset):
-        ws = pairwise_weights(compute_tfidf(four_sample_dataset))
-        sim = family_similarity(four_sample_dataset, ws)
+        sim = family_similarity(four_sample_dataset, compute_tfidf(four_sample_dataset))
         a = sim.families.index("A")
         # family A = {s1, s3}; w_13 absent
         assert sim.matrix[a, a] == 0.0
 
     def test_mean_of_pairs(self, four_sample_dataset):
-        ws = pairwise_weights(compute_tfidf(four_sample_dataset))
-        sim = family_similarity(four_sample_dataset, ws)
+        model = compute_tfidf(four_sample_dataset)
+        sim = family_similarity(four_sample_dataset, model)
+        ws = pairwise_weights(model)
         a, b = sim.families.index("A"), sim.families.index("B")
         # pairs across {s1,s3} x {s2,s4}: w12, w14 positive, w32=w23, w34 absent? w23 shared c
         expected = sum(pair_weight(ws, a, b) for a in (0, 2) for b in (1, 3)) / 4
         assert sim.matrix[a, b] == pytest.approx(expected, abs=1e-12)
         assert np.allclose(sim.matrix, sim.matrix.T)
 
-    def test_sums_match_pair_loop_bytewise(self):
+    def test_sums_match_pair_loop_bytewise(self, monkeypatch):
+        """Streamed over blocks of one row, of a few rows and of every row,
+        the sums equal the per-pair loop over the complete weight set."""
         rng = np.random.default_rng(11)
-        for trial in range(30):
+        for trial in range(60):
+            monkeypatch.setattr(weighting, "_BLOCK_CELLS", [1, 97, 1 << 19][trial % 3])
             n = int(rng.integers(2, 60))
             fams = [f"F{int(x)}" for x in rng.integers(0, int(rng.integers(1, 7)), n)]
-            d = Dataset(samples=[Sample(f"s{v}", fams[v], {}) for v in range(n)])
-            i, j = np.triu_indices(n, k=1)
-            keep = rng.random(len(i)) < 0.6
-            w = rng.uniform(0.01, 10.0, int(keep.sum()))
-            ws = weight_set(
-                [s.id for s in d.samples],
-                {(f"s{a}", f"s{b}"): x for a, b, x in zip(i[keep], j[keep], w)},
-            )
-            expect = loop_family_similarity(d, ws)
-            assert family_similarity(d, ws).matrix.tobytes() == expect.tobytes()
+            samples = []
+            for v in range(n):
+                chosen = rng.choice(12, size=int(rng.integers(0, 6)), replace=False)
+                feats = {f"perm/f{c}": float(rng.uniform(0.1, 5.0)) for c in chosen}
+                samples.append(Sample(f"s{v}", fams[v], feats))
+            d = Dataset(samples=samples)
+            model = compute_tfidf(d)
+            expect = loop_family_similarity(d, pairwise_weights(model))
+            assert family_similarity(d, model).matrix.tobytes() == expect.tobytes()
 
     def test_unlabeled_rejected(self):
-        d = Dataset(samples=[Sample("s1", None, {}), Sample("s2", "A", {})])
-        ws = weight_set(["s1", "s2"], {("s1", "s2"): 1.0})
-        with pytest.raises(DatasetError):
-            family_similarity(d, ws)
+        d = Dataset(
+            samples=[Sample("s1", None, {"perm/x": 1.0}), Sample("s2", "A", {})]
+        )
+        with pytest.raises(DatasetError, match="requires every sample labeled"):
+            family_similarity(d, compute_tfidf(d))
 
-    def test_pruned_set_rejected(self):
-        d = generate(SynthConfig(samples_per_family=10, rng_seed=7))
-        model = compute_tfidf(d)
-        family_similarity(d, pairwise_weights(model))
-        top = pairwise_weights(model, top_p=1)
-        assert len(top) < top.total
-        with pytest.raises(DatasetError, match=f"needs all {top.total} pairs, not {len(top)}$"):
-            family_similarity(d, top)
+
+def test_family_sim_holds_no_pair_set(monkeypatch, tmp_path):
+    """``family-sim`` adds the weights as their blocks stream: it allocates
+    (tracemalloc counts numpy buffers) under a quarter of the 16 bytes per
+    pair that the complete weight set of the corpus would take."""
+    d = generate(
+        SynthConfig(
+            samples_per_family=116,
+            signature_features_per_family=4,
+            common_features=4,
+            noise_features_per_sample=0,
+            rng_seed=7,
+        )
+    )
+    n = len(d)
+    assert n >= 1500
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 14)
+    monkeypatch.setattr(cli, "_load_filtered", lambda args: d)
+    tracemalloc.start()
+    try:
+        cli._cmd_family_sim(argparse.Namespace(out=tmp_path / "sim.tsv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * (n - 1) // 2 / 4
+    assert len((tmp_path / "sim.tsv").read_text().splitlines()) == 14
 
 
 class TestFeatureFrequency:
