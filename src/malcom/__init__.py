@@ -39,7 +39,6 @@ from .infomap import (
     Partition,
     codelength,
     detect,
-    exhaustive_min_codelength,
 )
 from .metrics import (
     EvalError,

@@ -65,6 +65,17 @@ def _listing(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed >= 0, checked before any input is read."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+_seed.__name__ = "int"  # argparse's message for a seed that is no integer
+
+
 def _add_io_args(sp):
     sp.add_argument("--input", required=True, help="dataset JSONL path")
     sp.add_argument("--dict", dest="dict_path", help="feature dictionary CSV")
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", type=int, default=5)
     sp.add_argument("--presence", type=float, default=0.9)
     sp.add_argument("--leak", type=float, default=0.05)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
 
     sp = sub.add_parser("tfidf", help="dump per-sample tf-idf values")
     _add_io_args(sp)
@@ -118,13 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("detect", help="detect communities on an edge list")
     sp.add_argument("--edges", required=True, help="edge TSV from the graph step")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out-dir", required=True)
 
     sp = sub.add_parser("kmeans", help="k-means baseline on tf-idf vectors")
     _add_io_args(sp)
     sp.add_argument("--c", type=int, required=True, help="cluster count")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", required=True, help="partition CSV output path")
 
     sp = sub.add_parser("eval", help="evaluate a partition against families")
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="pipeline quality across a p grid")
     _add_io_args(sp)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument(
         "--p-grid",
         type=_listing(float),
@@ -165,13 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--repeats", type=int, default=5)
     sp.add_argument("--p", type=float, default=10.0)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out", help="TSV output path (default stdout)")
 
     sp = sub.add_parser("pipeline", help="full load-to-eval run")
     _add_io_args(sp)
     _add_graph_args(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--out-dir", required=True)
 
     return parser

@@ -287,7 +287,9 @@ def load_dictionary(path) -> list[FeatureDictionaryEntry]:
                 f"dictionary header must be {','.join(expected)}, "
                 f"got {reader.fieldnames}"
             )
+        first: dict[str, int] = {}  # feature -> its line
         for row in reader:
+            at = reader.line_num
             try:
                 entries.append(
                     FeatureDictionaryEntry(
@@ -298,7 +300,11 @@ def load_dictionary(path) -> list[FeatureDictionaryEntry]:
                     )
                 )
             except DatasetError as exc:
-                raise DatasetError(f"line {reader.line_num}: {exc}") from None
+                raise DatasetError(f"line {at}: {exc}") from None
+            name = entries[-1].feature
+            if first.setdefault(name, at) != at:
+                dup = f"line {at}: duplicate feature {name!r}"
+                raise DatasetError(f"{dup} (first on line {first[name]})")
     return entries
 
 

@@ -13,14 +13,14 @@ teleportation.  All entropies are base 2 (codelengths in bits).
 
 Optimization is a Louvain-style local-move pass (strictly improving moves
 only, scan order shuffled per pass by a seeded RNG) with multilevel
-aggregation into super-vertices; an exhaustive Bell-number oracle is
-provided for small graphs.
+aggregation into super-vertices.
 
 A local move scores every neighbor community of a vertex.  Five of the
 eight plogp terms of a move's codelength change do not depend on the
 target: they are computed once per vertex (``_LocalState.best_move``) or
 kept per community in caches that each applied move refreshes.  The
-scores are still bit-identical to ``_LocalState.move_delta``: each
+scores are still bit-identical to the scalar ``move_delta`` of
+``tests/test_infomap.py``, which evaluates all eight terms: each
 candidate adds the same doubles in the same order, with ``math.log2``.
 The local moves choose exactly the moves of that scalar search, the
 first strict minimum of ``move_delta`` in sorted candidate order, while
@@ -63,7 +63,8 @@ _CHUNK = 1 << 16  # CSR entries per row slice of the exit and pair sums
 # the scalar loop at summing w_to and at scoring candidates: of 24 to 192,
 # 96 ran the benchmark's seed-7 graphs fastest (48 to 128 within noise).
 _ARRAY_MIN = 96
-# Bound on |numpy delta - move_delta| of one candidate.  Its three
+# Bound on |numpy delta - exact delta| of one candidate, the exact delta
+# being the tests' scalar move_delta and best_move's double.  Its three
 # target-dependent plogp terms take x in [0, 2] (exit and visit rates sum
 # to at most 1 each), where |x * log2(x)| <= 2, so a log2 off by k ulp
 # moves a term by under (k + 1) * 4.4e-16: 2.2e-15 at k = 4 (numpy 2.4's
@@ -227,20 +228,14 @@ def _breakdown(net: _Net, assignment: list[int], m: int) -> MapEquationBreakdown
 
     usage = q_exit + _sum_by(comm, p, m)
 
-    module_entropy = np.zeros(m, dtype=np.float64)
-    groups: list[list[int]] = [[] for _ in range(m)]
-    for v in range(net.n):
-        groups[assignment[v]].append(v)
-    for c in range(m):
-        if usage[c] <= 0.0:
-            continue
-        h = 0.0
-        if q_exit[c] > 0.0:
-            h -= _plogp(q_exit[c] / usage[c])
-        for v in groups[c]:
-            if p[v] > 0.0:
-                h -= _plogp(p[v] / usage[c])
-        module_entropy[c] = h
+    # each module's exit term, then its members' terms in vertex order;
+    # 0.0 - x, not -x, keeps a zero term +0.0
+    u = usage.tolist()
+    h = [0.0 - _plogp(q / uc) if q > 0.0 else 0.0 for q, uc in zip(q_exit.tolist(), u)]
+    for pv, c in zip(p.tolist(), assignment):
+        if pv > 0.0:
+            h[c] -= _plogp(pv / u[c])
+    module_entropy = np.array(h, dtype=np.float64)
 
     codelength = q_total * index_entropy + float(
         np.dot(usage, module_entropy)
@@ -267,15 +262,6 @@ def codelength(g: RelationGraph, part: Partition) -> MapEquationBreakdown:
     if sorted(set(part.assignment)) != list(range(part.m)):
         raise InfomapError("community ids must be dense 0..m-1")
     return _breakdown(_net_from_graph(g), part.assignment, part.m)
-
-
-def _codelength_terms(q_tot: float, q: list[float], usage: list[float]) -> float:
-    """L minus the constant -sum plogp(p_v) term, in expanded form."""
-    return (
-        _plogp(q_tot)
-        - 2.0 * sum(_plogp(x) for x in q)
-        + sum(_plogp(x) for x in usage)
-    )
 
 
 def _plogp_array(x: np.ndarray) -> np.ndarray:
@@ -333,35 +319,10 @@ class _LocalState:
         self.const = -(fine if fine is not None else net.own_vertex_plogp())
 
     def codelength(self) -> float:
-        usage = [x + y for x, y in zip(self.q, self.sum_p)]
-        return _codelength_terms(self.q_total, self.q, usage) + self.const
-
-    def move_delta(self, v: int, target: int, w_va: float, w_vb: float) -> float:
-        """Codelength change of moving v from its community to target.
-
-        w_va / w_vb: normalized edge weight from v into its current /
-        target community (excluding v itself).
-        """
-        a = self.assignment[v]
-        d_v = self.d[v]
-        p_v = self.p[v]
-
-        qa, qb = self.q[a], self.q[target]
-        qa_new = qa - d_v + 2.0 * w_va
-        qb_new = qb + d_v - 2.0 * w_vb
-        q_tot_new = self.q_total + (qa_new - qa) + (qb_new - qb)
-
-        ua = qa + self.sum_p[a]
-        ub = qb + self.sum_p[target]
-        ua_new = qa_new + self.sum_p[a] - p_v
-        ub_new = qb_new + self.sum_p[target] + p_v
-
+        """L in expanded form, from the cached plogp terms."""
         return (
-            _plogp(q_tot_new)
-            - _plogp(self.q_total)
-            - 2.0 * (_plogp(qa_new) + _plogp(qb_new) - _plogp(qa) - _plogp(qb))
-            + (_plogp(ua_new) + _plogp(ub_new) - _plogp(ua) - _plogp(ub))
-        )
+            _plogp(self.q_total) - 2.0 * sum(self.plogp_q) + sum(self.plogp_u)
+        ) + self.const
 
     def _own_terms(self, v: int, w_va: float) -> tuple[float, ...]:
         """The terms of v's move deltas that do not depend on the target."""
@@ -378,9 +339,9 @@ class _LocalState:
         )
 
     def best_move(self, v: int, w_to: dict[int, float]) -> tuple[int, float]:
-        """First strict minimum of ``move_delta`` over the communities in
-        sorted(w_to) other than v's own, as (community, delta), or
-        (own community, 0.0) when no delta is negative.
+        """First strict minimum of the tests' scalar ``move_delta`` over the
+        communities in sorted(w_to) other than v's own, as (community,
+        delta), or (own community, 0.0) when no delta is negative.
 
         w_to: normalized edge weight from v into each neighbor community.
         The terms of the delta that do not depend on the target are
@@ -435,7 +396,8 @@ class _LocalState:
         choice.
 
         Every candidate's delta is computed with numpy, in best_move's
-        order; it differs from move_delta's double only through np.log2, by
+        order; it differs from best_move's double (the tests' scalar
+        ``move_delta``) only through np.log2, by
         less than _DELTA_EPS.  So each candidate at the exact minimum lies
         within 2 * _DELTA_EPS of the numpy minimum, and the candidates
         there, with v's own community, decide best_move.
@@ -628,42 +590,3 @@ def detect(
     part = Partition.from_labels(vertex_node)
     return part, _breakdown(fine, part.assignment, part.m)
 
-
-def _set_partitions(n: int):
-    """All set partitions of range(n) as restricted-growth label lists,
-    in lexicographic order (first yield: everything in one block)."""
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            yield labels.copy()
-            return
-        for c in range(used + 1):
-            labels[i] = c
-            yield from rec(i + 1, max(used, c + 1))
-
-    yield from rec(1, 1) if n > 1 else iter([labels.copy()])
-
-
-def exhaustive_min_codelength(
-    g: RelationGraph,
-) -> tuple[Partition, MapEquationBreakdown]:
-    """Global minimizer by Bell-number enumeration; |V| <= 12 only.
-
-    Ties resolve to the first partition in enumeration order.
-    """
-    if g.n > 12:
-        raise InfomapError(f"exhaustive search limited to 12 vertices, got {g.n}")
-    if g.n == 0:
-        raise InfomapError("empty graph")
-    net = _net_from_graph(g)
-    best_labels = None
-    best_len = math.inf
-    for labels in _set_partitions(g.n):
-        m = max(labels) + 1
-        length = _breakdown(net, labels, m).codelength
-        if length < best_len:
-            best_len = length
-            best_labels = labels
-    part = Partition.from_labels(best_labels)
-    return part, _breakdown(net, part.assignment, part.m)

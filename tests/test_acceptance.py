@@ -27,13 +27,13 @@ from malcom.infomap import (
     _net_from_graph,
     codelength,
     detect,
-    exhaustive_min_codelength,
 )
 from malcom.metrics import accuracy, rand_statistic
 from malcom.pipeline import run_pipeline
 from malcom.synth import SynthConfig, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
+from test_infomap import exhaustive_min_codelength, move_delta
 from test_metrics import brute_force_accuracy, brute_force_rand
 
 
@@ -101,7 +101,7 @@ def test_criterion_3_delta_and_aggregation():
         w_va = w_to.get(state.assignment[v], 0.0)
         w_vb = w_to.get(target, 0.0)
         before = state.codelength()
-        delta = state.move_delta(v, target, w_va, w_vb)
+        delta = move_delta(state, v, target, w_va, w_vb)
         state.apply_move(v, target, w_va, w_vb)
         ok &= abs(delta - (state.codelength() - before)) <= 1e-9
     for _ in range(1000):

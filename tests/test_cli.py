@@ -9,6 +9,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import malcom
 from malcom import baseline, cli
 from malcom.baseline import KMeansConfig
@@ -496,6 +501,41 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert (tmp_path / "run" / "eval.json").exists()
 
 
+UNDER_MEMORY_LIMIT = """
+import resource, sys
+import malcom.cli
+with open("/proc/self/status") as fh:
+    vm_kib = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+limit = vm_kib * 1024 + int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(malcom.cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(
+    resource is None or not Path("/proc/self/status").exists(),
+    reason="needs resource.RLIMIT_AS and a Linux VmSize",
+)
+def test_out_of_memory_ends_in_an_error_line(tmp_path):
+    """pipeline on a 650-sample corpus, in a child whose address space is
+    capped a few MiB above its size after importing the CLI: it exits 0, or
+    exits 1 with an `error: ` line, and never prints a traceback."""
+    data = tmp_path / "data.jsonl"
+    assert run(["synth", "--out", data, "--samples-per-family", 50, "--seed", 7]) == 0
+    src = str(Path(malcom.__file__).resolve().parent.parent)
+    for extra_mib in (8, 32, 128):
+        argv = ["pipeline", "--input", data, "--out-dir", tmp_path / f"run{extra_mib}"]
+        result = subprocess.run(
+            [sys.executable, "-c", UNDER_MEMORY_LIMIT, str(extra_mib), *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert "Traceback" not in result.stderr, (extra_mib, result.stderr)
+        assert result.returncode == 0 or (
+            result.returncode == 1 and result.stderr.startswith("error: ")
+        ), (extra_mib, result.returncode, result.stderr)
+
+
 def test_bench_rows(tmp_path):
     out = tmp_path / "bench.tsv"
     assert run(
@@ -803,18 +843,17 @@ def test_label_breaking_an_output_line_exit_1(tmp_path, capsys, command, family,
 
 
 @pytest.mark.parametrize("command", ["synth", "pipeline", "detect", "kmeans", "sweep", "bench"])
-def test_negative_seed_exit_2(tmp_path, corpus, monkeypatch, capsys, command):
-    """A negative --seed is a usage error, never numpy's traceback, and no
-    command computes tf-idf first."""
-    data, _ = corpus
-    edges = tmp_path / "edges.tsv"
-    assert run(["graph", "--input", data, "--out", edges]) == 0
+def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, command):
+    """A negative --seed is a usage error, never numpy's traceback: it is
+    rejected before any input is read (each input here is missing) and
+    before any tf-idf is computed."""
+    missing = tmp_path / "missing"
     argv = {
         "synth": ["--out", tmp_path / "synth.jsonl"],
-        "pipeline": ["--input", data, "--out-dir", tmp_path / "run"],
-        "detect": ["--edges", edges, "--out-dir", tmp_path / "detect"],
-        "kmeans": ["--input", data, "--c", 2, "--out", tmp_path / "kmeans.csv"],
-        "sweep": ["--input", data, "--p-grid", "5,10", "--out", tmp_path / "sweep.tsv"],
+        "pipeline": ["--input", missing, "--out-dir", tmp_path / "run"],
+        "detect": ["--edges", missing, "--out-dir", tmp_path / "detect"],
+        "kmeans": ["--input", missing, "--c", 2, "--out", tmp_path / "kmeans.csv"],
+        "sweep": ["--input", missing, "--p-grid", "5,10", "--out", tmp_path / "sweep.tsv"],
         "bench": ["--sizes", 13, "--repeats", 1],
     }[command]
     tfidf_runs = []
@@ -824,7 +863,7 @@ def test_negative_seed_exit_2(tmp_path, corpus, monkeypatch, capsys, command):
         run([command, *argv, "--seed", -1])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "seed must be >= 0" in err and "Traceback" not in err
+    assert "seed must be >= 0, got -1" in err and "Traceback" not in err
     assert tfidf_runs == []
 
 

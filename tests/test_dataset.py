@@ -233,6 +233,20 @@ class TestDictionary:
         with pytest.raises(DatasetError, match="scope"):
             load_dictionary(f)
 
+    def test_duplicate_feature_rejected(self, tmp_path):
+        """A feature listed twice names the repeating line and the first,
+        rather than letting the last row's scope win."""
+        f = tmp_path / "dict.csv"
+        f.write_text(
+            "feature,category,scope,value_kind\n"
+            "perm/x,FS1,platform-defined,boolean\n"
+            "perm/y,FS1,platform-defined,boolean\n"
+            "perm/x,FS1,app-specific,boolean\n"
+        )
+        with pytest.raises(DatasetError) as got:
+            load_dictionary(f)
+        assert str(got.value) == "line 4: duplicate feature 'perm/x' (first on line 2)"
+
     def test_round_trip(self, tmp_path):
         entries = [
             FeatureDictionaryEntry("perm/a", "FS1", "platform-defined", "boolean"),

@@ -28,7 +28,6 @@ from malcom.infomap import (
     _sum_by,
     codelength,
     detect,
-    exhaustive_min_codelength,
 )
 
 
@@ -280,6 +279,43 @@ class TestDetect:
             assert bd.codelength <= singleton.codelength + 1e-12
 
 
+def _set_partitions(n: int):
+    """All set partitions of range(n) as restricted-growth label lists,
+    in lexicographic order (first yield: everything in one block)."""
+    labels = [0] * n
+
+    def rec(i: int, used: int):
+        if i == n:
+            yield labels.copy()
+            return
+        for c in range(used + 1):
+            labels[i] = c
+            yield from rec(i + 1, max(used, c + 1))
+
+    yield from rec(1, 1) if n > 1 else iter([labels.copy()])
+
+
+def exhaustive_min_codelength(g):
+    """Global minimizer by Bell-number enumeration; |V| <= 12 only.
+
+    Ties resolve to the first partition in enumeration order.
+    """
+    if g.n > 12:
+        raise InfomapError(f"exhaustive search limited to 12 vertices, got {g.n}")
+    if g.n == 0:
+        raise InfomapError("empty graph")
+    net = _net_from_graph(g)
+    best_labels = None
+    best_len = math.inf
+    for labels in _set_partitions(g.n):
+        length = _breakdown(net, labels, max(labels) + 1).codelength
+        if length < best_len:
+            best_len = length
+            best_labels = labels
+    part = Partition.from_labels(best_labels)
+    return part, _breakdown(net, part.assignment, part.m)
+
+
 class TestExhaustive:
     def test_barbell(self, barbell):
         part, bd = exhaustive_min_codelength(barbell)
@@ -336,7 +372,7 @@ class TestIncrementalConsistency:
             w_va = w_to.get(state.assignment[v], 0.0)
             w_vb = w_to.get(target, 0.0)
             before = state.codelength()
-            delta = state.move_delta(v, target, w_va, w_vb)
+            delta = move_delta(state, v, target, w_va, w_vb)
             state.apply_move(v, target, w_va, w_vb)
             after = state.codelength()
             assert delta == pytest.approx(after - before, abs=1e-9)
@@ -353,9 +389,37 @@ class TestIncrementalConsistency:
             assert identity == pytest.approx(original, abs=1e-9)
 
 
+def move_delta(state, v, target, w_va, w_vb):
+    """Codelength change of moving v from its community to target, with
+    all eight plogp terms evaluated: the scalar reference that best_move
+    and near_best are checked against.  ``state`` is a _LocalState or a
+    _ScalarState.
+
+    w_va / w_vb: normalized edge weight from v into its current /
+    target community (excluding v itself).
+    """
+    a = state.assignment[v]
+    d_v = (state.net.strength[v] - 2.0 * state.net.loop[v]) * state.inv_two_w
+    p_v = state.p[v]
+    qa, qb = state.q[a], state.q[target]
+    qa_new = qa - d_v + 2.0 * w_va
+    qb_new = qb + d_v - 2.0 * w_vb
+    q_tot_new = state.q_total + (qa_new - qa) + (qb_new - qb)
+    ua = qa + state.sum_p[a]
+    ub = qb + state.sum_p[target]
+    ua_new = qa_new + state.sum_p[a] - p_v
+    ub_new = qb_new + state.sum_p[target] + p_v
+    return (
+        _plogp(q_tot_new)
+        - _plogp(state.q_total)
+        - 2.0 * (_plogp(qa_new) + _plogp(qb_new) - _plogp(qa) - _plogp(qb))
+        + (_plogp(ua_new) + _plogp(ub_new) - _plogp(ua) - _plogp(ub))
+    )
+
+
 class _ScalarState:
-    """The local-move state as it was before best_move: numpy arrays and
-    all eight plogp terms of the delta evaluated for every candidate."""
+    """The local-move state as it was before best_move: numpy arrays, no
+    plogp caches; ``move_delta`` scores every candidate on it."""
 
     def __init__(self, net, assignment):
         self.net = net
@@ -369,25 +433,6 @@ class _ScalarState:
         exit_comm, exit_w = exits(net, comm)
         self.q = _sum_by(exit_comm, exit_w * self.inv_two_w, m)
         self.q_total = float(self.q.sum())
-
-    def move_delta(self, v, target, w_va, w_vb):
-        a = self.assignment[v]
-        d_v = (self.net.strength[v] - 2.0 * self.net.loop[v]) * self.inv_two_w
-        p_v = self.p[v]
-        qa, qb = self.q[a], self.q[target]
-        qa_new = qa - d_v + 2.0 * w_va
-        qb_new = qb + d_v - 2.0 * w_vb
-        q_tot_new = self.q_total + (qa_new - qa) + (qb_new - qb)
-        ua = qa + self.sum_p[a]
-        ub = qb + self.sum_p[target]
-        ua_new = qa_new + self.sum_p[a] - p_v
-        ub_new = qb_new + self.sum_p[target] + p_v
-        return (
-            _plogp(q_tot_new)
-            - _plogp(self.q_total)
-            - 2.0 * (_plogp(qa_new) + _plogp(qb_new) - _plogp(qa) - _plogp(qb))
-            + (_plogp(ua_new) + _plogp(ub_new) - _plogp(ua) - _plogp(ub))
-        )
 
     def apply_move(self, v, target, w_va, w_vb):
         a = self.assignment[v]
@@ -425,7 +470,7 @@ def scalar_local_move_passes(net, rng):
             for c in sorted(w_to):
                 if c == a:
                     continue
-                delta = state.move_delta(v, c, w_va, w_to[c])
+                delta = move_delta(state, v, c, w_va, w_to[c])
                 if delta < best_delta:
                     best_delta, best_c = delta, c
             if best_c != a and best_delta < -infomap.CONVERGENCE_TOLERANCE:
@@ -486,7 +531,7 @@ class TestBestMove:
                 for c in sorted(w_to):
                     if c == a:
                         continue
-                    delta = state.move_delta(v, c, w_va, w_to[c])
+                    delta = move_delta(state, v, c, w_va, w_to[c])
                     if delta < want_delta:
                         want_c, want_delta = c, delta
                 got_c, got_delta = state.best_move(v, w_to)
