@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import open_text
 from .errors import MalcomError, ParameterError
-from .weighting import VERTEX_ID, WeightSet, check_vertex_count
+from .weighting import VERTEX_ID, WeightSet, check_vertex_count, top_count
 
 # Fallback edges for vertices with no positive weight at all get this
 # fraction of the smallest positive weight, keeping them flow-connected
@@ -34,6 +34,7 @@ from .weighting import VERTEX_ID, WeightSet, check_vertex_count
 FLOOR_FACTOR = 1e-3
 DEFAULT_FLOOR = 1e-3  # used when the weight set has no positive entry
 _WRITE_CHUNK = 1 << 16  # edge lines formatted per write
+_CSR_CHUNK = 1 << 13  # edges placed per step of ``csr``
 
 
 class GraphError(MalcomError):
@@ -105,7 +106,7 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
     if not (0 < p <= 100):
         raise ParameterError(f"p must be in (0, 100], got {p}")
     total, held = ws.total, len(ws)
-    m = min(math.ceil(p / 100.0 * total), total)
+    m = top_count(p, total)
     if m > held:
         raise GraphError(f"the top {p:g}% are {m} pairs; the set holds only {held}")
     # m-th largest == (held - m)-th smallest; introselect, no full sort
@@ -115,19 +116,21 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
 
 def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
     """Edge for every pair with weight >= epsilon; isolated vertices allowed.
-    GraphError when pairs the set dropped would be edges."""
+    GraphError when pairs the set dropped would be edges.  When every held
+    pair passes, as for E-N and epsilon-at-p at the p the set was weighed
+    at, the graph takes the set's read-only arrays themselves, no copy."""
     if not epsilon >= 0:  # NaN too: every comparison with it is false
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if len(ws) < ws.total and epsilon < ws.w.min():
-        raise GraphError(f"the set holds only the pair weights >= {ws.w.min():.10g}")
-    mask = ws.w >= epsilon
-    return RelationGraph(
-        vertices=list(ws.ids),
-        edge_i=ws.i[mask],
-        edge_j=ws.j[mask],
-        edge_w=ws.w[mask],
-        meta={"method": "epsilon", "epsilon": epsilon},
-    )
+    low = float(ws.w.min(initial=math.inf))
+    if len(ws) < ws.total and epsilon < low:
+        raise GraphError(f"the set holds only the pair weights >= {low:.10g}")
+    if epsilon <= low:
+        edges = ws.i, ws.j, ws.w
+    else:
+        mask = ws.w >= epsilon
+        edges = ws.i[mask], ws.j[mask], ws.w[mask]
+    meta = {"method": "epsilon", "epsilon": epsilon}
+    return RelationGraph(list(ws.ids), *edges, meta)
 
 
 def _floor_weight(ws: WeightSet) -> float:
@@ -142,20 +145,44 @@ def csr(
     """Symmetric CSR adjacency ``(indptr, indices, weights)`` of the
     undirected edges (i[e], j[e], w[e]) over n vertices.
 
-    Each edge appears in both endpoint rows.  A stable sort of the
-    interleaved list (i0->j0, j0->i0, i1->j1, ...) keeps every row in edge
-    order, exactly as appending both directions edge by edge would.
-    ``indptr`` is int64 and ``indices`` int32 (``VERTEX_ID``).
+    Each edge appears in both endpoint rows, every row in edge order,
+    exactly as appending i0->j0, j0->i0, i1->j1, ... edge by edge would.
+    A stable counting placement: each chunk of ``_CSR_CHUNK`` edges sorts
+    its entries by row and writes them straight to their final slots,
+    after the earlier chunks' entries of the same row.  No temporary is
+    longer than a chunk, apart from n-sized ones.  ``indptr`` is int64
+    and ``indices`` int32 (``VERTEX_ID``).
     """
     check_vertex_count(n)
-    src = np.column_stack((i, j)).ravel()
-    order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    del src  # each temporary is freed once read: E can be millions
-    indices = np.column_stack((j, i)).ravel()[order].astype(VERTEX_ID, copy=False)
-    order >>= 1  # entry k of the interleaved list is edge k // 2
-    return indptr, indices, w[order]
+    indptr[1:] = np.bincount(i, minlength=n)
+    indptr[1:] += np.bincount(j, minlength=n)
+    np.cumsum(indptr, out=indptr)
+    indices = np.empty(indptr[-1], dtype=VERTEX_ID)
+    weights = np.empty(indptr[-1], dtype=w.dtype)
+    fill = indptr[:-1].copy()  # each row's next free slot
+    shift = (2 * _CSR_CHUNK - 1).bit_length()  # bits of a position in a chunk
+    for s in range(0, len(w), _CSR_CHUNK):
+        e = min(s + _CSR_CHUNK, len(w))
+        c = 2 * (e - s)
+        # the interleaved entries keyed (row, position in the chunk): one
+        # sort orders them by row, each row in edge order; ids < 2**31
+        key = np.empty(c, dtype=np.int64)
+        key[0::2], key[1::2] = i[s:e], j[s:e]
+        key <<= shift
+        key += np.arange(c)
+        key.sort()
+        row = key >> shift
+        key &= (1 << shift) - 1
+        # slot = the row's next free slot + the entry's rank in its row
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        run = np.diff(first, append=c)
+        slot = np.arange(c) - np.repeat(first - fill[row[first]], run)
+        indices[slot] = np.column_stack((j[s:e], i[s:e])).ravel()[key]
+        key >>= 1  # entry k of the interleaved list is edge s + k // 2
+        weights[slot] = w[s:e][key]
+        fill[row[first]] += run
+    return indptr, indices, weights
 
 
 def _name_rank(ids: list[str]) -> np.ndarray:

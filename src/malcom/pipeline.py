@@ -109,8 +109,9 @@ def run_pipeline(
     ``report.weights``); they are used in place of recomputing them, so a
     sweep over graph parameters weighs the corpus once.  They must cover
     the dataset's samples in the same order, else DatasetError, and hold
-    the pairs ``params`` reads, else GraphError.  The graph builders never
-    modify a weight set, which is what makes it reusable.
+    the pairs ``params`` reads, else GraphError.  A weight set's arrays
+    are read-only, and a graph may share them; that is what makes it
+    reusable.
     """
     detector = DetectorConfig(rng_seed=seed)
     detector.validate()  # before any stage runs

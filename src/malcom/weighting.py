@@ -12,11 +12,12 @@ features from 0.0 in ascending feature-name order, so weights are
 bit-reproducible and match a brute-force double loop exactly.  Weighing
 streams it over blocks of rows (no dense n x n buffer), and
 ``WeightSet.row_blocks`` recomputes whole rows with it.  Weighed at p, a
-set holds O(b * n + m) pairs for a block of b rows and m = ceil(p/100 *
-n(n-1)/2), plus any ties at its threshold: all that an epsilon or E-N graph
-at that p reads; at p = 100 it holds all |W| positive pairs.  The k-NN
-rules read recomputed rows, not held pairs.  Vertex ids are int32
-(``VERTEX_ID``), so a held pair takes 16 bytes: two ids and its weight.
+set holds exactly the top ceil(p/100 * |W|) pairs, ties included: all that
+an epsilon or E-N graph at that p reads, and while weighing O(b * n + m)
+pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2); at p = 100 it
+holds all |W| positive pairs.  The k-NN rules read recomputed rows, not
+held pairs.  Vertex ids are int32 (``VERTEX_ID``), so a held pair takes 16
+bytes: two ids and its weight.
 """
 from __future__ import annotations
 
@@ -32,6 +33,10 @@ from .errors import MalcomError, ParameterError
 
 # Cells of one row block of the pair-weight accumulator (4 MiB of float64).
 _BLOCK_CELLS = 1 << 19
+# A weight's bucket is the top 16 bits of its IEEE pattern: for positive
+# doubles they order as the values do, 16 buckets per power of two
+_KEY_SHIFT = 48
+_KEYS = 1 << 16
 # dtype of vertex ids in pair, edge and CSR arrays; a key that multiplies
 # two ids (a * m + b) is built in int64, where the product cannot overflow
 VERTEX_ID = np.int32
@@ -72,12 +77,14 @@ Feature = tuple[np.ndarray, np.ndarray]
 class WeightSet:
     """Sparse symmetric positive pair weights over n vertices.
 
-    Stored as parallel arrays (i, j, w) with i < j (int32 vertex indices
-    in dataset order), w > 0, in row-major order.  The set holds either
-    all ``total`` positive pairs, or exactly the pairs at or above its
-    smallest held weight; what it can serve follows from that alone.  It
-    keeps the feature lists it was weighed from, and ``row_blocks``
-    recomputes whole rows from them.
+    Stored as parallel read-only arrays (i, j, w) with i < j (int32 vertex
+    indices in dataset order), w > 0, in row-major order; an epsilon or
+    E-N graph that keeps every held pair aliases them.  The set holds
+    either all ``total`` positive pairs, or exactly the pairs at or above
+    its smallest held weight (weighed at p: the top ceil(p/100 * total),
+    ties included); what it can serve follows from that alone.  It keeps
+    the feature lists it was weighed from, and ``row_blocks`` recomputes
+    whole rows from them.
     """
 
     def __init__(
@@ -94,6 +101,8 @@ class WeightSet:
         self.i = np.asarray(i, dtype=VERTEX_ID)
         self.j = np.asarray(j, dtype=VERTEX_ID)
         self.w = np.asarray(w, dtype=np.float64)
+        for a in (self.i, self.j, self.w):
+            a.setflags(write=False)  # graphs may share them
         # |W| and the smallest positive weight of the complete set
         self.total = len(self.w) if total is None else total
         if min_w is None and len(self.w):
@@ -175,17 +184,25 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     is no dense n x n buffer.  Every pair sums its features from 0.0 in
     the same order, so the weights do not depend on b.
 
-    A pair is kept when its weight is at or above a running threshold:
-    whenever more than 2 * m_max pairs are held, m_max = ceil(top_p/100 *
-    n(n-1)/2), the threshold rises to the m_max-th largest held weight and
-    the pairs below it are dropped.  The top ceil(p/100 * |W|) <= m_max
-    pairs of any p <= top_p are never dropped.  If the threshold never
-    rose, as at top_p = 100 (m_max = n(n-1)/2), the set is complete.  The
-    output arrays reserve room for min(n(n-1)/2, 2 * m_max + b * n) pairs,
-    what the pairs held before a block and the block's own can fill; when
-    ties at the threshold hold more than 2 * m_max pairs, they grow in
-    place.  Memory is O(b * n + held pairs), 16 bytes per held pair.  A
-    weight that overflows the float64 range raises DatasetError.
+    The set holds exactly the top ceil(top_p/100 * |W|) pairs, ties
+    included, in row-major order; at top_p = 100 it is complete.  While
+    weighing, a pair is kept when its weight is at or above a running
+    threshold: the lower edge of the bucket that holds the m_max-th
+    largest held weight, m_max = ceil(top_p/100 * n(n-1)/2), read from a
+    count of the held weights per bucket (the top 16 bits of a positive
+    double, which order as the values do).  Once more than ceil(1.25 *
+    m_max) pairs are held, they are compacted in place, a block's cells at
+    a time, to those at or above the m_max-th largest; at the end, to the
+    top ceil(top_p/100 * |W|).  Either rank is found by partitioning a
+    copy of the members of its bucket alone, which is all held weights
+    only when they share that bucket (ties, or weights within 1/16 of an
+    octave of each other).  The output arrays reserve min(n(n-1)/2,
+    ceil(1.25 * m_max) + b * n) pairs, what the pairs held before a block
+    and the block's own can fill; when ties at the threshold hold more,
+    they grow in place.  Memory is O(b * n + held pairs): 16 bytes per
+    held pair, and 8 more per member of a rank's bucket while it is
+    partitioned.  A weight that overflows the float64 range raises
+    DatasetError.
     """
     if not 0 < top_p <= 100:
         raise ParameterError(f"top_p must be in (0, 100], got {top_p}")
@@ -194,11 +211,14 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     features = _feature_lists(m)
     rows = max(1, _BLOCK_CELLS // n)
     size = n * (n - 1) // 2
-    m_max = math.ceil(top_p / 100.0 * size)
-    room = min(size, 2 * m_max + rows * n)
+    m_max = top_count(top_p, size)
+    cap = math.ceil(1.25 * m_max)
+    room = min(size, cap + rows * n)
     i, j = np.empty(room, dtype=VERTEX_ID), np.empty(room, dtype=VERTEX_ID)
     w = np.empty(room, dtype=np.float64)
+    hist = np.zeros(_KEYS, dtype=np.int64)  # held pairs per bucket
     count = total = 0
+    limit = cap  # held pairs that start a compaction
     min_w = math.inf
     threshold = 0.0
     for r0 in range(0, n, rows):
@@ -214,7 +234,7 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         flat = np.flatnonzero(keep)
         del keep
         end = count + len(flat)
-        if end > len(w):  # ties at the threshold hold over 2 * m_max pairs
+        if end > len(w):  # ties at the threshold hold more than reserved
             for a in (i, j, w):
                 a.resize(min(size, max(end, 2 * len(a))), refcheck=False)
         np.take(acc, flat, out=w[count:end], mode="clip")  # unbuffered
@@ -223,18 +243,79 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         i[count:end] += r0
         np.remainder(flat, width, out=j[count:end], casting="unsafe")
         j[count:end] += r0
+        del acc
+        # the new weights' buckets, in the buffer of their cell indices
+        bits = w[count:end].view(np.uint64)
+        np.right_shift(bits, _KEY_SHIFT, out=flat.view(np.uint64))
+        hist += np.bincount(flat, minlength=_KEYS)
+        del flat, bits  # views: a resize may move their buffers
         count = end
-        if count > 2 * m_max:
-            threshold = float(np.partition(w[:count], count - m_max)[count - m_max])
-            held = w[:count] >= threshold
-            count = int(np.count_nonzero(held))
-            for a in (i, j, w):
-                a[:count] = a[: len(held)][held]  # a stable, in-place compaction
+        if count > limit:
+            count, threshold = _keep_top(i, j, w, count, hist, m_max)
+            limit = max(cap, count + cap - m_max)  # ties may hold over cap
+        elif count >= m_max:
+            key, _ = _rank_bucket(hist, m_max)
+            threshold = max(threshold, _bucket_floor(key))
+    top = top_count(top_p, total)
+    if count > top:
+        count, _ = _keep_top(i, j, w, count, hist, top)
     for a in (i, j, w):
         a.resize(count, refcheck=False)  # in place: no copy of the pairs
     return WeightSet(
         list(m.sample_ids), i, j, w, features, total, min_w if total else None
     )
+
+
+def top_count(p: float, total: int) -> int:
+    """How many of ``total`` pairs the top p percent are: ceil(p/100 * total),
+    at most total.  The one rule for trimming a set weighed at p and for
+    the percentile cutoff read from it."""
+    return min(math.ceil(p / 100.0 * total), total)
+
+
+def _bucket_floor(key: int) -> float:
+    """The smallest double in bucket ``key`` (+inf past the finite ones)."""
+    return float(np.array(key << _KEY_SHIFT, dtype=np.uint64).view(np.float64))
+
+
+def _rank_bucket(hist: np.ndarray, rank: int) -> tuple[int, int]:
+    """(key, above): the bucket of the rank-th largest counted weight, and
+    the count of weights in the buckets above it."""
+    above = np.cumsum(hist[::-1])
+    r = int(np.searchsorted(above, rank))
+    return _KEYS - 1 - r, int(above[r - 1]) if r else 0
+
+
+def _keep_top(
+    i: np.ndarray, j: np.ndarray, w: np.ndarray, count: int, hist: np.ndarray,
+    rank: int,
+) -> tuple[int, float]:
+    """Keep the first ``count`` pairs whose weight is at or above the
+    rank-th largest of them, ties included, in place and in order, and
+    count them in ``hist``.  Returns (pairs kept, that weight)."""
+    key, above = _rank_bucket(hist, rank)
+    lo, hi = _bucket_floor(key), _bucket_floor(key + 1)
+    # held pairs are read a block's cells at a time, and only the bucket's
+    # members are copied and partitioned
+    starts = range(0, count, _BLOCK_CELLS)
+    chunks = (w[s : min(s + _BLOCK_CELLS, count)] for s in starts)
+    members = np.concatenate([c[(c >= lo) & (c < hi)] for c in chunks])
+    at = len(members) - (rank - above)
+    members.partition(at)
+    cutoff = float(members[at])
+    del members
+    kept = 0
+    for s in starts:
+        e = min(s + _BLOCK_CELLS, count)
+        held = np.flatnonzero(w[s:e] >= cutoff)
+        for a in (i, j, w):
+            # the kept pairs are copied out before the write, which starts
+            # at or before the chunk: in place and stable
+            a[kept : kept + len(held)] = a[s:e][held]
+        kept += len(held)
+    hist[:key] = 0
+    hist[key] = kept - above
+    return kept, cutoff
 
 
 def _weight_rows(

@@ -66,6 +66,53 @@ def test_csr_rows_match_append_loop(case):
     assert np.diff(indptr).tolist() == g.degrees().tolist()
 
 
+def argsort_csr(n, i, j, w):
+    """The CSR built by one stable argsort of the interleaved entries
+    (i0->j0, j0->i0, i1->j1, ...): the reference ``csr`` must match."""
+    src = np.column_stack((i, j)).ravel()
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    indices = np.column_stack((j, i)).ravel()[order].astype(np.int32)
+    return indptr, indices, w[order >> 1]
+
+
+@given(edge_lists(), st.randoms(use_true_random=False),
+       st.sampled_from([1, 3, graph._CSR_CHUNK]))
+def test_csr_equals_argsort_reference(case, random, chunk):
+    n, edges = case
+    random.shuffle(edges)
+    i = np.array([e[0] for e in edges], dtype=np.int32)
+    j = np.array([e[1] for e in edges], dtype=np.int32)
+    w = np.array([e[2] for e in edges], dtype=np.float64)
+    with mock.patch.object(graph, "_CSR_CHUNK", chunk):
+        got = csr(n, i, j, w)
+    for a, b in zip(got, argsort_csr(n, i, j, w)):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def test_csr_allocates_its_output_and_one_chunk():
+    """On 400k edges ``csr`` allocates (tracemalloc counts numpy buffers)
+    its output, n-sized arrays and one chunk's temporaries: no |E|-long
+    argsort order or interleaved copy."""
+    rng = np.random.default_rng(7)
+    n, m = 3000, 400_000
+    i = rng.integers(0, n - 1, m, dtype=np.int32)
+    j = (i + rng.integers(1, n - i, dtype=np.int32)).astype(np.int32)
+    w = rng.uniform(1, 2, m)
+    tracemalloc.start()
+    try:
+        out = csr(n, i, j, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for a in out)
+    assert peak <= output + 4 * 8 * (n + 1) + 256 * graph._CSR_CHUNK
+    for a, b in zip(out, argsort_csr(n, i, j, w)):
+        assert a.tobytes() == b.tobytes()
+
+
 class TestPercentileCutoff:
     def test_hand_enumeration(self, six_weight_set):
         cutoff, m = percentile_cutoff(six_weight_set, 50)
@@ -576,6 +623,27 @@ def test_en_without_isolated_vertices_allocates_under_twice_its_edges():
     assert g.meta["isolated_before_fallback"] == 0
     assert g.num_edges >= 299_700  # the top 60% of 499,500 pairs
     assert peak <= 2 * (g.edge_i.nbytes + g.edge_j.nbytes + g.edge_w.nbytes)
+
+
+def test_graphs_at_the_weighed_p_share_the_sets_read_only_arrays():
+    """With no vertex isolated, the E-N and epsilon-at-p graphs at the p the
+    set was weighed at keep every held pair and take the set's arrays
+    themselves; neither side can write into them."""
+    model = compute_tfidf(generate(SynthConfig(samples_per_family=10, rng_seed=7)))
+    ws = pairwise_weights(model, top_p=10)
+    en = build_en(ws, 10, 1)
+    assert en.meta["isolated_before_fallback"] == 0
+    at_p = build_graph(ws, GraphBuildParams(method="epsilon", p=10))
+    for g in (en, at_p):
+        for a, b in ((g.edge_i, ws.i), (g.edge_j, ws.j), (g.edge_w, ws.w)):
+            assert np.shares_memory(a, b)
+            for x in (a, b):
+                with pytest.raises(ValueError, match="read-only"):
+                    x[0] = x[0]
+    # a smaller p keeps fewer pairs: a copy of its own
+    smaller = build_en(ws, 5, 1)
+    assert not np.shares_memory(smaller.edge_w, ws.w)
+    smaller.edge_w[0] = smaller.edge_w[0]
 
 
 def test_vertex_ids_are_int32(tmp_path):

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_weights, pair_weight, tfidf_model
+from test_graph import tied_models
 from malcom import cli, weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.errors import MalcomError, ParameterError
@@ -433,29 +435,53 @@ def test_int32_vertex_ids_bound_the_sample_count():
         pairwise_weights(model)
 
 
+def traced_peak(model, top_p):
+    """tracemalloc's peak, in bytes, while weighing the model at top_p."""
+    tracemalloc.start()
+    try:
+        ws = pairwise_weights(model, top_p)
+        return ws, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
-    """The stream reserves min(n(n-1)/2, 2 m_max + b n) pairs, not all
-    n(n-1)/2 at 16 bytes each."""
+    """The stream reserves min(n(n-1)/2, ceil(1.25 m_max) + b n) pairs at 16
+    bytes each, and beyond them allocates only the bucket counts and one
+    block's temporaries: no copy of the held weights.  The whole call adds
+    the feature lists, which peak at about 32 bytes per stored tf-idf value
+    while they are built."""
     d = generate(
-        SynthConfig(signature_presence_prob=0.6, cross_family_leak_prob=0.15, rng_seed=7)
+        SynthConfig(
+            samples_per_family=100,
+            signature_presence_prob=0.6,
+            cross_family_leak_prob=0.15,
+            rng_seed=7,
+        )
     )
     model = compute_tfidf(d)
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
-    tracemalloc.start()
-    try:
-        pairwise_weights(model, top_p=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     n = model.n
-    assert peak < 16 * n * (n - 1) // 2
+    b, m_max = (1 << 12) // n, math.ceil(0.1 * (n * (n - 1) // 2))
+    # the bucket counts, a block's counts and their cumulative sum, and a
+    # block's weights, cell indices and masks
+    slack = 3 * 8 * weighting._KEYS + 40 * (1 << 12)
+    reserved = 16 * (math.ceil(1.25 * m_max) + b * n)
+    ws, peak = traced_peak(model, 10)
+    assert len(ws) < ws.total  # the threshold rose
+    assert peak <= reserved + 32 * len(model.data) + slack
+    # the pairs' own share, with the feature lists built before tracing
+    features = weighting._feature_lists(model)
+    monkeypatch.setattr(weighting, "_feature_lists", lambda m: features)
+    _, peak = traced_peak(model, 10)
+    assert peak <= reserved + slack
 
 
 def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
     """The golden "twins" corpus with each family's first sample repeated:
     a family's pairs all tie, so at a small p the pairs at the threshold
-    outgrow the 2 m_max + b n reserved, and the set still holds exactly the
-    pairs at or above its smallest weight."""
+    outgrow the ceil(1.25 m_max) + b n reserved, and the set still holds
+    exactly the pairs at or above its smallest weight."""
     d = generate(
         SynthConfig(
             common_features=0,
@@ -480,3 +506,86 @@ def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
     held = full.w >= ws.w.min()
     for a in "ijw":
         assert np.array_equal(getattr(ws, a), getattr(full, a)[held])
+
+
+def top_p_of(full, p):
+    """The complete set's pairs at or above its ceil(p/100 |W|)-th largest
+    weight, as (i, j, w)."""
+    top = min(math.ceil(p / 100.0 * full.total), full.total)
+    held = full.w >= np.sort(full.w)[len(full) - top]
+    return full.i[held], full.j[held], full.w[held]
+
+
+def assert_holds_top_p(ws, full, p):
+    assert (ws.total, ws.min_w) == (full.total, full.min_w)
+    for got, expect in zip((ws.i, ws.j, ws.w), top_p_of(full, p)):
+        assert got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+
+
+@settings(deadline=None)
+@given(tied_models(), st.floats(0.01, 100.0), st.sampled_from([1, 3, 1 << 19]))
+def test_weighed_at_p_holds_exactly_the_top_p(model, p, rows):
+    """With ties at the cutoff, the set weighed at p holds the complete
+    set's pairs at or above its ceil(p/100 |W|)-th largest weight: no more,
+    no fewer, in row-major order."""
+    with mock.patch.object(weighting, "_BLOCK_CELLS", rows * model.n):
+        full = pairwise_weights(model)
+        if full.total:
+            assert_holds_top_p(pairwise_weights(model, p), full, p)
+
+
+def crafted_weights(monkeypatch, dense):
+    """A model of len(dense) samples whose pair weights are the upper
+    triangle of the symmetric matrix ``dense``: the kernel is replaced by a
+    read of its rows."""
+    dense = np.asarray(dense, dtype=np.float64)
+    monkeypatch.setattr(
+        weighting, "_weight_rows", lambda features, n, rows, c0: dense[rows, c0:]
+    )
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", len(dense))  # one row a block
+    return tfidf_model([{}] * len(dense))
+
+
+def dense_of(n, values):
+    dense = np.zeros((n, n))
+    dense[np.triu_indices(n, 1)] = values
+    return dense + dense.T
+
+
+EDGE = 1.0  # the smallest double of its bucket
+BELOW = np.nextafter(EDGE, 0.0)  # the largest double of the bucket below
+SUBNORMAL = [5e-324, 1e-320, 2.5e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022]
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        pytest.param([BELOW, EDGE, 3.0], id="bucket-edge"),
+        pytest.param([np.nextafter(BELOW, 0.0), BELOW, EDGE, np.nextafter(EDGE, 2)],
+                     id="bucket-edge-neighbours"),
+        pytest.param(SUBNORMAL, id="subnormal"),
+        pytest.param([*SUBNORMAL, 1.0, np.finfo(np.float64).max], id="full-range"),
+        pytest.param([0.5], id="all-tied"),
+    ],
+)
+def test_crafted_weights_hold_exactly_the_top_p(monkeypatch, pool):
+    n = 60
+    rng = np.random.default_rng(7)
+    values = rng.choice(np.array(pool + [0.0]), size=n * (n - 1) // 2)
+    model = crafted_weights(monkeypatch, dense_of(n, values))
+    full = pairwise_weights(model)
+    assert len(full) == full.total == np.count_nonzero(values)
+    for p in (0.05, 0.5, 1, 2.5, 10, 25, 33.3, 50, 75, 99, 100):
+        assert_holds_top_p(pairwise_weights(model, p), full, p)
+
+
+def test_crafted_ties_outgrow_the_reservation(monkeypatch):
+    """Every pair ties: at p = 1 the 1770 tied pairs outgrow the
+    ceil(1.25 m_max) + b n = 23 + 60 reserved, and the arrays grow."""
+    n, p = 60, 1
+    model = crafted_weights(monkeypatch, dense_of(n, 0.5))
+    m_max = math.ceil(p / 100 * (n * (n - 1) // 2))
+    ws = pairwise_weights(model, p)
+    assert len(ws) == ws.total == n * (n - 1) // 2 > math.ceil(1.25 * m_max) + n
+    assert_holds_top_p(ws, pairwise_weights(model), p)
