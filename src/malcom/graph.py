@@ -109,6 +109,11 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
     m = top_count(p, total)
     if m > held:
         raise GraphError(f"the top {p:g}% are {m} pairs; the set holds only {held}")
+    # a set weighed at p holds the top m, ties included: unless more than
+    # m pairs lie above its smallest weight, that weight is the m-th largest
+    low = float(ws.w.min())
+    if np.count_nonzero(ws.w > low) < m:
+        return low, m
     # m-th largest == (held - m)-th smallest; introselect, no full sort
     cutoff = float(np.partition(ws.w, held - m)[held - m])
     return cutoff, m

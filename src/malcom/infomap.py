@@ -40,10 +40,11 @@ skipping repeated work (``_local_move_passes``):
   minimum must lie.
 
 Community exit sums and the aggregated edge weights walk the CSR rows in
-slices of about ``_CHUNK`` entries and add with ``np.add.at``, one term
-at a time in CSR order, as a bincount over all entries would: the sums
-are the same doubles, and no temporary is |E| long.  Vertex and community
-ids are int32.
+slices of about ``_CHUNK`` entries, and a level's strengths walk its
+edges ``_CHUNK`` at a time; each adds with ``np.add.at``, one term at a
+time in order, as a bincount over all entries would: the sums are the
+same doubles, and no temporary is |E| long.  Vertex and community ids
+are int32.
 """
 from __future__ import annotations
 
@@ -58,7 +59,9 @@ from .graph import RelationGraph, csr
 from .weighting import VERTEX_ID
 
 CONVERGENCE_TOLERANCE = 1e-10  # bits a local move must gain to be applied
-_CHUNK = 1 << 16  # CSR entries per row slice of the exit and pair sums
+# CSR entries per row slice of the exit and pair sums, and edges per slice
+# of a level's strength, loop and total sums
+_CHUNK = 1 << 16
 # Row entries, and neighbor communities of a visit, from which numpy beats
 # the scalar loop at summing w_to and at scoring candidates: of 24 to 192,
 # 96 ran the benchmark's seed-7 graphs fastest (48 to 128 within noise).
@@ -130,25 +133,35 @@ class _Net:
     Non-loop edges form the CSR adjacency of ``graph.csr`` (``indptr``,
     ``indices`` with int32 vertex ids, ``weights``).  Loop weight lives in
     ``loop``, counts twice toward strength and once toward total weight,
-    so aggregation preserves flows exactly.  All sums run in edge order
-    (bincount, cumsum), as an edge-by-edge loop would add.  A sum that
-    overflows is kept as inf, and ``visit_rates`` rejects the graph.
+    so aggregation preserves flows exactly.  All sums run in edge order,
+    as an edge-by-edge loop would add, ``_CHUNK`` edges at a time:
+    ``np.add.at`` for the loop and strength sums, and for the total a
+    cumsum that starts from the previous chunk's, so no temporary is |E|
+    long.  A sum that overflows is kept as inf, and ``visit_rates``
+    rejects the graph.
     """
 
     def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, ew: np.ndarray):
         self.n = n
-        is_loop = ei == ej
-        self.loop = _sum_by(ei[is_loop], ew[is_loop], n)
+        self.loop = np.zeros(n, dtype=np.float64)
+        self.strength = np.zeros(n, dtype=np.float64)
+        total = np.zeros(1, dtype=np.float64)
+        loops = False
         with np.errstate(over="ignore"):  # visit_rates rejects an inf total
-            # both endpoints in edge order; a loop adds 2w once, at its edge
-            end_w = np.repeat(ew, 2)
-            end_w[0::2][is_loop] *= 2.0
-            end_w[1::2][is_loop] = 0.0
-            self.strength = _sum_by(np.column_stack((ei, ej)).ravel(), end_w, n)
-            del end_w  # each temporary is freed once read: E can be millions
-            self.total_weight = float(np.cumsum(ew)[-1]) if len(ew) else 0.0
-        if is_loop.any():
-            keep = ~is_loop
+            for s in range(0, len(ew), _CHUNK):
+                i, j, w = ei[s : s + _CHUNK], ej[s : s + _CHUNK], ew[s : s + _CHUNK]
+                is_loop = i == j
+                loops = loops or bool(is_loop.any())
+                np.add.at(self.loop, i[is_loop], w[is_loop])
+                # both endpoints in edge order; a loop adds 2w once, at its edge
+                end_w = np.repeat(w, 2)
+                end_w[0::2][is_loop] *= 2.0
+                end_w[1::2][is_loop] = 0.0
+                np.add.at(self.strength, np.column_stack((i, j)).ravel(), end_w)
+                total = np.cumsum(np.concatenate((total[-1:], w)))
+        self.total_weight = float(total[-1])
+        if loops:
+            keep = ei != ej
             ei, ej, ew = ei[keep], ej[keep], ew[keep]
         self.indptr, self.indices, self.weights = csr(n, ei, ej, ew)
         # sum of plogp over the FINEST level's visit rates; aggregated nets

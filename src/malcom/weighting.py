@@ -11,7 +11,12 @@ the two tf-idf values.  One kernel, ``_weight_rows``, sums each pair's
 features from 0.0 in ascending feature-name order, so weights are
 bit-reproducible and match a brute-force double loop exactly.  Weighing
 streams it over blocks of rows (no dense n x n buffer), and
-``WeightSet.row_blocks`` recomputes whole rows with it.  Weighed at p, a
+``WeightSet.row_blocks`` recomputes whole rows with it.  When the kernel
+would add far more cells than the top p need, weighing takes the bound
+path instead: float64 BLAS products over a dense n x F tf-idf matrix
+approximate every weight within a certified bound, the pairs that can
+reach the top p are held, and only those are summed exactly, in the
+kernel's order; both paths give the same set, bit for bit.  Weighed at p, a
 set holds exactly the top ceil(p/100 * |W|) pairs, ties included: all that
 an epsilon or E-N graph at that p reads, and while weighing O(b * n + m)
 pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2); at p = 100 it
@@ -40,6 +45,18 @@ _KEYS = 1 << 16
 # dtype of vertex ids in pair, edge and CSR arrays; a key that multiplies
 # two ids (a * m + b) is built in int64, where the product cannot overflow
 VERTEX_ID = np.int32
+# An approximation at or above this takes its block to the kernel: below
+# it no weight can overflow, so the kernel would raise no error either
+_BOUND_MAX = 2.0**1000
+# The bound path runs when the kernel's sum(df^2) / 2 cell adds exceed
+# _BOUND_GAIN times the exact pass's m_max * (stored values / n) (about
+# the cells it sums).  Weighing the seed-7 benchmark corpora on one BLAS
+# thread, kernel against bound path (s), at that ratio: n = 3900 easy
+# 1.46/0.73 at 29.5, 1.37/1.10 at 5.9, 1.22/1.50 at 2.95 (en-easy, p = 10);
+# hard 1.64/0.78 at 29.6 (en-fallback, p = 1), 1.86/1.40 at 5.9, 1.70/2.54
+# at 2.96; n = 650 hard 0.11/0.05 at 29.9, 0.12/0.26 at 0.75 (the sweep's
+# p = 40), 0.11/0.46 at 0.3 (p = 100).
+_BOUND_GAIN = 4
 
 
 def check_vertex_count(n: int) -> None:
@@ -203,6 +220,26 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     held pair, and 8 more per member of a rank's bucket while it is
     partitioned.  A weight that overflows the float64 range raises
     DatasetError.
+
+    Two paths compute the weights, and give the same set bit for bit.  The
+    kernel (``_weight_rows``) adds sum(df^2) / 2 cells over the F features
+    held by two samples or more.  The bound path runs when that exceeds
+    ``_BOUND_GAIN`` times m_max * (stored values / n), about the cells its
+    exact pass sums.  It builds the dense n x F tf-idf matrix T (8 n F
+    bytes, freed once the weights are exact) and, per block, the
+    approximations A = (T B^T + B T^T) / 2, B the 0/1 pattern of T, by
+    float64 BLAS products in column chunks.  With every product exact and
+    every term >= 0, any summation order leaves A and the weight w within
+    gamma_{2F+2} * S (plus a subnormal term) of the real sum S, so |A - w|
+    <= delta * w + eta (``_slack``).  The running threshold reads A, with
+    the block's own buckets counted before the block is appended, and
+    keeps, and compacts to, A >= t * (1 - 3 delta) - 3 eta: every pair of
+    the top p is held.  The held pairs are then summed exactly
+    (``_exact_weights``) and trimmed as the kernel's are.  ``total`` counts
+    A > 0, which holds exactly when a pair shares a feature; ``min_w`` is
+    the smallest exact weight of the pairs whose A lies within the bound
+    of the smallest A.  A block whose A reaches ``_BOUND_MAX`` is weighed
+    by the kernel, which reports an overflow.
     """
     if not 0 < top_p <= 100:
         raise ParameterError(f"top_p must be in (0, 100], got {top_p}")
@@ -221,16 +258,60 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     limit = cap  # held pairs that start a compaction
     min_w = math.inf
     threshold = 0.0
+    # the kernel adds sum(df^2) / 2 cells, the exact pass about m_max
+    # pairs times the stored values per sample
+    stored = sum(len(ix) for ix, _ in features)
+    kernel_cells = sum(len(ix) ** 2 for ix, _ in features) // 2
+    dense = None
+    # a threshold t is lowered to t * drop - pad, and the smallest
+    # approximation a raised to a * rise + pad: three times the bound
+    # between an approximation and its weight (_slack), which covers the
+    # bound both ways and the rounding of these products
+    drop = rise = 1.0
+    pad = 0.0
+    if _BOUND_GAIN * m_max * stored < kernel_cells * n:
+        dense = _dense(features, n)
+        delta, eta = _slack(len(features))
+        drop, rise, pad = 1 - 3 * delta, 1 + 3 * delta, 3 * eta
+    a_min = math.inf  # the smallest positive approximation so far
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
-        acc = _weight_rows(features, n, np.arange(r0, r1), r0)
-        # row-major (i, j) with j > i and w > 0
+        acc = None if dense is None else _bound_rows(dense, r0, r1)
+        exact = acc is None or not acc.max(initial=0.0) < _BOUND_MAX
+        if exact:  # no bound, or a weight may overflow: the kernel reports it
+            acc = _weight_rows(features, n, np.arange(r0, r1), r0)
+        # row-major (i, j) with j > i and w > 0 (then A > 0 too)
         keep = np.triu(acc > 0, k=1)
         total += int(np.count_nonzero(keep))
-        min_w = min(min_w, float(acc.min(where=keep, initial=math.inf)))
-        if threshold > 0:
-            keep &= acc >= threshold
+        low = float(acc.min(where=keep, initial=math.inf))
+        if exact:
+            min_w = min(min_w, low)
+        elif low < math.inf and low <= a_min * rise + pad:
+            # the smallest weight's approximation lies within the bound of
+            # the smallest approximation: weigh those pairs exactly
+            a_min = min(a_min, low)
+            near = np.flatnonzero(keep & (acc <= low * rise + pad))
+            near_w = _exact_weights(dense, near // width + r0, near % width + r0)
+            min_w = min(min_w, float(near_w.min()))
+            del near, near_w
+        floor = threshold * drop - pad
+        if floor > 0:
+            keep &= acc >= floor
+        if not exact and count + np.count_nonzero(keep) >= m_max:
+            # the threshold from the held buckets plus the block's own,
+            # before the block is appended
+            own = np.zeros(_KEYS, dtype=np.int64)
+            step = max(1, (_BLOCK_CELLS >> 3) // width)
+            for s in range(0, r1 - r0, step):
+                _count_keys(acc[s : s + step][keep[s : s + step]], own)
+            hist += own
+            key, _ = _rank_bucket(hist, m_max)
+            hist -= own
+            del own
+            if _bucket_floor(key) > threshold:
+                threshold = _bucket_floor(key)
+                keep &= acc >= threshold * drop - pad
         flat = np.flatnonzero(keep)
         del keep
         end = count + len(flat)
@@ -251,11 +332,20 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         del flat, bits  # views: a resize may move their buffers
         count = end
         if count > limit:
-            count, threshold = _keep_top(i, j, w, count, hist, m_max)
+            count, cutoff = _keep_top(i, j, w, count, hist, m_max, drop, pad)
+            threshold = max(threshold, cutoff)
             limit = max(cap, count + cap - m_max)  # ties may hold over cap
         elif count >= m_max:
             key, _ = _rank_bucket(hist, m_max)
             threshold = max(threshold, _bucket_floor(key))
+    if dense is not None:
+        # the exact pass: every held approximation becomes its weight
+        hist[:] = 0
+        starts = np.searchsorted(i[:count], np.arange(0, n + rows, rows))
+        for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            w[s:e] = _exact_weights(dense, i[s:e], j[s:e])
+            _count_keys(w[s:e], hist)
+        del dense
     top = top_count(top_p, total)
     if count > top:
         count, _ = _keep_top(i, j, w, count, hist, top)
@@ -286,13 +376,19 @@ def _rank_bucket(hist: np.ndarray, rank: int) -> tuple[int, int]:
     return _KEYS - 1 - r, int(above[r - 1]) if r else 0
 
 
+def _count_keys(values: np.ndarray, hist: np.ndarray) -> None:
+    """Add the buckets of the positive doubles ``values`` to ``hist``."""
+    hist += np.bincount(values.view(np.int64) >> _KEY_SHIFT, minlength=_KEYS)
+
+
 def _keep_top(
     i: np.ndarray, j: np.ndarray, w: np.ndarray, count: int, hist: np.ndarray,
-    rank: int,
+    rank: int, drop: float = 1.0, pad: float = 0.0,
 ) -> tuple[int, float]:
     """Keep the first ``count`` pairs whose weight is at or above the
-    rank-th largest of them, ties included, in place and in order, and
-    count them in ``hist``.  Returns (pairs kept, that weight)."""
+    rank-th largest of them, t, lowered to t * drop - pad; ties
+    included, in place and in order, and count them in ``hist``.  Returns
+    (pairs kept, the rank-th largest)."""
     key, above = _rank_bucket(hist, rank)
     lo, hi = _bucket_floor(key), _bucket_floor(key + 1)
     # held pairs are read a block's cells at a time, and only the bucket's
@@ -304,17 +400,24 @@ def _keep_top(
     members.partition(at)
     cutoff = float(members[at])
     del members
+    floor = cutoff * drop - pad
     kept = 0
     for s in starts:
         e = min(s + _BLOCK_CELLS, count)
-        held = np.flatnonzero(w[s:e] >= cutoff)
+        held = np.flatnonzero(w[s:e] >= floor)
         for a in (i, j, w):
             # the kept pairs are copied out before the write, which starts
             # at or before the chunk: in place and stable
             a[kept : kept + len(held)] = a[s:e][held]
         kept += len(held)
-    hist[:key] = 0
-    hist[key] = kept - above
+    if floor >= lo:
+        hist[:key] = 0
+        hist[key] = kept - above
+    else:  # the lowered cutoff kept pairs of lower buckets: count them
+        hist[: key + 1] = 0
+        for s in range(0, kept, _BLOCK_CELLS):
+            c = w[s : min(s + _BLOCK_CELLS, kept)]
+            _count_keys(c[c < hi], hist)
     return kept, cutoff
 
 
@@ -348,6 +451,89 @@ def _weight_rows(
     if acc.max(initial=0.0) == math.inf:
         raise DatasetError("a pair weight overflows the float64 range")
     return acc.reshape(len(rows), width)
+
+
+def _dense(features: list[Feature], n: int) -> np.ndarray:
+    """The n x F tf-idf matrix T over the feature lists: T[v, f] is sample
+    v's value of feature f, 0.0 where it has none."""
+    dense = np.zeros((n, len(features)), dtype=np.float64)
+    for f, (ix, t) in enumerate(features):
+        dense[ix, f] = t
+    return dense
+
+
+def _slack(k: int) -> tuple[float, float]:
+    """(delta, eta) such that |A - w| <= delta * w + eta for a pair's
+    approximation A and weight w over F = k features.
+
+    Every term is >= 0, so a float sum of m of them, in any order, is
+    within gamma_m * S of the real sum S, gamma_m = m u / (1 - m u), u =
+    2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1).  A is two such sums of F exact products, their sum and a
+    halving; w sums at most F terms, each an addition and a halving.  A
+    halving is exact unless it leaves the normal range, where it errs by
+    at most 2**-1075.  So A and w both lie within gamma_{2F+2} * S + (F +
+    1) * 2**-1074 of S, and three times that bounds |A - w|."""
+    m = 2 * k + 2
+    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
+    return 3 * gamma, 3 * (k + 1) * 2.0**-1074
+
+
+def _bound_rows(dense: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """A = (T B^T + B T^T) / 2 for the rows [r0, r1) of T against the
+    columns [r0, n), B the 0/1 pattern of T, as a (r1 - r0, n - r0) block.
+    Every product is exact and every term >= 0, so in any summation order
+    each cell is within gamma * S of the pair's real sum S of (t_a + t_b)
+    / 2 (see _slack).  An overflow leaves inf."""
+    n, k = dense.shape
+    out = np.empty((r1 - r0, n - r0), dtype=np.float64)
+    t_rows = dense[r0:r1]
+    b_rows = np.sign(t_rows)  # every value is > 0
+    step = max(1, (_BLOCK_CELLS >> 3) // max(k, 1))  # columns of B per product
+    with np.errstate(over="ignore"):
+        for c0 in range(r0, n, step):
+            cols = dense[c0 : c0 + step]
+            at = slice(c0 - r0, c0 - r0 + len(cols))
+            out[:, at] = t_rows @ np.sign(cols).T + b_rows @ cols.T
+        out *= 0.5
+    return out
+
+
+def _exact_weights(dense: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The weights of the pairs (i[c], j[c]), i ascending, each the double
+    the kernel computes.  Row i's terms (t_i + t_j) * 0.5, in ascending
+    feature order and +0.0 where j lacks the feature, are read with one
+    gather of j's values and summed by one cumsum from the first term: the
+    kernel adds the same terms to 0.0 in the same order, and adding +0.0
+    to a sum >= 0 leaves it as it is.  Every row of i holds a feature."""
+    out = np.empty(len(i), dtype=np.float64)
+    if not len(i):
+        return out
+    k = dense.shape[1]
+    rows, at = np.unique(i, return_inverse=True)
+    # each row's feature columns and values, ascending, padded at the end
+    r, f = np.nonzero(dense[rows])
+    counts = np.bincount(r, minlength=len(rows))
+    slot = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
+    cols = np.zeros((len(rows), int(counts.max())), dtype=np.int64)
+    vals = np.zeros(cols.shape, dtype=np.float64)
+    cols[r, slot] = f
+    vals[r, slot] = dense[rows[r], f]
+    last = counts - 1
+    flat = dense.ravel()
+    step = max(1, (_BLOCK_CELLS >> 3) // cols.shape[1])
+    for s in range(0, len(i), step):
+        a = at[s : s + step]
+        index = cols[a]
+        index += j[s : s + step, None].astype(np.int64) * k
+        terms = flat.take(index)  # one gather: j's value of each feature
+        absent = terms == 0.0
+        terms += vals[a]
+        terms *= 0.5
+        terms[absent] = 0.0
+        np.cumsum(terms, axis=1, out=terms)
+        out[s : s + step] = terms[np.arange(len(a)), last[a]]
+    return out
 
 
 def _feature_lists(m: TfIdfModel) -> list[Feature]:

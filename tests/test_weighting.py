@@ -45,6 +45,16 @@ def loop_family_similarity(d, ws):
         return np.where(counts > 0, sums / counts, 0.0)
 
 
+# _BOUND_GAIN that forces each path: the bound path runs when the kernel's
+# cells exceed the gain times the exact pass's, so at 0 whenever the kernel
+# has a cell, and at inf never
+PATHS = {"kernel": math.inf, "bound": 0}
+
+
+def force_path(monkeypatch, path):
+    monkeypatch.setattr(weighting, "_BOUND_GAIN", PATHS[path])
+
+
 def random_model(rng, n):
     """Tf-idf model of n samples, each with up to 8 of 30 features."""
     names = [f"perm/f{i}" for i in range(30)]
@@ -234,14 +244,19 @@ class TestPairwiseWeights:
         )
         assert pair_weight(pairwise_weights(compute_tfidf(grown)), 0, 1) >= base
 
-    def test_matches_brute_force_bit_identical(self):
+    def test_matches_brute_force_bit_identical(self, monkeypatch):
         rng = np.random.default_rng(42)
         for trial in range(40):
             model = random_model(rng, int(rng.integers(2, 65)))
-            ws = pairwise_weights(model)
             expect = brute_force_weights(model)
-            got = {(a, b): w for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())}
-            assert got == expect  # exact, not approximate
+            for path in PATHS:
+                force_path(monkeypatch, path)
+                ws = pairwise_weights(model)
+                got = {
+                    (a, b): w
+                    for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())
+                }
+                assert got == expect  # exact, not approximate
 
     @pytest.mark.parametrize(
         "budget",
@@ -257,11 +272,16 @@ class TestPairwiseWeights:
         for n in (2, 23, 64, 80, 80):
             model = random_model(rng, n)
             monkeypatch.setattr(weighting, "_BLOCK_CELLS", budget(n))
-            ws = pairwise_weights(model)
-            assert (ws.i < ws.j).all()
-            assert (np.diff(ws.i * n + ws.j) > 0).all()  # row-major order
-            got = {(a, b): w for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())}
-            assert got == brute_force_weights(model)  # exact
+            for path in PATHS:
+                force_path(monkeypatch, path)
+                ws = pairwise_weights(model)
+                assert (ws.i < ws.j).all()
+                assert (np.diff(ws.i * n + ws.j) > 0).all()  # row-major order
+                got = {
+                    (a, b): w
+                    for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())
+                }
+                assert got == brute_force_weights(model)  # exact
 
 
 class TestFamilySimilarity:
@@ -450,31 +470,38 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
     bytes each, and beyond them allocates only the bucket counts and one
     block's temporaries: no copy of the held weights.  The whole call adds
     the feature lists, which peak at about 32 bytes per stored tf-idf value
-    while they are built."""
-    d = generate(
-        SynthConfig(
-            samples_per_family=100,
-            signature_presence_prob=0.6,
-            cross_family_leak_prob=0.15,
-            rng_seed=7,
-        )
-    )
-    model = compute_tfidf(d)
+    while they are built.  The bound path adds the dense tf-idf matrix: n
+    rows of one float64 per feature held by two samples or more, 8 n F
+    bytes; its approximations, their products and the exact pass's
+    gathers are block temporaries.  It runs on the sweep's corpus size,
+    where its 2**12-cell blocks make 8 times fewer products."""
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
-    n = model.n
-    b, m_max = (1 << 12) // n, math.ceil(0.1 * (n * (n - 1) // 2))
-    # the bucket counts, a block's counts and their cumulative sum, and a
-    # block's weights, cell indices and masks
-    slack = 3 * 8 * weighting._KEYS + 40 * (1 << 12)
-    reserved = 16 * (math.ceil(1.25 * m_max) + b * n)
-    ws, peak = traced_peak(model, 10)
-    assert len(ws) < ws.total  # the threshold rose
-    assert peak <= reserved + 32 * len(model.data) + slack
-    # the pairs' own share, with the feature lists built before tracing
-    features = weighting._feature_lists(model)
-    monkeypatch.setattr(weighting, "_feature_lists", lambda m: features)
-    _, peak = traced_peak(model, 10)
-    assert peak <= reserved + slack
+    for path, per_family in (("kernel", 100), ("bound", 50)):
+        d = generate(
+            SynthConfig(
+                samples_per_family=per_family,
+                signature_presence_prob=0.6,
+                cross_family_leak_prob=0.15,
+                rng_seed=7,
+            )
+        )
+        model = compute_tfidf(d)
+        force_path(monkeypatch, path)
+        n = model.n
+        b, m_max = (1 << 12) // n, math.ceil(0.1 * (n * (n - 1) // 2))
+        # the bucket counts, a block's counts and their cumulative sum, and
+        # a block's weights, cell indices and masks
+        slack = 3 * 8 * weighting._KEYS + 40 * (1 << 12)
+        reserved = 16 * (math.ceil(1.25 * m_max) + b * n)
+        features = weighting._feature_lists(model)
+        dense = 8 * n * len(features) if path == "bound" else 0
+        ws, peak = traced_peak(model, 10)
+        assert len(ws) < ws.total  # the threshold rose
+        assert peak <= reserved + dense + 32 * len(model.data) + slack
+        # the pairs' own share, with the feature lists built before tracing
+        with mock.patch.object(weighting, "_feature_lists", lambda m: features):
+            _, peak = traced_peak(model, 10)
+        assert peak <= reserved + dense + slack
 
 
 def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
@@ -535,16 +562,25 @@ def test_weighed_at_p_holds_exactly_the_top_p(model, p, rows):
             assert_holds_top_p(pairwise_weights(model, p), full, p)
 
 
-def crafted_weights(monkeypatch, dense):
+def crafted_weights(monkeypatch, dense, path="kernel", approx=None):
     """A model of len(dense) samples whose pair weights are the upper
-    triangle of the symmetric matrix ``dense``: the kernel is replaced by a
-    read of its rows."""
+    triangle of the symmetric matrix ``dense``, weighed on ``path``: the
+    kernel and the exact pass read its cells, and the bound path's
+    approximations are the cells of ``approx`` (the weights by default).
+    The model's one feature, in every sample, gives the kernel cells to
+    weigh, so the forced gain picks the path."""
     dense = np.asarray(dense, dtype=np.float64)
+    approx = dense if approx is None else np.asarray(approx, dtype=np.float64)
     monkeypatch.setattr(
         weighting, "_weight_rows", lambda features, n, rows, c0: dense[rows, c0:]
     )
+    monkeypatch.setattr(
+        weighting, "_bound_rows", lambda t, r0, r1: approx[r0:r1, r0:].copy()
+    )
+    monkeypatch.setattr(weighting, "_exact_weights", lambda t, i, j: dense[i, j])
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", len(dense))  # one row a block
-    return tfidf_model([{}] * len(dense))
+    force_path(monkeypatch, path)
+    return tfidf_model([{"perm/all": 1.0}] * len(dense))
 
 
 def dense_of(n, values):
@@ -556,36 +592,189 @@ def dense_of(n, values):
 EDGE = 1.0  # the smallest double of its bucket
 BELOW = np.nextafter(EDGE, 0.0)  # the largest double of the bucket below
 SUBNORMAL = [5e-324, 1e-320, 2.5e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022]
+POOLS = [
+    pytest.param([BELOW, EDGE, 3.0], id="bucket-edge"),
+    pytest.param([np.nextafter(BELOW, 0.0), BELOW, EDGE, np.nextafter(EDGE, 2)],
+                 id="bucket-edge-neighbours"),
+    pytest.param(SUBNORMAL, id="subnormal"),
+    pytest.param([*SUBNORMAL, 1.0, np.finfo(np.float64).max], id="full-range"),
+    pytest.param([0.5], id="all-tied"),
+]
+CRAFTED_P = (0.05, 0.5, 1, 2.5, 10, 25, 33.3, 50, 75, 99, 100)
 
 
-@pytest.mark.parametrize(
-    "pool",
-    [
-        pytest.param([BELOW, EDGE, 3.0], id="bucket-edge"),
-        pytest.param([np.nextafter(BELOW, 0.0), BELOW, EDGE, np.nextafter(EDGE, 2)],
-                     id="bucket-edge-neighbours"),
-        pytest.param(SUBNORMAL, id="subnormal"),
-        pytest.param([*SUBNORMAL, 1.0, np.finfo(np.float64).max], id="full-range"),
-        pytest.param([0.5], id="all-tied"),
-    ],
-)
-def test_crafted_weights_hold_exactly_the_top_p(monkeypatch, pool):
-    n = 60
+def crafted_values(pool, n=60):
     rng = np.random.default_rng(7)
-    values = rng.choice(np.array(pool + [0.0]), size=n * (n - 1) // 2)
-    model = crafted_weights(monkeypatch, dense_of(n, values))
-    full = pairwise_weights(model)
-    assert len(full) == full.total == np.count_nonzero(values)
-    for p in (0.05, 0.5, 1, 2.5, 10, 25, 33.3, 50, 75, 99, 100):
-        assert_holds_top_p(pairwise_weights(model, p), full, p)
+    return rng.choice(np.array(pool + [0.0]), size=n * (n - 1) // 2)
+
+
+def assert_same_set(got, expect):
+    assert (got.total, got.min_w) == (expect.total, expect.min_w)
+    for a in "ijw":
+        assert getattr(got, a).tobytes() == getattr(expect, a).tobytes()
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_crafted_weights_hold_exactly_the_top_p(monkeypatch, pool):
+    """On either path; on the bound path the approximations are the
+    weights, and the full range's largest double takes the kernel."""
+    n = 60
+    values = crafted_values(pool, n)
+    for path in PATHS:
+        model = crafted_weights(monkeypatch, dense_of(n, values), path)
+        full = pairwise_weights(model)
+        assert len(full) == full.total == np.count_nonzero(values)
+        for p in CRAFTED_P:
+            assert_holds_top_p(pairwise_weights(model, p), full, p)
 
 
 def test_crafted_ties_outgrow_the_reservation(monkeypatch):
     """Every pair ties: at p = 1 the 1770 tied pairs outgrow the
-    ceil(1.25 m_max) + b n = 23 + 60 reserved, and the arrays grow."""
+    ceil(1.25 m_max) + b n = 23 + 60 reserved, and the arrays grow, on
+    either path."""
     n, p = 60, 1
-    model = crafted_weights(monkeypatch, dense_of(n, 0.5))
     m_max = math.ceil(p / 100 * (n * (n - 1) // 2))
-    ws = pairwise_weights(model, p)
-    assert len(ws) == ws.total == n * (n - 1) // 2 > math.ceil(1.25 * m_max) + n
-    assert_holds_top_p(ws, pairwise_weights(model), p)
+    for path in PATHS:
+        model = crafted_weights(monkeypatch, dense_of(n, 0.5), path)
+        ws = pairwise_weights(model, p)
+        assert len(ws) == ws.total == n * (n - 1) // 2 > math.ceil(1.25 * m_max) + n
+        assert_holds_top_p(ws, pairwise_weights(model), p)
+
+
+@pytest.mark.parametrize("pool", POOLS)
+def test_approximations_within_the_bound_give_the_same_set(monkeypatch, pool):
+    """The certificate: each approximation scaled by its own random factor
+    in [1 - delta, 1 + delta], the bound between an approximation and its
+    weight, leaves the bound path's set byte-identical to the kernel's at
+    every p, ``total`` and ``min_w`` included."""
+    n = 60
+    values = crafted_values(pool, n)
+    dense = dense_of(n, values)
+    model = crafted_weights(monkeypatch, dense, "kernel")
+    expect = {p: pairwise_weights(model, p) for p in CRAFTED_P}
+    delta, _ = weighting._slack(1)
+    rng = np.random.default_rng(11)
+    factor = rng.uniform(1 - delta, 1 + delta, size=len(values))
+    factor[::7] = 1 - delta  # the bound's ends too
+    factor[3::7] = 1 + delta
+    with np.errstate(over="ignore"):  # the largest double may reach inf
+        approx = dense_of(n, values * factor)
+    crafted_weights(monkeypatch, dense, "bound", approx)
+    for p in CRAFTED_P:
+        assert_same_set(pairwise_weights(model, p), expect[p])
+
+
+def test_a_tie_past_the_bound_leaves_the_set(monkeypatch):
+    """The test above can fail.  The pairs (v, v + 1) weigh 1.0, the others
+    0.5, so at p = 1 the threshold reaches 1.0 and the set holds the 59
+    tied pairs.  The bound path keeps an approximation down to the
+    lowered threshold 1.0 * (1 - 3 delta) - 3 eta: the last tie's
+    approximation there keeps it, one double below drops it."""
+    n, p = 60, 1
+    dense = np.full((n, n), 0.5)
+    v = np.arange(n - 1)
+    dense[v, v + 1] = dense[v + 1, v] = 1.0
+    model = crafted_weights(monkeypatch, dense, "kernel")
+    expect = pairwise_weights(model, p)
+    assert len(expect) == n - 1
+    delta, eta = weighting._slack(1)
+    lowered = 1.0 * (1 - 3 * delta) - 3 * eta
+    for approx_w, held in ((lowered, True), (np.nextafter(lowered, 0.0), False)):
+        approx = dense.copy()
+        approx[n - 2, n - 1] = approx[n - 1, n - 2] = approx_w
+        crafted_weights(monkeypatch, dense, "bound", approx)
+        ws = pairwise_weights(model, p)
+        if held:
+            assert_same_set(ws, expect)
+        else:
+            assert len(ws) == n - 2 and ws.j[-1] == n - 2
+
+
+@pytest.mark.parametrize(
+    "value, overflows",
+    [
+        # A = (3v + 3v) / 2 overflows, while each term (v + v) / 2 = v and
+        # the weight 3v do not; at 1e308, v + v overflows as well
+        pytest.param(0.5e308, False, id="approximation-only"),
+        pytest.param(1e308, True, id="weight-too"),
+        pytest.param(2.0**1000, False, id="at-the-limit"),
+    ],
+)
+def test_an_overflowing_approximation_takes_the_kernel(monkeypatch, value, overflows):
+    """A block whose approximations reach 2**1000 is weighed by the kernel,
+    which gives the kernel path's set or its DatasetError."""
+    rows = [{"perm/a": value, "perm/b": value, "perm/c": value}] * 2 + [
+        {"perm/a": 1.0, "perm/d": 2.0},
+        {"perm/d": 3.0},
+    ]
+    model = tfidf_model(rows)
+    kernel = weighting._weight_rows
+    calls = []
+    monkeypatch.setattr(
+        weighting, "_weight_rows", lambda *a: calls.append(1) or kernel(*a)
+    )
+    results = []
+    for path in PATHS:
+        force_path(monkeypatch, path)
+        try:
+            results.append(pairwise_weights(model, 50))
+        except DatasetError as exc:
+            results.append(str(exc))
+    assert calls == [1, 1]  # one block, weighed by the kernel on each path
+    if overflows:
+        assert results == ["a pair weight overflows the float64 range"] * 2
+    else:
+        assert_same_set(results[1], results[0])
+
+
+@settings(deadline=None)
+@given(tied_models(), st.floats(0.01, 100.0), st.sampled_from([1, 3, 1 << 19]))
+def test_both_paths_hold_the_same_set(model, p, rows):
+    """With each path forced, at any p, on either side of the rule: the
+    same pairs, weights, ``total`` and ``min_w``, byte for byte."""
+    sets = []
+    with mock.patch.object(weighting, "_BLOCK_CELLS", rows * model.n):
+        for gain in PATHS.values():
+            with mock.patch.object(weighting, "_BOUND_GAIN", gain):
+                sets.append(pairwise_weights(model, p))
+    assert_same_set(sets[1], sets[0])
+
+
+def test_the_rule_counts_cells(monkeypatch):
+    """The seed-7 sweep corpus (n = 650) takes the bound path at p = 1,
+    where the kernel adds about 30 times the exact pass's cells, and the
+    kernel at p = 40, where it adds fewer."""
+    d = generate(
+        SynthConfig(
+            samples_per_family=50,
+            signature_presence_prob=0.6,
+            cross_family_leak_prob=0.15,
+            rng_seed=7,
+        )
+    )
+    model = compute_tfidf(d)
+    dense = weighting._dense
+    built = []
+    monkeypatch.setattr(weighting, "_dense", lambda *a: built.append(1) or dense(*a))
+    for p, bound in ((1, True), (40, False)):
+        built.clear()
+        pairwise_weights(model, p)
+        assert built == ([1] if bound else [])
+
+
+def test_a_lowered_compaction_counts_what_it_keeps():
+    """Compacting to the 4th largest weight, 1.0, lowered below the floor of
+    its bucket keeps BELOW as well, and the bucket counts match the kept
+    weights, also in the bucket below."""
+    w = np.array([3.0, EDGE, 0.5, 2.0, BELOW, EDGE, np.nextafter(BELOW, 0.0)])
+    i = np.arange(len(w), dtype=weighting.VERTEX_ID)
+    j = i + 1
+    hist = np.zeros(weighting._KEYS, dtype=np.int64)
+    weighting._count_keys(w, hist)
+    kept, cutoff = weighting._keep_top(i, j, w, len(w), hist, 4, drop=BELOW)
+    assert (kept, cutoff) == (5, EDGE)
+    assert w[:kept].tolist() == [3.0, EDGE, 2.0, BELOW, EDGE]
+    assert i[:kept].tolist() == [0, 1, 3, 4, 5]
+    expect = np.zeros_like(hist)
+    weighting._count_keys(w[:kept], expect)
+    assert np.array_equal(hist, expect)
