@@ -2,7 +2,8 @@
 E-N method (epsilon edges plus k-NN fallback for isolated vertices).
 
 The percentile cutoff counts only strictly positive stored weights and is
-found by selection (introselect via numpy.partition), never by a full sort.
+found by ``weighting.top_value``, which partitions only the weights of the
+cutoff's bucket, never by a full sort or a copy of every weight.
 Both k-NN rules, the k-NN graph and the E-N fallback, pick a vertex's k
 nearest by one full sort of its dense weight row, which
 ``WeightSet.row_blocks`` recomputes for complete and pruned sets alike; the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dataset import open_text
 from .errors import MalcomError, ParameterError
-from .weighting import VERTEX_ID, WeightSet, check_vertex_count, top_count
+from .weighting import VERTEX_ID, WeightSet, check_vertex_count, top_count, top_value
 
 # Fallback edges for vertices with no positive weight at all get this
 # fraction of the smallest positive weight, keeping them flow-connected
@@ -109,14 +110,7 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
     m = top_count(p, total)
     if m > held:
         raise GraphError(f"the top {p:g}% are {m} pairs; the set holds only {held}")
-    # a set weighed at p holds the top m, ties included: unless more than
-    # m pairs lie above its smallest weight, that weight is the m-th largest
-    low = float(ws.w.min())
-    if np.count_nonzero(ws.w > low) < m:
-        return low, m
-    # m-th largest == (held - m)-th smallest; introselect, no full sort
-    cutoff = float(np.partition(ws.w, held - m)[held - m])
-    return cutoff, m
+    return top_value(ws.w, m), m
 
 
 def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:

@@ -18,9 +18,9 @@ approximate every weight within a certified bound, the pairs that can
 reach the top p are held, and only those are summed exactly, in the
 kernel's order; both paths give the same set, bit for bit.  Weighed at p, a
 set holds exactly the top ceil(p/100 * |W|) pairs, ties included: all that
-an epsilon or E-N graph at that p reads, and while weighing O(b * n + m)
-pairs for a block of b rows and m = ceil(p/100 * n(n-1)/2); at p = 100 it
-holds all |W| positive pairs.  The k-NN rules read recomputed rows, not
+an epsilon or E-N graph at that p reads, and while weighing at most about
+1.25 m pairs plus a row chunk's, m = ceil(p/100 * n(n-1)/2); at p = 100
+it holds all |W| positive pairs.  The k-NN rules read recomputed rows, not
 held pairs.  Vertex ids are int32 (``VERTEX_ID``), so a held pair takes 16
 bytes: two ids and its weight.
 """
@@ -99,7 +99,8 @@ class WeightSet:
     E-N graph that keeps every held pair aliases them.  The set holds
     either all ``total`` positive pairs, or exactly the pairs at or above
     its smallest held weight (weighed at p: the top ceil(p/100 * total),
-    ties included); what it can serve follows from that alone.  It keeps
+    ties included); what it can serve follows from that alone, and the
+    cutoff of any p it serves is a rank of ``w`` (``top_value``).  It keeps
     the feature lists it was weighed from, and ``row_blocks`` recomputes
     whole rows from them.
     """
@@ -202,23 +203,20 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     the same order, so the weights do not depend on b.
 
     The set holds exactly the top ceil(top_p/100 * |W|) pairs, ties
-    included, in row-major order; at top_p = 100 it is complete.  While
-    weighing, a pair is kept when its weight is at or above a running
-    threshold: the lower edge of the bucket that holds the m_max-th
-    largest held weight, m_max = ceil(top_p/100 * n(n-1)/2), read from a
-    count of the held weights per bucket (the top 16 bits of a positive
-    double, which order as the values do).  Once more than ceil(1.25 *
-    m_max) pairs are held, they are compacted in place, a block's cells at
-    a time, to those at or above the m_max-th largest; at the end, to the
-    top ceil(top_p/100 * |W|).  Either rank is found by partitioning a
-    copy of the members of its bucket alone, which is all held weights
-    only when they share that bucket (ties, or weights within 1/16 of an
-    octave of each other).  The output arrays reserve min(n(n-1)/2,
-    ceil(1.25 * m_max) + b * n) pairs, what the pairs held before a block
-    and the block's own can fill; when ties at the threshold hold more,
-    they grow in place.  Memory is O(b * n + held pairs): 16 bytes per
-    held pair, and 8 more per member of a rank's bucket while it is
-    partitioned.  A weight that overflows the float64 range raises
+    included, in row-major order; at top_p = 100 it is complete.  A block
+    is appended a row chunk of about _BLOCK_CELLS / 8 cells at a time, and
+    a chunk keeps the pairs at or above a threshold that starts at 0.
+    Once more than ceil(1.25 * m_max) pairs are held, m_max =
+    ceil(top_p/100 * n(n-1)/2), they are compacted in place, a block's
+    cells at a time, to those at or above the m_max-th largest, and the
+    threshold rises to that weight; at the end they are trimmed to the top
+    ceil(top_p/100 * |W|).  Either rank is found by ``top_value``.  The
+    output arrays reserve min(n(n-1)/2, ceil(1.25 * m_max) + max(
+    _BLOCK_CELLS / 8, n)) pairs, what the pairs held before a chunk and
+    the chunk's own can fill; when ties at the threshold hold more, they
+    grow in place.  Memory is O(b * n + held pairs): a block's cells, 16
+    bytes per held pair, and 8 more per member of a rank's bucket while it
+    is partitioned.  A weight that overflows the float64 range raises
     DatasetError.
 
     Two paths compute the weights, and give the same set bit for bit.  The
@@ -231,11 +229,10 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     float64 BLAS products in column chunks.  With every product exact and
     every term >= 0, any summation order leaves A and the weight w within
     gamma_{2F+2} * S (plus a subnormal term) of the real sum S, so |A - w|
-    <= delta * w + eta (``_slack``).  The running threshold reads A, with
-    the block's own buckets counted before the block is appended, and
-    keeps, and compacts to, A >= t * (1 - 3 delta) - 3 eta: every pair of
-    the top p is held.  The held pairs are then summed exactly
-    (``_exact_weights``) and trimmed as the kernel's are.  ``total`` counts
+    <= delta * w + eta (``_slack``).  The threshold t is read from the
+    held A, and chunks and compactions keep A >= t * (1 - 3 delta) - 3
+    eta: every pair of the top p is held.  The held pairs are then summed
+    exactly (``_exact_weights``) and trimmed as the kernel's are.  ``total`` counts
     A > 0, which holds exactly when a pair shares a feature; ``min_w`` is
     the smallest exact weight of the pairs whose A lies within the bound
     of the smallest A.  A block whose A reaches ``_BOUND_MAX`` is weighed
@@ -250,10 +247,9 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     size = n * (n - 1) // 2
     m_max = top_count(top_p, size)
     cap = math.ceil(1.25 * m_max)
-    room = min(size, cap + rows * n)
+    room = min(size, cap + max(_BLOCK_CELLS >> 3, n))
     i, j = np.empty(room, dtype=VERTEX_ID), np.empty(room, dtype=VERTEX_ID)
     w = np.empty(room, dtype=np.float64)
-    hist = np.zeros(_KEYS, dtype=np.int64)  # held pairs per bucket
     count = total = 0
     limit = cap  # held pairs that start a compaction
     min_w = math.inf
@@ -295,60 +291,40 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
             near_w = _exact_weights(dense, near // width + r0, near % width + r0)
             min_w = min(min_w, float(near_w.min()))
             del near, near_w
-        floor = threshold * drop - pad
-        if floor > 0:
-            keep &= acc >= floor
-        if not exact and count + np.count_nonzero(keep) >= m_max:
-            # the threshold from the held buckets plus the block's own,
-            # before the block is appended
-            own = np.zeros(_KEYS, dtype=np.int64)
-            step = max(1, (_BLOCK_CELLS >> 3) // width)
-            for s in range(0, r1 - r0, step):
-                _count_keys(acc[s : s + step][keep[s : s + step]], own)
-            hist += own
-            key, _ = _rank_bucket(hist, m_max)
-            hist -= own
-            del own
-            if _bucket_floor(key) > threshold:
-                threshold = _bucket_floor(key)
-                keep &= acc >= threshold * drop - pad
-        flat = np.flatnonzero(keep)
-        del keep
-        end = count + len(flat)
-        if end > len(w):  # ties at the threshold hold more than reserved
-            for a in (i, j, w):
-                a.resize(min(size, max(end, 2 * len(a))), refcheck=False)
-        np.take(acc, flat, out=w[count:end], mode="clip")  # unbuffered
-        # cell (a, b) of the block is flat index a * width + b; ids < 2**31
-        np.floor_divide(flat, width, out=i[count:end], casting="unsafe")
-        i[count:end] += r0
-        np.remainder(flat, width, out=j[count:end], casting="unsafe")
-        j[count:end] += r0
-        del acc
-        # the new weights' buckets, in the buffer of their cell indices
-        bits = w[count:end].view(np.uint64)
-        np.right_shift(bits, _KEY_SHIFT, out=flat.view(np.uint64))
-        hist += np.bincount(flat, minlength=_KEYS)
-        del flat, bits  # views: a resize may move their buffers
-        count = end
-        if count > limit:
-            count, cutoff = _keep_top(i, j, w, count, hist, m_max, drop, pad)
-            threshold = max(threshold, cutoff)
-            limit = max(cap, count + cap - m_max)  # ties may hold over cap
-        elif count >= m_max:
-            key, _ = _rank_bucket(hist, m_max)
-            threshold = max(threshold, _bucket_floor(key))
+        # appended a row chunk at a time, each filtered at the threshold
+        # the pairs held before it give
+        step = max(1, (_BLOCK_CELLS >> 3) // width)
+        for s in range(0, r1 - r0, step):
+            floor = threshold * drop - pad
+            if floor > 0:
+                keep[s : s + step] &= acc[s : s + step] >= floor
+            flat = np.flatnonzero(keep[s : s + step])
+            end = count + len(flat)
+            if end > len(w):  # ties at the threshold hold more than reserved
+                for a in (i, j, w):
+                    a.resize(min(size, max(end, 2 * len(a))), refcheck=False)
+            # mode="clip" writes into ``out`` unbuffered
+            np.take(acc[s : s + step], flat, out=w[count:end], mode="clip")
+            # cell (a, b) of the chunk is flat index a * width + b; ids < 2**31
+            np.floor_divide(flat, width, out=i[count:end], casting="unsafe")
+            i[count:end] += r0 + s
+            np.remainder(flat, width, out=j[count:end], casting="unsafe")
+            j[count:end] += r0
+            count = end
+            if count > limit:
+                count, cutoff = _keep_top(i, j, w, count, m_max, drop, pad)
+                threshold = max(threshold, cutoff)
+                limit = max(cap, count + cap - m_max)  # ties may hold over cap
+        del acc, keep
     if dense is not None:
         # the exact pass: every held approximation becomes its weight
-        hist[:] = 0
         starts = np.searchsorted(i[:count], np.arange(0, n + rows, rows))
         for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
             w[s:e] = _exact_weights(dense, i[s:e], j[s:e])
-            _count_keys(w[s:e], hist)
         del dense
     top = top_count(top_p, total)
     if count > top:
-        count, _ = _keep_top(i, j, w, count, hist, top)
+        count, _ = _keep_top(i, j, w, count, top)
     for a in (i, j, w):
         a.resize(count, refcheck=False)  # in place: no copy of the pairs
     return WeightSet(
@@ -363,46 +339,45 @@ def top_count(p: float, total: int) -> int:
     return min(math.ceil(p / 100.0 * total), total)
 
 
+def top_value(w: np.ndarray, rank: int) -> float:
+    """The rank-th largest of the positive doubles ``w``, 1 <= rank <=
+    len(w).  The weights' buckets (the top 16 bits of a positive double,
+    which order as the values do) are counted a chunk at a time, and only
+    the members of the rank's bucket are copied and partitioned: all of
+    ``w`` only when it shares that bucket (ties, or weights within 1/16 of
+    an octave of each other)."""
+    step = max(1, _BLOCK_CELLS >> 3)
+    chunks = [w[s : s + step] for s in range(0, len(w), step)]
+    hist = np.zeros(_KEYS, dtype=np.int64)
+    for c in chunks:
+        hist += np.bincount(c.view(np.int64) >> _KEY_SHIFT, minlength=_KEYS)
+    above = np.cumsum(hist[::-1])
+    r = int(np.searchsorted(above, rank))
+    key, rank = _KEYS - 1 - r, rank - (int(above[r - 1]) if r else 0)
+    del hist, above
+    lo, hi = _bucket_floor(key), _bucket_floor(key + 1)
+    members = np.concatenate([c[(c >= lo) & (c < hi)] for c in chunks])
+    at = len(members) - rank
+    members.partition(at)
+    return float(members[at])
+
+
 def _bucket_floor(key: int) -> float:
     """The smallest double in bucket ``key`` (+inf past the finite ones)."""
     return float(np.array(key << _KEY_SHIFT, dtype=np.uint64).view(np.float64))
 
 
-def _rank_bucket(hist: np.ndarray, rank: int) -> tuple[int, int]:
-    """(key, above): the bucket of the rank-th largest counted weight, and
-    the count of weights in the buckets above it."""
-    above = np.cumsum(hist[::-1])
-    r = int(np.searchsorted(above, rank))
-    return _KEYS - 1 - r, int(above[r - 1]) if r else 0
-
-
-def _count_keys(values: np.ndarray, hist: np.ndarray) -> None:
-    """Add the buckets of the positive doubles ``values`` to ``hist``."""
-    hist += np.bincount(values.view(np.int64) >> _KEY_SHIFT, minlength=_KEYS)
-
-
 def _keep_top(
-    i: np.ndarray, j: np.ndarray, w: np.ndarray, count: int, hist: np.ndarray,
-    rank: int, drop: float = 1.0, pad: float = 0.0,
+    i: np.ndarray, j: np.ndarray, w: np.ndarray, count: int, rank: int,
+    drop: float = 1.0, pad: float = 0.0,
 ) -> tuple[int, float]:
     """Keep the first ``count`` pairs whose weight is at or above the
     rank-th largest of them, t, lowered to t * drop - pad; ties
-    included, in place and in order, and count them in ``hist``.  Returns
-    (pairs kept, the rank-th largest)."""
-    key, above = _rank_bucket(hist, rank)
-    lo, hi = _bucket_floor(key), _bucket_floor(key + 1)
-    # held pairs are read a block's cells at a time, and only the bucket's
-    # members are copied and partitioned
-    starts = range(0, count, _BLOCK_CELLS)
-    chunks = (w[s : min(s + _BLOCK_CELLS, count)] for s in starts)
-    members = np.concatenate([c[(c >= lo) & (c < hi)] for c in chunks])
-    at = len(members) - (rank - above)
-    members.partition(at)
-    cutoff = float(members[at])
-    del members
+    included, in place and in order.  Returns (pairs kept, t)."""
+    cutoff = top_value(w[:count], rank)
     floor = cutoff * drop - pad
     kept = 0
-    for s in starts:
+    for s in range(0, count, _BLOCK_CELLS):
         e = min(s + _BLOCK_CELLS, count)
         held = np.flatnonzero(w[s:e] >= floor)
         for a in (i, j, w):
@@ -410,14 +385,6 @@ def _keep_top(
             # at or before the chunk: in place and stable
             a[kept : kept + len(held)] = a[s:e][held]
         kept += len(held)
-    if floor >= lo:
-        hist[:key] = 0
-        hist[key] = kept - above
-    else:  # the lowered cutoff kept pairs of lower buckets: count them
-        hist[: key + 1] = 0
-        for s in range(0, kept, _BLOCK_CELLS):
-            c = w[s : min(s + _BLOCK_CELLS, kept)]
-            _count_keys(c[c < hi], hist)
     return kept, cutoff
 
 

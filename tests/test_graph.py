@@ -625,6 +625,30 @@ def test_en_without_isolated_vertices_allocates_under_twice_its_edges():
     assert peak <= 2 * (g.edge_i.nbytes + g.edge_j.nbytes + g.edge_w.nbytes)
 
 
+def test_percentile_cutoff_allocates_under_one_copy_of_the_weights():
+    """The sweep's case: a set weighed at p = 40 cut at p = 10.  The cutoff
+    counts buckets a chunk at a time and partitions only its bucket's
+    members, so it allocates less than one copy of the held weights
+    (337,740 of them on the seed-7 1300-sample hard corpus)."""
+    d = generate(
+        SynthConfig(
+            samples_per_family=100,
+            signature_presence_prob=0.6,
+            cross_family_leak_prob=0.15,
+            rng_seed=7,
+        )
+    )
+    ws = pairwise_weights(compute_tfidf(d), 40)
+    tracemalloc.start()
+    try:
+        cutoff, m = percentile_cutoff(ws, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cutoff == np.sort(ws.w)[len(ws) - m]
+    assert peak < ws.w.nbytes
+
+
 def test_graphs_at_the_weighed_p_share_the_sets_read_only_arrays():
     """With no vertex isolated, the E-N and epsilon-at-p graphs at the p the
     set was weighed at keep every held pair and take the set's arrays

@@ -466,14 +466,14 @@ def traced_peak(model, top_p):
 
 
 def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
-    """The stream reserves min(n(n-1)/2, ceil(1.25 m_max) + b n) pairs at 16
-    bytes each, and beyond them allocates only the bucket counts and one
-    block's temporaries: no copy of the held weights.  The whole call adds
-    the feature lists, which peak at about 32 bytes per stored tf-idf value
-    while they are built.  The bound path adds the dense tf-idf matrix: n
-    rows of one float64 per feature held by two samples or more, 8 n F
-    bytes; its approximations, their products and the exact pass's
-    gathers are block temporaries.  It runs on the sweep's corpus size,
+    """The stream reserves min(n(n-1)/2, ceil(1.25 m_max) + max(_BLOCK_CELLS /
+    8, n)) pairs at 16 bytes each, and beyond them allocates only the bucket
+    counts of a rank and one block's temporaries: no copy of the held
+    weights.  The whole call adds the feature lists, which peak at about
+    32 bytes per stored tf-idf value while they are built.  The bound path
+    adds the dense tf-idf matrix: n rows of one float64 per feature held
+    by two samples or more, 8 n F bytes; its approximations, their
+    products and the exact pass's gathers are block temporaries.  It runs on the sweep's corpus size,
     where its 2**12-cell blocks make 8 times fewer products."""
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
     for path, per_family in (("kernel", 100), ("bound", 50)):
@@ -488,11 +488,11 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
         model = compute_tfidf(d)
         force_path(monkeypatch, path)
         n = model.n
-        b, m_max = (1 << 12) // n, math.ceil(0.1 * (n * (n - 1) // 2))
-        # the bucket counts, a block's counts and their cumulative sum, and
-        # a block's weights, cell indices and masks
-        slack = 3 * 8 * weighting._KEYS + 40 * (1 << 12)
-        reserved = 16 * (math.ceil(1.25 * m_max) + b * n)
+        m_max = math.ceil(0.1 * (n * (n - 1) // 2))
+        # top_value's bucket counts and a chunk's counts (or their
+        # cumulative sum), and a block's weights, cell indices and masks
+        slack = 2 * 8 * weighting._KEYS + 40 * (1 << 12)
+        reserved = 16 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n))
         features = weighting._feature_lists(model)
         dense = 8 * n * len(features) if path == "bound" else 0
         ws, peak = traced_peak(model, 10)
@@ -507,8 +507,9 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
 def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
     """The golden "twins" corpus with each family's first sample repeated:
     a family's pairs all tie, so at a small p the pairs at the threshold
-    outgrow the ceil(1.25 m_max) + b n reserved, and the set still holds
-    exactly the pairs at or above its smallest weight."""
+    outgrow the ceil(1.25 m_max) + max(_BLOCK_CELLS / 8, n) reserved, and
+    the set still holds exactly the pairs at or above its smallest
+    weight."""
     d = generate(
         SynthConfig(
             common_features=0,
@@ -630,8 +631,8 @@ def test_crafted_weights_hold_exactly_the_top_p(monkeypatch, pool):
 
 def test_crafted_ties_outgrow_the_reservation(monkeypatch):
     """Every pair ties: at p = 1 the 1770 tied pairs outgrow the
-    ceil(1.25 m_max) + b n = 23 + 60 reserved, and the arrays grow, on
-    either path."""
+    ceil(1.25 m_max) + max(_BLOCK_CELLS / 8, n) = 23 + 60 reserved, and the
+    arrays grow, on either path."""
     n, p = 60, 1
     m_max = math.ceil(p / 100 * (n * (n - 1) // 2))
     for path in PATHS:
@@ -764,17 +765,51 @@ def test_the_rule_counts_cells(monkeypatch):
 
 def test_a_lowered_compaction_counts_what_it_keeps():
     """Compacting to the 4th largest weight, 1.0, lowered below the floor of
-    its bucket keeps BELOW as well, and the bucket counts match the kept
-    weights, also in the bucket below."""
+    its bucket keeps BELOW as well, in place and in order, and returns the
+    count kept."""
     w = np.array([3.0, EDGE, 0.5, 2.0, BELOW, EDGE, np.nextafter(BELOW, 0.0)])
     i = np.arange(len(w), dtype=weighting.VERTEX_ID)
     j = i + 1
-    hist = np.zeros(weighting._KEYS, dtype=np.int64)
-    weighting._count_keys(w, hist)
-    kept, cutoff = weighting._keep_top(i, j, w, len(w), hist, 4, drop=BELOW)
+    kept, cutoff = weighting._keep_top(i, j, w, len(w), 4, drop=BELOW)
     assert (kept, cutoff) == (5, EDGE)
     assert w[:kept].tolist() == [3.0, EDGE, 2.0, BELOW, EDGE]
     assert i[:kept].tolist() == [0, 1, 3, 4, 5]
-    expect = np.zeros_like(hist)
-    weighting._count_keys(w[:kept], expect)
-    assert np.array_equal(hist, expect)
+
+
+def assert_top_value_sorts(w, ranks):
+    """top_value(w, r) is np.sort(w)[len(w) - r], bit for bit."""
+    ordered = np.sort(w)
+    for r in ranks:
+        got = np.float64(weighting.top_value(w, int(r)))
+        assert got.tobytes() == ordered[len(w) - r].tobytes()
+
+
+@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("cells", [1 << 3, 1 << 19])
+def test_top_value_on_crafted_pools(monkeypatch, pool, cells):
+    """Bucket edges and their neighbours, subnormals, the full range and all
+    tied, counted in chunks of one weight and of many."""
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", cells)
+    rng = np.random.default_rng(7)
+    w = rng.choice(np.array(pool, dtype=np.float64), size=500)
+    assert_top_value_sorts(w, [1, len(w), *rng.integers(1, len(w) + 1, size=20)])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(5e-324, np.finfo(np.float64).max),
+            st.sampled_from([BELOW, EDGE, *SUBNORMAL]),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    st.sampled_from([1 << 3, 1 << 6, 1 << 19]),
+    st.data(),
+)
+def test_top_value_is_the_rank_th_largest(values, cells, data):
+    w = np.array(values, dtype=np.float64)
+    ranks = data.draw(st.lists(st.integers(1, len(w)), min_size=1, max_size=5))
+    with mock.patch.object(weighting, "_BLOCK_CELLS", cells):
+        assert_top_value_sorts(w, ranks)
