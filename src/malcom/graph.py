@@ -84,7 +84,7 @@ class GraphBuildParams:
             raise ParameterError(f"unknown graph method {self.method!r}")
         if self.epsilon is not None and self.method != "epsilon":
             raise ParameterError(f"method {self.method!r} reads no epsilon")
-        if not 0 < self.weights_top_p() <= 100:
+        if not 0 < self.p <= 100:  # for every method, as report.json records p
             raise ParameterError(f"p must be in (0, 100], got {self.p}")
         if self.epsilon is not None and not self.epsilon >= 0:
             raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")

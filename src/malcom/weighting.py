@@ -232,11 +232,11 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     <= delta * w + eta (``_slack``).  The threshold t is read from the
     held A, and chunks and compactions keep A >= t * (1 - 3 delta) - 3
     eta: every pair of the top p is held.  The held pairs are then summed
-    exactly (``_exact_weights``) and trimmed as the kernel's are.  ``total`` counts
-    A > 0, which holds exactly when a pair shares a feature; ``min_w`` is
-    the smallest exact weight of the pairs whose A lies within the bound
-    of the smallest A.  A block whose A reaches ``_BOUND_MAX`` is weighed
-    by the kernel, which reports an overflow.
+    exactly, row by row (``_exact_weights``), and trimmed as the kernel's
+    are.  ``total`` counts A > 0, which holds exactly when a pair shares a
+    feature; ``min_w`` is the smallest exact weight of the pairs whose A
+    lies within the bound of the smallest A.  A block whose A reaches
+    ``_BOUND_MAX`` is weighed by the kernel, which reports an overflow.
     """
     if not 0 < top_p <= 100:
         raise ParameterError(f"top_p must be in (0, 100], got {top_p}")
@@ -468,38 +468,28 @@ def _bound_rows(dense: np.ndarray, r0: int, r1: int) -> np.ndarray:
 
 def _exact_weights(dense: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The weights of the pairs (i[c], j[c]), i ascending, each the double
-    the kernel computes.  Row i's terms (t_i + t_j) * 0.5, in ascending
-    feature order and +0.0 where j lacks the feature, are read with one
-    gather of j's values and summed by one cumsum from the first term: the
-    kernel adds the same terms to 0.0 in the same order, and adding +0.0
-    to a sum >= 0 leaves it as it is.  Every row of i holds a feature."""
+    the kernel computes.  Per run of equal i, row i's terms (t_i + t_j) *
+    0.5 over its own features, ascending, +0.0 where j lacks one (no
+    padding), are gathered _BLOCK_CELLS / 8 cells at a time and summed by
+    a cumsum from the first: the kernel adds them to 0.0 in the same order,
+    and adding +0.0 to a sum >= 0 leaves it.  Every row of i holds a feature."""
     out = np.empty(len(i), dtype=np.float64)
-    if not len(i):
-        return out
-    k = dense.shape[1]
-    rows, at = np.unique(i, return_inverse=True)
-    # each row's feature columns and values, ascending, padded at the end
-    r, f = np.nonzero(dense[rows])
-    counts = np.bincount(r, minlength=len(rows))
-    slot = np.arange(len(r)) - (np.cumsum(counts) - counts)[r]
-    cols = np.zeros((len(rows), int(counts.max())), dtype=np.int64)
-    vals = np.zeros(cols.shape, dtype=np.float64)
-    cols[r, slot] = f
-    vals[r, slot] = dense[rows[r], f]
-    last = counts - 1
-    flat = dense.ravel()
-    step = max(1, (_BLOCK_CELLS >> 3) // cols.shape[1])
-    for s in range(0, len(i), step):
-        a = at[s : s + step]
-        index = cols[a]
-        index += j[s : s + step, None].astype(np.int64) * k
-        terms = flat.take(index)  # one gather: j's value of each feature
-        absent = terms == 0.0
-        terms += vals[a]
-        terms *= 0.5
-        terms[absent] = 0.0
-        np.cumsum(terms, axis=1, out=terms)
-        out[s : s + step] = terms[np.arange(len(a)), last[a]]
+    flat, k = dense.ravel(), dense.shape[1]
+    starts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()  # runs of equal i
+    for s, e in zip(starts, starts[1:] + [len(i)]):
+        f = dense[i[s]].nonzero()[0]
+        t = dense[i[s], f]
+        step = max(1, (_BLOCK_CELLS >> 3) // len(f))
+        for a in range(s, e, step):
+            b = min(a + step, e)
+            # j's value of each feature: T[v, f] is flat[v * k + f]
+            terms = flat.take(np.multiply(j[a:b, None], k, dtype=np.int64) + f)
+            present = np.sign(terms)  # 1.0 where j holds the feature, else 0.0
+            terms += t
+            terms *= present  # exact; +0.0 where j lacks it, as t is finite
+            terms *= 0.5
+            terms.cumsum(axis=1, out=terms)
+            out[a:b] = terms[:, -1]
     return out
 
 

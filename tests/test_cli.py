@@ -19,6 +19,7 @@ from malcom import baseline, cli
 from malcom.baseline import KMeansConfig
 from malcom.cli import main
 from malcom.dataset import filter_by_scope, load_dataset
+from malcom.errors import ParameterError
 from malcom.graph import (
     GraphBuildParams,
     build_en,
@@ -865,6 +866,29 @@ def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, command):
     err = capsys.readouterr().err
     assert "seed must be >= 0, got -1" in err and "Traceback" not in err
     assert tfidf_runs == []
+
+
+@pytest.mark.parametrize("p", ["nan", "-5"])
+def test_p_checked_next_to_an_epsilon_value(tmp_path, monkeypatch, capsys, corpus, p):
+    """--p is checked for every method, also where --epsilon VALUE overrides
+    it: a NaN p once ran every stage into write_json's traceback, and -5
+    exited 0 with "p": -5.0 in report.json.  Both exit 2 before any tf-idf
+    is computed, and the library rejects them too."""
+    data, _ = corpus
+    tfidf_runs = []
+    monkeypatch.setattr("malcom.pipeline.compute_tfidf", tfidf_runs.append)
+    monkeypatch.setattr(cli, "compute_tfidf", tfidf_runs.append)
+    argv = ["pipeline", "--input", data, "--method", "epsilon", "--epsilon", 10]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--p", p, "--out-dir", tmp_path / "run"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"p must be in (0, 100], got {float(p)}" in err and "Traceback" not in err
+    assert tfidf_runs == [] and not (tmp_path / "run").exists()
+    monkeypatch.undo()
+    params = GraphBuildParams(method="epsilon", epsilon=10.0, p=float(p))
+    with pytest.raises(ParameterError, match=r"p must be in \(0, 100\]"):
+        run_pipeline(load_dataset(data), params)
 
 
 def test_eval_single_sample_exit_1(tmp_path, capsys):

@@ -741,6 +741,111 @@ def test_both_paths_hold_the_same_set(model, p, rows):
     assert_same_set(sets[1], sets[0])
 
 
+class GatherSizes(np.ndarray):
+    """A dense matrix that records the size of every 2-D gather (an index
+    or a ``take``) from it or from the arrays it hands out."""
+
+    sizes: list = []
+
+    def _record(self, out):
+        if np.ndim(out) == 2:
+            GatherSizes.sizes.append(np.size(out))
+        return out
+
+    def __getitem__(self, key):
+        return self._record(super().__getitem__(key))
+
+    def take(self, *args, **kwargs):
+        return self._record(super().take(*args, **kwargs))
+
+
+def assert_exact_weights_are_the_kernels(model, pairs, record=False):
+    """``_exact_weights`` over ``pairs``, ordered by their first vertex, gives
+    the kernel's doubles for them, byte for byte; returns its weights."""
+    pairs = sorted(pairs, key=lambda pair: pair[0])  # stable: rows repeat
+    i = np.array([a for a, _ in pairs], dtype=weighting.VERTEX_ID)
+    j = np.array([b for _, b in pairs], dtype=weighting.VERTEX_ID)
+    features = weighting._feature_lists(model)
+    dense = weighting._dense(features, model.n)
+    if record:
+        GatherSizes.sizes = []
+        dense = dense.view(GatherSizes)
+    got = np.asarray(weighting._exact_weights(dense, i, j))
+    kernel = weighting._weight_rows(features, model.n, np.arange(model.n), 0)
+    assert got.dtype == np.float64
+    assert got.tobytes() == kernel[i, j].tobytes()
+    return got
+
+
+@settings(deadline=None)
+@given(tied_models(), st.sampled_from([8, 64, 1 << 19]), st.data())
+def test_exact_weights_are_the_kernels(model, cells, data):
+    """On random models, over ascending pair lists whose first vertices
+    repeat, gathering one pair, 8 cells or 65,536 cells at a time.  A pair's
+    first vertex holds a feature; its second may share none."""
+    dense = weighting._dense(weighting._feature_lists(model), model.n)
+    rows = np.flatnonzero(dense.any(axis=1)).tolist()
+    pairs = []
+    if rows:
+        pair = st.tuples(st.sampled_from(rows), st.integers(0, model.n - 1))
+        pairs = data.draw(st.lists(pair, max_size=40))
+    with mock.patch.object(weighting, "_BLOCK_CELLS", cells):
+        assert_exact_weights_are_the_kernels(model, pairs)
+
+
+@pytest.mark.parametrize(
+    "rows, pairs",
+    [
+        pytest.param(
+            [{"perm/a": 0.3}, {"perm/a": 0.7, "perm/b": 1.1}, {"perm/b": 2.0}],
+            [(0, 1), (0, 2), (1, 2), (1, 0)],
+            id="single-feature-row",
+        ),
+        pytest.param(
+            [{"perm/a": 5e-324, "perm/b": 1e-310}, {"perm/a": 5e-324, "perm/b": 2.5e-310},
+             {"perm/a": 1e-320, "perm/c": 2.0**-1022}, {"perm/c": 5e-324}],
+            [(0, 1), (0, 2), (1, 2), (2, 3), (2, 0)],
+            id="subnormal",
+        ),
+        # 20 shared features, one large: adding in order differs from numpy's
+        # pairwise sum, which adds the small terms first
+        pytest.param(
+            [{f"perm/f{k:02d}": 2.0 if k == 0 else 3e-16 for k in range(20)}] * 2
+            + [{"perm/f00": 1.0, "perm/f19": 1e-16}],
+            [(0, 1), (0, 2), (1, 2)],
+            id="many-features",
+        ),
+        pytest.param([{"perm/a": 1.0}, {"perm/a": 2.0}], [], id="empty"),
+    ],
+)
+def test_exact_weights_on_crafted_pairs(rows, pairs):
+    assert_exact_weights_are_the_kernels(tfidf_model(rows), pairs)
+
+
+def test_exact_weights_of_the_last_or_first_feature_alone():
+    """Row 0's features are a, b, c.  The pair (0, 1) shares only c, the
+    last: its weight is that one term, which the cumsum's last entry must
+    hold.  The pair (0, 2) shares only a, the first, and adds +0.0 after."""
+    rows = [{"perm/a": 0.1, "perm/b": 0.2, "perm/c": 0.3}, {"perm/c": 0.7},
+            {"perm/a": 1.0}, {"perm/b": 5.0}]
+    got = assert_exact_weights_are_the_kernels(tfidf_model(rows), [(0, 1), (0, 2)])
+    assert got.tolist() == [(0.3 + 0.7) * 0.5, (0.1 + 1.0) * 0.5]
+
+
+def test_a_row_with_more_pairs_than_a_gather_holds(monkeypatch):
+    """At 4 cells a gather, row 0 (2 features) is read 2 pairs at a time:
+    its 5 pairs take 3 gathers, the last one short, and row 1's 2 pairs
+    one more."""
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", 4 << 3)
+    rows = [{"perm/a": 1.5, "perm/b": 2.5}] + [
+        {"perm/a": 0.5 * v, "perm/b": 0.25 * v} if v % 2 else {"perm/b": 3.0 * v}
+        for v in range(1, 7)
+    ]
+    pairs = [(0, v) for v in range(1, 6)] + [(1, 2), (1, 6)]
+    assert_exact_weights_are_the_kernels(tfidf_model(rows), pairs, record=True)
+    assert GatherSizes.sizes == [4, 4, 2, 4]
+
+
 def test_the_rule_counts_cells(monkeypatch):
     """The seed-7 sweep corpus (n = 650) takes the bound path at p = 1,
     where the kernel adds about 30 times the exact pass's cells, and the
