@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import check_not_empty
 from .errors import MalcomError, ParameterError
 
 MAX_ITERATIONS = 100
@@ -33,6 +34,7 @@ class KMeansConfig:
     rng_seed: int = 0
 
     def validate(self, n: int) -> None:
+        check_not_empty(n)
         if not (1 <= self.c <= n):
             raise ParameterError(f"cluster count must be in [1, {n}], got {self.c}")
         if self.rng_seed < 0:

@@ -188,13 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _graph_params(n, **fields) -> GraphBuildParams:
-    """GraphBuildParams for an n-sample corpus, checked before any stage runs."""
-    params = GraphBuildParams(**fields)
-    params.validate(n)
-    return params
-
-
 def _load_filtered(args):
     scope = SCOPE_TOKENS[args.scope]
     if scope != "all" and args.dict_path is None:
@@ -229,9 +222,8 @@ def _cmd_tfidf(args):
 
 def _cmd_graph(args):
     d = _load_filtered(args)
-    params = _graph_params(
-        len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
-    )
+    params = GraphBuildParams(args.method, args.p, args.k, args.epsilon)
+    params.validate(len(d))  # before tf-idf
     ws = pairwise_weights(compute_tfidf(d), top_p=params.weights_top_p())
     write_edges(build_graph(ws, params), args.out)
 
@@ -295,7 +287,9 @@ def _cmd_family_sim(args):
 def _cmd_sweep(args):
     d = _load_filtered(args)
     grid = args.p_grid
-    grid_params = [_graph_params(len(d), method="en", p=p, k=args.k) for p in grid]
+    grid_params = [GraphBuildParams("en", p, args.k) for p in grid]
+    for params in grid_params:  # every point before the first runs
+        params.validate(len(d))
 
     # the largest p first: its pruned pair weights hold every smaller p's,
     # so the corpus is weighed once; the sort is stable, so equal p keep
@@ -341,7 +335,7 @@ def _cmd_bench(args):
             rng_seed=args.seed,
         )
         d = generate(cfg)
-        params = _graph_params(len(d), method="en", p=args.p, k=args.k)
+        params = GraphBuildParams("en", args.p, args.k)
         times: dict[str, list[float]] = {}
         for _ in range(args.repeats):
             report = run_pipeline(d, params, seed=args.seed)
@@ -360,9 +354,7 @@ def _cmd_bench(args):
 
 def _cmd_pipeline(args):
     d = _load_filtered(args)
-    params = _graph_params(
-        len(d), method=args.method, p=args.p, k=args.k, epsilon=args.epsilon
-    )
+    params = GraphBuildParams(args.method, args.p, args.k, args.epsilon)
     run_pipeline(d, params, seed=args.seed, out_dir=args.out_dir, scope=args.scope)
 
 

@@ -57,6 +57,12 @@ class DatasetError(MalcomError):
     """Malformed corpus or dictionary input."""
 
 
+def check_not_empty(n: int) -> None:
+    """DatasetError for an empty corpus, before any check against its n."""
+    if n == 0:
+        raise DatasetError("cannot compute tf-idf on an empty dataset")
+
+
 @contextmanager
 def open_text(path, error: type[MalcomError] = DatasetError, newline=None):
     """``path`` opened for reading as UTF-8 text.  A byte sequence that is

@@ -21,11 +21,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .dataset import open_text
+from .dataset import check_not_empty, open_text
 from .errors import MalcomError, ParameterError
 from .weighting import VERTEX_ID, WeightSet, check_vertex_count, top_count, top_value
 
@@ -44,8 +44,10 @@ class GraphError(MalcomError):
 
 @dataclass
 class RelationGraph:
+    """Undirected weighted edges over ``vertices``; ``check()`` owns their invariants."""
+
     vertices: list[str]
-    edge_i: np.ndarray  # int32 (VERTEX_ID), edge_i < edge_j
+    edge_i: np.ndarray  # int32 (VERTEX_ID); built graphs: edge_i < edge_j
     edge_j: np.ndarray
     edge_w: np.ndarray  # float64, all > 0
     meta: dict = field(default_factory=dict)
@@ -62,6 +64,36 @@ class RelationGraph:
         return np.bincount(self.edge_i, minlength=self.n) + np.bincount(
             self.edge_j, minlength=self.n
         )
+
+    def check(self, where: Callable[[int], str] = "edge {}".format) -> None:
+        """GraphError naming, by ``where(e)``, the first edge e with an id
+        outside [0, n), a self-loop, a weight not finite and > 0, or an
+        earlier edge's pair in either order.  Pairs listed ascending, as built
+        graphs list them, cannot repeat; any other order takes a stable sort."""
+        i, j, w, n, names = self.edge_i, self.edge_j, self.edge_w, self.n, self.vertices
+        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+        bad |= ~((0 < w) & (w < math.inf))  # NaN fails both
+        first_bad = e = int(bad.argmax()) if bad.any() else len(w)
+        lo, hi = i[:e], j[:e]  # valid ids
+        up = lo[1:] > lo[:-1]
+        up |= (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
+        if not (up.all() and (lo < hi).all()):
+            key = np.minimum(lo, hi) * np.int64(n) + np.maximum(lo, hi)  # int64 keys
+            order = np.argsort(key, kind="stable")  # a run's later edges repeat it
+            key = key[order]
+            e = int(order[1:][key[1:] == key[:-1]].min(initial=e))
+        if e == len(w):
+            return
+        a, b = int(i[e]), int(j[e])
+        if e < first_bad:
+            fault = f"repeats the pair {names[a]!r}, {names[b]!r}"  # as listed
+        elif not (0 <= a < n and 0 <= b < n):
+            fault = f"vertex ids {a}, {b} not in [0, {n})"
+        elif a == b:
+            fault = f"self-loop on {names[a]!r}"
+        else:
+            fault = f"edge weight must be finite and > 0, got {float(w[e])!r}"
+        raise GraphError(f"{where(e)}: {fault}")
 
 
 @dataclass
@@ -80,6 +112,7 @@ class GraphBuildParams:
 
     def validate(self, n: int) -> None:
         """The one check of graph parameters for an n-vertex graph."""
+        check_not_empty(n)
         if self.method not in ("epsilon", "knn", "en"):
             raise ParameterError(f"unknown graph method {self.method!r}")
         if self.epsilon is not None and self.method != "epsilon":
@@ -104,8 +137,7 @@ def percentile_cutoff(ws: WeightSet, p: float) -> tuple[float, int]:
     """
     if ws.total == 0:
         raise GraphError("cannot take a percentile of an empty weight set")
-    if not (0 < p <= 100):
-        raise ParameterError(f"p must be in (0, 100], got {p}")
+    GraphBuildParams("epsilon", p=p).validate(ws.n)
     total, held = ws.total, len(ws)
     m = top_count(p, total)
     if m > held:
@@ -118,8 +150,7 @@ def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
     GraphError when pairs the set dropped would be edges.  When every held
     pair passes, as for E-N and epsilon-at-p at the p the set was weighed
     at, the graph takes the set's read-only arrays themselves, no copy."""
-    if not epsilon >= 0:  # NaN too: every comparison with it is false
-        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
+    GraphBuildParams("epsilon", epsilon=epsilon).validate(ws.n)
     low = float(ws.w.min(initial=math.inf))
     if len(ws) < ws.total and epsilon < low:
         raise GraphError(f"the set holds only the pair weights >= {low:.10g}")
@@ -202,8 +233,6 @@ def _nearest(ws: WeightSet, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     found by a full sort of each masked row.  An absent pair counts, and is
     picked, at the floor weight, below every present one."""
     n = ws.n
-    if not (1 <= k < n):
-        raise ParameterError(f"k must satisfy 1 <= k < n ({n}), got {k}")
     floor = _floor_weight(ws)
     rank = _name_rank(ws.ids)
     keys, weights = [], []
@@ -227,6 +256,7 @@ def build_knn(ws: WeightSet, k: int) -> RelationGraph:
     purpose: this is the quadratic baseline whose construction time the E-N
     method must beat.  It reads no held pair.
     """
+    GraphBuildParams("knn", k=k).validate(ws.n)
     keys, w = _nearest(ws, np.ones(ws.n, dtype=bool), k)
     i, j = (a.astype(VERTEX_ID) for a in np.divmod(keys, ws.n))
     return RelationGraph(list(ws.ids), i, j, w, {"method": "knn", "k": k})
@@ -238,6 +268,7 @@ def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
     that touch an isolated vertex.  The epsilon edges stay as they are, in
     the weight set's row-major (i, j) order, and only the picks are inserted
     among them: an isolated vertex has no epsilon edge for a pick to repeat."""
+    GraphBuildParams("en", p=p, k=k).validate(ws.n)
     epsilon, _ = percentile_cutoff(ws, p)
     g = build_epsilon(ws, epsilon)
     is_iso = g.degrees() == 0
@@ -310,8 +341,7 @@ def read_edges(path) -> RelationGraph:
     puts it, so a vertex id may begin with that text.
 
     Raises GraphError for a line without three tab-separated fields, a
-    non-numeric value, an edge weight that is not finite and > 0, a
-    self-loop, or a pair listed before (in either order).
+    non-numeric value, or an edge line that ``RelationGraph.check`` rejects.
     """
     ids: list[str] = []
     index: dict[str, int] = {}
@@ -347,41 +377,18 @@ def read_edges(path) -> RelationGraph:
             if dst == "":
                 vid(src)
                 continue
-            weight = _parse_number(float, w, lineno)
-            if not (math.isfinite(weight) and weight > 0):
-                raise GraphError(
-                    f"line {lineno}: edge weight must be finite and > 0, got {w!r}"
-                )
-            if src == dst:
-                raise GraphError(f"line {lineno}: self-loop on {src!r}")
+            add_w(_parse_number(float, w, lineno))
             add_i(vid(src))
             add_j(vid(dst))
-            add_w(weight)
             add_line(lineno)
     # views of the arrays' buffers ("i" is a C int, int32 where numpy's is)
     ei = np.frombuffer(ends_i, dtype=np.intc).astype(VERTEX_ID, copy=False)
     ej = np.frombuffer(ends_j, dtype=np.intc).astype(VERTEX_ID, copy=False)
     ew = np.frombuffer(weights, dtype=np.float64)
-    swap = ei > ej
-    ei[swap], ej[swap] = ej[swap], ei[swap]
-    # a stable sort keeps each pair's lines in file order: all but the
-    # first of a run repeat it, and the earliest of those is reported
-    key = ei.astype(np.int64)  # int64: ei * n overflows int32 ids
-    key *= len(ids)
-    key += ej
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][key[order[1:]] == key[order[:-1]]]
-    if len(repeats):
-        e = repeats.min()
-        a, b = (ej[e], ei[e]) if swap[e] else (ei[e], ej[e])  # as the line lists them
-        raise GraphError(
-            f"line {linenos[e]}: repeats the pair {ids[a]!r}, {ids[b]!r}"
-        )
     g = RelationGraph(vertices=ids, edge_i=ei, edge_j=ej, edge_w=ew)
+    g.check(lambda e: f"line {linenos[e]}")
     if n_declared is not None and n_declared != g.n:
-        raise GraphError(
-            f"edge file declares {n_declared} vertices but lists {g.n}"
-        )
+        raise GraphError(f"edge file declares {n_declared} vertices but lists {g.n}")
     return g
 
 

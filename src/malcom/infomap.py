@@ -185,6 +185,7 @@ class _Net:
 
 
 def _net_from_graph(g: RelationGraph) -> _Net:
+    g.check()  # the one entry of detect and codelength
     net = _Net(g.n, g.edge_i, g.edge_j, g.edge_w)
     net.fine_vertex_plogp = net.own_vertex_plogp()
     return net
@@ -328,14 +329,6 @@ class _LocalState:
         self.plogp_q = [_plogp(x) for x in self.q]
         self.plogp_u = [_plogp(x + y) for x, y in zip(self.q, self.sum_p)]
         self.arrays = np.array([self.q, self.sum_p, self.plogp_q, self.plogp_u])
-        fine = net.fine_vertex_plogp
-        self.const = -(fine if fine is not None else net.own_vertex_plogp())
-
-    def codelength(self) -> float:
-        """L in expanded form, from the cached plogp terms."""
-        return (
-            _plogp(self.q_total) - 2.0 * sum(self.plogp_q) + sum(self.plogp_u)
-        ) + self.const
 
     def _own_terms(self, v: int, w_va: float) -> tuple[float, ...]:
         """The terms of v's move deltas that do not depend on the target."""

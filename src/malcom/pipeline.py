@@ -114,7 +114,8 @@ def run_pipeline(
     reusable.
     """
     detector = DetectorConfig(rng_seed=seed)
-    detector.validate()  # before any stage runs
+    detector.validate()  # both before any stage runs
+    params.validate(len(dataset))
     report = PipelineReport(
         parameters={
             "scope": scope,

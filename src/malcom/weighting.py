@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, check_not_empty
 from .errors import MalcomError, ParameterError
 
 # Cells of one row block of the pair-weight accumulator (4 MiB of float64).
@@ -159,9 +159,8 @@ class FamilySimilarityMatrix:
 
 
 def compute_tfidf(d: Dataset) -> TfIdfModel:
-    if len(d) == 0:
-        raise DatasetError("cannot compute tf-idf on an empty dataset")
     n = len(d)
+    check_not_empty(n)
     cols = d.columns()
     df = np.bincount(cols.ids, minlength=len(cols.names))
     # math.log per name, not np.log: numpy's SIMD log may round differently

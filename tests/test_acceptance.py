@@ -33,7 +33,7 @@ from malcom.pipeline import run_pipeline
 from malcom.synth import SynthConfig, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
-from test_infomap import exhaustive_min_codelength, move_delta
+from test_infomap import exhaustive_min_codelength, local_codelength, move_delta
 from test_metrics import brute_force_accuracy, brute_force_rand
 
 
@@ -100,10 +100,10 @@ def test_criterion_3_delta_and_aggregation():
             w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
         w_va = w_to.get(state.assignment[v], 0.0)
         w_vb = w_to.get(target, 0.0)
-        before = state.codelength()
+        before = local_codelength(state)
         delta = move_delta(state, v, target, w_va, w_vb)
         state.apply_move(v, target, w_va, w_vb)
-        ok &= abs(delta - (state.codelength() - before)) <= 1e-9
+        ok &= abs(delta - (local_codelength(state) - before)) <= 1e-9
     for _ in range(1000):
         g = random_graph(rng, n=int(rng.integers(3, 12)))
         net = _net_from_graph(g)

@@ -18,7 +18,7 @@ import malcom
 from malcom import baseline, cli
 from malcom.baseline import KMeansConfig
 from malcom.cli import main
-from malcom.dataset import filter_by_scope, load_dataset
+from malcom.dataset import Dataset, DatasetError, filter_by_scope, load_dataset
 from malcom.errors import ParameterError
 from malcom.graph import (
     GraphBuildParams,
@@ -221,11 +221,11 @@ LIBRARY_PARAMETER_ERRORS = [
         id="build-epsilon",
     ),
     pytest.param(
-        lambda d: build_knn(weights(d), 32), "k must satisfy 1 <= k < n (32), got 32",
+        lambda d: build_knn(weights(d), 32), "k must be < n (32), got 32",
         id="build-knn",
     ),
     pytest.param(
-        lambda d: build_en(weights(d), 10, 0), "k must satisfy 1 <= k < n (32), got 0",
+        lambda d: build_en(weights(d), 10, 0), "k must be >= 1, got 0",
         id="build-en",
     ),
     pytest.param(
@@ -873,7 +873,7 @@ def test_p_checked_next_to_an_epsilon_value(tmp_path, monkeypatch, capsys, corpu
     """--p is checked for every method, also where --epsilon VALUE overrides
     it: a NaN p once ran every stage into write_json's traceback, and -5
     exited 0 with "p": -5.0 in report.json.  Both exit 2 before any tf-idf
-    is computed, and the library rejects them too."""
+    is computed, and the library rejects them before tf-idf too."""
     data, _ = corpus
     tfidf_runs = []
     monkeypatch.setattr("malcom.pipeline.compute_tfidf", tfidf_runs.append)
@@ -885,10 +885,43 @@ def test_p_checked_next_to_an_epsilon_value(tmp_path, monkeypatch, capsys, corpu
     err = capsys.readouterr().err
     assert f"p must be in (0, 100], got {float(p)}" in err and "Traceback" not in err
     assert tfidf_runs == [] and not (tmp_path / "run").exists()
-    monkeypatch.undo()
     params = GraphBuildParams(method="epsilon", epsilon=10.0, p=float(p))
     with pytest.raises(ParameterError, match=r"p must be in \(0, 100\]"):
         run_pipeline(load_dataset(data), params)
+    assert tfidf_runs == []
+
+
+EMPTY_CORPUS = "cannot compute tf-idf on an empty dataset"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        pytest.param("graph", ["--out", "out"], id="graph-en"),
+        pytest.param("graph", ["--method", "knn", "--out", "out"], id="graph-knn"),
+        pytest.param(
+            "graph", ["--method", "epsilon", "--out", "out"], id="graph-epsilon"
+        ),
+        pytest.param("pipeline", ["--out-dir", "out"], id="pipeline"),
+        pytest.param("sweep", ["--out", "out"], id="sweep"),
+        pytest.param("kmeans", ["--c", 1, "--out", "out"], id="kmeans"),
+        pytest.param("tfidf", ["--out", "out"], id="tfidf"),
+    ],
+)
+def test_empty_corpus_exit_1(tmp_path, capsys, command, extra):
+    """An empty corpus is the input's fault, whatever the parameters: every
+    command that weighs it exits 1 with the same message."""
+    data = tmp_path / "empty.jsonl"
+    data.write_text("")
+    extra = [tmp_path / a if a == "out" else a for a in extra]
+    assert run([command, "--input", data, *extra]) == 1
+    assert capsys.readouterr().err == f"error: {EMPTY_CORPUS}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_pipeline_rejects_an_empty_dataset():
+    with pytest.raises(DatasetError, match=f"^{EMPTY_CORPUS}$"):
+        run_pipeline(Dataset(samples=[]), GraphBuildParams())
 
 
 def test_eval_single_sample_exit_1(tmp_path, capsys):

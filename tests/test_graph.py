@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -213,6 +214,13 @@ class TestBuildEn:
         eps = build_epsilon(six_weight_set, 0.1)
         assert edge_ids(g) == edge_ids(eps)
 
+    @pytest.mark.parametrize("k", [0, -3, 4, 10**6])
+    def test_k_checked_without_isolated_vertices(self, six_weight_set, k):
+        """k is checked at entry, not only where a fallback runs."""
+        assert build_en(six_weight_set, 100, 1).meta["isolated_before_fallback"] == 0
+        with pytest.raises(ParameterError, match="^k must be"):
+            build_en(six_weight_set, 100, k)
+
     def test_two_vertices(self):
         ws = weight_set(["a", "b"], {("a", "b"): 0.3})
         g = build_en(ws, 1, 1)
@@ -381,6 +389,107 @@ def test_read_edges_rejects_loop_and_repeated_pair(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(GraphError, match=f"^{message}$"):
         read_edges(path)
+
+
+# each edge fault on the vertices a, b, c: as edges, the message check()
+# gives them, and as an edge file
+HANDOVER_FAULTS = [
+    pytest.param(
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)], "edge 2: repeats the pair 'a', 'b'",
+        "a\tb\t1\nb\tc\t1\na\tb\t2\n", id="repeated-pair",
+    ),
+    pytest.param(
+        [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 2.0)], "edge 2: repeats the pair 'b', 'a'",
+        "a\tb\t1\nb\tc\t1\nb\ta\t2\n", id="reversed-repeat",
+    ),
+    pytest.param(
+        [(0, 1, math.nan), (1, 2, 1.0)],
+        "edge 0: edge weight must be finite and > 0, got nan",
+        "a\tb\tnan\nb\tc\t1\n", id="nan-weight",
+    ),
+    pytest.param(
+        [(0, 1, 1.0), (1, 2, -0.5)],
+        "edge 1: edge weight must be finite and > 0, got -0.5",
+        "a\tb\t1\nb\tc\t-0.5\n", id="negative-weight",
+    ),
+    pytest.param(
+        [(0, 1, 1.0), (1, 1, 1.0), (1, 2, 1.0)], "edge 1: self-loop on 'b'",
+        "a\tb\t1\nb\tb\t1\nb\tc\t1\n", id="self-loop",
+    ),
+    # a file names its vertices, so its id >= n is one beyond the declared count
+    pytest.param(
+        [(0, 1, 1.0), (1, 7, 1.0)], "edge 1: vertex ids 1, 7 not in [0, 3)",
+        "# vertices: 2\na\tb\t1\nb\tc\t1\n", id="id-beyond-n",
+    ),
+]
+
+
+@pytest.mark.parametrize("edges, message, text", HANDOVER_FAULTS)
+def test_every_handover_rejects_a_bad_edge(tmp_path, edges, message, text):
+    """detect and codelength take only graphs that pass check(), and
+    read_edges returns only such graphs."""
+    i, j, w = (np.array(a) for a in zip(*edges))
+    g = RelationGraph(["a", "b", "c"], i, j, w)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        infomap.detect(g)
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        infomap.codelength(g, infomap.Partition.from_labels([0, 0, 1]))
+    path = tmp_path / "edges.tsv"
+    path.write_text(text)
+    with pytest.raises(GraphError):
+        read_edges(path)
+
+
+def first_fault(g):
+    """check()'s verdict edge by edge: (e, rule) of the first faulty edge."""
+    seen = set()
+    for e, (a, b, w) in enumerate(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w)):
+        if not (0 <= a < g.n and 0 <= b < g.n):
+            return e, "not in"
+        if a == b:
+            return e, "self-loop"
+        if not (math.isfinite(w) and w > 0):
+            return e, "edge weight"
+        if (min(a, b), max(a, b)) in seen:
+            return e, "repeats"
+        seen.add((min(a, b), max(a, b)))
+    return None
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(-1, n),
+                    st.integers(-1, n),
+                    st.sampled_from([1.0, 2.5, 0.0, -1.0, math.nan, math.inf]),
+                ),
+                max_size=12,
+            ),
+            st.booleans(),
+        )
+    )
+)
+def test_check_reports_the_first_faulty_edge(case):
+    """Ascending or not, check() names the first edge that breaks a rule."""
+    n, edges, ascending = case
+    if ascending:
+        edges.sort()
+    g = RelationGraph(
+        [f"v{v}" for v in range(n)],
+        np.array([e[0] for e in edges], dtype=np.int32),
+        np.array([e[1] for e in edges], dtype=np.int32),
+        np.array([e[2] for e in edges], dtype=np.float64),
+    )
+    want = first_fault(g)
+    if want is None:
+        g.check()
+        return
+    e, rule = want
+    with pytest.raises(GraphError, match=f"^edge {e}: .*{rule}"):
+        g.check()
 
 
 @st.composite

@@ -371,10 +371,10 @@ class TestIncrementalConsistency:
                 w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
             w_va = w_to.get(state.assignment[v], 0.0)
             w_vb = w_to.get(target, 0.0)
-            before = state.codelength()
+            before = local_codelength(state)
             delta = move_delta(state, v, target, w_va, w_vb)
             state.apply_move(v, target, w_va, w_vb)
-            after = state.codelength()
+            after = local_codelength(state)
             assert delta == pytest.approx(after - before, abs=1e-9)
 
     def test_aggregation_preserves_codelength(self):
@@ -387,6 +387,16 @@ class TestIncrementalConsistency:
             agg = _aggregate(net, part.assignment, part.m)
             identity = _breakdown(agg, list(range(part.m)), part.m).codelength
             assert identity == pytest.approx(original, abs=1e-9)
+
+
+def local_codelength(state):
+    """L of a _LocalState in expanded form, from its cached plogp terms:
+    the value whose change ``move_delta`` must predict."""
+    fine = state.net.fine_vertex_plogp
+    const = -(fine if fine is not None else state.net.own_vertex_plogp())
+    return (
+        _plogp(state.q_total) - 2.0 * sum(state.plogp_q) + sum(state.plogp_u)
+    ) + const
 
 
 def move_delta(state, v, target, w_va, w_vb):
