@@ -194,7 +194,9 @@ def _load_filtered(args):
         raise ParameterError("--scope other than 'all' requires --dict")
     d = load_dataset(args.input)
     if args.dict_path is not None:
-        d = Dataset(d.samples, load_dictionary(args.dict_path))
+        d = Dataset.from_columns(
+            d.ids, d.families, d.columns(), load_dictionary(args.dict_path)
+        )
     return filter_by_scope(d, scope)
 
 
@@ -260,11 +262,11 @@ def _cmd_eval(args):
         raise DatasetError("evaluation requires a fully labeled dataset")
     ids, comms = read_partition(args.partition)
     by_id = dict(zip(ids, comms))
-    missing = [s.id for s in d.samples if s.id not in by_id]
+    missing = [sid for sid in d.ids if sid not in by_id]
     if missing:
         raise DatasetError(f"partition misses samples: {missing[:5]}")
     labels = d.labels()
-    assignment = [by_id[s.id] for s in d.samples]
+    assignment = [by_id[sid] for sid in d.ids]
     metrics.write_report(metrics.evaluate(labels, assignment), args.out)
 
 

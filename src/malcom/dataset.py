@@ -9,25 +9,27 @@ recoverable without the dictionary.  The optional feature dictionary is a
 CSV with header ``feature,category,scope,value_kind`` mapping each feature
 to one of the 11 categories and a platform-defined / app-specific scope.
 
-A ``Dataset`` is not modified after construction: its samples, their
-feature maps and its dictionary stay as they were built.  That lets it
-cache derived data.  ``Dataset.columns()`` is the stored values as CSR
-arrays (``FeatureColumns``), built from the samples' maps on its first
-call and returned as the same object afterwards; tf-idf, feature
-frequencies and the pair weights read it, not the per-sample maps.  A
-dataset derived from another one, such as ``filter_by_scope``'s result,
-builds its own view.
+A ``Dataset`` holds the corpus once, as columns: the sample ids, their
+families and the stored values as CSR arrays (``FeatureColumns``, 12 bytes
+per stored value), which tf-idf, feature frequencies and the pair weights
+read.  ``load_dataset`` appends each line's values to those arrays as it
+reads, and keeps no per-sample feature map.  A dataset built in code from
+``Sample`` objects (``generate``, the tests) keeps them and builds its
+columns on the first ``columns()`` call; a loaded or scope-filtered one
+builds ``Sample`` maps from its columns only when ``samples`` is read, and
+does not keep them.  A ``Dataset`` is not modified after construction, so
+every reader shares its columns.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-import sys
+from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from itertools import chain, filterfalse
+from typing import Container, Iterable, Optional
 
 import numpy as np
 
@@ -152,36 +154,84 @@ class Sample:
 class FeatureColumns:
     """The stored feature values of a dataset as CSR arrays.  Row r is
     sample r: its entries ``indptr[r]:indptr[r + 1]`` are the sample's
-    features in the order its map holds them."""
+    features in the order its map holds them.  The arrays are read-only:
+    every reader shares them."""
 
     names: list[str]     # every stored feature name, ascending
     indptr: np.ndarray   # int64, one more than there are samples
     ids: np.ndarray      # int32 index into names, one per stored value
     values: np.ndarray   # float64, finite and > 0
 
-
-@dataclass
-class Dataset:
-    samples: list[Sample]
-    dictionary: Optional[list[FeatureDictionaryEntry]] = None
-    _columns: Optional[FeatureColumns] = field(
-        default=None, repr=False, compare=False
-    )
-
     def __post_init__(self):
+        for a in (self.indptr, self.ids, self.values):
+            a.flags.writeable = False
+
+
+class Dataset:
+    """Sample ids, families and stored values (as ``FeatureColumns``), with
+    an optional feature dictionary.
+
+    ``Dataset(samples)`` keeps the given samples and builds the columns
+    from their maps on the first ``columns()`` call.  A dataset made by
+    ``from_columns`` (every loaded or scope-filtered one) holds no maps:
+    its ``samples`` are built from the columns on each access.
+    """
+
+    def __init__(
+        self,
+        samples: list[Sample],
+        dictionary: Optional[list[FeatureDictionaryEntry]] = None,
+    ):
         seen = set()
-        for s in self.samples:
+        for s in samples:
             if s.id in seen:
                 raise DatasetError(f"duplicate sample id {s.id!r}")
             seen.add(s.id)
+        self.ids = [s.id for s in samples]
+        self.families = [s.family for s in samples]
+        self.dictionary = dictionary
+        self._samples: Optional[list[Sample]] = samples
+        self._columns: Optional[FeatureColumns] = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: list[str],
+        families: list[Optional[str]],
+        columns: FeatureColumns,
+        dictionary: Optional[list[FeatureDictionaryEntry]] = None,
+    ) -> Dataset:
+        """The dataset of already checked ids, their families and their
+        stored values."""
+        d = cls.__new__(cls)
+        d.ids, d.families, d.dictionary = ids, families, dictionary
+        d._samples, d._columns = None, columns
+        return d
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.ids)
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The samples with their feature maps.  When the dataset holds only
+        columns, each access builds every sample's map anew, in
+        O(stored values), and keeps none: read ``ids``, ``families`` and
+        ``columns()`` instead wherever they suffice."""
+        if self._samples is not None:
+            return self._samples
+        cols = self._columns
+        names = list(map(cols.names.__getitem__, cols.ids.tolist()))
+        values = cols.values.tolist()
+        at = cols.indptr.tolist()
+        return [
+            Sample(sid, family, dict(zip(names[a:b], values[a:b])))
+            for sid, family, a, b in zip(self.ids, self.families, at, at[1:])
+        ]
 
     def columns(self) -> FeatureColumns:
         """The columnar view of the stored values, built on the first call."""
         if self._columns is None:
-            maps = [s.features for s in self.samples]
+            maps = [s.features for s in self._samples]
             indptr = np.zeros(len(maps) + 1, dtype=np.int64)
             np.cumsum(np.fromiter(map(len, maps), np.int64, len(maps)), out=indptr[1:])
             size = int(indptr[-1])
@@ -192,22 +242,19 @@ class Dataset:
             values = np.fromiter(
                 chain.from_iterable(m.values() for m in maps), np.float64, size
             )
-            for a in (indptr, ids, values):
-                a.flags.writeable = False  # shared by every reader
             self._columns = FeatureColumns(names, indptr, ids, values)
         return self._columns
 
     def labels(self) -> list[Optional[str]]:
-        return [s.family for s in self.samples]
+        return list(self.families)
 
     def fully_labeled(self) -> bool:
-        return all(s.family is not None for s in self.samples)
+        return None not in self.families
 
 
-def _parse_sample(obj: dict, names: dict[str, str]) -> Sample:
-    """The sample a corpus line holds.  ``names`` maps each feature name the
-    file has used so far to its validated, interned string; new names are
-    checked and added."""
+def _parse_sample(obj: dict, known: Container[str]) -> Sample:
+    """The sample a corpus line holds.  Feature names not in ``known`` are
+    checked."""
     if not isinstance(obj, dict):
         raise DatasetError("expected a JSON object")
     try:
@@ -224,11 +271,8 @@ def _parse_sample(obj: dict, names: dict[str, str]) -> Sample:
         raise DatasetError("features must be an object")
     features: dict[str, float] = {}
     for name, value in raw.items():
-        key = names.get(name)
-        if key is None:
+        if name not in known:
             split_feature(name)
-            # interned: every sample that has the feature shares one string
-            key = names[name] = sys.intern(name)
         if type(value) is not float:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise DatasetError(f"feature {name!r} value not numeric")
@@ -241,16 +285,19 @@ def _parse_sample(obj: dict, names: dict[str, str]) -> Sample:
                 continue  # absence means 0; never store zeros
             why = "negative" if math.isfinite(value) else "not finite"
             raise DatasetError(f"feature {name!r} value {why}")
-        features[key] = value
+        features[name] = value
     return Sample(id=sid, family=family, features=features)
 
 
 def load_dataset(path) -> Dataset:
-    """Read a JSON Lines corpus, preserving line order.  An error in a
-    line's sample names the line."""
-    samples = []
-    names: dict[str, str] = {}
+    """Read a JSON Lines corpus, preserving line order, straight into
+    columns: no feature map outlives its line.  An error in a line's
+    sample names the line."""
+    sids: list[str] = []
+    families: list[Optional[str]] = []
     lines = []  # the line of each sample
+    index: dict[str, int] = {}  # feature name -> id, in order of first use
+    name_ids, values, ends = array("i"), array("d"), array("q", [0])
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -262,18 +309,38 @@ def load_dataset(path) -> Dataset:
                 why = getattr(exc, "msg", "nested too deeply")
                 raise DatasetError(f"line {lineno}: invalid JSON ({why})") from None
             try:
-                samples.append(_parse_sample(obj, names))
+                s = _parse_sample(obj, index)
             except DatasetError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from None
+            # names stored for the first time; _parse_sample checked them
+            for name in filterfalse(index.__contains__, s.features):
+                index[name] = len(index)
+            name_ids.extend(map(index.__getitem__, s.features))
+            values.extend(s.features.values())
+            ends.append(len(values))
+            sids.append(s.id)
+            families.append(s.family)
             lines.append(lineno)
-    # ids are checked after the read: under glibc, a hash table grown among
-    # the sample allocations raised the later weighing peak by 2 MiB at n = 3900
+    # ids are checked after the read, so a malformed line is reported before
+    # a repeated id wherever the two are in the file
     first: dict[str, int] = {}  # sample id -> its line
-    for s, at in zip(samples, lines):
-        if first.setdefault(s.id, at) != at:
-            dup = f"line {at}: duplicate sample id {s.id!r}"
-            raise DatasetError(f"{dup} (first on line {first[s.id]})")
-    return Dataset(samples=samples)
+    for sid, at in zip(sids, lines):
+        if first.setdefault(sid, at) != at:
+            dup = f"line {at}: duplicate sample id {sid!r}"
+            raise DatasetError(f"{dup} (first on line {first[sid]})")
+    # ids in order of first use -> ids in ascending name order
+    names = sorted(index)
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[np.fromiter(map(index.__getitem__, names), np.int64, len(names))] = (
+        np.arange(len(names), dtype=np.int32)
+    )
+    columns = FeatureColumns(
+        names,
+        np.frombuffer(ends, dtype=np.int64),
+        rank[np.frombuffer(name_ids, dtype=np.intc)],
+        np.frombuffer(values, dtype=np.float64),
+    )
+    return Dataset.from_columns(sids, families, columns)
 
 
 def save_dataset(d: Dataset, path) -> None:
@@ -336,16 +403,25 @@ def filter_by_scope(d: Dataset, scope: str) -> Dataset:
     if d.dictionary is None:
         raise DatasetError("scope filtering requires a feature dictionary")
     scope_of = {e.feature: e.scope for e in d.dictionary}
-    filtered = []
-    for s in d.samples:
-        kept = {}
-        for name, value in s.features.items():
-            fscope = scope_of.get(name)
-            if fscope is None:
-                raise DatasetError(
-                    f"feature {name!r} (sample {s.id!r}) missing from dictionary"
-                )
-            if fscope == scope:
-                kept[name] = value
-        filtered.append(Sample(id=s.id, family=s.family, features=kept))
-    return Dataset(samples=filtered, dictionary=d.dictionary)
+    cols = d.columns()
+    scopes = [scope_of.get(name) for name in cols.names]
+    if None in scopes:  # name the first entry, in sample order
+        listed = np.array([s is not None for s in scopes])
+        first = int(np.argmin(listed[cols.ids]))
+        row = int(np.searchsorted(cols.indptr, first, side="right")) - 1
+        raise DatasetError(
+            f"feature {cols.names[cols.ids[first]]!r} (sample {d.ids[row]!r})"
+            " missing from dictionary"
+        )
+    in_scope = np.array([s == scope for s in scopes], dtype=bool)
+    kept = in_scope[cols.ids]
+    at = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(kept, out=at[1:])
+    new_id = np.cumsum(in_scope, dtype=np.int32) - 1  # names left stored
+    columns = FeatureColumns(
+        [name for name, keep in zip(cols.names, in_scope.tolist()) if keep],
+        at[cols.indptr],
+        new_id[cols.ids[kept]],
+        cols.values[kept],
+    )
+    return Dataset.from_columns(d.ids, d.families, columns, d.dictionary)

@@ -185,7 +185,10 @@ class _Net:
 
 
 def _net_from_graph(g: RelationGraph) -> _Net:
-    g.check()  # the one entry of detect and codelength
+    # the one entry of detect and codelength
+    if g.n == 0:
+        raise InfomapError("empty graph")
+    g.check()
     net = _Net(g.n, g.edge_i, g.edge_j, g.edge_w)
     net.fine_vertex_plogp = net.own_vertex_plogp()
     return net
@@ -579,8 +582,6 @@ def detect(
     if cfg is None:
         cfg = DetectorConfig()
     cfg.validate()
-    if g.n == 0:
-        raise InfomapError("empty graph")
     rng = np.random.default_rng(cfg.rng_seed)
 
     fine = net = _net_from_graph(g)

@@ -3,9 +3,8 @@
 tfidf(m, j) = tf(m, j) * ln(n / s_m), with tf the raw stored feature value,
 n the sample count and s_m the number of samples containing feature m.
 ``compute_tfidf`` reads the dataset's columnar view (``Dataset.columns()``,
-built on its first use and cached by the dataset, so a sweep that computes
-tf-idf at every point reads the samples' maps once) and returns CSR arrays
-over the same feature-name ids.
+the form a loaded corpus is held in) and returns CSR arrays over the same
+feature-name ids.
 The weight of a sample pair is the sum over shared features of the mean of
 the two tf-idf values.  One kernel, ``_weight_rows``, sums each pair's
 features from 0.0 in ascending feature-name order, so weights are
@@ -169,9 +168,9 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
         data = cols.values * idf[cols.ids]
     if data.max(initial=0.0) == math.inf:
         first = int(np.argmax(data == math.inf))  # in sample order
-        s = d.samples[int(np.searchsorted(cols.indptr, first, side="right")) - 1]
+        sid = d.ids[int(np.searchsorted(cols.indptr, first, side="right")) - 1]
         raise DatasetError(
-            f"sample {s.id!r}: tf-idf of feature {cols.names[cols.ids[first]]!r}"
+            f"sample {sid!r}: tf-idf of feature {cols.names[cols.ids[first]]!r}"
             " overflows"
         )
     indptr, indices = cols.indptr, cols.ids
@@ -182,7 +181,7 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
         indptr, indices, data = at[indptr], indices[kept], data[kept]
     return TfIdfModel(
         n=n,
-        sample_ids=[s.id for s in d.samples],
+        sample_ids=d.ids,
         names=cols.names,
         df=df,
         indptr=indptr,
@@ -515,9 +514,9 @@ def family_similarity(d: Dataset, m: TfIdfModel) -> FamilySimilarityMatrix:
     pair is held."""
     if not d.fully_labeled():
         raise DatasetError("family similarity requires every sample labeled")
-    families = sorted({s.family for s in d.samples})
+    families = sorted(set(d.families))
     fam_index = {f: k for k, f in enumerate(families)}
-    sample_fam = np.array([fam_index[s.family] for s in d.samples], dtype=np.int64)
+    sample_fam = np.array([fam_index[f] for f in d.families], dtype=np.int64)
     nf = len(families)
     sizes = np.bincount(sample_fam, minlength=nf).astype(np.float64)
 

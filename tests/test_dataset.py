@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from malcom.dataset import (
+    SCOPES,
     Dataset,
     DatasetError,
     FeatureDictionaryEntry,
@@ -17,6 +19,7 @@ from malcom.dataset import (
     save_dictionary,
     split_feature,
 )
+from malcom.synth import SynthConfig, generate
 
 
 def write_lines(path, lines):
@@ -51,6 +54,10 @@ class TestLoadDataset:
         with pytest.raises(DatasetError) as got:
             load_dataset(f)
         assert str(got.value) == "line 3: duplicate sample id 's1' (first on line 1)"
+        with f.open("a") as fh:
+            fh.write("{oops\n")  # a later malformed line is reported first
+        with pytest.raises(DatasetError, match="^line 4: invalid JSON"):
+            load_dataset(f)
         with pytest.raises(DatasetError, match="^duplicate sample id 's1'$"):
             Dataset(samples=[Sample("s1", None, {}), Sample("s1", None, {})])
 
@@ -308,10 +315,20 @@ class TestFilterByScope:
             filter_by_scope(d, "platform-defined")
 
     def test_feature_missing_from_dictionary(self):
+        """The first entry, in sample order, whose name the dictionary
+        lacks is named."""
         d = scoped_dataset()
-        d.samples[0].features["perm/extra"] = 1.0
-        with pytest.raises(DatasetError, match="missing from dictionary"):
-            filter_by_scope(d, "platform-defined")
+        grown = Dataset(
+            samples=[Sample("s0", None, {"str/foo": 1.0})]
+            + [Sample(s.id, s.family, {**s.features, "perm/extra": 1.0})
+               for s in d.samples],
+            dictionary=d.dictionary,
+        )
+        with pytest.raises(DatasetError) as exc:
+            filter_by_scope(grown, "platform-defined")
+        assert str(exc.value) == (
+            "feature 'perm/extra' (sample 's1') missing from dictionary"
+        )
 
 
 class TestColumns:
@@ -362,3 +379,149 @@ def test_loaded_samples_share_one_string_per_feature_name(tmp_path):
     ])
     a, b = (next(iter(s.features)) for s in load_dataset(path).samples)
     assert a == b == "str/http://x.com/a" and a is b
+
+
+# One corpus for the columnar loader: floats, ints (stored as floats), zeros
+# (dropped), an empty map, a name first seen late and non-ASCII names.
+MIXED_LINES = [
+    '{"id":"s1","family":"A","features":{"perm/b":1.5,"str/é":2.0}}',
+    '{"id":"s2","family":"B","features":{"perm/b":2,"api/c":0,"str/日本":1}}',
+    '{"id":"s3","family":null,"features":{}}',
+    '{"id":"s4","family":"A","features":{"perm/a":0.0,"str/é":3}}',
+    '{"id":"s5","family":"B","features":{"str/ключ":0.25,"perm/b":4.0}}',
+    '{"id":"s6","family":"A","features":{"api/late":1.0,"perm/b":1e300}}',
+]
+MIXED_MAPS = [  # what each line stores: ints as floats, zeros dropped
+    ("s1", "A", {"perm/b": 1.5, "str/é": 2.0}),
+    ("s2", "B", {"perm/b": 2.0, "str/日本": 1.0}),
+    ("s3", None, {}),
+    ("s4", "A", {"str/é": 3.0}),
+    ("s5", "B", {"str/ключ": 0.25, "perm/b": 4.0}),
+    ("s6", "A", {"api/late": 1.0, "perm/b": 1e300}),
+]
+
+
+def mixed_dataset(dictionary=None):
+    samples = [Sample(sid, fam, dict(m)) for sid, fam, m in MIXED_MAPS]
+    return Dataset(samples=samples, dictionary=dictionary)
+
+
+def assert_same_columns(got, want):
+    assert got.names == want.names
+    for a in ("indptr", "ids", "values"):
+        x, y = getattr(got, a), getattr(want, a)
+        assert x.dtype == y.dtype and x.tolist() == y.tolist(), a
+
+
+class TestColumnarLoader:
+    def test_columns_equal_the_map_built_view(self, tmp_path):
+        f = tmp_path / "d.jsonl"
+        write_lines(f, MIXED_LINES)
+        d = load_dataset(f)
+        assert_same_columns(d.columns(), mixed_dataset().columns())
+        assert d.ids == [sid for sid, _, _ in MIXED_MAPS]
+        assert d.labels() == [fam for _, fam, _ in MIXED_MAPS]
+        assert not d.fully_labeled()
+
+    def test_samples_are_built_on_each_access(self, tmp_path):
+        f = tmp_path / "d.jsonl"
+        write_lines(f, MIXED_LINES)
+        d = load_dataset(f)
+        assert d.samples == mixed_dataset().samples
+        assert d.samples is not d.samples
+
+    def test_save_reproduces_the_canonical_file(self, tmp_path):
+        canonical = tmp_path / "canonical.jsonl"
+        save_dataset(mixed_dataset(), canonical)
+        raw, again = tmp_path / "raw.jsonl", tmp_path / "again.jsonl"
+        write_lines(raw, MIXED_LINES)
+        for source in (raw, canonical):
+            save_dataset(load_dataset(source), again)
+            assert again.read_bytes() == canonical.read_bytes()
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ('{"id":"s9","features":{"perm/a":%s,"perm/x":NaN}}',
+             "line 3: feature 'perm/x' value not finite"),
+            ('{"id":"s9","features":{"perm/a":%s,"perm/x":Infinity}}',
+             "line 3: feature 'perm/x' value not finite"),
+            ('{"id":"s9","features":{"perm/a":%s,"perm/x":true}}',
+             "line 3: feature 'perm/x' value not numeric"),
+            ('{"id":"s9","features":{"perm/a":%s,"perm/x":-2.5}}',
+             "line 3: feature 'perm/x' value negative"),
+            ('{"id":"s9","features":{"perm/a":%s,"bogus/x":1.0}}',
+             "line 3: feature name 'bogus/x' has unknown prefix 'bogus'"),
+            ('{"id":"s1","features":{"perm/a":%s}}',
+             "line 3: duplicate sample id 's1' (first on line 1)"),
+        ],
+        ids=["nan", "infinity", "bool", "negative", "unknown-prefix", "duplicate-id"],
+    )
+    def test_bad_line_message_beside_a_float_or_an_int(
+        self, tmp_path, bad, message
+    ):
+        """The same fault gives the same message and line whether the rest
+        of its line holds a float or an int."""
+        for value in ("1.5", "2"):
+            f = tmp_path / "d.jsonl"
+            write_lines(f, [
+                '{"id":"s1","features":{"perm/a":1.0}}',
+                '{"id":"s2","features":{"perm/a":2}}',
+                bad % value,
+            ])
+            with pytest.raises(DatasetError) as exc:
+                load_dataset(f)
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_filter_by_scope_equals_the_map_filter(self, tmp_path, scope):
+        dictionary = [
+            FeatureDictionaryEntry(name, "FS1", s, "numeric")
+            for name, s in [
+                ("api/late", "app-specific"),
+                ("perm/b", "platform-defined"),
+                ("str/é", "app-specific"),
+                ("str/日本", "platform-defined"),
+                ("str/ключ", "app-specific"),
+            ]
+        ]
+        f = tmp_path / "d.jsonl"
+        write_lines(f, MIXED_LINES)
+        d = load_dataset(f)
+
+        def with_dictionary(entries):
+            return Dataset.from_columns(d.ids, d.families, d.columns(), entries)
+
+        got = filter_by_scope(with_dictionary(dictionary), scope)
+        scope_of = {e.feature: e.scope for e in dictionary}
+        want = Dataset(samples=[
+            Sample(sid, fam, {k: v for k, v in m.items() if scope_of[k] == scope})
+            for sid, fam, m in MIXED_MAPS
+        ])
+        assert_same_columns(got.columns(), want.columns())
+        assert got.ids == want.ids and got.labels() == want.labels()
+        assert got.dictionary is dictionary
+        with pytest.raises(DatasetError) as exc:
+            filter_by_scope(with_dictionary(dictionary[1:]), scope)
+        assert str(exc.value) == (
+            "feature 'api/late' (sample 's6') missing from dictionary"
+        )
+
+
+def test_loaded_corpus_is_held_once_as_columns(tmp_path):
+    """After ``load_dataset(f).columns()`` tracemalloc holds at most 32 bytes
+    per stored value: 12 in the columns, the rest the ids, families and
+    names.  A loader that also keeps each sample's feature map holds about
+    77 (a dict entry and a float object per value) and fails here."""
+    f = tmp_path / "d.jsonl"
+    save_dataset(generate(SynthConfig(samples_per_family=20, rng_seed=7)), f)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_dataset(f)
+        stored = len(d.columns().values)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert stored > 10_000
+    assert held / stored <= 32

@@ -237,6 +237,10 @@ class TestCodelength:
         with pytest.raises(InfomapError):
             codelength(barbell, Partition.from_labels([0, 0, 1]))
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(InfomapError, match="^empty graph$"):
+            codelength(make_graph([], {}), Partition([], 0))
+
     def test_entropy_bounds(self, barbell):
         part = Partition.from_labels([0, 0, 1, 1, 2, 2])
         bd = codelength(barbell, part)
@@ -264,6 +268,10 @@ class TestDetect:
         part, bd = detect(g)
         assert part.m == 1
         assert bd.codelength == 0.0
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(InfomapError, match="^empty graph$"):
+            detect(make_graph([], {}))
 
     def test_deterministic_per_seed(self, two_cliques):
         a1 = detect(two_cliques, DetectorConfig(rng_seed=9))[0].assignment
@@ -302,8 +310,6 @@ def exhaustive_min_codelength(g):
     """
     if g.n > 12:
         raise InfomapError(f"exhaustive search limited to 12 vertices, got {g.n}")
-    if g.n == 0:
-        raise InfomapError("empty graph")
     net = _net_from_graph(g)
     best_labels = None
     best_len = math.inf
