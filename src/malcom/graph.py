@@ -12,8 +12,9 @@ benchmarked against.  E-N keeps the epsilon edges as they are and inserts
 only its fallback picks among them.
 
 The detector walks neighbours through the CSR adjacency from ``csr``: row v,
-``indices[indptr[v]:indptr[v + 1]]`` with ``weights`` alongside, lists v's
-neighbours in edge order.  Sums over it use ``np.bincount``/``np.cumsum``,
+``indices[indptr[v]:indptr[v + 1]]`` with the ids of their edges alongside,
+lists v's neighbours in edge order, and each edge's weight is read from the
+edge arrays themselves.  Sums over it use ``np.bincount``/``np.cumsum``,
 which add in input order like an edge-by-edge loop (``np.sum`` does not).
 """
 from __future__ import annotations
@@ -27,7 +28,15 @@ import numpy as np
 
 from .dataset import check_not_empty, open_text
 from .errors import MalcomError, ParameterError
-from .weighting import VERTEX_ID, WeightSet, check_vertex_count, top_count, top_value
+from .weighting import (
+    EDGE_ID,
+    VERTEX_ID,
+    WeightSet,
+    check_edge_count,
+    check_vertex_count,
+    top_count,
+    top_value,
+)
 
 # Fallback edges for vertices with no positive weight at all get this
 # fraction of the smallest positive weight, keeping them flow-connected
@@ -170,30 +179,35 @@ def _floor_weight(ws: WeightSet) -> float:
 
 
 def csr(
-    n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray
+    n: int, i: np.ndarray, j: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric CSR adjacency ``(indptr, indices, weights)`` of the
-    undirected edges (i[e], j[e], w[e]) over n vertices.
+    """Symmetric CSR adjacency ``(indptr, indices, eids)`` of the undirected
+    edges (i[e], j[e]) over n vertices: entry k of a row names the neighbour
+    ``indices[k]`` across the edge ``eids[k]``, whose weight a reader takes
+    from its own edge array, ``w.take(eids[s:e])`` for a row slice.
 
     Each edge appears in both endpoint rows, every row in edge order,
     exactly as appending i0->j0, j0->i0, i1->j1, ... edge by edge would.
     A stable counting placement: each chunk of ``_CSR_CHUNK`` edges sorts
     its entries by row and writes them straight to their final slots,
     after the earlier chunks' entries of the same row.  No temporary is
-    longer than a chunk, apart from n-sized ones.  ``indptr`` is int64
-    and ``indices`` int32 (``VERTEX_ID``).
+    longer than a chunk, apart from n-sized ones.  ``indptr`` is int64,
+    ``indices`` int32 (``VERTEX_ID``) and ``eids`` int32 (``EDGE_ID``), so
+    an entry takes 8 B; ``check_edge_count`` rejects more edges than int32
+    ids can name.
     """
     check_vertex_count(n)
+    check_edge_count(len(i), EDGE_ID)
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.bincount(i, minlength=n)
     indptr[1:] += np.bincount(j, minlength=n)
     np.cumsum(indptr, out=indptr)
     indices = np.empty(indptr[-1], dtype=VERTEX_ID)
-    weights = np.empty(indptr[-1], dtype=w.dtype)
+    eids = np.empty(indptr[-1], dtype=EDGE_ID)
     fill = indptr[:-1].copy()  # each row's next free slot
     shift = (2 * _CSR_CHUNK - 1).bit_length()  # bits of a position in a chunk
-    for s in range(0, len(w), _CSR_CHUNK):
-        e = min(s + _CSR_CHUNK, len(w))
+    for s in range(0, len(i), _CSR_CHUNK):
+        e = min(s + _CSR_CHUNK, len(i))
         c = 2 * (e - s)
         # the interleaved entries keyed (row, position in the chunk): one
         # sort orders them by row, each row in edge order; ids < 2**31
@@ -210,9 +224,10 @@ def csr(
         slot = np.arange(c) - np.repeat(first - fill[row[first]], run)
         indices[slot] = np.column_stack((j[s:e], i[s:e])).ravel()[key]
         key >>= 1  # entry k of the interleaved list is edge s + k // 2
-        weights[slot] = w[s:e][key]
+        key += s
+        eids[slot] = key
         fill[row[first]] += run
-    return indptr, indices, weights
+    return indptr, indices, eids
 
 
 def _name_rank(ids: list[str]) -> np.ndarray:
@@ -306,32 +321,58 @@ def build_graph(ws: WeightSet, params: GraphBuildParams) -> RelationGraph:
 def write_edges(g: RelationGraph, path) -> None:
     """TSV edge list: ``src<TAB>dst<TAB>weight`` with src < dst
     lexicographically, lines sorted by (src, dst), then a placeholder line
-    ``id<TAB><TAB>0`` for each isolated vertex, ascending by id."""
-    ids = g.vertices
+    ``id<TAB><TAB>0`` for each isolated vertex, ascending by id.
+
+    Each edge's line is keyed by lo * n + hi (int64), lo < hi the name
+    ranks of its ends; pairs are distinct, so the keys order the lines as
+    sorting them would.  A chunk at a time (each overlapping the previous
+    by one edge) the keys are checked to ascend already, as they do for a
+    built graph whose vertices are listed in ascending id order; otherwise
+    one argsort of all the keys orders the edges.  Lines are formatted
+    ``_WRITE_CHUNK`` at a time, their keys and weights gathered through
+    that order: no sorted copy of a column is made, and an ordered graph
+    has no |E|-long temporary at all.
+    """
+    ids, n, m = g.vertices, g.n, g.num_edges
     names = np.array(sorted(ids), dtype=object)
     rank = _name_rank(ids)
-    a, b = rank[g.edge_i], rank[g.edge_j]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b, out=a)
-    del a, b
-    # pairs are distinct, so (lo, hi) orders the lines as sorting them would
-    order = np.lexsort((hi, lo))
-    lo = lo[order]
-    hi = hi[order]
-    w = g.edge_w[order]
-    del order  # only the sorted columns stay while the lines are formatted
-    extra = sorted(ids[v] for v in np.flatnonzero(g.degrees() == 0).tolist())
+    chunks = range(0, m, _WRITE_CHUNK)
+
+    def keys(edges) -> np.ndarray:
+        a, b = rank[g.edge_i[edges]], rank[g.edge_j[edges]]
+        key = np.minimum(a, b).astype(np.int64)  # int64: lo * n overflows int32
+        key *= n
+        key += np.maximum(a, b)
+        return key
+
+    def ascends(s: int) -> bool:
+        key = keys(slice(max(s - 1, 0), s + _WRITE_CHUNK))
+        return bool((key[1:] > key[:-1]).all())
+
+    order = None
+    if not all(ascends(s) for s in chunks):
+        key = np.empty(m, dtype=np.int64)
+        for s in chunks:
+            key[s : s + _WRITE_CHUNK] = keys(slice(s, s + _WRITE_CHUNK))
+        order = np.argsort(key)
+        del key
+    listed = np.zeros(n, dtype=bool)  # by name rank
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# vertices: {g.n}\n")
-        for s in range(0, len(w), _WRITE_CHUNK):
-            e = min(s + _WRITE_CHUNK, len(w))
+        fh.write(f"# vertices: {n}\n")
+        for s in chunks:
+            edges = slice(s, s + _WRITE_CHUNK)
+            if order is not None:
+                edges = order[edges]
+            lo, hi = np.divmod(keys(edges), n)
+            w = g.edge_w[edges]
+            listed[lo] = listed[hi] = True
             # one % over the chunk's (src, dst, weight) cells, row by row
-            cells = np.empty((e - s, 3), dtype=object)
-            cells[:, 0] = names[lo[s:e]]
-            cells[:, 1] = names[hi[s:e]]
-            cells[:, 2] = w[s:e].tolist()
-            fh.write(("%s\t%s\t%.10g\n" * (e - s)) % tuple(cells.ravel().tolist()))
-        for vid in extra:
+            cells = np.empty((len(w), 3), dtype=object)
+            cells[:, 0] = names[lo]
+            cells[:, 1] = names[hi]
+            cells[:, 2] = w.tolist()
+            fh.write(("%s\t%s\t%.10g\n" * len(w)) % tuple(cells.ravel().tolist()))
+        for vid in names[~listed].tolist():
             fh.write(f"{vid}\t\t0\n")
 
 

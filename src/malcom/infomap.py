@@ -39,6 +39,10 @@ skipping repeated work (``_local_move_passes``):
   within 2 * ``_DELTA_EPS`` of their minimum, among which the exact first
   minimum must lie.
 
+A level's CSR holds no weights: each entry is an int32 neighbour id and
+the int32 id of its edge, 8 B per entry, and a reader takes a row's
+weights from the level's own edge weights, ``ew.take(eid[s:e])``, in row
+order (at the first level, the graph's array, which is the weight set's).
 Community exit sums and the aggregated edge weights walk the CSR rows in
 slices of about ``_CHUNK`` entries, and a level's strengths walk its
 edges ``_CHUNK`` at a time; each adds with ``np.add.at``, one term at a
@@ -130,13 +134,16 @@ class DetectorConfig:
 class _Net:
     """One aggregation level, built from edge arrays (ei, ej, ew).
 
-    Non-loop edges form the CSR adjacency of ``graph.csr`` (``indptr``,
-    ``indices`` with int32 vertex ids, ``weights``).  Loop weight lives in
-    ``loop``, counts twice toward strength and once toward total weight,
-    so aggregation preserves flows exactly.  All sums run in edge order,
-    as an edge-by-edge loop would add, ``_CHUNK`` edges at a time:
-    ``np.add.at`` for the loop and strength sums, and for the total a
-    cumsum that starts from the previous chunk's, so no temporary is |E|
+    Non-loop edges form the CSR adjacency of ``graph.csr``: ``indptr``,
+    ``indices`` with int32 vertex ids and ``eid`` with int32 edge ids, 8 B
+    per entry.  ``ew`` keeps the non-loop weights the ids index, the given
+    array itself when no edge is a loop (always at the first level), so an
+    entry's weight is ``ew[eid[k]]`` and no CSR copy of it exists.  Loop
+    weight lives in ``loop``, counts twice toward strength and once toward
+    total weight, so aggregation preserves flows exactly.  All sums run in
+    edge order, as an edge-by-edge loop would add, ``_CHUNK`` edges at a
+    time: ``np.add.at`` for the loop and strength sums, and for the total
+    a cumsum that starts from the previous chunk's, so no temporary is |E|
     long.  A sum that overflows is kept as inf, and ``visit_rates``
     rejects the graph.
     """
@@ -163,7 +170,8 @@ class _Net:
         if loops:
             keep = ei != ej
             ei, ej, ew = ei[keep], ej[keep], ew[keep]
-        self.indptr, self.indices, self.weights = csr(n, ei, ej, ew)
+        self.ew = ew
+        self.indptr, self.indices, self.eid = csr(n, ei, ej)
         # sum of plogp over the FINEST level's visit rates; aggregated nets
         # inherit it so codelengths stay comparable across levels
         self.fine_vertex_plogp: Optional[float] = None
@@ -223,7 +231,8 @@ def _exit_sums(net: _Net, assignment: np.ndarray, m: int, scale: float) -> np.nd
     for _, _, entries, rows in _row_slices(net):
         row_comm = assignment[rows]
         leaves = row_comm != assignment[net.indices[entries]]
-        np.add.at(sums, row_comm[leaves], net.weights[entries][leaves] * scale)
+        w = net.ew.take(net.eid[entries][leaves])
+        np.add.at(sums, row_comm[leaves], w * scale)
     return sums
 
 
@@ -473,7 +482,7 @@ def _local_move_passes(
     assignment = list(range(net.n))
     state = _LocalState(net, assignment)
     indptr = net.indptr.tolist()
-    indices, inv_two_w = net.indices, state.inv_two_w
+    indices, eid, ew, inv_two_w = net.indices, net.eid, net.ew, state.inv_two_w
     cache: list[Optional[dict[int, float]]] = [None] * net.n
     c = counts if counts is not None else MoveCounts()
     moved = True
@@ -489,7 +498,7 @@ def _local_move_passes(
             elif e - s < _ARRAY_MIN:
                 w_to = {}
                 for u, w in zip(
-                    indices[s:e].tolist(), (net.weights[s:e] * inv_two_w).tolist()
+                    indices[s:e].tolist(), (ew.take(eid[s:e]) * inv_two_w).tolist()
                 ):
                     k = assignment[u]
                     if k in w_to:
@@ -501,7 +510,7 @@ def _local_move_passes(
                 c.array_rows += 1
                 row_comm = state.comm[indices[s:e]]
                 comms = np.flatnonzero(np.bincount(row_comm))
-                sums = np.bincount(row_comm, weights=net.weights[s:e] * inv_two_w)
+                sums = np.bincount(row_comm, weights=ew.take(eid[s:e]) * inv_two_w)
                 if len(comms) < _ARRAY_MIN:
                     w_to = dict(zip(comms.tolist(), sums[comms].tolist()))
                     cache[v] = w_to
@@ -559,7 +568,7 @@ def _pair_terms(
     upper = net.indices[entries] > rows
     rows = rows[upper]
     ca, cb = comm[rows], comm[net.indices[entries][upper]]
-    w = net.weights[entries][upper]
+    w = net.ew.take(net.eid[entries][upper])
     looped = r0 + np.flatnonzero(net.loop[r0:r1] > 0)
     if len(looped):  # only aggregated nets have loops
         at = np.searchsorted(rows, looped)  # before the vertex's own entries

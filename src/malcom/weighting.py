@@ -44,6 +44,9 @@ _KEYS = 1 << 16
 # dtype of vertex ids in pair, edge and CSR arrays; a key that multiplies
 # two ids (a * m + b) is built in int64, where the product cannot overflow
 VERTEX_ID = np.int32
+# dtype of the edge ids in the detector's CSR: an entry names its edge by
+# its position in the edge arrays
+EDGE_ID = np.int32
 # An approximation at or above this takes its block to the kernel: below
 # it no weight can overflow, so the kernel would raise no error either
 _BOUND_MAX = 2.0**1000
@@ -62,6 +65,14 @@ def check_vertex_count(n: int) -> None:
     """Raise MalcomError when n vertices do not fit ``VERTEX_ID``."""
     if n > np.iinfo(VERTEX_ID).max:
         raise MalcomError(f"{n} vertices exceed the {2**31 - 1} that int32 ids hold")
+
+
+def check_edge_count(m: int, dtype) -> None:
+    """Raise MalcomError when m edges do not fit edge ids of ``dtype``, the
+    dtype the caller allocates its ids in (``EDGE_ID``)."""
+    limit = int(np.iinfo(dtype).max)
+    if m > limit:
+        raise MalcomError(f"{m} edges exceed the {limit} that edge ids hold")
 
 
 @dataclass

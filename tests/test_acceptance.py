@@ -95,7 +95,7 @@ def test_criterion_3_delta_and_aggregation():
                 continue
         w_to = {}
         s, e = net.indptr[v], net.indptr[v + 1]
-        for u, w in zip(net.indices[s:e].tolist(), net.weights[s:e].tolist()):
+        for u, w in zip(net.indices[s:e].tolist(), net.ew.take(net.eid[s:e]).tolist()):
             c = state.assignment[u]
             w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
         w_va = w_to.get(state.assignment[v], 0.0)

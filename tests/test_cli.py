@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -15,7 +16,7 @@ except ImportError:  # not on Windows
     resource = None
 
 import malcom
-from malcom import baseline, cli
+from malcom import baseline, cli, graph, infomap
 from malcom.baseline import KMeansConfig
 from malcom.cli import main
 from malcom.dataset import Dataset, DatasetError, filter_by_scope, load_dataset
@@ -633,6 +634,35 @@ def test_detect_rejects_malformed_edges(tmp_path, capsys, text):
     assert run(["detect", "--edges", edges, "--out-dir", out]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "detect.json").exists()
+
+
+@pytest.mark.parametrize("edges", [127, 128])
+def test_detect_rejects_more_edges_than_edge_ids_hold(
+    tmp_path, monkeypatch, capsys, edges
+):
+    """The detector's CSR names edges by int32 ids.  With the id dtype
+    patched to int8 (at most 127 edges), 127 edges are detected through an
+    int8 CSR and 128 end in ``error: ...``, before any id could wrap."""
+    monkeypatch.setattr(graph, "EDGE_ID", np.int8)
+    eid_dtypes = []
+
+    def spy_csr(*args):
+        indptr, indices, eids = graph.csr(*args)
+        eid_dtypes.append(eids.dtype)
+        return indptr, indices, eids
+
+    monkeypatch.setattr(infomap, "csr", spy_csr)
+    pairs = [(a, b) for a in range(17) for b in range(a + 1, 17)][:edges]
+    path = tmp_path / "edges.tsv"
+    path.write_text("".join(f"v{a:02d}\tv{b:02d}\t1\n" for a, b in pairs))
+    code = run(["detect", "--edges", path, "--out-dir", tmp_path / "det"])
+    err = capsys.readouterr().err
+    if edges == 127:
+        assert code == 0 and err == ""
+        assert eid_dtypes and set(eid_dtypes) == {np.dtype(np.int8)}
+    else:
+        assert code == 1
+        assert err == "error: 128 edges exceed the 127 that edge ids hold\n"
 
 
 def big_value_corpus(tmp_path, holders, value="1e308"):

@@ -59,23 +59,24 @@ def test_csr_rows_match_append_loop(case):
     i = np.array([e[0] for e in edges], dtype=np.int64)
     j = np.array([e[1] for e in edges], dtype=np.int64)
     w = np.array([e[2] for e in edges], dtype=np.float64)
-    indptr, indices, weights = csr(n, i, j, w)
+    indptr, indices, eids = csr(n, i, j)
     for v, expect in enumerate(appended_rows(n, edges)):
         s, e = indptr[v], indptr[v + 1]
-        assert list(zip(indices[s:e].tolist(), weights[s:e].tolist())) == expect
+        assert list(zip(indices[s:e].tolist(), w[eids[s:e]].tolist())) == expect
     g = RelationGraph([str(v) for v in range(n)], i, j, w)
     assert np.diff(indptr).tolist() == g.degrees().tolist()
 
 
-def argsort_csr(n, i, j, w):
+def argsort_csr(n, i, j):
     """The CSR built by one stable argsort of the interleaved entries
-    (i0->j0, j0->i0, i1->j1, ...): the reference ``csr`` must match."""
+    (i0->j0, j0->i0, i1->j1, ...), each entry's edge id its position in
+    that list halved: the reference ``csr`` must match."""
     src = np.column_stack((i, j)).ravel()
     order = np.argsort(src, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     indices = np.column_stack((j, i)).ravel()[order].astype(np.int32)
-    return indptr, indices, w[order >> 1]
+    return indptr, indices, (order >> 1).astype(np.int32)
 
 
 @given(edge_lists(), st.randoms(use_true_random=False),
@@ -85,10 +86,9 @@ def test_csr_equals_argsort_reference(case, random, chunk):
     random.shuffle(edges)
     i = np.array([e[0] for e in edges], dtype=np.int32)
     j = np.array([e[1] for e in edges], dtype=np.int32)
-    w = np.array([e[2] for e in edges], dtype=np.float64)
     with mock.patch.object(graph, "_CSR_CHUNK", chunk):
-        got = csr(n, i, j, w)
-    for a, b in zip(got, argsort_csr(n, i, j, w)):
+        got = csr(n, i, j)
+    for a, b in zip(got, argsort_csr(n, i, j)):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
 
@@ -101,16 +101,15 @@ def test_csr_allocates_its_output_and_one_chunk():
     n, m = 3000, 400_000
     i = rng.integers(0, n - 1, m, dtype=np.int32)
     j = (i + rng.integers(1, n - i, dtype=np.int32)).astype(np.int32)
-    w = rng.uniform(1, 2, m)
     tracemalloc.start()
     try:
-        out = csr(n, i, j, w)
+        out = csr(n, i, j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     output = sum(a.nbytes for a in out)
     assert peak <= output + 4 * 8 * (n + 1) + 256 * graph._CSR_CHUNK
-    for a, b in zip(out, argsort_csr(n, i, j, w)):
+    for a, b in zip(out, argsort_csr(n, i, j)):
         assert a.tobytes() == b.tobytes()
 
 
@@ -363,14 +362,136 @@ def distinct_pair_graphs(draw):
     )
 
 
-@given(distinct_pair_graphs(), st.integers(1, 4))
-def test_edge_file_matches_sorted_lines(tmp_path_factory, g, chunk):
-    path = tmp_path_factory.mktemp("edges") / "edges.tsv"
-    with mock.patch.object(graph, "_WRITE_CHUNK", chunk):
+def lexsort_edge_file(g):
+    """The edge file as the lexsort writer formatted it, the oracle of
+    ``write_edges``: one lexsort of the (lo, hi) name ranks of every edge,
+    then the sorted columns, then the isolated vertices' lines."""
+    ids = g.vertices
+    names = np.array(sorted(ids), dtype=object)
+    rank = graph._name_rank(ids)
+    a, b = rank[g.edge_i], rank[g.edge_j]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo))
+    cells = zip(names[lo[order]], names[hi[order]], g.edge_w[order].tolist())
+    extra = sorted(ids[v] for v in np.flatnonzero(g.degrees() == 0).tolist())
+    return (
+        f"# vertices: {g.n}\n"
+        + "".join("%s\t%s\t%.10g\n" % c for c in cells)
+        + "".join(f"{v}\t\t0\n" for v in extra)
+    )
+
+
+def ascending_layout(g):
+    """g with its vertices renumbered in ascending id order and its pairs
+    listed row-major, as a built graph of a corpus in id order lists them:
+    the keys of write_edges ascend, so it sorts nothing."""
+    by_name = sorted(range(g.n), key=g.vertices.__getitem__)
+    new = np.empty(g.n, dtype=np.int64)
+    new[by_name] = np.arange(g.n)
+    a, b = new[g.edge_i], new[g.edge_j]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo))
+    return RelationGraph(
+        [g.vertices[v] for v in by_name], lo[order], hi[order], g.edge_w[order]
+    )
+
+
+def reversed_blocks(g, chunk):
+    """The ascending layout with its blocks of ``chunk`` edges in reverse
+    order: each chunk ascends, and only the keys across a boundary fall."""
+    g = ascending_layout(g)
+    blocks = [np.arange(s, min(s + chunk, g.num_edges))
+              for s in range(0, g.num_edges, chunk)]
+    order = np.concatenate(blocks[::-1] or [np.arange(0)])
+    return RelationGraph(g.vertices, g.edge_i[order], g.edge_j[order], g.edge_w[order])
+
+
+@given(
+    distinct_pair_graphs(),
+    st.integers(1, 4),
+    st.sampled_from(["ascending", "reversed-blocks", "shuffled", "read"]),
+)
+def test_edge_file_matches_sorted_lines(tmp_path_factory, g, chunk, layout):
+    """Both paths of write_edges write the lexsort writer's bytes: the
+    no-sort path on graphs whose keys ascend, and the sort path on shuffled
+    ids, on chunks that ascend only within themselves, and on the file
+    order of ``read_edges``."""
+    tmp = tmp_path_factory.mktemp("edges")
+    if layout == "ascending":
+        g = ascending_layout(g)
+    elif layout == "reversed-blocks":
+        g = reversed_blocks(g, chunk)
+    elif layout == "read":
+        (tmp / "given.tsv").write_text(lexsort_edge_file(g), encoding="utf-8")
+        g = read_edges(tmp / "given.tsv")
+    path = tmp / "edges.tsv"
+    with mock.patch.object(graph, "_WRITE_CHUNK", chunk), mock.patch.object(
+        np, "argsort", wraps=np.argsort
+    ) as argsort:
         write_edges(g, path)
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
+    assert text == lexsort_edge_file(g)
     assert text == f"# vertices: {g.n}\n" + "".join(sorted_edge_lines(g))
+    if layout == "ascending":
+        assert not argsort.called
+    elif layout == "reversed-blocks" and g.num_edges > chunk:
+        assert argsort.called
+
+
+def pair_graph(n, m, ids_ascending, seed=11):
+    """n vertices and m distinct pairs listed row-major; ids ascend with
+    the vertex order, or are shuffled, which leaves the keys of
+    write_edges out of order."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, size=(2, 2 * m))
+    key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    key = key[key // n != key % n][:m]
+    ids = [f"v{v:05d}" for v in range(n)]
+    if not ids_ascending:
+        ids = [ids[v] for v in rng.permutation(n)]
+    i, j = (x.astype(np.int32) for x in np.divmod(key, n))
+    return RelationGraph(ids, i, j, rng.uniform(0.1, 5.0, len(key)))
+
+
+def write_peak(g, path, chunk) -> int:
+    """tracemalloc's peak, in bytes, while write_edges writes g."""
+    with mock.patch.object(graph, "_WRITE_CHUNK", chunk):
+        tracemalloc.start()
+        try:
+            write_edges(g, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def writes_lexsort_file(g, path) -> bool:
+    """Whether path holds the lexsort writer's file of g (a bool, so that a
+    failure does not diff two files of 400k lines)."""
+    return path.read_text(encoding="utf-8") == lexsort_edge_file(g)
+
+
+def test_write_edges_on_an_ordered_graph_allocates_no_edge_long_array(tmp_path):
+    """When the keys ascend, write_edges checks and formats them a chunk at
+    a time: it allocates less than one byte per edge, below the smallest
+    |E|-long array.  The lexsort writer allocated an order and sorted
+    copies of both rank columns and the weights, and fails this."""
+    g = pair_graph(3000, 400_000, ids_ascending=True)
+    peak = write_peak(g, tmp_path / "edges.tsv", 1024)
+    assert peak < g.num_edges
+    assert writes_lexsort_file(g, tmp_path / "edges.tsv")
+
+
+def test_write_edges_sorts_in_sixteen_bytes_per_edge(tmp_path):
+    """With shuffled ids the keys do not ascend: write_edges holds one
+    int64 key and one argsort position per edge, 16 B, plus one chunk's
+    lines and n-sized arrays.  The lexsort writer's sorted copies of the
+    columns came on top of its order, and it fails this."""
+    g = pair_graph(3000, 400_000, ids_ascending=False)
+    chunk = 1024
+    peak = write_peak(g, tmp_path / "edges.tsv", chunk)
+    assert peak <= 16 * g.num_edges + 256 * chunk + 64 * g.n
+    assert writes_lexsort_file(g, tmp_path / "edges.tsv")
 
 
 @pytest.mark.parametrize(
@@ -794,5 +915,5 @@ def test_vertex_ids_are_int32(tmp_path):
     for g in graphs:
         arrays += [g.edge_i, g.edge_j, infomap._net_from_graph(g).indices]
     # an edge list given as int64 still yields int32 CSR indices
-    arrays.append(csr(3, np.array([0, 1]), np.array([1, 2]), np.ones(2))[1])
+    arrays.append(csr(3, np.array([0, 1]), np.array([1, 2]))[1])
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)

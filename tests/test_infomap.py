@@ -75,6 +75,11 @@ def reference_net_arrays(n, ei, ej, ew):
     return strength, indptr, dst[order], np.repeat(w, 2)[order]
 
 
+def entry_weights(net):
+    """Weight of every CSR entry, gathered through its edge id."""
+    return net.ew.take(net.eid)
+
+
 def rows_of(net):
     """Row vertex of every CSR entry, as one |E|-long array."""
     return np.repeat(np.arange(net.n), np.diff(net.indptr))
@@ -85,7 +90,7 @@ def exits(net, assignment):
     community, in CSR order: the whole-array form of ``_exit_sums``."""
     row_comm = assignment[rows_of(net)]
     leaves = row_comm != assignment[net.indices]
-    return row_comm[leaves], net.weights[leaves]
+    return row_comm[leaves], entry_weights(net)[leaves]
 
 
 def reference_aggregate(net, assignment, m):
@@ -100,7 +105,7 @@ def reference_aggregate(net, assignment, m):
     order = np.argsort(src, kind="stable")
     ca = comm[src[order]]
     cb = comm[np.concatenate((looped, net.indices[upper]))[order]]
-    w = np.concatenate((net.loop[looped], net.weights[upper]))[order]
+    w = np.concatenate((net.loop[looped], entry_weights(net)[upper]))[order]
     key = np.minimum(ca, cb) * m + np.maximum(ca, cb)
     keys, inverse = np.unique(key, return_inverse=True)
     out = _Net(m, keys // m, keys % m, _sum_by(inverse, w, len(keys)))
@@ -126,7 +131,7 @@ def edge_arrays_with_loops(draw):
 @given(edge_arrays_with_loops())
 def test_net_arrays_match_reference(case):
     net = _Net(*case)
-    got = (net.strength, net.indptr, net.indices, net.weights)
+    got = (net.strength, net.indptr, net.indices, entry_weights(net))
     dtypes = (np.float64, np.int64, np.int32, np.float64)
     for a, b, dtype in zip(got, reference_net_arrays(*case), dtypes):
         assert a.dtype == dtype and a.tobytes() == b.astype(dtype).tobytes()
@@ -166,9 +171,37 @@ def test_aggregate_matches_reference(chunk, case):
     with mock.patch.object(infomap, "_CHUNK", chunk):
         got = _aggregate(net, part.assignment, part.m)
     assert (got.n, got.total_weight) == (want.n, want.total_weight)
-    for name in ("loop", "strength", "indptr", "indices", "weights"):
+    for name in ("loop", "strength", "indptr", "indices", "eid", "ew"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_400k_graph(rng):
+    """3000 vertices and 400k distinct random pairs, listed in random order."""
+    n, edges = 3000, 400_000
+    a, b = rng.integers(0, n, size=(2, 2 * edges))
+    key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    key = rng.permutation(key[key // n != key % n])[:edges]
+    return RelationGraph(
+        [f"v{v}" for v in range(n)], key // n, key % n, rng.uniform(0.1, 5.0, edges)
+    )
+
+
+def test_first_level_net_holds_eight_bytes_per_csr_entry():
+    """The net of a graph holds (tracemalloc counts numpy buffers) its CSR
+    at 8 B per entry, an int32 neighbour and an int32 edge id, plus
+    n-sized arrays: the weights are the graph's own.  A CSR that keeps a
+    float64 weight per entry as well, 12 B in all, fails this."""
+    g = random_400k_graph(np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        net = _net_from_graph(g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = 2 * g.num_edges
+    assert held <= 8 * entries + 64 * (g.n + 1)
+    assert net.ew is g.edge_w
 
 
 def test_first_level_sums_allocate_a_fraction_of_the_csr():
@@ -177,15 +210,10 @@ def test_first_level_sums_allocate_a_fraction_of_the_csr():
     each allocates (tracemalloc counts numpy buffers) under a fixed share
     of the CSR bytes above the net it reads."""
     rng = np.random.default_rng(3)
-    n, edges = 3000, 400_000
-    a, b = rng.integers(0, n, size=(2, 2 * edges))
-    key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
-    key = rng.permutation(key[key // n != key % n])[:edges]
-    g = RelationGraph(
-        [f"v{v}" for v in range(n)], key // n, key % n, rng.uniform(0.1, 5.0, edges)
-    )
+    g = random_400k_graph(rng)
+    n = g.n
     net = _net_from_graph(g)
-    csr_bytes = net.indptr.nbytes + net.indices.nbytes + net.weights.nbytes
+    csr_bytes = net.indptr.nbytes + net.indices.nbytes + entry_weights(net).nbytes
     labels = rng.integers(0, 40, size=n).tolist()
     part = Partition.from_labels(labels)
 
@@ -372,7 +400,8 @@ class TestIncrementalConsistency:
                 continue
             w_to = {}
             s, e = net.indptr[v], net.indptr[v + 1]
-            for u, w in zip(net.indices[s:e].tolist(), net.weights[s:e].tolist()):
+            wts = entry_weights(net)[s:e].tolist()
+            for u, w in zip(net.indices[s:e].tolist(), wts):
                 c = state.assignment[u]
                 w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
             w_va = w_to.get(state.assignment[v], 0.0)
@@ -470,7 +499,7 @@ def scalar_local_move_passes(net, rng):
     state = _ScalarState(net, assignment)
     indptr = net.indptr.tolist()
     nbrs = net.indices.tolist()
-    wts = net.weights.tolist()
+    wts = entry_weights(net).tolist()
     while True:
         moved = False
         order = rng.permutation(net.n)
@@ -521,7 +550,7 @@ def oracle_graph(rng):
 def neighbor_weights(state, net, v):
     w_to = {}
     s, e = net.indptr[v], net.indptr[v + 1]
-    for u, w in zip(net.indices[s:e].tolist(), net.weights[s:e].tolist()):
+    for u, w in zip(net.indices[s:e].tolist(), entry_weights(net)[s:e].tolist()):
         c = state.assignment[u]
         w_to[c] = w_to.get(c, 0.0) + w * state.inv_two_w
     return w_to

@@ -455,6 +455,12 @@ def test_int32_vertex_ids_bound_the_sample_count():
         pairwise_weights(model)
 
 
+def test_int32_edge_ids_bound_the_edge_count():
+    weighting.check_edge_count(2**31 - 1, weighting.EDGE_ID)
+    with pytest.raises(MalcomError, match="2147483648 edges exceed the 2147483647"):
+        weighting.check_edge_count(2**31, weighting.EDGE_ID)
+
+
 def traced_peak(model, top_p):
     """tracemalloc's peak, in bytes, while weighing the model at top_p."""
     tracemalloc.start()
