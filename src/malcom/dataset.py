@@ -62,7 +62,7 @@ class DatasetError(MalcomError):
 def check_not_empty(n: int) -> None:
     """DatasetError for an empty corpus, before any check against its n."""
     if n == 0:
-        raise DatasetError("cannot compute tf-idf on an empty dataset")
+        raise DatasetError("empty dataset: no samples")
 
 
 @contextmanager

@@ -45,6 +45,7 @@ FLOOR_FACTOR = 1e-3
 DEFAULT_FLOOR = 1e-3  # used when the weight set has no positive entry
 _WRITE_CHUNK = 1 << 16  # edge lines formatted per write
 _CSR_CHUNK = 1 << 13  # edges placed per step of ``csr``
+_DEGREE_CHUNK = 1 << 16  # edges counted per step of ``RelationGraph.degrees``
 
 
 class GraphError(MalcomError):
@@ -70,9 +71,13 @@ class RelationGraph:
         return len(self.edge_w)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_i, minlength=self.n) + np.bincount(
-            self.edge_j, minlength=self.n
-        )
+        """Edges at each vertex, counted ``_DEGREE_CHUNK`` edges at a time:
+        ``np.bincount`` copies the int32 ids it counts to int64."""
+        deg = np.zeros(self.n, dtype=np.int64)
+        for s in range(0, self.num_edges, _DEGREE_CHUNK):
+            for ids in (self.edge_i, self.edge_j):
+                deg += np.bincount(ids[s : s + _DEGREE_CHUNK], minlength=self.n)
+        return deg
 
     def check(self, where: Callable[[int], str] = "edge {}".format) -> None:
         """GraphError naming, by ``where(e)``, the first edge e with an id

@@ -263,9 +263,10 @@ def _breakdown(net: _Net, assignment: list[int], m: int) -> MapEquationBreakdown
             h[c] -= _plogp(pv / u[c])
     module_entropy = np.array(h, dtype=np.float64)
 
-    codelength = q_total * index_entropy + float(
-        np.dot(usage, module_entropy)
-    )
+    # the modules' terms added in module order: np.dot's order follows the
+    # BLAS kernel picked for the CPU, which would change the last bit
+    terms = usage * module_entropy
+    codelength = q_total * index_entropy + (float(terms.cumsum()[-1]) if m else 0.0)
     # on an aggregated net, re-express per-super-vertex entropy in terms of
     # the finest level's vertices (constant shift; zero at the fine level)
     if net.fine_vertex_plogp is not None:

@@ -11,11 +11,13 @@ features from 0.0 in ascending feature-name order, so weights are
 bit-reproducible and match a brute-force double loop exactly.  Weighing
 streams it over blocks of rows (no dense n x n buffer), and
 ``WeightSet.row_blocks`` recomputes whole rows with it.  When the kernel
-would add far more cells than the top p need, weighing takes the bound
-path instead: float64 BLAS products over a dense n x F tf-idf matrix
-approximate every weight within a certified bound, the pairs that can
-reach the top p are held, and only those are summed exactly, in the
-kernel's order; both paths give the same set, bit for bit.  Weighed at p, a
+would add far more cells than the top p need, and every value it reads
+lies in float32's normal range with room to sum, weighing takes the bound
+path instead: float32 BLAS products over a dense n x F float32 tf-idf
+matrix approximate every weight within a certified bound, the pairs that
+can reach the top p are held, and only those are summed exactly, from a
+float64 matrix built once the float32 one is freed, in the kernel's
+order; both paths give the same set, bit for bit.  Weighed at p, a
 set holds exactly the top ceil(p/100 * |W|) pairs, ties included: all that
 an epsilon or E-N graph at that p reads, and while weighing at most about
 1.25 m pairs plus a row chunk's, m = ceil(p/100 * n(n-1)/2); at p = 100
@@ -47,17 +49,15 @@ VERTEX_ID = np.int32
 # dtype of the edge ids in the detector's CSR: an entry names its edge by
 # its position in the edge arrays
 EDGE_ID = np.int32
-# An approximation at or above this takes its block to the kernel: below
-# it no weight can overflow, so the kernel would raise no error either
-_BOUND_MAX = 2.0**1000
 # The bound path runs when the kernel's sum(df^2) / 2 cell adds exceed
 # _BOUND_GAIN times the exact pass's m_max * (stored values / n) (about
 # the cells it sums).  Weighing the seed-7 benchmark corpora on one BLAS
-# thread, kernel against bound path (s), at that ratio: n = 3900 easy
-# 1.46/0.73 at 29.5, 1.37/1.10 at 5.9, 1.22/1.50 at 2.95 (en-easy, p = 10);
-# hard 1.64/0.78 at 29.6 (en-fallback, p = 1), 1.86/1.40 at 5.9, 1.70/2.54
-# at 2.96; n = 650 hard 0.11/0.05 at 29.9, 0.12/0.26 at 0.75 (the sweep's
-# p = 40), 0.11/0.46 at 0.3 (p = 100).
+# thread, kernel against the float32 bound path (s, medians of 5), at
+# that ratio: n = 3900 easy 1.34/0.51 at 29.5, 1.48/0.87 at 5.9,
+# 1.12/0.97 at 2.95 (en-easy, p = 10); hard 1.38/0.45 at 29.6
+# (en-fallback, p = 1), 1.45/0.83 at 5.9, 1.57/1.44 at 2.96; n = 650 hard
+# 0.068/0.028 at 29.9, 0.094/0.121 at 0.75 (the sweep's p = 40),
+# 0.091/0.232 at 0.3 (p = 100).
 _BOUND_GAIN = 4
 
 
@@ -232,29 +232,43 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     kernel (``_weight_rows``) adds sum(df^2) / 2 cells over the F features
     held by two samples or more.  The bound path runs when that exceeds
     ``_BOUND_GAIN`` times m_max * (stored values / n), about the cells its
-    exact pass sums.  It builds the dense n x F tf-idf matrix T (8 n F
-    bytes, freed once the weights are exact) and, per block, the
+    exact pass sums, and every value of those F features lies in
+    [2**-126, 2**127 / (2F + 2)] (``_bound_features``): float32's normal
+    range, where no approximation can overflow.  Any other input takes the
+    kernel, which reports an overflow.  The bound path builds the dense
+    n x F tf-idf matrix T in float32 (4 n F bytes) and, per block, the
     approximations A = (T B^T + B T^T) / 2, B the 0/1 pattern of T, by
-    float64 BLAS products in column chunks.  With every product exact and
-    every term >= 0, any summation order leaves A and the weight w within
-    gamma_{2F+2} * S (plus a subnormal term) of the real sum S, so |A - w|
-    <= delta * w + eta (``_slack``).  The threshold t is read from the
-    held A, and chunks and compactions keep A >= t * (1 - 3 delta) - 3
-    eta: every pair of the top p is held.  The held pairs are then summed
-    exactly, row by row (``_exact_weights``), and trimmed as the kernel's
-    are.  ``total`` counts A > 0, which holds exactly when a pair shares a
-    feature; ``min_w`` is the smallest exact weight of the pairs whose A
-    lies within the bound of the smallest A.  A block whose A reaches
-    ``_BOUND_MAX`` is weighed by the kernel, which reports an overflow.
+    float32 BLAS products in column chunks, stored as float64 before any
+    test.  Every product is exact and every term >= 0, so in any summation
+    order |A - w| <= delta * w (``_slack``).  The threshold t is read from
+    the held A, and chunks and compactions keep A >= t * (1 - 3 delta):
+    every pair of the top p is held.  ``total`` counts A > 0, which holds
+    exactly when a pair shares a feature; ``min_w`` is the smallest exact
+    weight of the pairs whose A lies within the bound of the smallest A
+    (``_near_min``, per block).  Then T in float32 is freed, T is built
+    again in float64 (8 n F bytes), and the held pairs are summed exactly,
+    row by row (``_exact_weights``), and trimmed as the kernel's are.  The
+    feature lists the set keeps are built last, once T is freed.
     """
     if not 0 < top_p <= 100:
         raise ParameterError(f"top_p must be in (0, 100], got {top_p}")
     n = m.n
     check_vertex_count(n)
-    features = _feature_lists(m)
     rows = max(1, _BLOCK_CELLS // n)
     size = n * (n - 1) // 2
     m_max = top_count(top_p, size)
+    shared = _bound_features(m, m_max)
+    if shared is None:
+        features, dense = _feature_lists(m), None
+        drop = rise = 1.0
+    else:
+        features, dense = None, _dense(m, shared, np.float32)
+        # a threshold t is lowered to t * drop, and the smallest
+        # approximation a raised to a * rise: three times the bound between
+        # an approximation and its weight (_slack), which covers the bound
+        # both ways and the rounding of these products
+        delta = _slack(dense.shape[1])
+        drop, rise = 1 - 3 * delta, 1 + 3 * delta
     cap = math.ceil(1.25 * m_max)
     room = min(size, cap + max(_BLOCK_CELLS >> 3, n))
     i, j = np.empty(room, dtype=VERTEX_ID), np.empty(room, dtype=VERTEX_ID)
@@ -263,48 +277,33 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     limit = cap  # held pairs that start a compaction
     min_w = math.inf
     threshold = 0.0
-    # the kernel adds sum(df^2) / 2 cells, the exact pass about m_max
-    # pairs times the stored values per sample
-    stored = sum(len(ix) for ix, _ in features)
-    kernel_cells = sum(len(ix) ** 2 for ix, _ in features) // 2
-    dense = None
-    # a threshold t is lowered to t * drop - pad, and the smallest
-    # approximation a raised to a * rise + pad: three times the bound
-    # between an approximation and its weight (_slack), which covers the
-    # bound both ways and the rounding of these products
-    drop = rise = 1.0
-    pad = 0.0
-    if _BOUND_GAIN * m_max * stored < kernel_cells * n:
-        dense = _dense(features, n)
-        delta, eta = _slack(len(features))
-        drop, rise, pad = 1 - 3 * delta, 1 + 3 * delta, 3 * eta
     a_min = math.inf  # the smallest positive approximation so far
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
-        acc = None if dense is None else _bound_rows(dense, r0, r1)
-        exact = acc is None or not acc.max(initial=0.0) < _BOUND_MAX
-        if exact:  # no bound, or a weight may overflow: the kernel reports it
+        if dense is None:
             acc = _weight_rows(features, n, np.arange(r0, r1), r0)
+        else:
+            acc = _bound_rows(dense, r0, r1)
         # row-major (i, j) with j > i and w > 0 (then A > 0 too)
         keep = np.triu(acc > 0, k=1)
         total += int(np.count_nonzero(keep))
         low = float(acc.min(where=keep, initial=math.inf))
-        if exact:
+        if dense is None:
             min_w = min(min_w, low)
-        elif low < math.inf and low <= a_min * rise + pad:
+        elif low < math.inf and low <= a_min * rise:
             # the smallest weight's approximation lies within the bound of
             # the smallest approximation: weigh those pairs exactly
             a_min = min(a_min, low)
-            near = np.flatnonzero(keep & (acc <= low * rise + pad))
-            near_w = _exact_weights(dense, near // width + r0, near % width + r0)
-            min_w = min(min_w, float(near_w.min()))
-            del near, near_w
+            near = np.flatnonzero(keep & (acc <= low * rise))
+            near_w = _near_min(m, shared, near // width + r0, near % width + r0)
+            min_w = min(min_w, near_w)
+            del near
         # appended a row chunk at a time, each filtered at the threshold
         # the pairs held before it give
         step = max(1, (_BLOCK_CELLS >> 3) // width)
         for s in range(0, r1 - r0, step):
-            floor = threshold * drop - pad
+            floor = threshold * drop
             if floor > 0:
                 keep[s : s + step] &= acc[s : s + step] >= floor
             flat = np.flatnonzero(keep[s : s + step])
@@ -321,12 +320,15 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
             j[count:end] += r0
             count = end
             if count > limit:
-                count, cutoff = _keep_top(i, j, w, count, m_max, drop, pad)
+                count, cutoff = _keep_top(i, j, w, count, m_max, drop)
                 threshold = max(threshold, cutoff)
                 limit = max(cap, count + cap - m_max)  # ties may hold over cap
         del acc, keep
     if dense is not None:
-        # the exact pass: every held approximation becomes its weight
+        # the exact pass: every held approximation becomes its weight, over
+        # T in float64, built once T in float32 is freed
+        del dense
+        dense = _dense(m, shared, np.float64)
         starts = np.searchsorted(i[:count], np.arange(0, n + rows, rows))
         for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
             w[s:e] = _exact_weights(dense, i[s:e], j[s:e])
@@ -336,6 +338,8 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         count, _ = _keep_top(i, j, w, count, top)
     for a in (i, j, w):
         a.resize(count, refcheck=False)  # in place: no copy of the pairs
+    if features is None:
+        features = _feature_lists(m)
     return WeightSet(
         list(m.sample_ids), i, j, w, features, total, min_w if total else None
     )
@@ -378,13 +382,13 @@ def _bucket_floor(key: int) -> float:
 
 def _keep_top(
     i: np.ndarray, j: np.ndarray, w: np.ndarray, count: int, rank: int,
-    drop: float = 1.0, pad: float = 0.0,
+    drop: float = 1.0,
 ) -> tuple[int, float]:
     """Keep the first ``count`` pairs whose weight is at or above the
-    rank-th largest of them, t, lowered to t * drop - pad; ties
-    included, in place and in order.  Returns (pairs kept, t)."""
+    rank-th largest of them, t, lowered to t * drop; ties included, in
+    place and in order.  Returns (pairs kept, t)."""
     cutoff = top_value(w[:count], rank)
-    floor = cutoff * drop - pad
+    floor = cutoff * drop
     kept = 0
     for s in range(0, count, _BLOCK_CELLS):
         e = min(s + _BLOCK_CELLS, count)
@@ -429,49 +433,121 @@ def _weight_rows(
     return acc.reshape(len(rows), width)
 
 
-def _dense(features: list[Feature], n: int) -> np.ndarray:
-    """The n x F tf-idf matrix T over the feature lists: T[v, f] is sample
-    v's value of feature f, 0.0 where it has none."""
-    dense = np.zeros((n, len(features)), dtype=np.float64)
-    for f, (ix, t) in enumerate(features):
-        dense[ix, f] = t
+def _bound_features(m: TfIdfModel, m_max: int) -> Optional[np.ndarray]:
+    """Which feature names the bound path's tf-idf matrix T holds, those of
+    two samples or more, or None when the kernel weighs.  The bound path
+    runs when the kernel would add more than ``_BOUND_GAIN`` times the
+    exact pass's cells and every value of these F features lies in
+    [2**-126, 2**127 / (2F + 2)]: float32's normal range, where A sums at
+    most 2F + 2 such values and cannot overflow.  The values are read
+    _BLOCK_CELLS / 8 at a time."""
+    counts = np.bincount(m.indices, minlength=len(m.names))
+    shared = counts >= 2
+    df = counts[shared].tolist()
+    k = len(df)
+    # the kernel adds sum(df^2) / 2 cells, the exact pass about m_max
+    # pairs times the stored values per sample
+    if not _BOUND_GAIN * m_max * sum(df) < sum(c * c for c in df) // 2 * m.n:
+        return None
+    if not (2 * k + 2) * 2.0**-24 < 0.1:  # 3 delta >= 1: it would hold every pair
+        return None
+    top = 2.0**127 / (2 * k + 2)
+    step = max(1, _BLOCK_CELLS >> 3)
+    for s in range(0, len(m.data), step):
+        t = m.data[s : s + step][shared[m.indices[s : s + step]]]
+        if len(t) and not (t.min() >= 2.0**-126 and t.max() <= top):
+            return None
+    return shared
+
+
+def _dense(
+    m: TfIdfModel, shared: np.ndarray, dtype, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The tf-idf matrix T in ``dtype`` over the F feature names where
+    ``shared`` is set, ascending, for the vertices ``rows`` (all n when
+    None): T[r, f] is vertex rows[r]'s value of the f-th of them, 0.0
+    where it has none.  Filled from the model's CSR a chunk of rows at a
+    time, about _BLOCK_CELLS / 8 stored values on average, so no temporary
+    is as long as the stored values."""
+    col = np.cumsum(shared) - 1  # the column of each name where shared
+    rows = np.arange(m.n) if rows is None else rows
+    lo = m.indptr[rows]
+    count = m.indptr[rows + 1] - lo
+    dense = np.zeros((len(rows), int(np.count_nonzero(shared))), dtype=dtype)
+    step = max(1, (_BLOCK_CELLS >> 3) * len(rows) // max(1, int(count.sum())))
+    for s in range(0, len(rows), step):
+        c = count[s : s + step]
+        r = np.repeat(np.arange(s, s + len(c)), c)
+        # a value's place in the CSR: its row's start, plus its rank there
+        at = np.arange(len(r)) + np.repeat(lo[s : s + step] - (np.cumsum(c) - c), c)
+        f = m.indices[at]
+        held = np.flatnonzero(shared[f])
+        dense[r[held], col[f[held]]] = m.data[at[held]]
     return dense
 
 
-def _slack(k: int) -> tuple[float, float]:
-    """(delta, eta) such that |A - w| <= delta * w + eta for a pair's
-    approximation A and weight w over F = k features.
+def _near_min(
+    m: TfIdfModel, shared: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> float:
+    """The smallest weight of the pairs (i[c], j[c]), i ascending, each
+    the double the kernel computes (``_exact_weights``), over float64 rows
+    of T built from the model's CSR: the second vertices a group of about
+    _BLOCK_CELLS / 8 cells at a time, with the first vertices of their
+    pairs.  Every pair shares a feature."""
+    # distinct and ascending by a sort: np.unique imports numpy.ma on its
+    # first call, about 1 MB
+    second = np.sort(j)
+    second = second[np.diff(second, prepend=-1) > 0]
+    step = max(1, (_BLOCK_CELLS >> 3) // max(1, int(np.count_nonzero(shared))))
+    low = math.inf
+    for s in range(0, len(second), step):
+        group = second[s : s + step]
+        at = np.flatnonzero((j >= group[0]) & (j <= group[-1]))
+        rows = np.sort(np.concatenate((i[at], group)))
+        rows = rows[np.diff(rows, prepend=-1) > 0]
+        dense = _dense(m, shared, np.float64, rows)
+        w = _exact_weights(
+            dense, np.searchsorted(rows, i[at]), np.searchsorted(rows, j[at])
+        )
+        low = min(low, float(w.min()))
+    return low
+
+
+def _slack(k: int) -> float:
+    """delta such that |A - w| <= delta * w for a pair's approximation A
+    (``_bound_rows``) and weight w over F = k features, every value in
+    [2**-126, 2**127 / (2F + 2)].
 
     Every term is >= 0, so a float sum of m of them, in any order, is
-    within gamma_m * S of the real sum S, gamma_m = m u / (1 - m u), u =
-    2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1).  A is two such sums of F exact products, their sum and a
-    halving; w sums at most F terms, each an addition and a halving.  A
-    halving is exact unless it leaves the normal range, where it errs by
-    at most 2**-1075.  So A and w both lie within gamma_{2F+2} * S + (F +
-    1) * 2**-1074 of S, and three times that bounds |A - w|."""
+    within gamma_m * S of the real sum S, gamma_m = m u / (1 - m u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, section
+    3.1).  In A, each value is rounded once to float32 (u = 2**-24), its
+    products with B are exact, and the two sums of F of them and their sum
+    round in float32: at most F + 2 roundings per term.  The halving, in
+    float64, is exact.  w rounds at most F + 1 times per term, in float64
+    (u = 2**-53).  Every value is a normal float32, so no sum leaves the
+    normal range and none overflows.  So A and w both lie within gamma *
+    S of S, gamma = gamma_{2F+2} at u = 2**-24, and |A - w| <= 2 gamma S
+    <= 2 gamma w / (1 - gamma) <= 3 gamma w while gamma <= 1/3."""
     m = 2 * k + 2
-    gamma = m * 2.0**-53 / (1 - m * 2.0**-53)
-    return 3 * gamma, 3 * (k + 1) * 2.0**-1074
+    return 3 * (m * 2.0**-24 / (1 - m * 2.0**-24))
 
 
 def _bound_rows(dense: np.ndarray, r0: int, r1: int) -> np.ndarray:
-    """A = (T B^T + B T^T) / 2 for the rows [r0, r1) of T against the
-    columns [r0, n), B the 0/1 pattern of T, as a (r1 - r0, n - r0) block.
-    Every product is exact and every term >= 0, so in any summation order
-    each cell is within gamma * S of the pair's real sum S of (t_a + t_b)
-    / 2 (see _slack).  An overflow leaves inf."""
+    """A = (T B^T + B T^T) / 2 for the rows [r0, r1) of the float32 T
+    against the columns [r0, n), B the 0/1 pattern of T, as a float64
+    (r1 - r0, n - r0) block.  The products and their sum are float32, and
+    each cell is within ``_slack`` of the pair's weight."""
     n, k = dense.shape
     out = np.empty((r1 - r0, n - r0), dtype=np.float64)
     t_rows = dense[r0:r1]
     b_rows = np.sign(t_rows)  # every value is > 0
     step = max(1, (_BLOCK_CELLS >> 3) // max(k, 1))  # columns of B per product
-    with np.errstate(over="ignore"):
-        for c0 in range(r0, n, step):
-            cols = dense[c0 : c0 + step]
-            at = slice(c0 - r0, c0 - r0 + len(cols))
-            out[:, at] = t_rows @ np.sign(cols).T + b_rows @ cols.T
-        out *= 0.5
+    for c0 in range(r0, n, step):
+        cols = dense[c0 : c0 + step]
+        at = slice(c0 - r0, c0 - r0 + len(cols))
+        out[:, at] = t_rows @ np.sign(cols).T + b_rows @ cols.T
+    out *= 0.5
     return out
 
 
@@ -559,13 +635,13 @@ def family_similarity(d: Dataset, m: TfIdfModel) -> FamilySimilarityMatrix:
 def feature_frequency(d: Dataset, top: int) -> list[tuple[str, float]]:
     """Top features ranked by fraction of samples containing them.
 
-    Descending by fraction, ties broken by ascending feature name.
+    Descending by fraction, ties broken by ascending feature name.  An empty
+    corpus is a DatasetError, as for every other stage.
     """
     if top < 0:
         raise ParameterError(f"top must be >= 0, got {top}")
     n = len(d)
-    if n == 0:
-        return []
+    check_not_empty(n)
     cols = d.columns()
     counts = np.bincount(cols.ids, minlength=len(cols.names))
     # names ascend, so a stable sort on -count breaks ties by name

@@ -921,7 +921,7 @@ def test_p_checked_next_to_an_epsilon_value(tmp_path, monkeypatch, capsys, corpu
     assert tfidf_runs == []
 
 
-EMPTY_CORPUS = "cannot compute tf-idf on an empty dataset"
+EMPTY_CORPUS = "empty dataset: no samples"
 
 
 @pytest.mark.parametrize(
@@ -936,11 +936,13 @@ EMPTY_CORPUS = "cannot compute tf-idf on an empty dataset"
         pytest.param("sweep", ["--out", "out"], id="sweep"),
         pytest.param("kmeans", ["--c", 1, "--out", "out"], id="kmeans"),
         pytest.param("tfidf", ["--out", "out"], id="tfidf"),
+        pytest.param("stats", ["--out", "out"], id="stats"),
     ],
 )
 def test_empty_corpus_exit_1(tmp_path, capsys, command, extra):
     """An empty corpus is the input's fault, whatever the parameters: every
-    command that weighs it exits 1 with the same message."""
+    command that weighs it, or counts its features, exits 1 with the same
+    message and writes nothing."""
     data = tmp_path / "empty.jsonl"
     data.write_text("")
     extra = [tmp_path / a if a == "out" else a for a in extra]

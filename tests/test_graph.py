@@ -93,6 +93,26 @@ def test_csr_equals_argsort_reference(case, random, chunk):
         assert a.tobytes() == b.tobytes()
 
 
+def test_degrees_count_a_chunk_of_edges_at_a_time():
+    """On 400k edges ``degrees`` allocates its n counts and one chunk's
+    temporaries (the chunk's ids as int64, one chunk's counts): no
+    |E|-long int64 copy of an id column."""
+    rng = np.random.default_rng(7)
+    n, m = 3000, 400_000
+    i = rng.integers(0, n - 1, m, dtype=np.int32)
+    j = (i + rng.integers(1, n - i, dtype=np.int32)).astype(np.int32)
+    g = RelationGraph([str(v) for v in range(n)], i, j, np.ones(m))
+    tracemalloc.start()
+    try:
+        deg = g.degrees()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n + 8 * graph._DEGREE_CHUNK + 1024
+    expect = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
+    assert deg.dtype == expect.dtype and deg.tobytes() == expect.tobytes()
+
+
 def test_csr_allocates_its_output_and_one_chunk():
     """On 400k edges ``csr`` allocates (tracemalloc counts numpy buffers)
     its output, n-sized arrays and one chunk's temporaries: no |E|-long

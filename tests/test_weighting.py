@@ -461,25 +461,47 @@ def test_int32_edge_ids_bound_the_edge_count():
         weighting.check_edge_count(2**31, weighting.EDGE_ID)
 
 
-def traced_peak(model, top_p):
-    """tracemalloc's peak, in bytes, while weighing the model at top_p."""
-    tracemalloc.start()
-    try:
-        ws = pairwise_weights(model, top_p)
-        return ws, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def traced_phases(model, top_p, features=None):
+    """The weight set and tracemalloc's peaks, in bytes, while weighing the
+    model at top_p: one per phase, each ending where T in float64 or the
+    feature lists start to be built, and the last one at the return.
+    Given ``features``, the lists are returned without being built."""
+    dense = weighting._dense
+    build = weighting._feature_lists if features is None else lambda m: features
+    peaks = []
+
+    def mark():
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+
+    def spy_dense(m, shared, dtype, rows=None):
+        if dtype == np.float64 and rows is None:
+            mark()
+        return dense(m, shared, dtype, rows)
+
+    with mock.patch.object(weighting, "_dense", spy_dense), mock.patch.object(
+        weighting, "_feature_lists", lambda m: mark() or build(m)
+    ):
+        tracemalloc.start()
+        try:
+            ws = pairwise_weights(model, top_p)
+            mark()
+        finally:
+            tracemalloc.stop()
+    return ws, peaks
 
 
 def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
     """The stream reserves min(n(n-1)/2, ceil(1.25 m_max) + max(_BLOCK_CELLS /
     8, n)) pairs at 16 bytes each, and beyond them allocates only the bucket
     counts of a rank and one block's temporaries: no copy of the held
-    weights.  The whole call adds the feature lists, which peak at about
-    32 bytes per stored tf-idf value while they are built.  The bound path
-    adds the dense tf-idf matrix: n rows of one float64 per feature held
-    by two samples or more, 8 n F bytes; its approximations, their
-    products and the exact pass's gathers are block temporaries.  It runs on the sweep's corpus size,
+    weights.  The feature lists peak at about 32 bytes per stored tf-idf
+    value while they are built: the kernel builds them first, the bound
+    path last.  The bound path's phases add its tf-idf matrix T, n rows of
+    one value per feature held by two samples or more: 4 n F bytes in
+    float32 during the blocks, then 8 n F bytes in float64 only during the
+    exact pass.  Its approximations, their products and the exact pass's
+    gathers are block temporaries.  It runs on the sweep's corpus size,
     where its 2**12-cell blocks make 8 times fewer products."""
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
     for path, per_family in (("kernel", 100), ("bound", 50)):
@@ -500,14 +522,56 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
         slack = 2 * 8 * weighting._KEYS + 40 * (1 << 12)
         reserved = 16 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n))
         features = weighting._feature_lists(model)
-        dense = 8 * n * len(features) if path == "bound" else 0
-        ws, peak = traced_peak(model, 10)
-        assert len(ws) < ws.total  # the threshold rose
-        assert peak <= reserved + dense + 32 * len(model.data) + slack
-        # the pairs' own share, with the feature lists built before tracing
-        with mock.patch.object(weighting, "_feature_lists", lambda m: features):
-            _, peak = traced_peak(model, 10)
-        assert peak <= reserved + dense + slack
+        nf = n * len(features)
+        for built in (32 * len(model.data), 0):  # the lists built, or given
+            # each phase's charge: the kernel holds the lists throughout,
+            # the bound path T in float32, T in float64, then the lists
+            charges = [built, built] if path == "kernel" else [4 * nf, 8 * nf, built]
+            ws, peaks = traced_phases(model, 10, None if built else features)
+            assert len(ws) < ws.total  # the threshold rose
+            assert len(peaks) == len(charges)
+            for peak, charge in zip(peaks, charges):
+                assert peak <= reserved + charge + slack
+
+
+def test_ties_at_the_minimum_are_weighed_a_block_at_a_time(monkeypatch):
+    """Every pair of 400 samples shares one common feature of value 1.0,
+    and the first 100 samples share a second one with distinct values: at
+    p = 1 the set holds the largest of their pairs, and the 74,850 pairs
+    of the others all tie at the smallest weight, 1.0.  The bound path
+    weighs each block's pairs near the smallest approximation exactly as
+    it goes (``_near_min``), so the phase peaks keep the charges of the
+    test above, which a list of those pairs held until the exact pass, 24
+    bytes each, outgrows; the set, ``min_w`` included, is the kernel's."""
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
+    n = 400
+    model = tfidf_model(
+        [
+            {"perm/common": 1.0, **({"perm/group": 1.0 + v / 128} if v < 100 else {})}
+            for v in range(n)
+        ]
+    )
+    near_min = weighting._near_min
+    near = []
+
+    def spy(m, shared, i, j):
+        near.append(len(i))
+        return near_min(m, shared, i, j)
+
+    monkeypatch.setattr(weighting, "_near_min", spy)
+    force_path(monkeypatch, "kernel")
+    expect = pairwise_weights(model, 1)
+    force_path(monkeypatch, "bound")
+    ws, peaks = traced_phases(model, 1)
+    assert_same_set(ws, expect)
+    assert len(ws) < ws.total and ws.min_w == 1.0
+    assert sum(near) >= 74_850 and max(near) <= 1 << 12
+    m_max = math.ceil(0.01 * (n * (n - 1) // 2))
+    slack = 2 * 8 * weighting._KEYS + 40 * (1 << 12)
+    reserved = 16 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n))
+    nf = n * len(weighting._feature_lists(model))
+    for peak, charge in zip(peaks, [4 * nf, 8 * nf, 32 * len(model.data)]):
+        assert peak <= reserved + charge + slack
 
 
 def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
@@ -574,9 +638,15 @@ def crafted_weights(monkeypatch, dense, path="kernel", approx=None):
     triangle of the symmetric matrix ``dense``, weighed on ``path``: the
     kernel and the exact pass read its cells, and the bound path's
     approximations are the cells of ``approx`` (the weights by default).
-    The model's one feature, in every sample, gives the kernel cells to
-    weigh, so the forced gain picks the path."""
+    The smallest weight of the pairs near the smallest approximation is
+    read from ``dense`` too.  The model's one feature, in every sample,
+    gives the kernel cells to weigh, so the forced gain picks the path.
+    Its value is 1.0 when every
+    weight lies in [2**-126, 2**125], the guard's range at F = 1, and
+    otherwise a weight outside it: the guard then sends the bound path to
+    the kernel, as it does any input whose weights leave that range."""
     dense = np.asarray(dense, dtype=np.float64)
+    outside = dense[(dense > 0) & ((dense < 2.0**-126) | (dense > 2.0**125))]
     approx = dense if approx is None else np.asarray(approx, dtype=np.float64)
     monkeypatch.setattr(
         weighting, "_weight_rows", lambda features, n, rows, c0: dense[rows, c0:]
@@ -585,9 +655,13 @@ def crafted_weights(monkeypatch, dense, path="kernel", approx=None):
         weighting, "_bound_rows", lambda t, r0, r1: approx[r0:r1, r0:].copy()
     )
     monkeypatch.setattr(weighting, "_exact_weights", lambda t, i, j: dense[i, j])
+    monkeypatch.setattr(
+        weighting, "_near_min", lambda m, shared, i, j: float(dense[i, j].min())
+    )
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", len(dense))  # one row a block
     force_path(monkeypatch, path)
-    return tfidf_model([{"perm/all": 1.0}] * len(dense))
+    value = outside[0] if len(outside) else 1.0
+    return tfidf_model([{"perm/all": value}] * len(dense))
 
 
 def dense_of(n, values):
@@ -624,7 +698,8 @@ def assert_same_set(got, expect):
 @pytest.mark.parametrize("pool", POOLS)
 def test_crafted_weights_hold_exactly_the_top_p(monkeypatch, pool):
     """On either path; on the bound path the approximations are the
-    weights, and the full range's largest double takes the kernel."""
+    weights, and the subnormal and full-range pools, outside the guard,
+    take the kernel."""
     n = 60
     values = crafted_values(pool, n)
     for path in PATHS:
@@ -653,13 +728,14 @@ def test_approximations_within_the_bound_give_the_same_set(monkeypatch, pool):
     """The certificate: each approximation scaled by its own random factor
     in [1 - delta, 1 + delta], the bound between an approximation and its
     weight, leaves the bound path's set byte-identical to the kernel's at
-    every p, ``total`` and ``min_w`` included."""
+    every p, ``total`` and ``min_w`` included.  The subnormal and
+    full-range pools lie outside the guard and take the kernel."""
     n = 60
     values = crafted_values(pool, n)
     dense = dense_of(n, values)
     model = crafted_weights(monkeypatch, dense, "kernel")
     expect = {p: pairwise_weights(model, p) for p in CRAFTED_P}
-    delta, _ = weighting._slack(1)
+    delta = weighting._slack(1)
     rng = np.random.default_rng(11)
     factor = rng.uniform(1 - delta, 1 + delta, size=len(values))
     factor[::7] = 1 - delta  # the bound's ends too
@@ -675,8 +751,8 @@ def test_a_tie_past_the_bound_leaves_the_set(monkeypatch):
     """The test above can fail.  The pairs (v, v + 1) weigh 1.0, the others
     0.5, so at p = 1 the threshold reaches 1.0 and the set holds the 59
     tied pairs.  The bound path keeps an approximation down to the
-    lowered threshold 1.0 * (1 - 3 delta) - 3 eta: the last tie's
-    approximation there keeps it, one double below drops it."""
+    lowered threshold 1.0 * (1 - 3 delta): the last tie's approximation
+    there keeps it, one double below drops it."""
     n, p = 60, 1
     dense = np.full((n, n), 0.5)
     v = np.arange(n - 1)
@@ -684,8 +760,7 @@ def test_a_tie_past_the_bound_leaves_the_set(monkeypatch):
     model = crafted_weights(monkeypatch, dense, "kernel")
     expect = pairwise_weights(model, p)
     assert len(expect) == n - 1
-    delta, eta = weighting._slack(1)
-    lowered = 1.0 * (1 - 3 * delta) - 3 * eta
+    lowered = 1.0 * (1 - 3 * weighting._slack(1))
     for approx_w, held in ((lowered, True), (np.nextafter(lowered, 0.0), False)):
         approx = dense.copy()
         approx[n - 2, n - 1] = approx[n - 1, n - 2] = approx_w
@@ -704,11 +779,13 @@ def test_a_tie_past_the_bound_leaves_the_set(monkeypatch):
         # the weight 3v do not; at 1e308, v + v overflows as well
         pytest.param(0.5e308, False, id="approximation-only"),
         pytest.param(1e308, True, id="weight-too"),
+        # far past the guard, with a float64 approximation still finite
         pytest.param(2.0**1000, False, id="at-the-limit"),
     ],
 )
 def test_an_overflowing_approximation_takes_the_kernel(monkeypatch, value, overflows):
-    """A block whose approximations reach 2**1000 is weighed by the kernel,
+    """Values far past the guard's 2**127 / 10 (F = 4), up to those whose
+    float64 approximations would overflow, are weighed by the kernel,
     which gives the kernel path's set or its DatasetError."""
     rows = [{"perm/a": value, "perm/b": value, "perm/c": value}] * 2 + [
         {"perm/a": 1.0, "perm/d": 2.0},
@@ -732,6 +809,90 @@ def test_an_overflowing_approximation_takes_the_kernel(monkeypatch, value, overf
         assert results == ["a pair weight overflows the float64 range"] * 2
     else:
         assert_same_set(results[1], results[0])
+
+
+# the guard's top at F = 3: 2**127 / (2F + 2)
+TOP_AT_3 = 2.0**127 / 8
+
+
+@pytest.mark.parametrize(
+    "value, bound",
+    [
+        pytest.param(2.0**-126, True, id="smallest-normal-float32"),
+        pytest.param(TOP_AT_3, True, id="sum-limit"),
+        pytest.param(np.nextafter(2.0**-126, 0.0), False, id="below-float32-normal"),
+        pytest.param(np.nextafter(TOP_AT_3, math.inf), False, id="above-sum-limit"),
+        pytest.param(5e-324, False, id="float64-subnormal"),
+        pytest.param(1.7e308, False, id="near-float64-max"),
+    ],
+)
+def test_values_past_the_guard_take_the_kernel(monkeypatch, value, bound):
+    """Three features are held by two samples or more, so the guard admits
+    values in [2**-126, 2**127 / 8].  At its edges a forced bound path
+    weighs with ``_bound_rows``; one double past them, or far past, it
+    runs the kernel and gives the kernel path's set, ``total`` and
+    ``min_w`` included, or its DatasetError."""
+    rows = [
+        {"perm/a": value, "perm/b": 1.0},
+        {"perm/a": value, "perm/b": 2.0, "perm/c": 0.5},
+        {"perm/b": 3.0, "perm/c": 1.0},
+        {"perm/d": 1.0},
+    ]
+    model = tfidf_model(rows)
+    approximate = weighting._bound_rows
+    calls = []
+    monkeypatch.setattr(
+        weighting, "_bound_rows", lambda *a: calls.append(1) or approximate(*a)
+    )
+    for p in (10, 50, 100):
+        results = []
+        for path in PATHS:
+            force_path(monkeypatch, path)
+            try:
+                results.append(pairwise_weights(model, p))
+            except DatasetError as exc:
+                results.append(str(exc))
+        if value == 1.7e308:
+            assert results == ["a pair weight overflows the float64 range"] * 2
+        else:
+            assert_same_set(results[1], results[0])
+    assert bool(calls) == bound
+
+
+@st.composite
+def guarded_models(draw):
+    """Tf-idf models whose values of the F features held by two samples or
+    more lie in the guard's [2**-126, 2**127 / (2F + 2)], its edges
+    included; the other values are 1.0."""
+    n = draw(st.integers(2, 12))
+    names = [f"perm/f{c}" for c in range(6)]
+    held = draw(st.lists(st.sets(st.sampled_from(names)), min_size=n, max_size=n))
+    counts = {name: sum(name in row for row in held) for name in names}
+    k = sum(c >= 2 for c in counts.values())
+    top = 2.0**127 / (2 * k + 2)
+    value = st.one_of(st.sampled_from([2.0**-126, top]), st.floats(2.0**-126, top))
+    rows = [
+        {f: draw(value) if counts[f] >= 2 else 1.0 for f in sorted(row)} for row in held
+    ]
+    return tfidf_model(rows)
+
+
+@settings(deadline=None)
+@given(guarded_models(), st.sampled_from([8, 1 << 19]), st.data())
+def test_approximations_lie_within_the_slack(model, cells, data):
+    """Every cell of a real ``_bound_rows`` block over float32 T lies within
+    ``_slack`` of the kernel's weight, whatever order BLAS adds in, with
+    one column of B per product or all of them."""
+    n = model.n
+    r0 = data.draw(st.integers(0, n - 1))
+    r1 = data.draw(st.integers(r0 + 1, n))
+    features = weighting._feature_lists(model)
+    dense = weighting._dense(model, shared_features(model), np.float32)
+    with mock.patch.object(weighting, "_BLOCK_CELLS", cells * max(1, len(features))):
+        approx = weighting._bound_rows(dense, r0, r1)
+    exact = weighting._weight_rows(features, n, np.arange(r0, r1), r0)
+    assert approx.dtype == np.float64 and approx.shape == exact.shape
+    assert (np.abs(approx - exact) <= weighting._slack(len(features)) * exact).all()
 
 
 @settings(deadline=None)
@@ -765,6 +926,11 @@ class GatherSizes(np.ndarray):
         return self._record(super().take(*args, **kwargs))
 
 
+def shared_features(model):
+    """The names held by two samples or more: the columns of T."""
+    return np.bincount(model.indices, minlength=len(model.names)) >= 2
+
+
 def assert_exact_weights_are_the_kernels(model, pairs, record=False):
     """``_exact_weights`` over ``pairs``, ordered by their first vertex, gives
     the kernel's doubles for them, byte for byte; returns its weights."""
@@ -772,7 +938,7 @@ def assert_exact_weights_are_the_kernels(model, pairs, record=False):
     i = np.array([a for a, _ in pairs], dtype=weighting.VERTEX_ID)
     j = np.array([b for _, b in pairs], dtype=weighting.VERTEX_ID)
     features = weighting._feature_lists(model)
-    dense = weighting._dense(features, model.n)
+    dense = weighting._dense(model, shared_features(model), np.float64)
     if record:
         GatherSizes.sizes = []
         dense = dense.view(GatherSizes)
@@ -789,7 +955,7 @@ def test_exact_weights_are_the_kernels(model, cells, data):
     """On random models, over ascending pair lists whose first vertices
     repeat, gathering one pair, 8 cells or 65,536 cells at a time.  A pair's
     first vertex holds a feature; its second may share none."""
-    dense = weighting._dense(weighting._feature_lists(model), model.n)
+    dense = weighting._dense(model, shared_features(model), np.float64)
     rows = np.flatnonzero(dense.any(axis=1)).tolist()
     pairs = []
     if rows:
@@ -855,7 +1021,8 @@ def test_a_row_with_more_pairs_than_a_gather_holds(monkeypatch):
 def test_the_rule_counts_cells(monkeypatch):
     """The seed-7 sweep corpus (n = 650) takes the bound path at p = 1,
     where the kernel adds about 30 times the exact pass's cells, and the
-    kernel at p = 40, where it adds fewer."""
+    kernel at p = 40, where it adds fewer.  The bound path builds T twice:
+    in float32 for the blocks, then in float64 for the exact pass."""
     d = generate(
         SynthConfig(
             samples_per_family=50,
@@ -867,11 +1034,17 @@ def test_the_rule_counts_cells(monkeypatch):
     model = compute_tfidf(d)
     dense = weighting._dense
     built = []
-    monkeypatch.setattr(weighting, "_dense", lambda *a: built.append(1) or dense(*a))
+
+    def spy(m, shared, dtype, rows=None):
+        if rows is None:  # all of T, not the rows of a block's near pairs
+            built.append(dtype)
+        return dense(m, shared, dtype, rows)
+
+    monkeypatch.setattr(weighting, "_dense", spy)
     for p, bound in ((1, True), (40, False)):
         built.clear()
         pairwise_weights(model, p)
-        assert built == ([1] if bound else [])
+        assert built == ([np.float32, np.float64] if bound else [])
 
 
 def test_a_lowered_compaction_counts_what_it_keeps():
