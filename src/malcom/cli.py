@@ -223,7 +223,7 @@ def _cmd_tfidf(args):
 
 
 def _cmd_graph(args):
-    d = _load_filtered(args)
+    d = _load_filtered(args).in_id_order()
     params = GraphBuildParams(args.method, args.p, args.k, args.epsilon)
     params.validate(len(d))  # before tf-idf
     ws = pairwise_weights(compute_tfidf(d), top_p=params.weights_top_p())

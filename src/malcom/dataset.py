@@ -245,6 +245,20 @@ class Dataset:
             self._columns = FeatureColumns(names, indptr, ids, values)
         return self._columns
 
+    def in_id_order(self) -> Dataset:
+        """The dataset with its samples by ascending id: itself if they ascend."""
+        ids = self.ids
+        if all(map(str.__lt__, ids, ids[1:])):
+            return self
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        cols = self.columns()
+        size = np.diff(cols.indptr)[order]
+        indptr = np.concatenate(([0], np.cumsum(size)))
+        take = np.repeat(cols.indptr[order] - indptr[:-1], size) + np.arange(indptr[-1])
+        columns = FeatureColumns(cols.names, indptr, cols.ids[take], cols.values[take])
+        families = [self.families[k] for k in order]
+        return Dataset.from_columns(sorted(ids), families, columns, self.dictionary)
+
     def labels(self) -> list[Optional[str]]:
         return list(self.families)
 

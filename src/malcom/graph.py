@@ -9,7 +9,9 @@ nearest by one full sort of its dense weight row, which
 ``WeightSet.row_blocks`` recomputes for complete and pruned sets alike; the
 k-NN graph, which sorts every row, is the slow baseline the E-N method is
 benchmarked against.  E-N keeps the epsilon edges as they are and inserts
-only its fallback picks among them.
+only its fallback picks among them.  Every graph has one layout,
+vertices by ascending id and pairs i < j row-major, into which
+``read_edges`` renumbers a file; ``write_edges`` writes no other.
 
 The detector walks neighbours through the CSR adjacency from ``csr``: row v,
 ``indices[indptr[v]:indptr[v + 1]]`` with the ids of their edges alongside,
@@ -54,10 +56,11 @@ class GraphError(MalcomError):
 
 @dataclass
 class RelationGraph:
-    """Undirected weighted edges over ``vertices``; ``check()`` owns their invariants."""
+    """Undirected weighted edges over ``vertices``; ``check()`` owns their
+    invariants.  Built and read graphs list ids ascending, pairs row-major."""
 
     vertices: list[str]
-    edge_i: np.ndarray  # int32 (VERTEX_ID); built graphs: edge_i < edge_j
+    edge_i: np.ndarray  # int32 (VERTEX_ID); edge_i < edge_j
     edge_j: np.ndarray
     edge_w: np.ndarray  # float64, all > 0
     meta: dict = field(default_factory=dict)
@@ -235,32 +238,23 @@ def csr(
     return indptr, indices, eids
 
 
-def _name_rank(ids: list[str]) -> np.ndarray:
-    """``rank[v]``, the position of ids[v] in ascending id order (int32)."""
-    by_name = sorted(range(len(ids)), key=ids.__getitem__)
-    rank = np.empty(len(ids), dtype=VERTEX_ID)
-    rank[by_name] = np.arange(len(ids))
-    return rank
-
-
 def _nearest(ws: WeightSet, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The pairs from each vertex where the boolean mask is set (at least
     one) to each of its k nearest neighbours, as distinct ascending int64
     pair keys i·n + j (i < j) and their weights.  A pair picked twice keeps
     its first pick.
 
-    The k nearest are the k largest pair weights, ties by ascending id,
-    found by a full sort of each masked row.  An absent pair counts, and is
-    picked, at the floor weight, below every present one."""
+    The k nearest are the k largest pair weights, ties by ascending index
+    (ascending id), by a full stable sort of each masked row.  An absent
+    pair counts, and is picked, at the floor weight, below every present one."""
     n = ws.n
     floor = _floor_weight(ws)
-    rank = _name_rank(ws.ids)
     keys, weights = [], []
     for rows, block in ws.row_blocks(mask):
         block[block == 0] = floor
         block[np.arange(len(rows)), rows] = -np.inf  # never its own neighbour
         np.negative(block, out=block)
-        nearest = np.lexsort((np.broadcast_to(rank, block.shape), block))[:, :k]
+        nearest = np.argsort(block, axis=1, kind="stable")[:, :k]
         v, u = np.repeat(rows, k), nearest.ravel()
         keys.append(np.minimum(v, u) * n + np.maximum(v, u))
         weights.append(-np.take_along_axis(block, nearest, axis=1).ravel())
@@ -324,52 +318,32 @@ def build_graph(ws: WeightSet, params: GraphBuildParams) -> RelationGraph:
 
 
 def write_edges(g: RelationGraph, path) -> None:
-    """TSV edge list: ``src<TAB>dst<TAB>weight`` with src < dst
-    lexicographically, lines sorted by (src, dst), then a placeholder line
-    ``id<TAB><TAB>0`` for each isolated vertex, ascending by id.
+    """TSV edge list: ``src<TAB>dst<TAB>weight`` with src < dst, lines sorted
+    by (src, dst), then a placeholder line ``id<TAB><TAB>0`` for each
+    isolated vertex, ascending by id.
 
-    Each edge's line is keyed by lo * n + hi (int64), lo < hi the name
-    ranks of its ends; pairs are distinct, so the keys order the lines as
-    sorting them would.  A chunk at a time (each overlapping the previous
-    by one edge) the keys are checked to ascend already, as they do for a
-    built graph whose vertices are listed in ascending id order; otherwise
-    one argsort of all the keys orders the edges.  Lines are formatted
-    ``_WRITE_CHUNK`` at a time, their keys and weights gathered through
-    that order: no sorted copy of a column is made, and an ordered graph
-    has no |E|-long temporary at all.
+    The lines are the edges as listed, in the one layout of ``RelationGraph``;
+    a graph out of it, found a chunk at a time (each overlapping the previous
+    by one edge) before the file is opened, raises GraphError.  Lines are
+    formatted ``_WRITE_CHUNK`` at a time: no temporary is |E| long.
     """
     ids, n, m = g.vertices, g.n, g.num_edges
-    names = np.array(sorted(ids), dtype=object)
-    rank = _name_rank(ids)
+    names = np.array(ids, dtype=object)
     chunks = range(0, m, _WRITE_CHUNK)
 
-    def keys(edges) -> np.ndarray:
-        a, b = rank[g.edge_i[edges]], rank[g.edge_j[edges]]
-        key = np.minimum(a, b).astype(np.int64)  # int64: lo * n overflows int32
-        key *= n
-        key += np.maximum(a, b)
-        return key
-
     def ascends(s: int) -> bool:
-        key = keys(slice(max(s - 1, 0), s + _WRITE_CHUNK))
-        return bool((key[1:] > key[:-1]).all())
+        i, j = (a[max(s - 1, 0) : s + _WRITE_CHUNK] for a in (g.edge_i, g.edge_j))
+        key = i * np.int64(n) + j  # int64: i * n overflows int32
+        return bool((i < j).all() and (key[1:] > key[:-1]).all())
 
-    order = None
-    if not all(ascends(s) for s in chunks):
-        key = np.empty(m, dtype=np.int64)
-        for s in chunks:
-            key[s : s + _WRITE_CHUNK] = keys(slice(s, s + _WRITE_CHUNK))
-        order = np.argsort(key)
-        del key
-    listed = np.zeros(n, dtype=bool)  # by name rank
+    if not (all(map(str.__lt__, ids, ids[1:])) and all(map(ascends, chunks))):
+        raise GraphError("graph not listed by ascending id and row-major pairs")
+    listed = np.zeros(n, dtype=bool)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vertices: {n}\n")
         for s in chunks:
             edges = slice(s, s + _WRITE_CHUNK)
-            if order is not None:
-                edges = order[edges]
-            lo, hi = np.divmod(keys(edges), n)
-            w = g.edge_w[edges]
+            lo, hi, w = g.edge_i[edges], g.edge_j[edges], g.edge_w[edges]
             listed[lo] = listed[hi] = True
             # one % over the chunk's (src, dst, weight) cells, row by row
             cells = np.empty((len(w), 3), dtype=object)
@@ -387,7 +361,9 @@ def read_edges(path) -> RelationGraph:
     puts it, so a vertex id may begin with that text.
 
     Raises GraphError for a line without three tab-separated fields, a
-    non-numeric value, or an edge line that ``RelationGraph.check`` rejects.
+    non-numeric value, or the first edge line ``RelationGraph.check``
+    rejects.  Then one argsort of int64 pair keys puts the graph in its one
+    layout, whatever the line order (the identity for write_edges' files).
     """
     ids: list[str] = []
     index: dict[str, int] = {}
@@ -435,7 +411,13 @@ def read_edges(path) -> RelationGraph:
     g.check(lambda e: f"line {linenos[e]}")
     if n_declared is not None and n_declared != g.n:
         raise GraphError(f"edge file declares {n_declared} vertices but lists {g.n}")
-    return g
+    by_name = sorted(range(g.n), key=ids.__getitem__)
+    rank = np.empty(g.n, dtype=VERTEX_ID)
+    rank[by_name] = np.arange(g.n)
+    a, b = rank[ei], rank[ej]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(lo * np.int64(g.n) + hi)  # int64 keys
+    return RelationGraph([ids[v] for v in by_name], lo[order], hi[order], ew[order])
 
 
 def _parse_number(kind, text: str, lineno: int):

@@ -197,7 +197,11 @@ def _net_from_graph(g: RelationGraph) -> _Net:
     if g.n == 0:
         raise InfomapError("empty graph")
     g.check()
-    net = _Net(g.n, g.edge_i, g.edge_j, g.edge_w)
+    w = g.edge_w
+    top = float(w.max(initial=0.0))
+    if 0.0 < top < 2.0**-500:  # 1 / (2W) may overflow: an exact power-of-two
+        w = np.ldexp(w, 1 - np.frexp(top)[1])  # scale, the largest to [1, 2)
+    net = _Net(g.n, g.edge_i, g.edge_j, w)
     net.fine_vertex_plogp = net.own_vertex_plogp()
     return net
 

@@ -94,7 +94,7 @@ def run_pipeline(
     scope: str = "all",
     weights: Optional[WeightSet] = None,
 ) -> PipelineReport:
-    """Run the full pipeline on an in-memory dataset.
+    """Run the full pipeline on an in-memory dataset, in ascending id order.
 
     When out_dir is given, writes edges.tsv, partition.csv, report.json and
     (for fully labeled corpora) eval.json there.  ``report.timings_ms``
@@ -108,11 +108,12 @@ def run_pipeline(
     ``weights`` are the dataset's pair weights from an earlier call (its
     ``report.weights``); they are used in place of recomputing them, so a
     sweep over graph parameters weighs the corpus once.  They must cover
-    the dataset's samples in the same order, else DatasetError, and hold
+    the dataset's samples by ascending id, else DatasetError, and hold
     the pairs ``params`` reads, else GraphError.  A weight set's arrays
     are read-only, and a graph may share them; that is what makes it
     reusable.
     """
+    dataset = dataset.in_id_order()
     detector = DetectorConfig(rng_seed=seed)
     detector.validate()  # both before any stage runs
     params.validate(len(dataset))

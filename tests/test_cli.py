@@ -636,6 +636,44 @@ def test_detect_rejects_malformed_edges(tmp_path, capsys, text):
     assert not (out / "detect.json").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_detect_groups_subnormal_edge_weights(tmp_path):
+    """Weights of 1e-320 put 1 / (2W) past the float64 range, which would
+    leave four singletons; the two heavy pairs are found."""
+    edges = tmp_path / "edges.tsv"
+    edges.write_text("a\tb\t1e-320\nc\td\t1e-320\nb\tc\t1e-321\n")
+    assert run(["detect", "--edges", edges, "--out-dir", tmp_path / "det"]) == 0
+    assert (tmp_path / "det" / "partition.csv").read_text().split() == [
+        "sample_id,community_id", "a,0", "b,0", "c,1", "d,1"
+    ]
+
+
+def families_corpus(path, value):
+    """24 samples of 4 families: each family's 4 features, and one of 3
+    features shared across families, every value ``value``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in range(24):
+            feats = {f"perm/F{s % 4}_{k}": value for k in range(4)}
+            feats[f"api/c{s % 3}"] = value
+            obj = {"id": f"s{s:02d}", "family": f"F{s % 4}", "features": feats}
+            fh.write(json.dumps(obj) + "\n")
+    return path
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pipeline_at_the_smallest_subnormal_value(tmp_path):
+    """Every value 5e-324 makes every pair weight subnormal: the pipeline
+    still finds the 4 families, as at value 1."""
+    parts = []
+    for value in (1.0, 5e-324):
+        data = families_corpus(tmp_path / f"{value}.jsonl", value)
+        out = tmp_path / f"run{value}"
+        assert run(["pipeline", "--input", data, "--seed", 7, "--out-dir", out]) == 0
+        assert json.loads((out / "eval.json").read_text())["accuracy"] == 1.0
+        parts.append((out / "partition.csv").read_bytes())
+    assert parts[0] == parts[1]
+
+
 @pytest.mark.parametrize("edges", [127, 128])
 def test_detect_rejects_more_edges_than_edge_ids_hold(
     tmp_path, monkeypatch, capsys, edges

@@ -414,6 +414,21 @@ def assert_same_columns(got, want):
 
 
 class TestColumnarLoader:
+    @given(st.permutations(range(len(MIXED_LINES))))
+    def test_in_id_order_permutes_ids_families_and_rows_together(
+        self, tmp_path_factory, order
+    ):
+        """Any line order gives, in id order, the columns of the corpus
+        listed by ascending id; a corpus already in id order is returned
+        itself."""
+        f = tmp_path_factory.mktemp("order") / "d.jsonl"
+        write_lines(f, [MIXED_LINES[k] for k in order])
+        got = load_dataset(f).in_id_order()
+        want = mixed_dataset()
+        assert want.in_id_order() is want and got.in_id_order() is got
+        assert got.ids == want.ids and got.families == want.families
+        assert_same_columns(got.columns(), want.columns())
+
     def test_columns_equal_the_map_built_view(self, tmp_path):
         f = tmp_path / "d.jsonl"
         write_lines(f, MIXED_LINES)

@@ -9,7 +9,9 @@ samples that share no feature with any other (zero-weight vertices, linked
 at the floor weight), and "twins" repeats each family's sample, so that
 k-th neighbours tie and the id tie-break picks among them.  The detector
 has cases of its own: ``detect --edges --seed 5`` on the hard corpus's E-N
-graphs at p = 1, 10 and the dense p = 40.  ``kmeans --c 13``, ``sweep``
+graphs at p = 1, 10 and the dense p = 40, and on the hard corpus at p = 1
+and 10 it must find the pipeline's grouping from the pipeline's own edge
+file.  ``kmeans --c 13``, ``sweep``
 and ``pipeline`` take the corpus seed as their seed.  ``synth`` is digested
 by the corpus and dictionary every case reads, and ``eval`` by its report
 on the ``pipeline`` case's partition.
@@ -29,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from malcom.cli import main
+from malcom.pipeline import read_partition
 
 DIGESTS = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
 
@@ -180,3 +183,25 @@ def test_detect_digests(corpora, tmp_path, seed, p):
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in ("partition.csv", "detect.json")}
     assert got == DIGESTS[f"hard-{seed}"][f"detect-en-p{p}"]
+
+
+def _grouping(path: Path) -> set[frozenset[str]]:
+    ids, comms = read_partition(path)
+    groups: dict[int, set[str]] = {}
+    for sid, c in zip(ids, comms):
+        groups.setdefault(c, set()).add(sid)
+    return set(map(frozenset, groups.values()))
+
+
+@pytest.mark.parametrize("seed,p", [(s, p) for s in SEEDS for p in (1, 10)])
+def test_detect_on_the_edge_file_reproduces_the_pipeline(corpora, tmp_path, seed, p):
+    """Both number the vertices by ascending id, so ``detect --edges`` on
+    the pipeline's edges.tsv, at the same seed, finds the pipeline's
+    grouping: only the weights' 10 digits differ."""
+    run = tmp_path / "run"
+    argv = ["pipeline", "--input", str(corpora("hard", seed)), "--p", str(p),
+            "--seed", str(seed), "--out-dir", str(run)]
+    assert main(argv) == 0
+    assert main(["detect", "--edges", str(run / "edges.tsv"), "--seed", str(seed),
+                 "--out-dir", str(run / "detect")]) == 0
+    assert _grouping(run / "detect" / "partition.csv") == _grouping(run / "partition.csv")

@@ -387,8 +387,10 @@ def lexsort_edge_file(g):
     ``write_edges``: one lexsort of the (lo, hi) name ranks of every edge,
     then the sorted columns, then the isolated vertices' lines."""
     ids = g.vertices
-    names = np.array(sorted(ids), dtype=object)
-    rank = graph._name_rank(ids)
+    by_name = sorted(range(g.n), key=ids.__getitem__)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[by_name] = np.arange(g.n)
+    names = np.array([ids[v] for v in by_name], dtype=object)
     a, b = rank[g.edge_i], rank[g.edge_j]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.lexsort((hi, lo))
@@ -403,8 +405,7 @@ def lexsort_edge_file(g):
 
 def ascending_layout(g):
     """g with its vertices renumbered in ascending id order and its pairs
-    listed row-major, as a built graph of a corpus in id order lists them:
-    the keys of write_edges ascend, so it sorts nothing."""
+    listed row-major, the one layout of a graph the package builds."""
     by_name = sorted(range(g.n), key=g.vertices.__getitem__)
     new = np.empty(g.n, dtype=np.int64)
     new[by_name] = np.arange(g.n)
@@ -416,60 +417,76 @@ def ascending_layout(g):
     )
 
 
-def reversed_blocks(g, chunk):
-    """The ascending layout with its blocks of ``chunk`` edges in reverse
-    order: each chunk ascends, and only the keys across a boundary fall."""
-    g = ascending_layout(g)
-    blocks = [np.arange(s, min(s + chunk, g.num_edges))
-              for s in range(0, g.num_edges, chunk)]
-    order = np.concatenate(blocks[::-1] or [np.arange(0)])
-    return RelationGraph(g.vertices, g.edge_i[order], g.edge_j[order], g.edge_w[order])
-
-
 @given(
-    distinct_pair_graphs(),
-    st.integers(1, 4),
-    st.sampled_from(["ascending", "reversed-blocks", "shuffled", "read"]),
+    distinct_pair_graphs(), st.integers(1, 4), st.sampled_from(["ascending", "read"])
 )
 def test_edge_file_matches_sorted_lines(tmp_path_factory, g, chunk, layout):
-    """Both paths of write_edges write the lexsort writer's bytes: the
-    no-sort path on graphs whose keys ascend, and the sort path on shuffled
-    ids, on chunks that ascend only within themselves, and on the file
-    order of ``read_edges``."""
+    """write_edges writes the lexsort writer's bytes, a chunk at a time,
+    for a graph in the ascending layout and for what ``read_edges`` returns
+    of a file in that writer's order."""
     tmp = tmp_path_factory.mktemp("edges")
     if layout == "ascending":
         g = ascending_layout(g)
-    elif layout == "reversed-blocks":
-        g = reversed_blocks(g, chunk)
-    elif layout == "read":
+    else:
         (tmp / "given.tsv").write_text(lexsort_edge_file(g), encoding="utf-8")
         g = read_edges(tmp / "given.tsv")
     path = tmp / "edges.tsv"
-    with mock.patch.object(graph, "_WRITE_CHUNK", chunk), mock.patch.object(
-        np, "argsort", wraps=np.argsort
-    ) as argsort:
+    with mock.patch.object(graph, "_WRITE_CHUNK", chunk):
         write_edges(g, path)
     with open(path, encoding="utf-8", newline="") as fh:
         text = fh.read()
     assert text == lexsort_edge_file(g)
     assert text == f"# vertices: {g.n}\n" + "".join(sorted_edge_lines(g))
-    if layout == "ascending":
-        assert not argsort.called
-    elif layout == "reversed-blocks" and g.num_edges > chunk:
-        assert argsort.called
 
 
-def pair_graph(n, m, ids_ascending, seed=11):
-    """n vertices and m distinct pairs listed row-major; ids ascend with
-    the vertex order, or are shuffled, which leaves the keys of
-    write_edges out of order."""
+@pytest.mark.parametrize(
+    "ids, edges",
+    [
+        pytest.param(["b", "a", "c"], [(0, 1), (1, 2)], id="ids-not-ascending"),
+        pytest.param(["a", "b", "c"], [(1, 0), (1, 2)], id="pair-i-above-j"),
+        pytest.param(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)], id="not-row-major"),
+        pytest.param(["a", "b", "c", "d"], [(0, 1), (2, 3), (1, 2)], id="across-chunks"),
+        pytest.param(["a", "b", "c"], [(0, 1), (0, 1)], id="repeated-pair"),
+    ],
+)
+def test_write_edges_rejects_a_graph_out_of_layout(tmp_path, ids, edges):
+    """Only the one layout is written: any other order raises GraphError
+    before the file is opened, at any chunk boundary."""
+    i, j = (np.array(a, dtype=np.int32) for a in zip(*edges))
+    g = RelationGraph(ids, i, j, np.ones(len(edges)))
+    path = tmp_path / "edges.tsv"
+    with mock.patch.object(graph, "_WRITE_CHUNK", 2), pytest.raises(
+        GraphError, match="^graph not listed by ascending id and row-major pairs$"
+    ):
+        write_edges(g, path)
+    assert not path.exists()
+
+
+@given(distinct_pair_graphs(), st.randoms(use_true_random=False))
+def test_read_edges_ignores_line_order(tmp_path_factory, g, random):
+    """The same edge file with its lines shuffled reads as the same arrays:
+    vertices by ascending name, pairs row-major."""
+    tmp = tmp_path_factory.mktemp("edges")
+    lines = lexsort_edge_file(g).splitlines(keepends=True)
+    shuffled = lines[1:]
+    random.shuffle(shuffled)
+    (tmp / "given.tsv").write_text("".join(lines), encoding="utf-8")
+    (tmp / "shuffled.tsv").write_text("".join(shuffled), encoding="utf-8")
+    a, b = read_edges(tmp / "given.tsv"), read_edges(tmp / "shuffled.tsv")
+    assert a.vertices == b.vertices == sorted(g.vertices)
+    for x, y in zip((a.edge_i, a.edge_j, a.edge_w), (b.edge_i, b.edge_j, b.edge_w)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    key = a.edge_i.astype(np.int64) * a.n + a.edge_j
+    assert (a.edge_i < a.edge_j).all() and (key[1:] > key[:-1]).all()
+
+
+def pair_graph(n, m, seed=11):
+    """n vertices, ids ascending, and m distinct pairs listed row-major."""
     rng = np.random.default_rng(seed)
     a, b = rng.integers(0, n, size=(2, 2 * m))
     key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
     key = key[key // n != key % n][:m]
     ids = [f"v{v:05d}" for v in range(n)]
-    if not ids_ascending:
-        ids = [ids[v] for v in rng.permutation(n)]
     i, j = (x.astype(np.int32) for x in np.divmod(key, n))
     return RelationGraph(ids, i, j, rng.uniform(0.1, 5.0, len(key)))
 
@@ -492,25 +509,13 @@ def writes_lexsort_file(g, path) -> bool:
 
 
 def test_write_edges_on_an_ordered_graph_allocates_no_edge_long_array(tmp_path):
-    """When the keys ascend, write_edges checks and formats them a chunk at
-    a time: it allocates less than one byte per edge, below the smallest
-    |E|-long array.  The lexsort writer allocated an order and sorted
-    copies of both rank columns and the weights, and fails this."""
-    g = pair_graph(3000, 400_000, ids_ascending=True)
+    """write_edges checks and formats the edges a chunk at a time: it
+    allocates less than one byte per edge, below the smallest |E|-long
+    array.  The lexsort writer allocated an order and sorted copies of both
+    rank columns and the weights, and fails this."""
+    g = pair_graph(3000, 400_000)
     peak = write_peak(g, tmp_path / "edges.tsv", 1024)
     assert peak < g.num_edges
-    assert writes_lexsort_file(g, tmp_path / "edges.tsv")
-
-
-def test_write_edges_sorts_in_sixteen_bytes_per_edge(tmp_path):
-    """With shuffled ids the keys do not ascend: write_edges holds one
-    int64 key and one argsort position per edge, 16 B, plus one chunk's
-    lines and n-sized arrays.  The lexsort writer's sorted copies of the
-    columns came on top of its order, and it fails this."""
-    g = pair_graph(3000, 400_000, ids_ascending=False)
-    chunk = 1024
-    peak = write_peak(g, tmp_path / "edges.tsv", chunk)
-    assert peak <= 16 * g.num_edges + 256 * chunk + 64 * g.n
     assert writes_lexsort_file(g, tmp_path / "edges.tsv")
 
 
@@ -657,7 +662,7 @@ def tied_models(draw):
     )
     extras = draw(st.lists(extra, min_size=n, max_size=n))
     lonely = draw(st.sets(st.integers(0, n - 1), max_size=2))
-    labels = draw(st.permutations(range(n)))  # id order unlike index order
+    labels = draw(st.permutations(range(n)))  # id order unlike the order drawn
     samples = [
         Sample(
             f"s{labels[v]:02d}",
@@ -666,7 +671,9 @@ def tied_models(draw):
         )
         for v in range(n)
     ]
-    return compute_tfidf(Dataset(samples=samples))
+    # the builders' vertex order, as the pipeline takes it: ties between
+    # neighbours break by index, which is ascending id
+    return compute_tfidf(Dataset(samples=samples).in_id_order())
 
 
 tiny_50_100 = st.one_of(st.floats(0.01, 5.0), st.just(50.0), st.just(100.0))
@@ -925,7 +932,7 @@ def test_vertex_ids_are_int32(tmp_path):
         Sample(f"s{v}", None, {f"perm/g{v % 2}": 1.0, f"perm/x{v % 5}": 1.0 + v % 3})
         for v in range(16)
     ]
-    model = compute_tfidf(Dataset(samples=samples))
+    model = compute_tfidf(Dataset(samples=samples).in_id_order())
     full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
     assert len(top) < top.total  # pruned: the E-N fallback recomputes rows
     arrays = [full.i, full.j, top.i, top.j]

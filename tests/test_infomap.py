@@ -694,3 +694,44 @@ def test_vectorised_plogp_within_delta_bound():
     err = np.abs(_plogp_array(x) - np.array([_plogp(t) for t in x.tolist()]))
     assert err.max() < infomap._DELTA_EPS / 8 / 64
     assert _plogp_array(np.array([0.0]))[0] == 0.0
+
+
+TWO_TRIANGLES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+
+
+@pytest.mark.parametrize("w", [1.0, 1e-300, 1e-310, 1e-318, 5e-324])
+def test_two_triangles_found_at_any_edge_weight(w):
+    """Below 2W of about 2**-1024, 1 / (2W) would overflow and leave every
+    vertex alone; the detector scales such weights by a power of two."""
+    i, j = (np.array(a) for a in zip(*TWO_TRIANGLES))
+    g = RelationGraph(list("abcdef"), i, j, np.full(len(i), w))
+    part, breakdown = detect(g, DetectorConfig(rng_seed=1))
+    assert part.assignment == [0, 0, 0, 1, 1, 1]
+    assert breakdown.codelength == pytest.approx(math.log2(3), abs=1e-12)
+
+
+@st.composite
+def integer_weight_graphs(draw):
+    n = draw(st.integers(2, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = sorted(draw(st.sets(pair.filter(lambda t: t[0] < t[1]), min_size=1)))
+    w = draw(st.lists(st.integers(1, 8), min_size=len(pairs), max_size=len(pairs)))
+    i, j = (np.array(a) for a in zip(*pairs))
+    return RelationGraph([f"v{v}" for v in range(n)], i, j, np.array(w, dtype=float))
+
+
+# half the draws where 2W < 2**-1024 may hold, the rest over the whole range
+SCALES = st.one_of(st.integers(-1064, -1020), st.integers(-1064, 1000))
+
+
+@given(integer_weight_graphs(), SCALES, st.integers(0, 3))
+def test_power_of_two_scaled_weights_change_nothing(g, k, seed):
+    """Weights scaled by 2**k, subnormal ones included, are exact, and so
+    is the detector's own rescale: the same partition and codelength."""
+    scaled = dataclasses.replace(g, edge_w=np.ldexp(g.edge_w, k))
+    assert (scaled.edge_w > 0).all() and np.isfinite(scaled.edge_w).all()
+    want, want_bd = detect(g, DetectorConfig(rng_seed=seed))
+    got, got_bd = detect(scaled, DetectorConfig(rng_seed=seed))
+    assert got == want
+    assert got_bd.codelength == want_bd.codelength
+    assert codelength(scaled, want).codelength == codelength(g, want).codelength

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import malcom
 from malcom.cli import main
@@ -53,6 +55,39 @@ def test_weights_pruned_to_what_params_read():
     kept = run_pipeline(d, en_50)
     again = run_pipeline(d, en_1, weights=kept.weights)
     assert again.graph_stats == first.graph_stats
+
+
+@pytest.fixture(scope="module")
+def hard_lines(tmp_path_factory):
+    """The lines of a small corpus whose families overlap, so that the
+    detector's ties and shuffles decide between groupings."""
+    path = tmp_path_factory.mktemp("corpus") / "data.jsonl"
+    synth = ["synth", "--out", path, "--families", 4, "--samples-per-family", 15,
+             "--leak", 0.15, "--presence", 0.6, "--seed", 7]
+    assert main([str(a) for a in synth]) == 0
+    return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(["1", "10"]))
+def test_corpus_line_order_changes_no_output(tmp_path_factory, hard_lines, random, p):
+    """The graph numbers its vertices by ascending id: a corpus with its
+    lines shuffled gives the same partition.csv and edges.tsv bytes and the
+    same codelength double."""
+    lines = list(hard_lines)
+    random.shuffle(lines)
+    tmp = tmp_path_factory.mktemp("order")
+    got = []
+    for name, text in (("listed", hard_lines), ("shuffled", lines)):
+        (tmp / f"{name}.jsonl").write_text("".join(text), encoding="utf-8")
+        out = tmp / name
+        argv = ["pipeline", "--input", tmp / f"{name}.jsonl", "--p", p,
+                "--seed", 7, "--out-dir", out]
+        assert main([str(a) for a in argv]) == 0
+        report = json.loads((out / "report.json").read_text())
+        got.append([(out / f).read_bytes() for f in ("partition.csv", "edges.tsv")]
+                   + [report["codelength_bits"].hex()])
+    assert got[0] == got[1]
 
 
 REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "replay.py"
