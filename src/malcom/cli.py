@@ -226,7 +226,9 @@ def _cmd_graph(args):
     d = _load_filtered(args).in_id_order()
     params = GraphBuildParams(args.method, args.p, args.k, args.epsilon)
     params.validate(len(d))  # before tf-idf
-    ws = pairwise_weights(compute_tfidf(d), top_p=params.weights_top_p())
+    model = compute_tfidf(d)
+    del d  # only the model is read from here on
+    ws = pairwise_weights(model, top_p=params.weights_top_p())
     write_edges(build_graph(ws, params), args.out)
 
 
@@ -355,9 +357,9 @@ def _cmd_bench(args):
 
 
 def _cmd_pipeline(args):
-    d = _load_filtered(args)
     params = GraphBuildParams(args.method, args.p, args.k, args.epsilon)
-    run_pipeline(d, params, seed=args.seed, out_dir=args.out_dir, scope=args.scope)
+    # no reference kept here, so run_pipeline frees the corpus after tf-idf
+    run_pipeline(_load_filtered(args), params, args.seed, args.out_dir, args.scope)
 
 
 def _emit(lines: list[str], out) -> None:

@@ -13,7 +13,8 @@ teleportation.  All entropies are base 2 (codelengths in bits).
 
 Optimization is a Louvain-style local-move pass (strictly improving moves
 only, scan order shuffled per pass by a seeded RNG) with multilevel
-aggregation into super-vertices.
+aggregation into super-vertices.  The shuffle (``_PcgShuffle``) reproduces
+numpy's seeded PCG64 permutations, so outputs do not depend on numpy.random.
 
 A local move scores every neighbor community of a vertex.  Five of the
 eight plogp terms of a move's codelength change do not depend on the
@@ -87,6 +88,64 @@ class InfomapError(MalcomError):
 
 def _plogp(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
+
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """numpy SeedSequence's hash of successive 32-bit words."""
+    def hashmix(v: int) -> int:
+        nonlocal h
+        h, v = h * mult & _M32, v ^ h
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+class _PcgShuffle:
+    """``np.random.default_rng(seed).permutation(n)``, call after call,
+    without importing ``numpy.random`` (5.5 MiB of RSS with its OpenSSL):
+    ``SeedSequence``'s hash of the seed, PCG64 (O'Neill 2014), and
+    ``Generator.shuffle``'s Fisher-Yates over 32-bit draws (low half of a
+    64-bit output, then high), masked and redrawn while above the index."""
+
+    def __init__(self, seed: int):
+        words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(words[k] if k < len(words) else 0) for k in range(4)]
+        for src in range(max(4, len(words))):  # the pool, then words past it
+            for dst in range(4):
+                if src != dst:
+                    v = hashmix(pool[src] if src < 4 else words[src])
+                    v = (0xCA01F9DD * pool[dst] - 0x4973F715 * v) & _M32
+                    pool[dst] = v ^ v >> 16
+        draw = _hasher(0x8B51F9DD, 0x58F38DED)
+        w = [draw(pool[k % 4]) for k in range(8)]
+        s = [w[2 * k] | w[2 * k + 1] << 32 for k in range(4)]
+        self._inc = ((s[2] << 64 | s[3]) << 1 | 1) & _M128
+        start = self._inc + (s[0] << 64 | s[1])  # step from 0, add the seed state
+        self._state = (start * _PCG_MULT + self._inc) & _M128
+        self._high: Optional[int] = None  # the buffered half of a 64-bit draw
+
+    def permutation(self, n: int) -> list[int]:
+        a = list(range(n))
+        state, inc, high = self._state, self._inc, self._high
+        for i in range(n - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            v = i + 1
+            while v > i:
+                if high is None:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    x, rot = (state >> 64 ^ state) & _M64, state >> 122
+                    x = (x >> rot | x << (64 - rot)) & _M64
+                    v, high = x & mask, x >> 32
+                else:
+                    v, high = high & mask, None
+            a[i], a[v] = a[v], a[i]
+        self._state, self._high = state, high
+        return a
 
 
 def _sum_by(index: np.ndarray, w: np.ndarray, m: int) -> np.ndarray:
@@ -469,7 +528,7 @@ class _LocalState:
 
 
 def _local_move_passes(
-    net: _Net, rng: np.random.Generator, counts: Optional[MoveCounts] = None
+    net: _Net, rng: _PcgShuffle, counts: Optional[MoveCounts] = None
 ) -> list[int]:
     """Run shuffled local-move passes from all-singletons to convergence.
 
@@ -493,9 +552,8 @@ def _local_move_passes(
     moved = True
     while moved:
         moved = False
-        order = rng.permutation(net.n)
         c.visits += net.n
-        for v in order.tolist():
+        for v in rng.permutation(net.n):
             s, e = indptr[v], indptr[v + 1]
             w_to = cache[v]
             if w_to is not None:
@@ -596,7 +654,7 @@ def detect(
     if cfg is None:
         cfg = DetectorConfig()
     cfg.validate()
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = _PcgShuffle(cfg.rng_seed)
 
     fine = net = _net_from_graph(g)
     vertex_node = list(range(g.n))  # original vertex -> current-level node

@@ -95,6 +95,8 @@ def run_pipeline(
     weights: Optional[WeightSet] = None,
 ) -> PipelineReport:
     """Run the full pipeline on an in-memory dataset, in ascending id order.
+    The dataset is held only until tf-idf is built (then only its labels),
+    so a caller that keeps no reference to it lets it be freed.
 
     When out_dir is given, writes edges.tsv, partition.csv, report.json and
     (for fully labeled corpora) eval.json there.  ``report.timings_ms``
@@ -135,7 +137,10 @@ def run_pipeline(
         report.timings_ms[stage] = (time.perf_counter() - t0) * 1000.0
         return result
 
+    labeled = dataset.fully_labeled() and len(dataset) >= 2
+    labels = dataset.labels() if labeled else None
     model = timed("tfidf", compute_tfidf, dataset)
+    del dataset  # later stages read only the model, then the labels
     if weights is None:
         weights = timed("weights", pairwise_weights, model, params.weights_top_p())
     elif weights.ids != model.sample_ids:
@@ -151,10 +156,8 @@ def run_pipeline(
     report.num_communities = part.m
     report.q_total = breakdown.q_total
 
-    if dataset.fully_labeled() and len(dataset) >= 2:
-        report.evaluation = timed(
-            "eval", metrics.evaluate, dataset.labels(), part.assignment
-        )
+    if labels is not None:
+        report.evaluation = timed("eval", metrics.evaluate, labels, part.assignment)
 
     if out_dir is not None:
         out = Path(out_dir)

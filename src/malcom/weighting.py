@@ -39,6 +39,9 @@ from .errors import MalcomError, ParameterError
 
 # Cells of one row block of the pair-weight accumulator (4 MiB of float64).
 _BLOCK_CELLS = 1 << 19
+# Cells of the kernel's outer products of one feature: about 16 B each
+# (index and value), built and added one row slice at a time
+_OUTER_CELLS = 1 << 16
 # A weight's bucket is the top 16 bits of its IEEE pattern: for positive
 # doubles they order as the values do, 16 buckets per power of two
 _KEY_SHIFT = 48
@@ -422,12 +425,16 @@ def _weight_rows(
             if hi == lo:
                 continue
             r = pos[ix[lo:hi]]
-            hit = r >= 0
+            starts, t_rows = r[r >= 0] * width, t[lo:hi][r >= 0]
+            cols, t_cols = ix[c:] - c0, t[c:]
             # a feature's cells are distinct: each gets one add, in order
-            flat = np.add.outer(r[hit] * width, ix[c:] - c0).ravel()
-            vals = np.add.outer(t[lo:hi][hit], t[c:]).ravel()
-            vals *= 0.5
-            np.add.at(acc, flat, vals)
+            step = max(1, _OUTER_CELLS // max(1, len(cols)))
+            for s in range(0, len(starts), step):
+                flat = np.add.outer(starts[s : s + step], cols).ravel()
+                vals = np.add.outer(t_rows[s : s + step], t_cols).ravel()
+                vals *= 0.5
+                np.add.at(acc, flat, vals)
+                del flat, vals  # before the next slice's are built
     if acc.max(initial=0.0) == math.inf:
         raise DatasetError("a pair weight overflows the float64 range")
     return acc.reshape(len(rows), width)

@@ -503,6 +503,37 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert (tmp_path / "run" / "eval.json").exists()
 
 
+NO_RNG_IMPORT = """
+import sys
+from malcom.cli import main
+for argv in ARGVS:
+    print(argv[0], main(argv))
+print(sorted({"numpy.random", "_hashlib"} & set(sys.modules)))
+"""
+
+
+def test_detecting_commands_never_import_numpy_random(tmp_path):
+    """pipeline, graph, detect and sweep shuffle with detect's own PCG64:
+    numpy.random and the OpenSSL it loads through hashlib stay unimported."""
+    data, edges = tmp_path / "data.jsonl", tmp_path / "en.tsv"
+    assert run(["synth", "--out", data, "--samples-per-family", 20, "--seed", 7]) == 0
+    argvs = [
+        ["pipeline", "--input", data, "--seed", 7, "--out-dir", tmp_path / "run"],
+        ["graph", "--input", data, "--out", edges],
+        ["detect", "--edges", edges, "--seed", 7, "--out-dir", tmp_path / "detect"],
+        ["sweep", "--input", data, "--p-grid", "5,10", "--out", tmp_path / "sweep.tsv"],
+    ]
+    argvs = [[str(a) for a in argv] for argv in argvs]
+    src = str(Path(malcom.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", NO_RNG_IMPORT.replace("ARGVS", repr(argvs))],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"{argv[0]} 0" for argv in argvs] + ["[]"]
+
+
 UNDER_MEMORY_LIMIT = """
 import resource, sys
 import malcom.cli

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import entropy_bits, make_graph, random_graph
@@ -24,6 +24,7 @@ from malcom.infomap import (
     _Net,
     _net_from_graph,
     _plogp,
+    _PcgShuffle,
     _plogp_array,
     _sum_by,
     codelength,
@@ -315,6 +316,19 @@ class TestDetect:
             assert bd.codelength <= singleton.codelength + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**200 - 1),
+    sizes=st.lists(st.integers(0, 5000), min_size=1, max_size=8),
+)
+def test_shuffle_is_numpys_permutation_stream(seed, sizes):
+    """detect's shuffle draws numpy's default_rng(seed) permutations, call
+    after call: odd sizes leave half a 64-bit draw buffered for the next."""
+    ours, numpys = _PcgShuffle(seed), np.random.default_rng(seed)
+    for n in sizes:
+        assert ours.permutation(n) == numpys.permutation(n).tolist()
+
+
 def _set_partitions(n: int):
     """All set partitions of range(n) as restricted-growth label lists,
     in lexicographic order (first yield: everything in one block)."""
@@ -502,8 +516,8 @@ def scalar_local_move_passes(net, rng):
     wts = entry_weights(net).tolist()
     while True:
         moved = False
-        order = rng.permutation(net.n)
-        for v in order.tolist():
+        # numpy's Generator gives an ndarray, detect's _PcgShuffle a list
+        for v in np.asarray(rng.permutation(net.n)).tolist():
             a = state.assignment[v]
             w_to = {}
             s, e = indptr[v], indptr[v + 1]
@@ -633,7 +647,7 @@ class TestBestMove:
             net = _net_from_graph(planted_graph(rng, 300))
             counts = MoveCounts()
             with mock.patch.object(infomap, "_ARRAY_MIN", array_min):
-                got = _local_move_passes(net, np.random.default_rng(trial), counts)
+                got = _local_move_passes(net, _PcgShuffle(trial), counts)
             want = scalar_local_move_passes(net, np.random.default_rng(trial))
             assert got == want
             assert counts.visits >= 3 * net.n

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import malcom
+from malcom import pipeline
 from malcom.cli import main
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.graph import GraphBuildParams, GraphError
+from malcom.infomap import detect
 from malcom.pipeline import run_pipeline
+from malcom.synth import SynthConfig, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
 PARAMS = GraphBuildParams(method="en", p=50, k=1)
@@ -125,3 +129,28 @@ def test_replay_sees_every_stage(tmp_path, command, points):
         assert STAGE_SPANS <= set(children)
         assert children.count("weighting.tfidf") == 1
     assert [s["name"] for s in spans].count("weighting.pairwise") == 1
+
+
+def test_corpus_is_released_after_tfidf(tmp_path, monkeypatch):
+    """run_pipeline holds a dataset it is given without another reference
+    only until tf-idf: it is freed before detect runs, and eval.json is the
+    same as when the caller keeps it."""
+    d = generate(SynthConfig(num_families=4, samples_per_family=10, rng_seed=7))
+    run_pipeline(d, PARAMS, seed=7, out_dir=tmp_path / "held")
+    refs = []
+
+    def fresh():
+        corpus = Dataset.from_columns(d.ids, d.families, d.columns(), d.dictionary)
+        refs.append(weakref.ref(corpus))
+        return corpus
+
+    def checked_detect(*args):
+        assert refs[0]() is None
+        return detect(*args)
+
+    monkeypatch.setattr(pipeline, "detect", checked_detect)
+    run_pipeline(fresh(), PARAMS, seed=7, out_dir=tmp_path / "dropped")
+    assert len(refs) == 1 and refs[0]() is None
+    for name in ("eval.json", "partition.csv"):
+        held = (tmp_path / "held" / name).read_bytes()
+        assert (tmp_path / "dropped" / name).read_bytes() == held

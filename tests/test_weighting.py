@@ -534,6 +534,27 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
                 assert peak <= reserved + charge + slack
 
 
+def test_kernel_outer_products_are_capped():
+    """One feature held by all 2000 vertices: a block of 262 rows would
+    build its 524,000 cells' indices and values (16 B each) at once.  They
+    are built _OUTER_CELLS cells at a time, so the block allocates its own
+    cells, 16 B per capped cell, and per-vertex arrays (64 B each, with
+    numpy's outer-product scratch), and gives the brute-force weights."""
+    n = 2000
+    model = tfidf_model([{"perm/x": 1.0 + v % 7} for v in range(n)])
+    features = weighting._feature_lists(model)
+    rows = np.arange(weighting._BLOCK_CELLS // n)
+    tracemalloc.start()
+    try:
+        block = weighting._weight_rows(features, n, rows, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block.nbytes + 16 * weighting._OUTER_CELLS + 64 * n + (1 << 18)
+    t = 1.0 + np.arange(n) % 7
+    assert block.tobytes() == ((t[rows, None] + t) * 0.5).tobytes()
+
+
 def test_ties_at_the_minimum_are_weighed_a_block_at_a_time(monkeypatch):
     """Every pair of 400 samples shares one common feature of value 1.0,
     and the first 100 samples share a second one with distinct values: at
