@@ -15,9 +15,9 @@ would add far more cells than the top p need, and every value it reads
 lies in float32's normal range with room to sum, weighing takes the bound
 path instead: float32 BLAS products over a dense n x F float32 tf-idf
 matrix approximate every weight within a certified bound, the pairs that
-can reach the top p are held, and only those are summed exactly, from a
-float64 matrix built once the float32 one is freed, in the kernel's
-order; both paths give the same set, bit for bit.  Weighed at p, a
+can reach the top p are held, and only those are summed exactly, in the
+kernel's order, from the model's values read through an int32 n x F
+position matrix; both paths give the same set, bit for bit.  Weighed at p, a
 set holds exactly the top ceil(p/100 * |W|) pairs, ties included: all that
 an epsilon or E-N graph at that p reads, and while weighing at most about
 1.25 m pairs plus a row chunk's, m = ceil(p/100 * n(n-1)/2); at p = 100
@@ -55,12 +55,12 @@ EDGE_ID = np.int32
 # The bound path runs when the kernel's sum(df^2) / 2 cell adds exceed
 # _BOUND_GAIN times the exact pass's m_max * (stored values / n) (about
 # the cells it sums).  Weighing the seed-7 benchmark corpora on one BLAS
-# thread, kernel against the float32 bound path (s, medians of 5), at
-# that ratio: n = 3900 easy 1.34/0.51 at 29.5, 1.48/0.87 at 5.9,
-# 1.12/0.97 at 2.95 (en-easy, p = 10); hard 1.38/0.45 at 29.6
-# (en-fallback, p = 1), 1.45/0.83 at 5.9, 1.57/1.44 at 2.96; n = 650 hard
-# 0.068/0.028 at 29.9, 0.094/0.121 at 0.75 (the sweep's p = 40),
-# 0.091/0.232 at 0.3 (p = 100).
+# thread, kernel against the bound path with its position-matrix exact
+# pass (s, medians of 5), at that ratio: n = 3900 easy 0.87/0.37 at 29.5,
+# 0.92/0.58 at 5.9, 0.99/0.80 at 2.95 (en-easy, p = 10); hard 1.16/0.45
+# at 29.6 (en-fallback, p = 1), 1.23/0.75 at 5.9, 1.25/1.27 at 2.96;
+# n = 650 hard 0.068/0.033 at 29.9, 0.074/0.101 at 0.75 (the sweep's
+# p = 40), 0.067/0.174 at 0.3 (p = 100).
 _BOUND_GAIN = 4
 
 
@@ -248,10 +248,10 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     every pair of the top p is held.  ``total`` counts A > 0, which holds
     exactly when a pair shares a feature; ``min_w`` is the smallest exact
     weight of the pairs whose A lies within the bound of the smallest A
-    (``_near_min``, per block).  Then T in float32 is freed, T is built
-    again in float64 (8 n F bytes), and the held pairs are summed exactly,
-    row by row (``_exact_weights``), and trimmed as the kernel's are.  The
-    feature lists the set keeps are built last, once T is freed.
+    (``_near_min``, per block).  Then T is freed, the held pairs are summed
+    exactly, row by row, from the model's values read through an int32 n x
+    F matrix of their positions, 4 n F bytes too (``_exact_weights``), and
+    trimmed as the kernel's are.  The feature lists are built last.
     """
     if not 0 < top_p <= 100:
         raise ParameterError(f"top_p must be in (0, 100], got {top_p}")
@@ -265,7 +265,7 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         features, dense = _feature_lists(m), None
         drop = rise = 1.0
     else:
-        features, dense = None, _dense(m, shared, np.float32)
+        features, dense = None, _dense(m, shared)
         # a threshold t is lowered to t * drop, and the smallest
         # approximation a raised to a * rise: three times the bound between
         # an approximation and its weight (_slack), which covers the bound
@@ -328,14 +328,15 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
                 limit = max(cap, count + cap - m_max)  # ties may hold over cap
         del acc, keep
     if dense is not None:
-        # the exact pass: every held approximation becomes its weight, over
-        # T in float64, built once T in float32 is freed
+        # the exact pass: every held approximation becomes its weight, read
+        # from the model through the positions, built once T is freed
         del dense
-        dense = _dense(m, shared, np.float64)
-        starts = np.searchsorted(i[:count], np.arange(0, n + rows, rows))
-        for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
-            w[s:e] = _exact_weights(dense, i[s:e], j[s:e])
-        del dense
+        pos = _positions(m, shared)
+        # block starts as int32 ids: searching int64 ones would copy i
+        starts = np.searchsorted(i[:count], np.arange(0, n, rows, dtype=VERTEX_ID))
+        for s, e in zip(starts.tolist(), starts[1:].tolist() + [count]):
+            w[s:e] = _exact_weights(pos, m.data, i[s:e], j[s:e])
+        del pos
     top = top_count(top_p, total)
     if count > top:
         count, _ = _keep_top(i, j, w, count, top)
@@ -467,20 +468,13 @@ def _bound_features(m: TfIdfModel, m_max: int) -> Optional[np.ndarray]:
     return shared
 
 
-def _dense(
-    m: TfIdfModel, shared: np.ndarray, dtype, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The tf-idf matrix T in ``dtype`` over the F feature names where
-    ``shared`` is set, ascending, for the vertices ``rows`` (all n when
-    None): T[r, f] is vertex rows[r]'s value of the f-th of them, 0.0
-    where it has none.  Filled from the model's CSR a chunk of rows at a
-    time, about _BLOCK_CELLS / 8 stored values on average, so no temporary
-    is as long as the stored values."""
+def _cells(m: TfIdfModel, shared: np.ndarray, rows: np.ndarray) -> Iterator:
+    """(r, f, at) per chunk of ``rows``: m.data[at[c]] is vertex rows[r[c]]'s
+    value of the f[c]-th shared feature.  A chunk reads about _BLOCK_CELLS /
+    8 stored values of the model's CSR, so no temporary is as long as them."""
     col = np.cumsum(shared) - 1  # the column of each name where shared
-    rows = np.arange(m.n) if rows is None else rows
     lo = m.indptr[rows]
     count = m.indptr[rows + 1] - lo
-    dense = np.zeros((len(rows), int(np.count_nonzero(shared))), dtype=dtype)
     step = max(1, (_BLOCK_CELLS >> 3) * len(rows) // max(1, int(count.sum())))
     for s in range(0, len(rows), step):
         c = count[s : s + step]
@@ -489,18 +483,40 @@ def _dense(
         at = np.arange(len(r)) + np.repeat(lo[s : s + step] - (np.cumsum(c) - c), c)
         f = m.indices[at]
         held = np.flatnonzero(shared[f])
-        dense[r[held], col[f[held]]] = m.data[at[held]]
+        yield r[held], col[f[held]], at[held]
+
+
+def _dense(m: TfIdfModel, shared: np.ndarray) -> np.ndarray:
+    """The float32 tf-idf matrix T of the bound path's products: T[v, f] is
+    vertex v's value of the f-th shared feature, 0.0 where it has none."""
+    dense = np.zeros((m.n, int(np.count_nonzero(shared))), dtype=np.float32)
+    for r, f, at in _cells(m, shared, np.arange(m.n)):
+        dense[r, f] = m.data[at]
     return dense
+
+
+def _positions(
+    m: TfIdfModel, shared: np.ndarray, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """The position matrix P of the vertices ``rows`` (all n when None):
+    P[r, f] is the index in m.data of vertex rows[r]'s value of the f-th
+    shared feature, -1 where it has none; int32 while they fit, else int64."""
+    rows = np.arange(m.n) if rows is None else rows
+    dtype = np.int32 if len(m.data) <= np.iinfo(np.int32).max else np.int64
+    pos = np.full((len(rows), int(np.count_nonzero(shared))), -1, dtype=dtype)
+    for r, f, at in _cells(m, shared, rows):
+        pos[r, f] = at
+    return pos
 
 
 def _near_min(
     m: TfIdfModel, shared: np.ndarray, i: np.ndarray, j: np.ndarray
 ) -> float:
     """The smallest weight of the pairs (i[c], j[c]), i ascending, each
-    the double the kernel computes (``_exact_weights``), over float64 rows
-    of T built from the model's CSR: the second vertices a group of about
-    _BLOCK_CELLS / 8 cells at a time, with the first vertices of their
-    pairs.  Every pair shares a feature."""
+    the double the kernel computes (``_exact_weights``), over rows of the
+    position matrix built from the model's CSR: the second vertices a group
+    of about _BLOCK_CELLS / 8 cells at a time, with the first vertices of
+    their pairs.  Every pair shares a feature."""
     # distinct and ascending by a sort: np.unique imports numpy.ma on its
     # first call, about 1 MB
     second = np.sort(j)
@@ -512,9 +528,9 @@ def _near_min(
         at = np.flatnonzero((j >= group[0]) & (j <= group[-1]))
         rows = np.sort(np.concatenate((i[at], group)))
         rows = rows[np.diff(rows, prepend=-1) > 0]
-        dense = _dense(m, shared, np.float64, rows)
+        pos = _positions(m, shared, rows)
         w = _exact_weights(
-            dense, np.searchsorted(rows, i[at]), np.searchsorted(rows, j[at])
+            pos, m.data, np.searchsorted(rows, i[at]), np.searchsorted(rows, j[at])
         )
         low = min(low, float(w.min()))
     return low
@@ -558,30 +574,39 @@ def _bound_rows(dense: np.ndarray, r0: int, r1: int) -> np.ndarray:
     return out
 
 
-def _exact_weights(dense: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _exact_weights(
+    pos: np.ndarray, data: np.ndarray, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
     """The weights of the pairs (i[c], j[c]), i ascending, each the double
-    the kernel computes.  Per run of equal i, row i's terms (t_i + t_j) *
-    0.5 over its own features, ascending, +0.0 where j lacks one (no
-    padding), are gathered _BLOCK_CELLS / 8 cells at a time and summed by
-    a cumsum from the first: the kernel adds them to 0.0 in the same order,
-    and adding +0.0 to a sum >= 0 leaves it.  Every row of i holds a feature."""
+    the kernel computes, from the model's ``data`` at the positions ``pos``.
+    Per run of equal i, row i's terms (t_i + t_j) * 0.5 over its own
+    features, ascending, +0.0 where j lacks one, are gathered a column per
+    pair, _BLOCK_CELLS / 8 cells at a time, and each column summed in order
+    from its first: the kernel adds them to 0.0 in the same order, and
+    adding +0.0 to a sum >= 0 leaves it.  Every row of i holds a feature."""
     out = np.empty(len(i), dtype=np.float64)
-    flat, k = dense.ravel(), dense.shape[1]
-    starts = np.flatnonzero(np.diff(i, prepend=-1)).tolist()  # runs of equal i
-    for s, e in zip(starts, starts[1:] + [len(i)]):
-        f = dense[i[s]].nonzero()[0]
-        t = dense[i[s], f]
-        step = max(1, (_BLOCK_CELLS >> 3) // len(f))
+    flat, k = pos.ravel(), pos.shape[1]
+    starts = np.flatnonzero(np.diff(i, prepend=-1))  # runs of equal i
+    first = pos[i[starts]]  # the runs' rows of P
+    held = np.flatnonzero(first >= 0)
+    r, f = np.divmod(held, k)  # each run's features, ascending
+    t, jk = data.take(first.ravel().take(held)), np.multiply(j, k, dtype=np.int64)
+    bounds = np.searchsorted(r, np.arange(len(starts) + 1)).tolist()
+    ends = starts[1:].tolist() + [len(i)]
+    for lo, hi, s, e in zip(bounds, bounds[1:], starts.tolist(), ends):
+        step = max(1, (_BLOCK_CELLS >> 3) // (hi - lo))
         for a in range(s, e, step):
             b = min(a + step, e)
-            # j's value of each feature: T[v, f] is flat[v * k + f]
-            terms = flat.take(np.multiply(j[a:b, None], k, dtype=np.int64) + f)
-            present = np.sign(terms)  # 1.0 where j holds the feature, else 0.0
-            terms += t
-            terms *= present  # exact; +0.0 where j lacks it, as t is finite
+            # -1 where j lacks a feature reads data[0]: that term, finite as
+            # the guard bounds t_i, is multiplied by 0.0
+            at = flat.take(np.add.outer(f[lo:hi], jk[a:b]))
+            terms = data.take(at, mode="clip")
+            terms += t[lo:hi, None]
             terms *= 0.5
-            terms.cumsum(axis=1, out=terms)
-            out[a:b] = terms[:, -1]
+            terms *= at >= 0
+            # numpy sums pairwise only along the fast axis, which a single
+            # column is: two or more are summed a row at a time, in order
+            out[a:b] = np.add.reduce(terms, 0) if b - a > 1 else terms.cumsum(0)[-1]
     return out
 
 

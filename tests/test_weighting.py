@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -463,10 +464,11 @@ def test_int32_edge_ids_bound_the_edge_count():
 
 def traced_phases(model, top_p, features=None):
     """The weight set and tracemalloc's peaks, in bytes, while weighing the
-    model at top_p: one per phase, each ending where T in float64 or the
-    feature lists start to be built, and the last one at the return.
-    Given ``features``, the lists are returned without being built."""
-    dense = weighting._dense
+    model at top_p: one per phase, each ending where the exact pass's
+    position matrix P over all n rows or the feature lists start to be
+    built, and the last one at the return.  Given ``features``, the lists
+    are returned without being built."""
+    positions = weighting._positions
     build = weighting._feature_lists if features is None else lambda m: features
     peaks = []
 
@@ -474,12 +476,12 @@ def traced_phases(model, top_p, features=None):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
 
-    def spy_dense(m, shared, dtype, rows=None):
-        if dtype == np.float64 and rows is None:
+    def spy_positions(m, shared, rows=None):
+        if rows is None:
             mark()
-        return dense(m, shared, dtype, rows)
+        return positions(m, shared, rows)
 
-    with mock.patch.object(weighting, "_dense", spy_dense), mock.patch.object(
+    with mock.patch.object(weighting, "_positions", spy_positions), mock.patch.object(
         weighting, "_feature_lists", lambda m: mark() or build(m)
     ):
         tracemalloc.start()
@@ -497,12 +499,15 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
     counts of a rank and one block's temporaries: no copy of the held
     weights.  The feature lists peak at about 32 bytes per stored tf-idf
     value while they are built: the kernel builds them first, the bound
-    path last.  The bound path's phases add its tf-idf matrix T, n rows of
-    one value per feature held by two samples or more: 4 n F bytes in
-    float32 during the blocks, then 8 n F bytes in float64 only during the
-    exact pass.  Its approximations, their products and the exact pass's
-    gathers are block temporaries.  It runs on the sweep's corpus size,
-    where its 2**12-cell blocks make 8 times fewer products."""
+    path last.  The bound path's phases add an n x F matrix, one cell per
+    vertex and feature held by two samples or more: its float32 tf-idf
+    matrix T during the blocks, 4 n F bytes, then its int32 position
+    matrix P, 4 n F bytes too, only during the exact pass.  P is freed
+    before the trim, so that phase holds P or the trim's bucket counts,
+    not both, and a float64 matrix over all n rows (8 n F bytes) would
+    exceed its bound.  The approximations, their products and the exact
+    pass's gathers are block temporaries.  It runs on the sweep's corpus
+    size, where its 2**12-cell blocks make 8 times fewer products."""
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
     for path, per_family in (("kernel", 100), ("bound", 50)):
         d = generate(
@@ -517,21 +522,33 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
         force_path(monkeypatch, path)
         n = model.n
         m_max = math.ceil(0.1 * (n * (n - 1) // 2))
-        # top_value's bucket counts and a chunk's counts (or their
-        # cumulative sum), and a block's weights, cell indices and masks
-        slack = 2 * 8 * weighting._KEYS + 40 * (1 << 12)
         reserved = 16 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n))
         features = weighting._feature_lists(model)
         nf = n * len(features)
         for built in (32 * len(model.data), 0):  # the lists built, or given
-            # each phase's charge: the kernel holds the lists throughout,
-            # the bound path T in float32, T in float64, then the lists
-            charges = [built, built] if path == "kernel" else [4 * nf, 8 * nf, built]
             ws, peaks = traced_phases(model, 10, None if built else features)
             assert len(ws) < ws.total  # the threshold rose
-            assert len(peaks) == len(charges)
-            for peak, charge in zip(peaks, charges):
-                assert peak <= reserved + charge + slack
+            assert_phases_within(peaks, path, reserved, nf, built)
+
+
+# top_value's bucket counts and a chunk's counts (or their cumulative sum),
+# and a block's weights, cell indices, masks and gathers at 2**12 cells
+COUNTS, BLOCK = 2 * 8 * weighting._KEYS, 40 * (1 << 12)
+
+
+def assert_phases_within(peaks, path, reserved, nf, built):
+    """Each phase's peak lies within the reserved pairs plus what it holds:
+    the kernel the lists throughout, compacting with them; the bound path
+    T (4 n F bytes) while it compacts, then P (4 n F bytes), freed before
+    the trim's counts, then the lists."""
+    if path == "kernel":
+        bounds = [built + COUNTS] * 2
+    else:
+        bounds = [4 * nf + COUNTS, max(4 * nf, COUNTS), built + COUNTS]
+    bounds = [bound + BLOCK for bound in bounds]
+    assert len(peaks) == len(bounds)
+    for peak, bound in zip(peaks, bounds):
+        assert peak <= reserved + bound
 
 
 def test_kernel_outer_products_are_capped():
@@ -588,11 +605,9 @@ def test_ties_at_the_minimum_are_weighed_a_block_at_a_time(monkeypatch):
     assert len(ws) < ws.total and ws.min_w == 1.0
     assert sum(near) >= 74_850 and max(near) <= 1 << 12
     m_max = math.ceil(0.01 * (n * (n - 1) // 2))
-    slack = 2 * 8 * weighting._KEYS + 40 * (1 << 12)
     reserved = 16 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n))
     nf = n * len(weighting._feature_lists(model))
-    for peak, charge in zip(peaks, [4 * nf, 8 * nf, 32 * len(model.data)]):
-        assert peak <= reserved + charge + slack
+    assert_phases_within(peaks, "bound", reserved, nf, 32 * len(model.data))
 
 
 def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
@@ -675,7 +690,9 @@ def crafted_weights(monkeypatch, dense, path="kernel", approx=None):
     monkeypatch.setattr(
         weighting, "_bound_rows", lambda t, r0, r1: approx[r0:r1, r0:].copy()
     )
-    monkeypatch.setattr(weighting, "_exact_weights", lambda t, i, j: dense[i, j])
+    monkeypatch.setattr(
+        weighting, "_exact_weights", lambda pos, data, i, j: dense[i, j]
+    )
     monkeypatch.setattr(
         weighting, "_near_min", lambda m, shared, i, j: float(dense[i, j].min())
     )
@@ -908,7 +925,7 @@ def test_approximations_lie_within_the_slack(model, cells, data):
     r0 = data.draw(st.integers(0, n - 1))
     r1 = data.draw(st.integers(r0 + 1, n))
     features = weighting._feature_lists(model)
-    dense = weighting._dense(model, shared_features(model), np.float32)
+    dense = weighting._dense(model, shared_features(model))
     with mock.patch.object(weighting, "_BLOCK_CELLS", cells * max(1, len(features))):
         approx = weighting._bound_rows(dense, r0, r1)
     exact = weighting._weight_rows(features, n, np.arange(r0, r1), r0)
@@ -930,8 +947,8 @@ def test_both_paths_hold_the_same_set(model, p, rows):
 
 
 class GatherSizes(np.ndarray):
-    """A dense matrix that records the size of every 2-D gather (an index
-    or a ``take``) from it or from the arrays it hands out."""
+    """A position matrix that records the size of every 2-D gather (an
+    index or a ``take``) from it or from the arrays it hands out."""
 
     sizes: list = []
 
@@ -953,17 +970,18 @@ def shared_features(model):
 
 
 def assert_exact_weights_are_the_kernels(model, pairs, record=False):
-    """``_exact_weights`` over ``pairs``, ordered by their first vertex, gives
-    the kernel's doubles for them, byte for byte; returns its weights."""
+    """``_exact_weights`` over ``pairs``, ordered by their first vertex,
+    reading the model's values through its position matrix, gives the
+    kernel's doubles for them, byte for byte; returns its weights."""
     pairs = sorted(pairs, key=lambda pair: pair[0])  # stable: rows repeat
     i = np.array([a for a, _ in pairs], dtype=weighting.VERTEX_ID)
     j = np.array([b for _, b in pairs], dtype=weighting.VERTEX_ID)
     features = weighting._feature_lists(model)
-    dense = weighting._dense(model, shared_features(model), np.float64)
+    pos = weighting._positions(model, shared_features(model))
     if record:
         GatherSizes.sizes = []
-        dense = dense.view(GatherSizes)
-    got = np.asarray(weighting._exact_weights(dense, i, j))
+        pos = pos.view(GatherSizes)
+    got = np.asarray(weighting._exact_weights(pos, model.data, i, j))
     kernel = weighting._weight_rows(features, model.n, np.arange(model.n), 0)
     assert got.dtype == np.float64
     assert got.tobytes() == kernel[i, j].tobytes()
@@ -976,8 +994,8 @@ def test_exact_weights_are_the_kernels(model, cells, data):
     """On random models, over ascending pair lists whose first vertices
     repeat, gathering one pair, 8 cells or 65,536 cells at a time.  A pair's
     first vertex holds a feature; its second may share none."""
-    dense = weighting._dense(model, shared_features(model), np.float64)
-    rows = np.flatnonzero(dense.any(axis=1)).tolist()
+    pos = weighting._positions(model, shared_features(model))
+    rows = np.flatnonzero((pos >= 0).any(axis=1)).tolist()
     pairs = []
     if rows:
         pair = st.tuples(st.sampled_from(rows), st.integers(0, model.n - 1))
@@ -1001,11 +1019,12 @@ def test_exact_weights_are_the_kernels(model, cells, data):
             id="subnormal",
         ),
         # 20 shared features, one large: adding in order differs from numpy's
-        # pairwise sum, which adds the small terms first
+        # pairwise sum, which adds the small terms first; row 0's two pairs
+        # are summed down two columns, row 1's one pair down one
         pytest.param(
             [{f"perm/f{k:02d}": 2.0 if k == 0 else 3e-16 for k in range(20)}] * 2
             + [{"perm/f00": 1.0, "perm/f19": 1e-16}],
-            [(0, 1), (0, 2), (1, 2)],
+            [(0, 1), (0, 2), (1, 0), (2, 1)],
             id="many-features",
         ),
         pytest.param([{"perm/a": 1.0}, {"perm/a": 2.0}], [], id="empty"),
@@ -1026,9 +1045,10 @@ def test_exact_weights_of_the_last_or_first_feature_alone():
 
 
 def test_a_row_with_more_pairs_than_a_gather_holds(monkeypatch):
-    """At 4 cells a gather, row 0 (2 features) is read 2 pairs at a time:
-    its 5 pairs take 3 gathers, the last one short, and row 1's 2 pairs
-    one more."""
+    """The first vertices' rows of P are read once, 2 rows of 2 features.
+    Then, at 4 cells a gather, row 0 (2 features) is read 2 pairs at a
+    time: its 5 pairs take 3 gathers, the last one a single pair, and row
+    1's 2 pairs one more."""
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", 4 << 3)
     rows = [{"perm/a": 1.5, "perm/b": 2.5}] + [
         {"perm/a": 0.5 * v, "perm/b": 0.25 * v} if v % 2 else {"perm/b": 3.0 * v}
@@ -1036,14 +1056,70 @@ def test_a_row_with_more_pairs_than_a_gather_holds(monkeypatch):
     ]
     pairs = [(0, v) for v in range(1, 6)] + [(1, 2), (1, 6)]
     assert_exact_weights_are_the_kernels(tfidf_model(rows), pairs, record=True)
-    assert GatherSizes.sizes == [4, 4, 2, 4]
+    assert GatherSizes.sizes == [4, 4, 4, 2, 4]
+
+
+@pytest.mark.parametrize("stored, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_positions_fit_the_stored_values(stored, dtype):
+    """Positions are int32 while the model stores at most 2**31 - 1 values
+    and int64 past that.  The model's values are then a broadcast view of
+    one value, so nothing that large is allocated; its CSR reads their
+    first five, and either dtype reads the kernel's weights."""
+    model = tfidf_model([{"perm/a": 1.0, "perm/b": 2.0}] * 2 + [{"perm/a": 3.0}])
+    shared = shared_features(model)
+    expect = weighting._positions(model, shared)
+    features = weighting._feature_lists(model)
+    data, model.data = model.data, np.broadcast_to(model.data[:1], (stored,))
+    pos = weighting._positions(model, shared)
+    assert pos.dtype == dtype and pos.tolist() == expect.tolist()
+    i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+    got = weighting._exact_weights(pos, data, i, j)
+    kernel = weighting._weight_rows(features, model.n, np.arange(model.n), 0)
+    assert got.tobytes() == kernel[i, j].tobytes()
+
+
+def test_an_absent_cell_reads_a_huge_value_and_adds_zero(monkeypatch):
+    """The model's first and last stored values are 1e308, each the value
+    of a feature of one sample (df = 1), which neither the guard nor T
+    reads.  A position -1, where a pair's second vertex lacks a feature,
+    reads one of them; its term is still +0.0.  With warnings as errors,
+    the exact weights of pairs lacking features on either side are the
+    kernel's, and the bound path's set, which weighs them, is the
+    kernel path's, bit for bit."""
+    rows = [
+        {"perm/huge0": 1e308, "perm/a": 1.0, "perm/b": 2.0, "perm/c": 0.5},
+        {"perm/a": 3.0},
+        {"perm/b": 0.25, "perm/c": 4.0},
+        {"perm/a": 1.5, "perm/c": 2.5, "perm/huge1": 1e308},
+    ]
+    model = tfidf_model(rows)
+    assert model.data[0] == model.data[-1] == 1e308
+    positions = weighting._positions
+    built = []
+    monkeypatch.setattr(
+        weighting, "_positions", lambda *a: built.append(1) or positions(*a)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_exact_weights_are_the_kernels(
+            model, [(a, b) for a in range(4) for b in range(4) if a != b]
+        )
+        built.clear()
+        for p in (50, 100):
+            sets = []
+            for path in PATHS:
+                force_path(monkeypatch, path)
+                sets.append(pairwise_weights(model, p))
+            assert_same_set(sets[1], sets[0])
+    assert built  # the bound path weighed
 
 
 def test_the_rule_counts_cells(monkeypatch):
     """The seed-7 sweep corpus (n = 650) takes the bound path at p = 1,
     where the kernel adds about 30 times the exact pass's cells, and the
-    kernel at p = 40, where it adds fewer.  The bound path builds T twice:
-    in float32 for the blocks, then in float64 for the exact pass."""
+    kernel at p = 40, where it adds fewer.  Over all n rows the bound path
+    builds two n x F matrices and no float64 one: T in float32 for the
+    blocks, then the int32 position matrix for the exact pass."""
     d = generate(
         SynthConfig(
             samples_per_family=50,
@@ -1053,19 +1129,27 @@ def test_the_rule_counts_cells(monkeypatch):
         )
     )
     model = compute_tfidf(d)
-    dense = weighting._dense
+    dense, positions = weighting._dense, weighting._positions
     built = []
 
-    def spy(m, shared, dtype, rows=None):
-        if rows is None:  # all of T, not the rows of a block's near pairs
-            built.append(dtype)
-        return dense(m, shared, dtype, rows)
+    def spy_dense(m, shared):
+        built.append(dense(m, shared))
+        return built[-1]
 
-    monkeypatch.setattr(weighting, "_dense", spy)
+    def spy_positions(m, shared, rows=None):
+        out = positions(m, shared, rows)
+        if rows is None:  # all n rows, not those of a block's near pairs
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(weighting, "_dense", spy_dense)
+    monkeypatch.setattr(weighting, "_positions", spy_positions)
+    nf = (model.n, int(np.count_nonzero(shared_features(model))))
     for p, bound in ((1, True), (40, False)):
         built.clear()
         pairwise_weights(model, p)
-        assert built == ([np.float32, np.float64] if bound else [])
+        got = [(a.shape, a.dtype) for a in built]
+        assert got == ([(nf, np.float32), (nf, np.int32)] if bound else [])
 
 
 def test_a_lowered_compaction_counts_what_it_keeps():
