@@ -332,8 +332,10 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         # from the model through the positions, built once T is freed
         del dense
         pos = _positions(m, shared)
-        # block starts as int32 ids: searching int64 ones would copy i
-        starts = np.searchsorted(i[:count], np.arange(0, n, rows, dtype=VERTEX_ID))
+        # blocks of first vertices whose rows of P hold about _BLOCK_CELLS / 8
+        # cells; their starts as int32 ids: searching int64 ones would copy i
+        step = max(1, (_BLOCK_CELLS >> 3) // pos.shape[1])
+        starts = np.searchsorted(i[:count], np.arange(0, n, step, dtype=VERTEX_ID))
         for s, e in zip(starts.tolist(), starts[1:].tolist() + [count]):
             w[s:e] = _exact_weights(pos, m.data, i[s:e], j[s:e])
         del pos
@@ -583,7 +585,8 @@ def _exact_weights(
     features, ascending, +0.0 where j lacks one, are gathered a column per
     pair, _BLOCK_CELLS / 8 cells at a time, and each column summed in order
     from its first: the kernel adds them to 0.0 in the same order, and
-    adding +0.0 to a sum >= 0 leaves it.  Every row of i holds a feature."""
+    adding +0.0 to a sum >= 0 leaves it.  The runs' rows of P are read at
+    once, so the caller bounds them; each holds a feature."""
     out = np.empty(len(i), dtype=np.float64)
     flat, k = pos.ravel(), pos.shape[1]
     starts = np.flatnonzero(np.diff(i, prepend=-1))  # runs of equal i

@@ -1059,6 +1059,45 @@ def test_a_row_with_more_pairs_than_a_gather_holds(monkeypatch):
     assert GatherSizes.sizes == [4, 4, 4, 2, 4]
 
 
+def test_the_exact_pass_reads_p_a_bounded_block_at_a_time(monkeypatch):
+    """The exact pass hands ``_exact_weights`` first vertices whose rows of
+    P hold about _BLOCK_CELLS / 8 cells, so a call's temporaries stay
+    within 64 bytes per such cell plus 32 per pair, however many rows a
+    weighing block holds: at 2**12 cells a block holds all n = 104 rows
+    here, which read at once would take about 200 KB."""
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
+    force_path(monkeypatch, "bound")
+    d = generate(
+        SynthConfig(
+            samples_per_family=8,
+            signature_presence_prob=0.6,
+            cross_family_leak_prob=0.15,
+            rng_seed=7,
+        )
+    )
+    model = compute_tfidf(d)
+    exact, calls = weighting._exact_weights, []
+
+    def spy(pos, data, i, j):
+        if len(pos) < model.n:  # a block's near pairs, not the exact pass
+            return exact(pos, data, i, j)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = exact(pos, data, i, j)
+        calls.append((tracemalloc.get_traced_memory()[1] - held, len(i)))
+        return out
+
+    monkeypatch.setattr(weighting, "_exact_weights", spy)
+    tracemalloc.start()
+    try:
+        pairwise_weights(model, 10)
+    finally:
+        tracemalloc.stop()
+    assert len(calls) > 1
+    for extra, pairs in calls:
+        assert extra <= 64 * ((1 << 12) >> 3) + 32 * pairs
+
+
 @pytest.mark.parametrize("stored, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
 def test_positions_fit_the_stored_values(stored, dtype):
     """Positions are int32 while the model stores at most 2**31 - 1 values
