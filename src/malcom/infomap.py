@@ -40,16 +40,19 @@ skipping repeated work (``_local_move_passes``):
   within 2 * ``_DELTA_EPS`` of their minimum, among which the exact first
   minimum must lie.
 
-A level's CSR holds no weights: each entry is an int32 neighbour id and
-the int32 id of its edge, 8 B per entry, and a reader takes a row's
-weights from the level's own edge weights, ``ew.take(eid[s:e])``, in row
-order (at the first level, the graph's array, which is the weight set's).
-Community exit sums and the aggregated edge weights walk the CSR rows in
-slices of about ``_CHUNK`` entries, and a level's strengths walk its
-edges ``_CHUNK`` at a time; each adds with ``np.add.at``, one term at a
-time in order, as a bincount over all entries would: the sums are the
-same doubles, and no temporary is |E| long.  Vertex and community ids
-are int32.
+A level keeps its edge list (at the first level, the graph's arrays, the
+weight set's weights).  Its CSR holds no weights: each entry is an int32
+neighbour id and the int32 id of its edge, 8 B per entry, and a reader
+takes a row's weights from the level's own edge weights,
+``ew.take(eid[s:e])``, in row order.  Community exit sums walk the CSR
+rows in slices of about ``_CHUNK`` entries; a level's strengths and its
+aggregated edge weights walk its edge list ``_CHUNK`` edges at a time.
+Each adds with ``np.add.at``, one term at a time in order, as a bincount
+over all terms would: the sums are the same doubles, and no temporary is
+|E| long.  Every level lists its edges by (min, max), with at most one
+loop per vertex (at the first level, none), so the edge order is the CSR
+rows' order of each vertex's loop, then its upper entries.  Vertex and
+community ids are int32.
 """
 from __future__ import annotations
 
@@ -61,11 +64,11 @@ import numpy as np
 
 from .errors import MalcomError, ParameterError
 from .graph import RelationGraph, csr
-from .weighting import VERTEX_ID
+from .weighting import EDGE_ID, VERTEX_ID
 
 CONVERGENCE_TOLERANCE = 1e-10  # bits a local move must gain to be applied
-# CSR entries per row slice of the exit and pair sums, and edges per slice
-# of a level's strength, loop and total sums
+# CSR entries per row range of the exit sums, and edges per slice of a
+# level's strength, loop, total and community-pair sums
 _CHUNK = 1 << 16
 # Row entries, and neighbor communities of a visit, from which numpy beats
 # the scalar loop at summing w_to and at scoring candidates: of 24 to 192,
@@ -191,46 +194,43 @@ class DetectorConfig:
 
 
 class _Net:
-    """One aggregation level, built from edge arrays (ei, ej, ew).
+    """One aggregation level, built from edge arrays (ei, ej, ew), which it
+    keeps: at the first level they are the graph's own arrays.
 
     Non-loop edges form the CSR adjacency of ``graph.csr``: ``indptr``,
-    ``indices`` with int32 vertex ids and ``eid`` with int32 edge ids, 8 B
-    per entry.  ``ew`` keeps the non-loop weights the ids index, the given
-    array itself when no edge is a loop (always at the first level), so an
-    entry's weight is ``ew[eid[k]]`` and no CSR copy of it exists.  Loop
-    weight lives in ``loop``, counts twice toward strength and once toward
-    total weight, so aggregation preserves flows exactly.  All sums run in
-    edge order, as an edge-by-edge loop would add, ``_CHUNK`` edges at a
-    time: ``np.add.at`` for the loop and strength sums, and for the total
-    a cumsum that starts from the previous chunk's, so no temporary is |E|
-    long.  A sum that overflows is kept as inf, and ``visit_rates``
-    rejects the graph.
+    ``indices`` with int32 vertex ids and ``eid`` with the int32 ids of
+    edges in (ei, ej, ew), 8 B per entry, so an entry's weight is
+    ``ew[eid[k]]`` and no CSR copy of it exists.  Loop weight is also summed
+    in ``loop``, counts twice toward strength and once toward total weight,
+    so aggregation preserves flows exactly.  All sums run in edge order, as
+    an edge-by-edge loop would add, ``_CHUNK`` edges at a time:
+    ``np.add.at`` for the loop and strength sums, and for the total a
+    cumsum that starts from the previous chunk's, so no temporary is |E|
+    long.
     """
 
     def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, ew: np.ndarray):
-        self.n = n
+        self.n, self.ei, self.ej, self.ew = n, ei, ej, ew
         self.loop = np.zeros(n, dtype=np.float64)
         self.strength = np.zeros(n, dtype=np.float64)
         total = np.zeros(1, dtype=np.float64)
-        loops = False
-        with np.errstate(over="ignore"):  # visit_rates rejects an inf total
-            for s in range(0, len(ew), _CHUNK):
-                i, j, w = ei[s : s + _CHUNK], ej[s : s + _CHUNK], ew[s : s + _CHUNK]
-                is_loop = i == j
-                loops = loops or bool(is_loop.any())
-                np.add.at(self.loop, i[is_loop], w[is_loop])
-                # both endpoints in edge order; a loop adds 2w once, at its edge
-                end_w = np.repeat(w, 2)
-                end_w[0::2][is_loop] *= 2.0
-                end_w[1::2][is_loop] = 0.0
-                np.add.at(self.strength, np.column_stack((i, j)).ravel(), end_w)
-                total = np.cumsum(np.concatenate((total[-1:], w)))
+        for s in range(0, len(ew), _CHUNK):
+            i, j, w = ei[s : s + _CHUNK], ej[s : s + _CHUNK], ew[s : s + _CHUNK]
+            is_loop = i == j
+            np.add.at(self.loop, i[is_loop], w[is_loop])
+            # both endpoints in edge order; a loop adds 2w once, at its edge
+            end_w = np.repeat(w, 2)
+            end_w[0::2][is_loop] *= 2.0
+            end_w[1::2][is_loop] = 0.0
+            np.add.at(self.strength, np.column_stack((i, j)).ravel(), end_w)
+            total = np.cumsum(np.concatenate((total[-1:], w)))
         self.total_weight = float(total[-1])
-        if loops:
-            keep = ei != ej
-            ei, ej, ew = ei[keep], ej[keep], ew[keep]
-        self.ew = ew
-        self.indptr, self.indices, self.eid = csr(n, ei, ej)
+        if self.loop.any():  # weights are > 0; the CSR skips the loops
+            kept = np.flatnonzero(ei != ej).astype(EDGE_ID)
+            self.indptr, self.indices, eid = csr(n, ei[kept], ej[kept])
+            self.eid = kept[eid]
+        else:
+            self.indptr, self.indices, self.eid = csr(n, ei, ej)
         # sum of plogp over the FINEST level's visit rates; aggregated nets
         # inherit it so codelengths stay comparable across levels
         self.fine_vertex_plogp: Optional[float] = None
@@ -239,11 +239,6 @@ class _Net:
         return float(sum(_plogp(pv) for pv in self.visit_rates()))
 
     def visit_rates(self) -> np.ndarray:
-        # strengths sum to twice the total weight, which must be finite too
-        if not math.isfinite(2.0 * self.total_weight):
-            raise InfomapError(
-                f"graph total weight {self.total_weight} overflows the float64 range"
-            )
         if self.total_weight <= 0.0:
             if self.n == 1:
                 return np.array([1.0])
@@ -258,44 +253,40 @@ def _net_from_graph(g: RelationGraph) -> _Net:
     g.check()
     w = g.edge_w
     top = float(w.max(initial=0.0))
-    if 0.0 < top < 2.0**-500:  # 1 / (2W) may overflow: an exact power-of-two
-        w = np.ldexp(w, 1 - np.frexp(top)[1])  # scale, the largest to [1, 2)
+    # 1 / (2W) or W itself may overflow: an exact power-of-two scale brings
+    # the largest weight to [1, 2), and W then below 2**32
+    if top > 0.0 and not 2.0**-500 <= top < 2.0**500:
+        w = np.ldexp(w, 1 - np.frexp(top)[1])
+        if not w.min() > 0.0:
+            raise InfomapError("edge weights span more than the float64 range")
     net = _Net(g.n, g.edge_i, g.edge_j, w)
     net.fine_vertex_plogp = net.own_vertex_plogp()
     return net
-
-
-def _row_slices(net: _Net):
-    """(r0, r1, entries, rows) of row ranges [r0, r1), in order and
-    covering every row, of about _CHUNK CSR entries each (more when one
-    row alone has more): ``entries`` slices their CSR entries, and
-    ``rows`` holds each such entry's row vertex."""
-    indptr = net.indptr
-    r0 = 0
-    while r0 < net.n:
-        r1 = int(np.searchsorted(indptr, indptr[r0] + _CHUNK, side="right")) - 1
-        r1 = max(r1, r0 + 1)
-        counts = np.diff(indptr[r0 : r1 + 1])
-        rows = np.repeat(np.arange(r0, r1, dtype=VERTEX_ID), counts)
-        yield r0, r1, slice(indptr[r0], indptr[r1]), rows
-        r0 = r1
 
 
 def _exit_sums(net: _Net, assignment: np.ndarray, m: int, scale: float) -> np.ndarray:
     """Per community, the sum of weight * scale over the CSR entries that
     leave their row vertex's community, added in CSR order.
 
-    Rows are walked in slices of about _CHUNK entries.  np.add.at adds a
-    slice's terms one by one, in order, as np.bincount over all entries
-    would, so every sum is the same double while only one slice's
-    temporaries are alive, not |E|-long arrays.
+    Rows are walked in ranges of about _CHUNK entries (more when one row
+    alone has more).  np.add.at adds a range's terms one by one, in order,
+    as np.bincount over all entries would, so every sum is the same double
+    while only one range's temporaries are alive, not |E|-long arrays.
     """
     sums = np.zeros(m, dtype=np.float64)
-    for _, _, entries, rows in _row_slices(net):
+    indptr = net.indptr
+    r0 = 0
+    while r0 < net.n:
+        r1 = int(np.searchsorted(indptr, indptr[r0] + _CHUNK, side="right")) - 1
+        r1 = max(r1, r0 + 1)
+        entries = slice(indptr[r0], indptr[r1])
+        counts = np.diff(indptr[r0 : r1 + 1])
+        rows = np.repeat(np.arange(r0, r1, dtype=VERTEX_ID), counts)
         row_comm = assignment[rows]
         leaves = row_comm != assignment[net.indices[entries]]
         w = net.ew.take(net.eid[entries][leaves])
         np.add.at(sums, row_comm[leaves], w * scale)
+        r0 = r1
     return sums
 
 
@@ -595,52 +586,40 @@ def _local_move_passes(
 def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:
     """Net with one super-vertex per community, edges in (a, b) order.
 
-    Vertex by vertex, its self-loop and then its upper-triangle CSR entries
-    are summed per community pair in that order.  The rows are walked
-    twice, in the slices of ``_row_slices``: once for the sorted set of
-    community-pair keys, once to add each term to its key's sum with
-    np.add.at, in the order one bincount over all terms would add them.
+    Each edge's weight is summed to the community pair key min * m + max of
+    its ends.  The level's edges are walked twice, ``_CHUNK`` at a time:
+    once for the sorted set of keys, once to add each weight to its key's
+    sum with np.add.at, in edge order, as one bincount over all edges
+    would.  Every level ``detect`` builds lists its edges by (min, max),
+    with at most one loop per vertex, first in its row (an aggregated
+    loop's key a * m + a is its row's smallest): edge order is then each
+    vertex's loop, then its upper CSR entries.  A graph listed otherwise is
+    summed in its own order.
     """
     comm = np.asarray(assignment, dtype=VERTEX_ID)
-    keys = np.unique(
-        np.concatenate(
-            [np.unique(_pair_terms(net, comm, m, *r)[0]) for r in _row_slices(net)]
-        )
-    )
+
+    def keys_of(s: int) -> np.ndarray:
+        ca, cb = comm[net.ei[s : s + _CHUNK]], comm[net.ej[s : s + _CHUNK]]
+        key = np.minimum(ca, cb).astype(np.int64)  # int64: a * m overflows int32
+        key *= m
+        key += np.maximum(ca, cb)
+        return key
+
+    def distinct(key: np.ndarray) -> np.ndarray:
+        # ascending, by a sort: np.unique's hash table (numpy 2.4) took 40x
+        # as long on 700k keys
+        key = np.sort(key)
+        return key[np.diff(key, prepend=-1) > 0]
+
+    chunks = range(0, max(len(net.ew), 1), _CHUNK)  # one, maybe empty, at least
+    keys = distinct(np.concatenate([distinct(keys_of(s)) for s in chunks]))
     sums = np.zeros(len(keys), dtype=np.float64)
-    for r in _row_slices(net):
-        key, w = _pair_terms(net, comm, m, *r)
-        np.add.at(sums, np.searchsorted(keys, key), w)
-    out = _Net(m, keys // m, keys % m, sums)
+    for s in chunks:
+        np.add.at(sums, np.searchsorted(keys, keys_of(s)), net.ew[s : s + _CHUNK])
+    a, b = (x.astype(VERTEX_ID) for x in np.divmod(keys, m))
+    out = _Net(m, a, b, sums)
     out.fine_vertex_plogp = net.fine_vertex_plogp
     return out
-
-
-def _pair_terms(
-    net: _Net,
-    comm: np.ndarray,
-    m: int,
-    r0: int,
-    r1: int,
-    entries: slice,
-    rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(community-pair key min * m + max, weight) of the self-loops and
-    upper-triangle CSR entries of one ``_row_slices`` slice: by row
-    vertex, each vertex's loop before its entries, in CSR order."""
-    upper = net.indices[entries] > rows
-    rows = rows[upper]
-    ca, cb = comm[rows], comm[net.indices[entries][upper]]
-    w = net.ew.take(net.eid[entries][upper])
-    looped = r0 + np.flatnonzero(net.loop[r0:r1] > 0)
-    if len(looped):  # only aggregated nets have loops
-        at = np.searchsorted(rows, looped)  # before the vertex's own entries
-        ca, cb = np.insert(ca, at, comm[looped]), np.insert(cb, at, comm[looped])
-        w = np.insert(w, at, net.loop[looped])
-    key = np.minimum(ca, cb).astype(np.int64)  # int64: a * m overflows int32
-    key *= m
-    key += np.maximum(ca, cb)
-    return key, w
 
 
 def detect(

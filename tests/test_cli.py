@@ -653,8 +653,8 @@ def test_pipeline_rejects_non_finite_feature(tmp_path, corpus, capsys):
         pytest.param("a\tb\t-1.5\n", id="negative-weight"),
         pytest.param("a\ta\t1\n", id="self-loop"),
         pytest.param("a\tb\t1\nb\ta\t2\n", id="repeated-pair"),
-        pytest.param("a\tb\t1e308\nb\tc\t1e308\n", id="weight-sum-overflows"),
-        pytest.param("a\tb\t1e308\n", id="doubled-weight-overflows"),
+        # scaled to the largest weight's [1, 2), the smallest flushes to 0
+        pytest.param("a\tb\t1e308\nb\tc\t1e-300\n", id="weights-span-the-range"),
     ],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -677,6 +677,25 @@ def test_detect_groups_subnormal_edge_weights(tmp_path):
     assert (tmp_path / "det" / "partition.csv").read_text().split() == [
         "sample_id,community_id", "a,0", "b,0", "c,1", "d,1"
     ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("a\tb\t1e308\nb\tc\t1e308\n", id="weight-sum-overflows"),
+        pytest.param("a\tb\t1e308\n", id="doubled-weight-overflows"),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_detect_scales_down_overflowing_edge_weights(tmp_path, text):
+    """Weights whose total overflows float64 are scaled by a power of two:
+    the outputs of unit weights."""
+    for name, t in (("huge", text), ("unit", text.replace("1e308", "1"))):
+        edges = tmp_path / f"{name}.tsv"
+        edges.write_text(t)
+        assert run(["detect", "--edges", edges, "--out-dir", tmp_path / name]) == 0
+    for f in ("partition.csv", "detect.json"):
+        assert (tmp_path / "huge" / f).read_bytes() == (tmp_path / "unit" / f).read_bytes()
 
 
 def families_corpus(path, value):
@@ -786,10 +805,10 @@ def test_overflowing_pair_weight_ends_in_error(tmp_path, capsys, command):
 
 
 # finite pair weights (1.05e307) whose family and graph sums overflow;
-# the edge file itself is valid
+# the edge file itself is valid, and the detector scales the graph down
 @pytest.mark.parametrize(
-    "command, code", [("family-sim", 1), ("kmeans", 1), ("pipeline", 1),
-                      ("sweep", 1), ("graph", 0), ("tfidf", 0)]
+    "command, code", [("family-sim", 1), ("kmeans", 1), ("pipeline", 0),
+                      ("sweep", 0), ("graph", 0), ("tfidf", 0)]
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_weight_sums_end_in_error(tmp_path, capsys, command, code):

@@ -138,17 +138,36 @@ def test_net_arrays_match_reference(case):
         assert a.dtype == dtype and a.tobytes() == b.astype(dtype).tobytes()
 
 
+MILLIS = st.integers(1, 10**6).map(lambda k: k / 1000)
+
+
 @st.composite
-def nets_with_partitions(draw):
+def layout_edge_arrays(draw):
+    """Edge arrays as detect lists every level: distinct pairs sorted by
+    (min, max), so at most one loop per vertex, first in its row.  Weights
+    of three decimals are inexact in binary: a sum's order shows."""
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).map(lambda t: (min(t), max(t)))
+    pairs = sorted(draw(st.sets(pair, max_size=30)))
+    w = draw(st.lists(MILLIS, min_size=len(pairs), max_size=len(pairs)))
+    cols = list(zip(*pairs)) or [(), ()]
+    i, j = (np.array(c, dtype=np.int64) for c in cols)
+    return n, i, j, np.array(w, dtype=np.float64)
+
+
+@st.composite
+def nets_with_partitions(draw, edges=edge_arrays_with_loops()):
     """A random net with loops, or such a net aggregated by a random
-    partition (super-vertices carry loops), and a random partition of it."""
-    n, ei, ej, ew = draw(edge_arrays_with_loops())
+    partition (super-vertices carry loops), and a random partition of it;
+    partitions of few communities sum many terms per community pair."""
+    n, ei, ej, ew = draw(edges)
     net = _Net(n, ei, ej, ew)
-    vertex_labels = st.lists(st.integers(0, 9), min_size=n, max_size=n)
+    label = st.integers(0, draw(st.integers(0, 9)))
     if draw(st.booleans()):
-        coarse = Partition.from_labels(draw(vertex_labels))
+        coarse = Partition.from_labels(draw(st.lists(label, min_size=n, max_size=n)))
         net = reference_aggregate(net, coarse.assignment, coarse.m)
-    labels = draw(st.lists(st.integers(0, 9), min_size=net.n, max_size=net.n))
+    labels = draw(st.lists(label, min_size=net.n, max_size=net.n))
     return net, Partition.from_labels(labels)
 
 
@@ -165,8 +184,10 @@ def test_exit_sums_match_bincount_over_all_exits(chunk, case, scale):
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1 << 20])
-@given(case=nets_with_partitions())
+@given(case=nets_with_partitions(layout_edge_arrays()))
 def test_aggregate_matches_reference(chunk, case):
+    """On a net listed as detect lists its levels, the edge order is the
+    reference's CSR order: the same doubles."""
     net, part = case
     want = reference_aggregate(net, part.assignment, part.m)
     with mock.patch.object(infomap, "_CHUNK", chunk):
@@ -175,6 +196,40 @@ def test_aggregate_matches_reference(chunk, case):
     for name in ("loop", "strength", "indptr", "indices", "eid", "ew"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def layout_graphs(draw):
+    """Graphs in RelationGraph's layout (ids ascending, pairs i < j listed
+    row-major) with weights whose sums depend on their order."""
+    n = draw(st.integers(2, 16))
+    vertex = st.integers(0, n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda t: t[0] < t[1])
+    pairs = sorted(draw(st.sets(pair, min_size=1, max_size=40)))
+    w = draw(st.lists(MILLIS, min_size=len(pairs), max_size=len(pairs)))
+    i, j = (np.array(c) for c in zip(*pairs))
+    return RelationGraph([f"v{v:02d}" for v in range(n)], i, j, np.array(w))
+
+
+@given(layout_graphs(), st.integers(0, 3))
+def test_detect_aggregates_as_the_reference(g, seed):
+    """Every level detect aggregates lists its edges by strictly ascending
+    (min, max) key, so the edge-order sums are the CSR-order reference's:
+    the same partition and codelength double."""
+    def checked(aggregate):
+        def run(net, assignment, m):
+            lo, hi = np.minimum(net.ei, net.ej), np.maximum(net.ei, net.ej)
+            key = lo.astype(np.int64) * net.n + hi
+            assert (key[1:] > key[:-1]).all()
+            return aggregate(net, assignment, m)
+        return run
+
+    results = []
+    for aggregate in (_aggregate, reference_aggregate):
+        with mock.patch.object(infomap, "_aggregate", checked(aggregate)):
+            results.append(detect(g, DetectorConfig(rng_seed=seed)))
+    (got, got_bd), (want, want_bd) = results
+    assert got == want and got_bd.codelength == want_bd.codelength
 
 
 def random_400k_graph(rng):
@@ -734,8 +789,11 @@ def integer_weight_graphs(draw):
     return RelationGraph([f"v{v}" for v in range(n)], i, j, np.array(w, dtype=float))
 
 
-# half the draws where 2W < 2**-1024 may hold, the rest over the whole range
-SCALES = st.one_of(st.integers(-1064, -1020), st.integers(-1064, 1000))
+# a third of the draws where 2W < 2**-1024 may hold, a third where W may
+# overflow, the rest over the whole range
+SCALES = st.one_of(
+    st.integers(-1064, -1020), st.integers(1000, 1020), st.integers(-1064, 1020)
+)
 
 
 @given(integer_weight_graphs(), SCALES, st.integers(0, 3))
