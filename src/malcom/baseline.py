@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import check_not_empty
 from .errors import MalcomError, ParameterError
+from .weighting import rescaled
 
 MAX_ITERATIONS = 100
 TOLERANCE = 1e-6  # relative objective improvement that ends the iterations
@@ -127,7 +128,11 @@ def _assign(
 
 def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
     cfg.validate(model.n)
-    X = indptr, indices, data = tfidf_matrix(model)
+    indptr, indices, data = tfidf_matrix(model)
+    # squares of values near the float64 limits over- or underflow: scaled
+    # as the detector scales its weights; centers and objective are scaled
+    data = rescaled(data, KMeansError, "tf-idf values")
+    X = indptr, indices, data
     n, dim = model.n, int(indices.max(initial=-1)) + 1
     rows = np.repeat(np.arange(n), np.diff(indptr))  # row of each entry
     with np.errstate(over="ignore"):  # an overflow is reported below

@@ -12,13 +12,13 @@ to one of the 11 categories and a platform-defined / app-specific scope.
 A ``Dataset`` holds the corpus once, as columns: the sample ids, their
 families and the stored values as CSR arrays (``FeatureColumns``, 12 bytes
 per stored value), which tf-idf, feature frequencies and the pair weights
-read.  ``load_dataset`` appends each line's values to those arrays as it
-reads, and keeps no per-sample feature map.  A dataset built in code from
-``Sample`` objects (``generate``, the tests) keeps them and builds its
-columns on the first ``columns()`` call; a loaded or scope-filtered one
-builds ``Sample`` maps from its columns only when ``samples`` is read, and
-does not keep them.  A ``Dataset`` is not modified after construction, so
-every reader shares its columns.
+read.  One builder, ``_columns``, appends feature maps to those arrays:
+``load_dataset`` feeds it each line's map as it reads, and keeps none.  A
+dataset built in code from ``Sample`` objects (``generate``, the tests)
+keeps them and feeds it their maps on the first ``columns()`` call; a
+loaded or scope-filtered one builds ``Sample`` maps from its columns only
+when ``samples`` is read, and does not keep them.  A ``Dataset`` is not
+modified after construction, so every reader shares its columns.
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ import math
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, filterfalse
-from typing import Container, Iterable, Optional
+from itertools import filterfalse
+from typing import Container, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -231,18 +231,7 @@ class Dataset:
     def columns(self) -> FeatureColumns:
         """The columnar view of the stored values, built on the first call."""
         if self._columns is None:
-            maps = [s.features for s in self._samples]
-            indptr = np.zeros(len(maps) + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, maps), np.int64, len(maps)), out=indptr[1:])
-            size = int(indptr[-1])
-            flat = list(chain.from_iterable(maps))
-            names = sorted(set(flat))
-            index = dict(zip(names, range(len(names))))
-            ids = np.fromiter(map(index.__getitem__, flat), np.int32, size)
-            values = np.fromiter(
-                chain.from_iterable(m.values() for m in maps), np.float64, size
-            )
-            self._columns = FeatureColumns(names, indptr, ids, values)
+            self._columns = _columns((s.features for s in self._samples), {})
         return self._columns
 
     def in_id_order(self) -> Dataset:
@@ -303,6 +292,30 @@ def _parse_sample(obj: dict, known: Container[str]) -> Sample:
     return Sample(id=sid, family=family, features=features)
 
 
+def _columns(maps: Iterable[dict], index: dict[str, int]) -> FeatureColumns:
+    """The columns of the feature maps, a row per map, each appended as it
+    is drawn.  ``index`` numbers the names in order of first use: a map's
+    new names are in it before the next map is drawn."""
+    name_ids, values, ends = array("i"), array("d"), array("q", [0])
+    for features in maps:
+        for name in filterfalse(index.__contains__, features):
+            index[name] = len(index)
+        name_ids.extend(map(index.__getitem__, features))
+        values.extend(features.values())
+        ends.append(len(values))
+    # ids in order of first use -> ids in ascending name order
+    names = sorted(index)
+    first_use = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+    rank = np.empty(len(names), dtype=np.int32)
+    rank[first_use] = np.arange(len(names), dtype=np.int32)
+    return FeatureColumns(
+        names,
+        np.frombuffer(ends, dtype=np.int64),
+        rank[np.frombuffer(name_ids, dtype=np.intc)],
+        np.frombuffer(values, dtype=np.float64),
+    )
+
+
 def load_dataset(path) -> Dataset:
     """Read a JSON Lines corpus, preserving line order, straight into
     columns: no feature map outlives its line.  An error in a line's
@@ -310,9 +323,9 @@ def load_dataset(path) -> Dataset:
     sids: list[str] = []
     families: list[Optional[str]] = []
     lines = []  # the line of each sample
-    index: dict[str, int] = {}  # feature name -> id, in order of first use
-    name_ids, values, ends = array("i"), array("d"), array("q", [0])
-    with open_text(path) as fh:
+    index: dict[str, int] = {}  # stored names; _parse_sample checks the others
+
+    def parsed(fh) -> Iterator[dict[str, float]]:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -326,15 +339,13 @@ def load_dataset(path) -> Dataset:
                 s = _parse_sample(obj, index)
             except DatasetError as exc:
                 raise DatasetError(f"line {lineno}: {exc}") from None
-            # names stored for the first time; _parse_sample checked them
-            for name in filterfalse(index.__contains__, s.features):
-                index[name] = len(index)
-            name_ids.extend(map(index.__getitem__, s.features))
-            values.extend(s.features.values())
-            ends.append(len(values))
             sids.append(s.id)
             families.append(s.family)
             lines.append(lineno)
+            yield s.features
+
+    with open_text(path) as fh:
+        columns = _columns(parsed(fh), index)
     # ids are checked after the read, so a malformed line is reported before
     # a repeated id wherever the two are in the file
     first: dict[str, int] = {}  # sample id -> its line
@@ -342,18 +353,6 @@ def load_dataset(path) -> Dataset:
         if first.setdefault(sid, at) != at:
             dup = f"line {at}: duplicate sample id {sid!r}"
             raise DatasetError(f"{dup} (first on line {first[sid]})")
-    # ids in order of first use -> ids in ascending name order
-    names = sorted(index)
-    rank = np.empty(len(names), dtype=np.int32)
-    rank[np.fromiter(map(index.__getitem__, names), np.int64, len(names))] = (
-        np.arange(len(names), dtype=np.int32)
-    )
-    columns = FeatureColumns(
-        names,
-        np.frombuffer(ends, dtype=np.int64),
-        rank[np.frombuffer(name_ids, dtype=np.intc)],
-        np.frombuffer(values, dtype=np.float64),
-    )
     return Dataset.from_columns(sids, families, columns)
 
 

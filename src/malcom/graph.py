@@ -205,7 +205,7 @@ def csr(
     ids can name.
     """
     check_vertex_count(n)
-    check_edge_count(len(i), EDGE_ID)
+    check_edge_count(len(i))
     indptr = np.zeros(n + 1, dtype=np.int64)
     indptr[1:] = np.bincount(i, minlength=n)
     indptr[1:] += np.bincount(j, minlength=n)

@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import MalcomError, ParameterError
 from .graph import RelationGraph, csr
-from .weighting import EDGE_ID, VERTEX_ID
+from .weighting import EDGE_ID, VERTEX_ID, rescaled
 
 CONVERGENCE_TOLERANCE = 1e-10  # bits a local move must gain to be applied
 # CSR entries per row range of the exit sums, and edges per slice of a
@@ -207,6 +207,9 @@ class _Net:
     ``np.add.at`` for the loop and strength sums, and for the total a
     cumsum that starts from the previous chunk's, so no temporary is |E|
     long.
+
+    ``_breakdown`` gives a codelength in the net's own vertices' terms; the
+    tests restate an aggregated net's in fine-net terms, a shift of sum plogp(p_v).
     """
 
     def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, ew: np.ndarray):
@@ -231,12 +234,6 @@ class _Net:
             self.eid = kept[eid]
         else:
             self.indptr, self.indices, self.eid = csr(n, ei, ej)
-        # sum of plogp over the FINEST level's visit rates; aggregated nets
-        # inherit it so codelengths stay comparable across levels
-        self.fine_vertex_plogp: Optional[float] = None
-
-    def own_vertex_plogp(self) -> float:
-        return float(sum(_plogp(pv) for pv in self.visit_rates()))
 
     def visit_rates(self) -> np.ndarray:
         if self.total_weight <= 0.0:
@@ -251,17 +248,9 @@ def _net_from_graph(g: RelationGraph) -> _Net:
     if g.n == 0:
         raise InfomapError("empty graph")
     g.check()
-    w = g.edge_w
-    top = float(w.max(initial=0.0))
-    # 1 / (2W) or W itself may overflow: an exact power-of-two scale brings
-    # the largest weight to [1, 2), and W then below 2**32
-    if top > 0.0 and not 2.0**-500 <= top < 2.0**500:
-        w = np.ldexp(w, 1 - np.frexp(top)[1])
-        if not w.min() > 0.0:
-            raise InfomapError("edge weights span more than the float64 range")
-    net = _Net(g.n, g.edge_i, g.edge_j, w)
-    net.fine_vertex_plogp = net.own_vertex_plogp()
-    return net
+    # rescaled, the total weight W (< 2**31 edges) and 1 / (2W) are finite
+    w = rescaled(g.edge_w, InfomapError, "edge weights")
+    return _Net(g.n, g.edge_i, g.edge_j, w)
 
 
 def _exit_sums(net: _Net, assignment: np.ndarray, m: int, scale: float) -> np.ndarray:
@@ -321,10 +310,6 @@ def _breakdown(net: _Net, assignment: list[int], m: int) -> MapEquationBreakdown
     # BLAS kernel picked for the CPU, which would change the last bit
     terms = usage * module_entropy
     codelength = q_total * index_entropy + (float(terms.cumsum()[-1]) if m else 0.0)
-    # on an aggregated net, re-express per-super-vertex entropy in terms of
-    # the finest level's vertices (constant shift; zero at the fine level)
-    if net.fine_vertex_plogp is not None:
-        codelength += net.own_vertex_plogp() - net.fine_vertex_plogp
     return MapEquationBreakdown(
         q_exit=q_exit,
         q_total=q_total,
@@ -617,9 +602,7 @@ def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:
     for s in chunks:
         np.add.at(sums, np.searchsorted(keys, keys_of(s)), net.ew[s : s + _CHUNK])
     a, b = (x.astype(VERTEX_ID) for x in np.divmod(keys, m))
-    out = _Net(m, a, b, sums)
-    out.fine_vertex_plogp = net.fine_vertex_plogp
-    return out
+    return _Net(m, a, b, sums)
 
 
 def detect(

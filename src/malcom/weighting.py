@@ -70,12 +70,23 @@ def check_vertex_count(n: int) -> None:
         raise MalcomError(f"{n} vertices exceed the {2**31 - 1} that int32 ids hold")
 
 
-def check_edge_count(m: int, dtype) -> None:
-    """Raise MalcomError when m edges do not fit edge ids of ``dtype``, the
-    dtype the caller allocates its ids in (``EDGE_ID``)."""
-    limit = int(np.iinfo(dtype).max)
+def check_edge_count(m: int) -> None:
+    """Raise MalcomError when m edges do not fit ``EDGE_ID``."""
+    limit = int(np.iinfo(EDGE_ID).max)
     if m > limit:
         raise MalcomError(f"{m} edges exceed the {limit} that edge ids hold")
+
+
+def rescaled(x: np.ndarray, error: type[MalcomError], what: str) -> np.ndarray:
+    """x (all > 0) times the power of two that brings its largest value to
+    [1, 2) if that value is outside [2**-500, 2**500): exact unless a value
+    turns subnormal.  Raises ``error`` when a value turns 0."""
+    top = float(x.max(initial=0.0))
+    if top > 0.0 and not 2.0**-500 <= top < 2.0**500:
+        x = np.ldexp(x, 1 - np.frexp(top)[1])
+        if not x.min() > 0.0:
+            raise error(f"{what} span more than the float64 range")
+    return x
 
 
 @dataclass

@@ -21,7 +21,6 @@ from malcom.graph import (
 from malcom.infomap import (
     DetectorConfig,
     Partition,
-    _aggregate,
     _breakdown,
     _LocalState,
     _net_from_graph,
@@ -33,7 +32,12 @@ from malcom.pipeline import run_pipeline
 from malcom.synth import SynthConfig, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
-from test_infomap import exhaustive_min_codelength, local_codelength, move_delta
+from test_infomap import (
+    aggregated_codelength,
+    exhaustive_min_codelength,
+    local_codelength,
+    move_delta,
+)
 from test_metrics import brute_force_accuracy, brute_force_rand
 
 
@@ -111,8 +115,7 @@ def test_criterion_3_delta_and_aggregation():
             [int(rng.integers(0, g.n // 2 + 1)) for _ in range(g.n)]
         )
         original = _breakdown(net, part.assignment, part.m).codelength
-        agg = _aggregate(net, part.assignment, part.m)
-        identity = _breakdown(agg, list(range(part.m)), part.m).codelength
+        identity = aggregated_codelength(net, part)
         ok &= abs(identity - original) <= 1e-9
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 60.0

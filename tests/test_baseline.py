@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from conftest import tfidf_model
 from test_weighting import tfidf_corpora
 
 from malcom import baseline
-from malcom.baseline import KMeansConfig, kmeans, tfidf_matrix
+from malcom.baseline import KMeansConfig, KMeansError, kmeans, tfidf_matrix
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.errors import ParameterError
 from malcom.weighting import compute_tfidf
@@ -83,6 +85,29 @@ class TestKMeans:
         assert set(res.assignment) == set(range(5))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed,c", [(7, 13), (3, 5)])
+def test_values_near_the_float64_limit_keep_the_partition(seed, c):
+    """Every value times 2**996: squared tf-idf distances would overflow,
+    and the rescaled values give the partition of the unscaled corpus."""
+    d = generate(SynthConfig(samples_per_family=12, rng_seed=seed))
+    big = Dataset([
+        Sample(s.id, s.family, {k: math.ldexp(v, 996) for k, v in s.features.items()})
+        for s in d.samples
+    ])
+    big_model = compute_tfidf(big)
+    assert big_model.data.max() > 2.0**512  # its square overflows
+    cfg = KMeansConfig(c=c, rng_seed=seed)
+    want = kmeans(compute_tfidf(d), cfg).assignment
+    assert kmeans(big_model, cfg).assignment == want
+
+
+def test_values_spanning_the_float64_range_end_in_error():
+    m = tfidf_model([{"perm/x": 1e308}, {"perm/y": 5e-324}, {"perm/x": 1.0}])
+    with pytest.raises(KMeansError, match="tf-idf values span"):
+        kmeans(m, KMeansConfig(c=2))
+
+
 def test_tfidf_matrix_columns_sorted():
     d = Dataset(
         samples=[
@@ -125,8 +150,13 @@ def test_tfidf_matrix_equals_dict_pass(d):
 
 def scipy_kmeans(model, cfg):
     """The scipy.sparse k-means that the package's numpy sums must match
-    bit for bit: (assignment, centers, objective)."""
+    bit for bit: (assignment, centers, objective).  Values whose largest
+    lies outside [2**-500, 2**500) are first scaled, as the package scales
+    them, by the power of two that brings it to [1, 2)."""
     indptr, indices, data = tfidf_matrix(model)
+    top = data.max(initial=0.0)
+    if top > 0.0 and not 2.0**-500 <= top < 2.0**500:
+        data = np.ldexp(data, 1 - np.frexp(top)[1])
     X = sparse.csr_matrix(
         (data, indices, indptr), shape=(model.n, int(indices.max(initial=-1)) + 1)
     )

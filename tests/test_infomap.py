@@ -109,9 +109,7 @@ def reference_aggregate(net, assignment, m):
     w = np.concatenate((net.loop[looped], entry_weights(net)[upper]))[order]
     key = np.minimum(ca, cb) * m + np.maximum(ca, cb)
     keys, inverse = np.unique(key, return_inverse=True)
-    out = _Net(m, keys // m, keys % m, _sum_by(inverse, w, len(keys)))
-    out.fine_vertex_plogp = net.fine_vertex_plogp
-    return out
+    return _Net(m, keys // m, keys % m, _sum_by(inverse, w, len(keys)))
 
 
 @st.composite
@@ -488,19 +486,30 @@ class TestIncrementalConsistency:
             net = _net_from_graph(g)
             part = random_partition(rng, g.n)
             original = _breakdown(net, part.assignment, part.m).codelength
-            agg = _aggregate(net, part.assignment, part.m)
-            identity = _breakdown(agg, list(range(part.m)), part.m).codelength
+            identity = aggregated_codelength(net, part)
             assert identity == pytest.approx(original, abs=1e-9)
+
+
+def vertex_plogp(net):
+    """Sum of plogp over a net's visit rates: the constant by which a
+    codelength in its vertices' terms differs from one in others'."""
+    return sum(_plogp(pv) for pv in net.visit_rates())
+
+
+def aggregated_codelength(net, part):
+    """Codelength of the singletons of net aggregated by part, stated in
+    the vertices of net: the codelength of part on net."""
+    agg = _aggregate(net, part.assignment, part.m)
+    identity = _breakdown(agg, list(range(part.m)), part.m).codelength
+    return identity + vertex_plogp(agg) - vertex_plogp(net)
 
 
 def local_codelength(state):
     """L of a _LocalState in expanded form, from its cached plogp terms:
     the value whose change ``move_delta`` must predict."""
-    fine = state.net.fine_vertex_plogp
-    const = -(fine if fine is not None else state.net.own_vertex_plogp())
     return (
         _plogp(state.q_total) - 2.0 * sum(state.plogp_q) + sum(state.plogp_u)
-    ) + const
+    ) - vertex_plogp(state.net)
 
 
 def move_delta(state, v, target, w_va, w_vb):
@@ -777,6 +786,26 @@ def test_two_triangles_found_at_any_edge_weight(w):
     part, breakdown = detect(g, DetectorConfig(rng_seed=1))
     assert part.assignment == [0, 0, 0, 1, 1, 1]
     assert breakdown.codelength == pytest.approx(math.log2(3), abs=1e-12)
+
+
+def test_detect_reports_the_codelength_of_its_partition():
+    """detect's codelength is codelength(g, part)'s, bit for bit, however
+    many levels it aggregated: both are the fine level's breakdown."""
+    rng = np.random.default_rng(47)
+    graphs = [random_graph(rng, n=int(rng.integers(2, 12))) for _ in range(30)]
+    graphs += [planted_graph(rng, n) for n in (60, 150, 300)]
+    levels = []
+
+    def counted(net, assignment, m):
+        levels[-1] += 1
+        return _aggregate(net, assignment, m)
+
+    for seed, g in enumerate(graphs):
+        levels.append(0)
+        with mock.patch.object(infomap, "_aggregate", counted):
+            part, bd = detect(g, DetectorConfig(rng_seed=seed))
+        assert bd.codelength.hex() == codelength(g, part).codelength.hex()
+    assert max(levels) >= 2
 
 
 @st.composite

@@ -457,9 +457,9 @@ def test_int32_vertex_ids_bound_the_sample_count():
 
 
 def test_int32_edge_ids_bound_the_edge_count():
-    weighting.check_edge_count(2**31 - 1, weighting.EDGE_ID)
+    weighting.check_edge_count(2**31 - 1)
     with pytest.raises(MalcomError, match="2147483648 edges exceed the 2147483647"):
-        weighting.check_edge_count(2**31, weighting.EDGE_ID)
+        weighting.check_edge_count(2**31)
 
 
 def traced_phases(model, top_p, features=None):
