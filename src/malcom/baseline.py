@@ -19,7 +19,6 @@ import numpy as np
 
 from .dataset import check_not_empty
 from .errors import MalcomError, ParameterError
-from .weighting import rescaled
 
 MAX_ITERATIONS = 100
 TOLERANCE = 1e-6  # relative objective improvement that ends the iterations
@@ -129,23 +128,30 @@ def _assign(
 def kmeans(model, cfg: KMeansConfig) -> KMeansResult:
     cfg.validate(model.n)
     indptr, indices, data = tfidf_matrix(model)
-    # squares of values near the float64 limits over- or underflow: scaled
-    # as the detector scales its weights; centers and objective are scaled
-    data = rescaled(data, KMeansError, "tf-idf values")
-    X = indptr, indices, data
     n, dim = model.n, int(indices.max(initial=-1)) + 1
     rows = np.repeat(np.arange(n), np.diff(indptr))  # row of each entry
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        sq = data * data
+
+    def squared_norms(x: np.ndarray) -> np.ndarray:
+        sq = x * x
         r, sq = rows[sq != 0.0], sq[sq != 0.0]  # scipy stores no zero product
         first = np.flatnonzero(np.diff(r, prepend=-1))  # each row's first entry
-        x_sq = np.zeros(n)
-        x_sq[r[first]] = np.add.reduceat(sq, first)
-        # every squared distance is <= 4 max(x_sq), and a sum of n of them
-        # must stay finite too
-        bound = 4.0 * n * float(x_sq.max(initial=0.0))
-    if not np.isfinite(bound):
-        raise KMeansError("squared tf-idf distances overflow the float64 range")
+        out = np.zeros(n)
+        out[r[first]] = np.add.reduceat(sq, first)
+        return out
+
+    # every squared distance is <= 4 max ||x||^2, and the objective sums n
+    # of them: when that bound, read off the values scaled to [0.5, 1), lies
+    # outside [2**-500, 2**500), the values are scaled by the power of two
+    # that brings it to [1, 4), exact unless one turns subnormal; centers
+    # and objective are scaled with them
+    top = int(np.frexp(data.max(initial=0.0))[1])
+    bound = 4.0 * n * float(squared_norms(np.ldexp(data, -top)).max(initial=0.0))
+    log2 = int(np.frexp(bound)[1]) - 1 + 2 * top  # floor(log2(bound))
+    if bound > 0 and not -500 <= log2 < 500:
+        data = np.ldexp(data, -(log2 // 2))
+        if not data.min() > 0.0:
+            raise KMeansError("tf-idf values span more than the float64 range")
+    X, x_sq = (indptr, indices, data), squared_norms(data)
     rng = np.random.default_rng(cfg.rng_seed)
 
     centers = _plusplus_seed(X, rows, x_sq, cfg.c, dim, rng)

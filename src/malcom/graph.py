@@ -41,8 +41,8 @@ from .weighting import (
 )
 
 # Fallback edges for vertices with no positive weight at all get this
-# fraction of the smallest positive weight, keeping them flow-connected
-# without perturbing any ranking.
+# fraction of the smallest positive weight (at least the smallest double),
+# keeping them flow-connected without perturbing any ranking.
 FLOOR_FACTOR = 1e-3
 DEFAULT_FLOOR = 1e-3  # used when the weight set has no positive entry
 _WRITE_CHUNK = 1 << 16  # edge lines formatted per write
@@ -183,7 +183,7 @@ def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
 def _floor_weight(ws: WeightSet) -> float:
     if ws.min_w is None:
         return DEFAULT_FLOOR
-    return ws.min_w * FLOOR_FACTOR
+    return max(ws.min_w * FLOOR_FACTOR, math.ulp(0.0))  # never flushed to 0
 
 
 def csr(
@@ -246,12 +246,11 @@ def _nearest(ws: WeightSet, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
 
     The k nearest are the k largest pair weights, ties by ascending index
     (ascending id), by a full stable sort of each masked row.  An absent
-    pair counts, and is picked, at the floor weight, below every present one."""
+    pair ranks at 0.0, below every present one, as the floor weight would;
+    only a pick of one reads the floor (``_floor_weight``), which it gets."""
     n = ws.n
-    floor = _floor_weight(ws)
     keys, weights = [], []
     for rows, block in ws.row_blocks(mask):
-        block[block == 0] = floor
         block[np.arange(len(rows)), rows] = -np.inf  # never its own neighbour
         np.negative(block, out=block)
         nearest = np.argsort(block, axis=1, kind="stable")[:, :k]
@@ -260,7 +259,11 @@ def _nearest(ws: WeightSet, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
         weights.append(-np.take_along_axis(block, nearest, axis=1).ravel())
     # the first occurrence of each key, as a stable sort would keep it
     keys, first = np.unique(np.concatenate(keys), return_index=True)
-    return keys, np.concatenate(weights)[first]
+    weights = np.concatenate(weights)[first]
+    absent = weights == 0
+    if absent.any():
+        weights[absent] = _floor_weight(ws)
+    return keys, weights
 
 
 def build_knn(ws: WeightSet, k: int) -> RelationGraph:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -126,7 +127,9 @@ class WeightSet:
     ties included); what it can serve follows from that alone, and the
     cutoff of any p it serves is a rank of ``w`` (``top_value``).  It keeps
     the feature lists it was weighed from, and ``row_blocks`` recomputes
-    whole rows from them.
+    whole rows from them.  ``min_rows`` marks rows among which the complete
+    set's smallest weight lies (None: all rows); ``min_w`` recomputes them
+    only once it is read, and not at all for a complete set.
     """
 
     def __init__(
@@ -137,7 +140,7 @@ class WeightSet:
         w: np.ndarray,
         features: list[Feature],
         total: Optional[int] = None,
-        min_w: Optional[float] = None,
+        min_rows: Optional[np.ndarray] = None,
     ):
         self.ids = ids
         self.i = np.asarray(i, dtype=VERTEX_ID)
@@ -145,16 +148,24 @@ class WeightSet:
         self.w = np.asarray(w, dtype=np.float64)
         for a in (self.i, self.j, self.w):
             a.setflags(write=False)  # graphs may share them
-        # |W| and the smallest positive weight of the complete set
-        self.total = len(self.w) if total is None else total
-        if min_w is None and len(self.w):
-            min_w = float(self.w.min())
-        self.min_w = min_w
+        self.total = len(self.w) if total is None else total  # |W|
+        self.min_rows = min_rows
         self._features = features
 
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def min_w(self) -> Optional[float]:
+        """The smallest positive weight of the complete set, None when it
+        has none: ``w.min()`` of a complete set, else the smallest weight
+        of the rows ``min_rows`` marks (all when None), recomputed."""
+        if len(self.w) == self.total:
+            return float(self.w.min()) if self.total else None
+        rows = np.ones(self.n, dtype=bool) if self.min_rows is None else self.min_rows
+        blocks = self.row_blocks(rows)
+        return min(float(b.min(where=b > 0, initial=math.inf)) for _, b in blocks)
 
     def __len__(self) -> int:
         return len(self.w)
@@ -257,12 +268,20 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     order |A - w| <= delta * w (``_slack``).  The threshold t is read from
     the held A, and chunks and compactions keep A >= t * (1 - 3 delta):
     every pair of the top p is held.  ``total`` counts A > 0, which holds
-    exactly when a pair shares a feature; ``min_w`` is the smallest exact
-    weight of the pairs whose A lies within the bound of the smallest A
-    (``_near_min``, per block).  Then T is freed, the held pairs are summed
-    exactly, row by row, from the model's values read through an int32 n x
-    F matrix of their positions, 4 n F bytes too (``_exact_weights``), and
-    trimmed as the kernel's are.  The feature lists are built last.
+    exactly when a pair shares a feature.  Then T is freed, the held pairs
+    are summed exactly, row by row, from the model's values read through an
+    int32 n x F matrix of their positions, 4 n F bytes too
+    (``_exact_weights``), and trimmed as the kernel's are.  The feature
+    lists are built last.
+
+    No pair is weighed for the smallest weight w* of the complete set.
+    Each block keeps only its smallest A (on the kernel, its smallest
+    weight), a_B, and the set marks (``min_rows``) the blocks with a_B <=
+    a_min (1 + 3 delta), a_min the smallest a_B; the set's ``min_w``
+    recomputes those rows if it is ever read.  The block that holds w* is
+    marked: its a_B <= (1 + delta) w* <= a_min (1 + delta) / (1 - delta)
+    <= a_min (1 + 3 delta), as the guard keeps delta < 1/3.  On the kernel,
+    delta = 0.
     """
     if not 0 < top_p <= 100:
         raise ParameterError(f"top_p must be in (0, 100], got {top_p}")
@@ -289,9 +308,8 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     w = np.empty(room, dtype=np.float64)
     count = total = 0
     limit = cap  # held pairs that start a compaction
-    min_w = math.inf
     threshold = 0.0
-    a_min = math.inf  # the smallest positive approximation so far
+    lows = []  # each block's smallest positive weight, or approximation
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
@@ -302,17 +320,7 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         # row-major (i, j) with j > i and w > 0 (then A > 0 too)
         keep = np.triu(acc > 0, k=1)
         total += int(np.count_nonzero(keep))
-        low = float(acc.min(where=keep, initial=math.inf))
-        if dense is None:
-            min_w = min(min_w, low)
-        elif low < math.inf and low <= a_min * rise:
-            # the smallest weight's approximation lies within the bound of
-            # the smallest approximation: weigh those pairs exactly
-            a_min = min(a_min, low)
-            near = np.flatnonzero(keep & (acc <= low * rise))
-            near_w = _near_min(m, shared, near // width + r0, near % width + r0)
-            min_w = min(min_w, near_w)
-            del near
+        lows.append(float(acc.min(where=keep, initial=math.inf)))
         # appended a row chunk at a time, each filtered at the threshold
         # the pairs held before it give
         step = max(1, (_BLOCK_CELLS >> 3) // width)
@@ -357,9 +365,9 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         a.resize(count, refcheck=False)  # in place: no copy of the pairs
     if features is None:
         features = _feature_lists(m)
-    return WeightSet(
-        list(m.sample_ids), i, j, w, features, total, min_w if total else None
-    )
+    # the blocks that may hold the smallest weight: a_B <= a_min * rise
+    min_rows = np.repeat(np.array(lows) <= min(lows) * rise, rows)[:n]
+    return WeightSet(list(m.sample_ids), i, j, w, features, total, min_rows)
 
 
 def top_count(p: float, total: int) -> int:
@@ -481,19 +489,17 @@ def _bound_features(m: TfIdfModel, m_max: int) -> Optional[np.ndarray]:
     return shared
 
 
-def _cells(m: TfIdfModel, shared: np.ndarray, rows: np.ndarray) -> Iterator:
-    """(r, f, at) per chunk of ``rows``: m.data[at[c]] is vertex rows[r[c]]'s
+def _cells(m: TfIdfModel, shared: np.ndarray) -> Iterator:
+    """(r, f, at) per chunk of vertices: m.data[at[c]] is vertex r[c]'s
     value of the f[c]-th shared feature.  A chunk reads about _BLOCK_CELLS /
     8 stored values of the model's CSR, so no temporary is as long as them."""
     col = np.cumsum(shared) - 1  # the column of each name where shared
-    lo = m.indptr[rows]
-    count = m.indptr[rows + 1] - lo
-    step = max(1, (_BLOCK_CELLS >> 3) * len(rows) // max(1, int(count.sum())))
-    for s in range(0, len(rows), step):
+    count = np.diff(m.indptr)
+    step = max(1, (_BLOCK_CELLS >> 3) * m.n // max(1, int(m.indptr[-1])))
+    for s in range(0, m.n, step):
         c = count[s : s + step]
         r = np.repeat(np.arange(s, s + len(c)), c)
-        # a value's place in the CSR: its row's start, plus its rank there
-        at = np.arange(len(r)) + np.repeat(lo[s : s + step] - (np.cumsum(c) - c), c)
+        at = np.arange(m.indptr[s], m.indptr[s + len(c)])  # the chunk's values
         f = m.indices[at]
         held = np.flatnonzero(shared[f])
         yield r[held], col[f[held]], at[held]
@@ -503,50 +509,20 @@ def _dense(m: TfIdfModel, shared: np.ndarray) -> np.ndarray:
     """The float32 tf-idf matrix T of the bound path's products: T[v, f] is
     vertex v's value of the f-th shared feature, 0.0 where it has none."""
     dense = np.zeros((m.n, int(np.count_nonzero(shared))), dtype=np.float32)
-    for r, f, at in _cells(m, shared, np.arange(m.n)):
+    for r, f, at in _cells(m, shared):
         dense[r, f] = m.data[at]
     return dense
 
 
-def _positions(
-    m: TfIdfModel, shared: np.ndarray, rows: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """The position matrix P of the vertices ``rows`` (all n when None):
-    P[r, f] is the index in m.data of vertex rows[r]'s value of the f-th
-    shared feature, -1 where it has none; int32 while they fit, else int64."""
-    rows = np.arange(m.n) if rows is None else rows
+def _positions(m: TfIdfModel, shared: np.ndarray) -> np.ndarray:
+    """The position matrix P: P[v, f] is the index in m.data of vertex v's
+    value of the f-th shared feature, -1 where it has none; int32 while
+    they fit, else int64."""
     dtype = np.int32 if len(m.data) <= np.iinfo(np.int32).max else np.int64
-    pos = np.full((len(rows), int(np.count_nonzero(shared))), -1, dtype=dtype)
-    for r, f, at in _cells(m, shared, rows):
+    pos = np.full((m.n, int(np.count_nonzero(shared))), -1, dtype=dtype)
+    for r, f, at in _cells(m, shared):
         pos[r, f] = at
     return pos
-
-
-def _near_min(
-    m: TfIdfModel, shared: np.ndarray, i: np.ndarray, j: np.ndarray
-) -> float:
-    """The smallest weight of the pairs (i[c], j[c]), i ascending, each
-    the double the kernel computes (``_exact_weights``), over rows of the
-    position matrix built from the model's CSR: the second vertices a group
-    of about _BLOCK_CELLS / 8 cells at a time, with the first vertices of
-    their pairs.  Every pair shares a feature."""
-    # distinct and ascending by a sort: np.unique imports numpy.ma on its
-    # first call, about 1 MB
-    second = np.sort(j)
-    second = second[np.diff(second, prepend=-1) > 0]
-    step = max(1, (_BLOCK_CELLS >> 3) // max(1, int(np.count_nonzero(shared))))
-    low = math.inf
-    for s in range(0, len(second), step):
-        group = second[s : s + step]
-        at = np.flatnonzero((j >= group[0]) & (j <= group[-1]))
-        rows = np.sort(np.concatenate((i[at], group)))
-        rows = rows[np.diff(rows, prepend=-1) > 0]
-        pos = _positions(m, shared, rows)
-        w = _exact_weights(
-            pos, m.data, np.searchsorted(rows, i[at]), np.searchsorted(rows, j[at])
-        )
-        low = min(low, float(w.min()))
-    return low
 
 
 def _slack(k: int) -> float:

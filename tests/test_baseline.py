@@ -102,6 +102,27 @@ def test_values_near_the_float64_limit_keep_the_partition(seed, c):
     assert kmeans(big_model, cfg).assignment == want
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_wide_row_scales_on_the_k_means_bound():
+    """One of 24 samples holds 400,000 features at tf-idf 2**499.9, below
+    2**500, yet 4 n max ||x||^2 (about 2**1025) passes the float64 range.
+    The values are scaled on that bound, and the partition is that of the
+    same corpus with every value times 2**-400, which needs no scaling."""
+    top = 2.0**499.9
+    rows = [{f"wide/{k:06d}": top for k in range(400_000)}] + [
+        {f"fam{v % 3}/a": top * (1 - v / 32), f"fam{v % 3}/b": top / 3,
+         f"noise/{v % 5}": top / (1 + v % 4)}
+        for v in range(1, 24)
+    ]
+    assert max(max(row.values()) for row in rows) < 2.0**500
+    assert math.log2(4 * 24 * 400_000) + 2 * math.log2(top) > 1024
+    cfg = KMeansConfig(c=4, rng_seed=7)
+    got = kmeans(tfidf_model(rows), cfg).assignment
+    small = [{k: math.ldexp(v, -400) for k, v in row.items()} for row in rows]
+    assert got == kmeans(tfidf_model(small), cfg).assignment
+    assert len(set(got[1:])) > 1
+
+
 def test_values_spanning_the_float64_range_end_in_error():
     m = tfidf_model([{"perm/x": 1e308}, {"perm/y": 5e-324}, {"perm/x": 1.0}])
     with pytest.raises(KMeansError, match="tf-idf values span"):

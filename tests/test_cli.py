@@ -724,6 +724,26 @@ def test_pipeline_at_the_smallest_subnormal_value(tmp_path):
     assert parts[0] == parts[1]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_floor_edge_below_the_smallest_double_keeps_its_weight(tmp_path):
+    """Two samples share a feature of value 1e-321, whose weight times
+    10**-3 would flush to 0.0, and two have no feature: their floor edges
+    get the smallest double instead.  The pipeline exits 0 with every
+    weight > 0, and ``detect --edges`` finds the same partition."""
+    data = tmp_path / "tiny.jsonl"
+    rows = [{"perm/x": 1e-321}] * 2 + [{}] * 2
+    data.write_text("".join(
+        json.dumps({"id": f"s{v}", "features": f}) + "\n" for v, f in enumerate(rows)
+    ))
+    out, det = tmp_path / "run", tmp_path / "det"
+    assert run(["pipeline", "--input", data, "--p", 10, "--out-dir", out]) == 0
+    edges = out / "edges.tsv"
+    weights = [float(line.split("\t")[2]) for line in edges.read_text().splitlines()[1:]]
+    assert weights and min(weights) == math.ulp(0.0)
+    assert run(["detect", "--edges", edges, "--out-dir", det]) == 0
+    assert (det / "partition.csv").read_bytes() == (out / "partition.csv").read_bytes()
+
+
 @pytest.mark.parametrize("edges", [127, 128])
 def test_detect_rejects_more_edges_than_edge_ids_hold(
     tmp_path, monkeypatch, capsys, edges

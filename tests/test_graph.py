@@ -723,7 +723,9 @@ def knn_reference(ws, base, mask, k):
     for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
         near[a].append((b, w))
         near[b].append((a, w))
-    floor = graph.DEFAULT_FLOOR if ws.min_w is None else ws.min_w * graph.FLOOR_FACTOR
+    floor = graph.DEFAULT_FLOOR if ws.min_w is None else max(
+        ws.min_w * graph.FLOOR_FACTOR, math.ulp(0.0)
+    )
     edges = dict(zip(zip(base.edge_i.tolist(), base.edge_j.tolist()),
                      base.edge_w.tolist()))
     for v in np.flatnonzero(mask).tolist():
@@ -857,6 +859,62 @@ def test_pruned_set_recomputes_isolated_rows():
     g = build_en(top, 1, 2)
     assert g.meta["isolated_before_fallback"] > 0
     assert_same_graph(g, build_en(full, 1, 2))
+
+
+def hard_650(extra=()):
+    """The seed-7 sweep corpus (n = 650) and the samples ``extra``, as the
+    pipeline orders them."""
+    d = generate(
+        SynthConfig(
+            samples_per_family=50,
+            signature_presence_prob=0.6,
+            cross_family_leak_prob=0.15,
+            rng_seed=7,
+        )
+    )
+    return compute_tfidf(Dataset(samples=[*d.samples, *extra]).in_id_order())
+
+
+def test_en_without_an_absent_pick_reads_no_smallest_weight(monkeypatch):
+    """At p = 1 the sweep corpus leaves vertices isolated, but each has a
+    present pair to pick: E-N recomputes the isolated rows alone and never
+    reads ``min_w``, which would recompute more rows of this pruned set."""
+    ws = pairwise_weights(hard_650(), 1)
+    assert len(ws) < ws.total
+    isolated = build_epsilon(ws, percentile_cutoff(ws, 1)[0]).degrees() == 0
+    kernel, rows = weighting._weight_rows, []
+    monkeypatch.setattr(
+        weighting, "_weight_rows", lambda *a: rows.append(a[2]) or kernel(*a)
+    )
+    g = build_en(ws, 1, 1)
+    assert g.meta["isolated_before_fallback"] == np.count_nonzero(isolated) > 0
+    assert np.concatenate(rows).tolist() == np.flatnonzero(isolated).tolist()
+    assert "min_w" not in vars(ws)
+
+
+def test_a_featureless_sample_gets_the_same_floor_edge_on_either_path(monkeypatch):
+    """A sample with no feature has no present pair, so its fallback pick
+    reads the floor, 10**-3 times the smallest weight, which the pruned set
+    recomputes.  On the kernel and on the bound path the E-N graphs at
+    p = 1 are the same, byte for byte, and the floor is the complete
+    set's."""
+    model = hard_650([Sample("s9999", "fam00", {})])
+    lonely = model.sample_ids.index("s9999")
+    approximate, blocks = weighting._bound_rows, []
+    monkeypatch.setattr(
+        weighting, "_bound_rows", lambda *a: blocks.append(1) or approximate(*a)
+    )
+    graphs = []
+    for gain in (math.inf, 0):  # the kernel, then the bound path
+        monkeypatch.setattr(weighting, "_BOUND_GAIN", gain)
+        ws = pairwise_weights(model, 1)
+        graphs.append(build_en(ws, 1, 1))
+        assert len(ws) < ws.total and "min_w" in vars(ws)
+    assert blocks
+    assert_same_graph(*graphs)
+    g, floor = graphs[0], pairwise_weights(model).min_w * graph.FLOOR_FACTOR
+    at = (g.edge_i == lonely) | (g.edge_j == lonely)
+    assert g.edge_w[at].tolist() == [floor]
 
 
 def test_en_without_isolated_vertices_allocates_under_twice_its_edges():

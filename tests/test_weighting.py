@@ -476,10 +476,9 @@ def traced_phases(model, top_p, features=None):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
 
-    def spy_positions(m, shared, rows=None):
-        if rows is None:
-            mark()
-        return positions(m, shared, rows)
+    def spy_positions(m, shared):
+        mark()
+        return positions(m, shared)
 
     with mock.patch.object(weighting, "_positions", spy_positions), mock.patch.object(
         weighting, "_feature_lists", lambda m: mark() or build(m)
@@ -572,15 +571,19 @@ def test_kernel_outer_products_are_capped():
     assert block.tobytes() == ((t[rows, None] + t) * 0.5).tobytes()
 
 
-def test_ties_at_the_minimum_are_weighed_a_block_at_a_time(monkeypatch):
+def test_ties_at_the_minimum_give_the_kernels_set_within_the_phase_charges(
+    monkeypatch,
+):
     """Every pair of 400 samples shares one common feature of value 1.0,
     and the first 100 samples share a second one with distinct values: at
     p = 1 the set holds the largest of their pairs, and the 74,850 pairs
     of the others all tie at the smallest weight, 1.0.  The bound path
-    weighs each block's pairs near the smallest approximation exactly as
-    it goes (``_near_min``), so the phase peaks keep the charges of the
-    test above, which a list of those pairs held until the exact pass, 24
-    bytes each, outgrows; the set, ``min_w`` included, is the kernel's."""
+    keeps one smallest approximation per block and calls
+    ``_exact_weights`` only in the exact pass, after the last block, so the
+    phase peaks keep the charges of the test above, which a list of the
+    tied pairs, 24 bytes each, would outgrow.  The set is the kernel's,
+    and ``min_w``, first read after weighing, recomputes the marked rows
+    and gives 1.0."""
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 12)
     n = 400
     model = tfidf_model(
@@ -589,25 +592,55 @@ def test_ties_at_the_minimum_are_weighed_a_block_at_a_time(monkeypatch):
             for v in range(n)
         ]
     )
-    near_min = weighting._near_min
-    near = []
-
-    def spy(m, shared, i, j):
-        near.append(len(i))
-        return near_min(m, shared, i, j)
-
-    monkeypatch.setattr(weighting, "_near_min", spy)
     force_path(monkeypatch, "kernel")
     expect = pairwise_weights(model, 1)
     force_path(monkeypatch, "bound")
+    calls = []
+    for name in ("_bound_rows", "_exact_weights"):
+        real = getattr(weighting, name)
+        spy = lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        monkeypatch.setattr(weighting, name, spy)
     ws, peaks = traced_phases(model, 1)
-    assert_same_set(ws, expect)
+    last_block = len(calls) - calls[::-1].index("_bound_rows")
+    assert "_exact_weights" not in calls[:last_block] and calls[last_block:]
+    assert "min_w" not in vars(ws)  # not read while weighing
     assert len(ws) < ws.total and ws.min_w == 1.0
-    assert sum(near) >= 74_850 and max(near) <= 1 << 12
+    assert_same_set(ws, expect)
     m_max = math.ceil(0.01 * (n * (n - 1) // 2))
     reserved = 16 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n))
     nf = n * len(weighting._feature_lists(model))
     assert_phases_within(peaks, "bound", reserved, nf, 32 * len(model.data))
+
+
+def test_min_w_recomputes_only_the_marked_rows(monkeypatch):
+    """A pruned set marks the row blocks that may hold its smallest weight,
+    and ``min_w``, once read, recomputes those rows alone, on either path,
+    and gives the complete set's smallest weight, which a complete set
+    reads off its own weights with no row recomputed.  At 2**10 cells a
+    block holds 9 of the 104 rows here, so the marks leave most out."""
+    monkeypatch.setattr(weighting, "_BLOCK_CELLS", 1 << 10)
+    d = generate(
+        SynthConfig(
+            samples_per_family=8,
+            signature_presence_prob=0.6,
+            cross_family_leak_prob=0.15,
+            rng_seed=7,
+        )
+    )
+    model = compute_tfidf(d)
+    kernel, rows = weighting._weight_rows, []
+    monkeypatch.setattr(
+        weighting, "_weight_rows", lambda *a: rows.append(a[2]) or kernel(*a)
+    )
+    for path in PATHS:
+        force_path(monkeypatch, path)
+        full = pairwise_weights(model)
+        ws = pairwise_weights(model, 10)
+        assert len(ws) < ws.total and 0 < np.count_nonzero(ws.min_rows) < model.n / 2
+        rows.clear()
+        assert ws.min_w == full.min_w == full.w.min()
+        assert np.concatenate(rows).tolist() == np.flatnonzero(ws.min_rows).tolist()
+        assert ws.min_rows[full.i[full.w.argmin()]]
 
 
 def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
@@ -674,10 +707,8 @@ def crafted_weights(monkeypatch, dense, path="kernel", approx=None):
     triangle of the symmetric matrix ``dense``, weighed on ``path``: the
     kernel and the exact pass read its cells, and the bound path's
     approximations are the cells of ``approx`` (the weights by default).
-    The smallest weight of the pairs near the smallest approximation is
-    read from ``dense`` too.  The model's one feature, in every sample,
-    gives the kernel cells to weigh, so the forced gain picks the path.
-    Its value is 1.0 when every
+    The model's one feature, in every sample, gives the kernel cells to
+    weigh, so the forced gain picks the path.  Its value is 1.0 when every
     weight lies in [2**-126, 2**125], the guard's range at F = 1, and
     otherwise a weight outside it: the guard then sends the bound path to
     the kernel, as it does any input whose weights leave that range."""
@@ -692,9 +723,6 @@ def crafted_weights(monkeypatch, dense, path="kernel", approx=None):
     )
     monkeypatch.setattr(
         weighting, "_exact_weights", lambda pos, data, i, j: dense[i, j]
-    )
-    monkeypatch.setattr(
-        weighting, "_near_min", lambda m, shared, i, j: float(dense[i, j].min())
     )
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", len(dense))  # one row a block
     force_path(monkeypatch, path)
@@ -1079,8 +1107,6 @@ def test_the_exact_pass_reads_p_a_bounded_block_at_a_time(monkeypatch):
     exact, calls = weighting._exact_weights, []
 
     def spy(pos, data, i, j):
-        if len(pos) < model.n:  # a block's near pairs, not the exact pass
-            return exact(pos, data, i, j)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = exact(pos, data, i, j)
@@ -1175,11 +1201,9 @@ def test_the_rule_counts_cells(monkeypatch):
         built.append(dense(m, shared))
         return built[-1]
 
-    def spy_positions(m, shared, rows=None):
-        out = positions(m, shared, rows)
-        if rows is None:  # all n rows, not those of a block's near pairs
-            built.append(out)
-        return out
+    def spy_positions(m, shared):
+        built.append(positions(m, shared))
+        return built[-1]
 
     monkeypatch.setattr(weighting, "_dense", spy_dense)
     monkeypatch.setattr(weighting, "_positions", spy_positions)
