@@ -49,7 +49,7 @@ from .metrics import (
     rand_statistic,
 )
 from .baseline import KMeansConfig, KMeansResult, kmeans
-from .synth import SynthConfig, generate
+from .synth import SynthConfig, feature_dictionary, generate
 from .pipeline import PipelineReport, run_pipeline
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,7 +16,6 @@ from pathlib import Path
 from . import metrics
 from .baseline import KMeansConfig, kmeans
 from .dataset import (
-    Dataset,
     DatasetError,
     load_dataset,
     load_dictionary,
@@ -38,7 +37,7 @@ from .pipeline import (
     run_pipeline,
     write_partition,
 )
-from .synth import SynthConfig, generate
+from .synth import SynthConfig, feature_dictionary, generate
 from .weighting import (
     compute_tfidf,
     dump_tfidf,
@@ -193,11 +192,8 @@ def _load_filtered(args):
     if scope != "all" and args.dict_path is None:
         raise ParameterError("--scope other than 'all' requires --dict")
     d = load_dataset(args.input)
-    if args.dict_path is not None:
-        d = Dataset.from_columns(
-            d.ids, d.families, d.columns(), load_dictionary(args.dict_path)
-        )
-    return filter_by_scope(d, scope)
+    dictionary = None if args.dict_path is None else load_dictionary(args.dict_path)
+    return filter_by_scope(d, scope, dictionary)
 
 
 def _cmd_synth(args):
@@ -211,10 +207,9 @@ def _cmd_synth(args):
         cross_family_leak_prob=args.leak,
         rng_seed=args.seed,
     )
-    d = generate(cfg)
-    save_dataset(d, args.out)
+    save_dataset(generate(cfg), args.out)
     if args.dict_out:
-        save_dictionary(d.dictionary, args.dict_out)
+        save_dictionary(feature_dictionary(cfg), args.dict_out)
 
 
 def _cmd_tfidf(args):

@@ -168,8 +168,7 @@ class FeatureColumns:
 
 
 class Dataset:
-    """Sample ids, families and stored values (as ``FeatureColumns``), with
-    an optional feature dictionary.
+    """Sample ids, families and stored values (as ``FeatureColumns``).
 
     ``Dataset(samples)`` keeps the given samples and builds the columns
     from their maps on the first ``columns()`` call.  A dataset made by
@@ -177,11 +176,7 @@ class Dataset:
     its ``samples`` are built from the columns on each access.
     """
 
-    def __init__(
-        self,
-        samples: list[Sample],
-        dictionary: Optional[list[FeatureDictionaryEntry]] = None,
-    ):
+    def __init__(self, samples: list[Sample]):
         seen = set()
         for s in samples:
             if s.id in seen:
@@ -189,22 +184,17 @@ class Dataset:
             seen.add(s.id)
         self.ids = [s.id for s in samples]
         self.families = [s.family for s in samples]
-        self.dictionary = dictionary
         self._samples: Optional[list[Sample]] = samples
         self._columns: Optional[FeatureColumns] = None
 
     @classmethod
     def from_columns(
-        cls,
-        ids: list[str],
-        families: list[Optional[str]],
-        columns: FeatureColumns,
-        dictionary: Optional[list[FeatureDictionaryEntry]] = None,
+        cls, ids: list[str], families: list[Optional[str]], columns: FeatureColumns
     ) -> Dataset:
         """The dataset of already checked ids, their families and their
         stored values."""
         d = cls.__new__(cls)
-        d.ids, d.families, d.dictionary = ids, families, dictionary
+        d.ids, d.families = ids, families
         d._samples, d._columns = None, columns
         return d
 
@@ -246,7 +236,7 @@ class Dataset:
         take = np.repeat(cols.indptr[order] - indptr[:-1], size) + np.arange(indptr[-1])
         columns = FeatureColumns(cols.names, indptr, cols.ids[take], cols.values[take])
         families = [self.families[k] for k in order]
-        return Dataset.from_columns(sorted(ids), families, columns, self.dictionary)
+        return Dataset.from_columns(sorted(ids), families, columns)
 
     def labels(self) -> list[Optional[str]]:
         return list(self.families)
@@ -402,20 +392,23 @@ def save_dictionary(entries: Iterable[FeatureDictionaryEntry], path) -> None:
             writer.writerow([e.feature, e.category, e.scope, e.value_kind])
 
 
-def filter_by_scope(d: Dataset, scope: str) -> Dataset:
-    """Keep only features whose dictionary scope matches.
+def filter_by_scope(
+    d: Dataset, scope: str, dictionary: Optional[list[FeatureDictionaryEntry]]
+) -> Dataset:
+    """Keep only features whose scope in ``dictionary`` matches.
 
-    ``scope`` is "platform-defined", "app-specific" or "all".  Samples left
-    with no features are retained; they participate as low-similarity
-    vertices.  A feature absent from the dictionary raises DatasetError.
+    ``scope`` is "platform-defined", "app-specific" or "all", which returns
+    ``d`` and reads no dictionary.  Samples left with no features are
+    retained; they participate as low-similarity vertices.  A feature absent
+    from the dictionary raises DatasetError.
     """
     if scope == "all":
         return d
     if scope not in SCOPES:
         raise ParameterError(f"unknown scope {scope!r}")
-    if d.dictionary is None:
+    if dictionary is None:
         raise DatasetError("scope filtering requires a feature dictionary")
-    scope_of = {e.feature: e.scope for e in d.dictionary}
+    scope_of = {e.feature: e.scope for e in dictionary}
     cols = d.columns()
     scopes = [scope_of.get(name) for name in cols.names]
     if None in scopes:  # name the first entry, in sample order
@@ -437,4 +430,4 @@ def filter_by_scope(d: Dataset, scope: str) -> Dataset:
         new_id[cols.ids[kept]],
         cols.values[kept],
     )
-    return Dataset.from_columns(d.ids, d.families, columns, d.dictionary)
+    return Dataset.from_columns(d.ids, d.families, columns)

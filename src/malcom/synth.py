@@ -5,6 +5,7 @@ its members carry with high probability, all families share a pool of
 common features, and every sample gets uniquely-named noise features
 (maximal idf, mirroring app-specific strings).  Signature leakage across
 families adds realistic confusion.  Fully deterministic for a fixed seed.
+``feature_dictionary`` gives the corpus's dictionary without drawing it.
 """
 from __future__ import annotations
 
@@ -64,58 +65,62 @@ def _common_names(cfg: SynthConfig) -> list[str]:
     return [f"perm/common{i:02d}" for i in range(cfg.common_features)]
 
 
+def _sample_id(idx: int) -> str:
+    return f"s{idx:04d}"
+
+
+def _noise_names(cfg: SynthConfig, idx: int) -> list[str]:
+    sid = _sample_id(idx)
+    return [f"str/noise_{sid}_{i}" for i in range(cfg.noise_features_per_sample)]
+
+
 def generate(cfg: SynthConfig) -> Dataset:
-    """Emit a labeled corpus plus a dictionary covering every feature
-    (signatures and common features platform-defined, noise app-specific)."""
+    """Emit a labeled corpus, family by family, with ids ``s0000``, ``s0001``..."""
     cfg.validate()
     rng = np.random.default_rng(cfg.rng_seed)
     signatures = [_signature_names(cfg, f) for f in range(cfg.num_families)]
     common = _common_names(cfg)
 
     samples = []
-    noise_names: list[str] = []
-    idx = 0
-    for f in range(cfg.num_families):
-        for _ in range(cfg.samples_per_family):
-            sid = f"s{idx:04d}"
-            idx += 1
-            features: dict[str, float] = {}
-            # own signatures
-            for name in signatures[f]:
-                if rng.random() < cfg.signature_presence_prob:
-                    features[name] = float(1 + rng.poisson(1.0))
-            # leaked foreign signatures
-            for g in range(cfg.num_families):
-                if g == f:
-                    continue
-                for name in signatures[g]:
-                    if rng.random() < cfg.cross_family_leak_prob:
-                        features[name] = float(1 + rng.poisson(1.0))
-            # shared features
-            for name in common:
-                if rng.random() < COMMON_PRESENCE_PROB:
-                    features[name] = 1.0
-            # per-sample unique noise
-            for i in range(cfg.noise_features_per_sample):
-                name = f"str/noise_{sid}_{i}"
-                noise_names.append(name)
+    for idx in range(cfg.num_families * cfg.samples_per_family):
+        f = idx // cfg.samples_per_family
+        features: dict[str, float] = {}
+        # own signatures
+        for name in signatures[f]:
+            if rng.random() < cfg.signature_presence_prob:
                 features[name] = float(1 + rng.poisson(1.0))
-            samples.append(
-                Sample(id=sid, family=_family_label(f), features=features)
-            )
+        # leaked foreign signatures
+        for g in range(cfg.num_families):
+            if g == f:
+                continue
+            for name in signatures[g]:
+                if rng.random() < cfg.cross_family_leak_prob:
+                    features[name] = float(1 + rng.poisson(1.0))
+        # shared features
+        for name in common:
+            if rng.random() < COMMON_PRESENCE_PROB:
+                features[name] = 1.0
+        # per-sample unique noise
+        for name in _noise_names(cfg, idx):
+            features[name] = float(1 + rng.poisson(1.0))
+        samples.append(Sample(_sample_id(idx), _family_label(f), features))
+    return Dataset(samples)
 
-    dictionary = []
-    for fam_sigs in signatures:
-        for name in fam_sigs:
-            dictionary.append(
-                FeatureDictionaryEntry(name, "FS3", "platform-defined", "numeric")
-            )
-    for name in common:
-        dictionary.append(
-            FeatureDictionaryEntry(name, "FS1", "platform-defined", "boolean")
-        )
-    for name in noise_names:
-        dictionary.append(
-            FeatureDictionaryEntry(name, "FS8", "app-specific", "numeric")
-        )
-    return Dataset(samples=samples, dictionary=dictionary)
+
+def feature_dictionary(cfg: SynthConfig) -> list[FeatureDictionaryEntry]:
+    """The dictionary of every feature ``generate(cfg)`` may emit: each
+    family's signatures, then the common features, then each sample's noise."""
+    cfg.validate()
+    signatures = [s for f in range(cfg.num_families) for s in _signature_names(cfg, f)]
+    samples = range(cfg.num_families * cfg.samples_per_family)
+    noise = [s for idx in samples for s in _noise_names(cfg, idx)]
+    groups = [
+        (signatures, "FS3", "platform-defined", "numeric"),
+        (_common_names(cfg), "FS1", "platform-defined", "boolean"),
+        (noise, "FS8", "app-specific", "numeric"),
+    ]
+    return [
+        FeatureDictionaryEntry(name, category, scope, kind)
+        for names, category, scope, kind in groups
+        for name in names
+    ]

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -171,13 +172,21 @@ def test_tfidf_matrix_equals_dict_pass(d):
 
 def scipy_kmeans(model, cfg):
     """The scipy.sparse k-means that the package's numpy sums must match
-    bit for bit: (assignment, centers, objective).  Values whose largest
-    lies outside [2**-500, 2**500) are first scaled, as the package scales
-    them, by the power of two that brings it to [1, 2)."""
+    bit for bit: (assignment, centers, objective).  When the bound
+    4 n max ||x||^2 on the objective, summed here exactly, lies outside
+    [2**-500, 2**500), the values are first scaled, as the package scales
+    them, by the power of two whose square brings that bound to [1, 4)."""
     indptr, indices, data = tfidf_matrix(model)
-    top = data.max(initial=0.0)
-    if top > 0.0 and not 2.0**-500 <= top < 2.0**500:
-        data = np.ldexp(data, 1 - np.frexp(top)[1])
+    norms = [
+        sum(Fraction(v) ** 2 for v in data[a:b].tolist())
+        for a, b in zip(indptr.tolist(), indptr[1:].tolist())
+    ]
+    bound = 4 * model.n * max(norms, default=Fraction(0))
+    if bound > 0:
+        log2 = bound.numerator.bit_length() - bound.denominator.bit_length()
+        log2 -= bound < Fraction(2) ** log2  # now floor(log2(bound))
+        if not -500 <= log2 < 500:
+            data = np.ldexp(data, -(log2 // 2))
     X = sparse.csr_matrix(
         (data, indices, indptr), shape=(model.n, int(indices.max(initial=-1)) + 1)
     )
@@ -268,6 +277,11 @@ def kmeans_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(kmeans_cases())
+# values of 1e-170: the bound 4 n max ||x||^2 sets the scale, not the
+# largest value, which would leave centers twice as large
+@example((tfidf_model([{"perm/f00": 1e-170}]), KMeansConfig(c=1, rng_seed=0)))
+@example((tfidf_model([{"perm/f00": 1e-170}, {"perm/f01": 1e-170}]), KMeansConfig(c=1)))
+@example((tfidf_model([{"perm/f00": 1e-170}, {"perm/f01": 1e-170}]), KMeansConfig(c=2)))
 def test_kmeans_equals_scipy(case):
     assert_matches_scipy(*case)
 

@@ -249,7 +249,7 @@ LIBRARY_PARAMETER_ERRORS = [
         id="feature-frequency",
     ),
     pytest.param(
-        lambda d: filter_by_scope(d, "everywhere"), "unknown scope 'everywhere'",
+        lambda d: filter_by_scope(d, "everywhere", None), "unknown scope 'everywhere'",
         id="filter-by-scope",
     ),
 ]
@@ -948,6 +948,16 @@ def test_bad_dictionary_row_names_its_line(tmp_path, capsys):
     )
     assert run(["stats", "--input", data, "--dict", dic]) == 1
     assert capsys.readouterr().err == "error: line 3: unknown category 'FS99'\n"
+
+
+def test_malformed_dictionary_exits_1_under_scope_all(tmp_path, capsys):
+    """Scope "all" filters nothing, yet a given --dict is still read."""
+    data = tmp_path / "data.jsonl"
+    data.write_text('{"id":"s1","features":{"perm/a":1}}\n')
+    dic = tmp_path / "dict.csv"
+    dic.write_text("feature,scope\nperm/a,platform-defined\n")
+    assert run(["stats", "--input", data, "--dict", dic, "--scope", "all"]) == 1
+    assert capsys.readouterr().err.startswith("error: dictionary header must be")
 
 
 def test_dictionary_feature_with_tab_names_its_line(tmp_path, capsys):

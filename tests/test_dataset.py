@@ -274,37 +274,43 @@ class TestSplitFeature:
             split_feature(bad)
 
 
+SCOPED_DICTIONARY = [
+    FeatureDictionaryEntry("perm/INTERNET", "FS1", "platform-defined", "boolean"),
+    FeatureDictionaryEntry("str/foo", "FS8", "app-specific", "numeric"),
+]
+
+
 def scoped_dataset():
-    dictionary = [
-        FeatureDictionaryEntry("perm/INTERNET", "FS1", "platform-defined", "boolean"),
-        FeatureDictionaryEntry("str/foo", "FS8", "app-specific", "numeric"),
-    ]
     samples = [
         Sample("s1", None, {"perm/INTERNET": 1.0, "str/foo": 2.0}),
         Sample("s2", None, {"str/foo": 1.0}),
     ]
-    return Dataset(samples=samples, dictionary=dictionary)
+    return Dataset(samples=samples)
 
 
 class TestFilterByScope:
     def test_all_is_identity(self):
         d = scoped_dataset()
-        assert filter_by_scope(d, "all") is d
+        assert filter_by_scope(d, "all", SCOPED_DICTIONARY) is d
+
+    def test_all_needs_no_dictionary(self):
+        d = scoped_dataset()
+        assert filter_by_scope(d, "all", None) is d
 
     def test_platform_filter(self):
-        d = filter_by_scope(scoped_dataset(), "platform-defined")
+        d = filter_by_scope(scoped_dataset(), "platform-defined", SCOPED_DICTIONARY)
         assert d.samples[0].features == {"perm/INTERNET": 1.0}
         assert d.samples[1].features == {}
 
     def test_empty_samples_retained_in_order(self):
-        d = filter_by_scope(scoped_dataset(), "app-specific")
+        d = filter_by_scope(scoped_dataset(), "app-specific", SCOPED_DICTIONARY)
         assert [s.id for s in d.samples] == ["s1", "s2"]
         assert d.samples[0].features == {"str/foo": 2.0}
 
     def test_scopes_partition_features(self):
         original = scoped_dataset()
-        platform = filter_by_scope(original, "platform-defined")
-        app = filter_by_scope(original, "app-specific")
+        platform = filter_by_scope(original, "platform-defined", SCOPED_DICTIONARY)
+        app = filter_by_scope(original, "app-specific", SCOPED_DICTIONARY)
         for orig, p, a in zip(original.samples, platform.samples, app.samples):
             assert not (p.features.keys() & a.features.keys())
             assert p.features.keys() | a.features.keys() == orig.features.keys()
@@ -312,7 +318,7 @@ class TestFilterByScope:
     def test_missing_dictionary_rejected(self):
         d = Dataset(samples=[Sample("s1", None, {"perm/a": 1.0})])
         with pytest.raises(DatasetError, match="dictionary"):
-            filter_by_scope(d, "platform-defined")
+            filter_by_scope(d, "platform-defined", None)
 
     def test_feature_missing_from_dictionary(self):
         """The first entry, in sample order, whose name the dictionary
@@ -322,10 +328,9 @@ class TestFilterByScope:
             samples=[Sample("s0", None, {"str/foo": 1.0})]
             + [Sample(s.id, s.family, {**s.features, "perm/extra": 1.0})
                for s in d.samples],
-            dictionary=d.dictionary,
         )
         with pytest.raises(DatasetError) as exc:
-            filter_by_scope(grown, "platform-defined")
+            filter_by_scope(grown, "platform-defined", SCOPED_DICTIONARY)
         assert str(exc.value) == (
             "feature 'perm/extra' (sample 's1') missing from dictionary"
         )
@@ -357,7 +362,7 @@ class TestColumns:
     def test_filtered_dataset_builds_its_own_view(self):
         d = scoped_dataset()
         cols = d.columns()
-        platform = filter_by_scope(d, "platform-defined")
+        platform = filter_by_scope(d, "platform-defined", SCOPED_DICTIONARY)
         own = platform.columns()
         assert own is not cols and platform.columns() is own
         assert own.names == ["perm/INTERNET"]
@@ -401,9 +406,9 @@ MIXED_MAPS = [  # what each line stores: ints as floats, zeros dropped
 ]
 
 
-def mixed_dataset(dictionary=None):
+def mixed_dataset():
     samples = [Sample(sid, fam, dict(m)) for sid, fam, m in MIXED_MAPS]
-    return Dataset(samples=samples, dictionary=dictionary)
+    return Dataset(samples=samples)
 
 
 def assert_same_columns(got, want):
@@ -503,11 +508,7 @@ class TestColumnarLoader:
         f = tmp_path / "d.jsonl"
         write_lines(f, MIXED_LINES)
         d = load_dataset(f)
-
-        def with_dictionary(entries):
-            return Dataset.from_columns(d.ids, d.families, d.columns(), entries)
-
-        got = filter_by_scope(with_dictionary(dictionary), scope)
+        got = filter_by_scope(d, scope, dictionary)
         scope_of = {e.feature: e.scope for e in dictionary}
         want = Dataset(samples=[
             Sample(sid, fam, {k: v for k, v in m.items() if scope_of[k] == scope})
@@ -515,9 +516,8 @@ class TestColumnarLoader:
         ])
         assert_same_columns(got.columns(), want.columns())
         assert got.ids == want.ids and got.labels() == want.labels()
-        assert got.dictionary is dictionary
         with pytest.raises(DatasetError) as exc:
-            filter_by_scope(with_dictionary(dictionary[1:]), scope)
+            filter_by_scope(d, scope, dictionary[1:])
         assert str(exc.value) == (
             "feature 'api/late' (sample 's6') missing from dictionary"
         )

@@ -140,7 +140,7 @@ def test_corpus_is_released_after_tfidf(tmp_path, monkeypatch):
     refs = []
 
     def fresh():
-        corpus = Dataset.from_columns(d.ids, d.families, d.columns(), d.dictionary)
+        corpus = Dataset.from_columns(d.ids, d.families, d.columns())
         refs.append(weakref.ref(corpus))
         return corpus
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from malcom import synth
+from malcom.cli import main
 from malcom.dataset import save_dataset
 from malcom.errors import ParameterError
-from malcom.synth import SynthConfig, generate
+from malcom.synth import SynthConfig, feature_dictionary, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
 
@@ -58,14 +60,15 @@ class TestGenerate:
         assert [s.features for s in a.samples] != [s.features for s in b.samples]
 
     def test_dictionary_covers_all_features(self):
-        d = generate(SynthConfig(num_families=2, samples_per_family=4, rng_seed=0))
-        covered = {e.feature for e in d.dictionary}
+        cfg = SynthConfig(num_families=2, samples_per_family=4, rng_seed=0)
+        d = generate(cfg)
+        covered = {e.feature for e in feature_dictionary(cfg)}
         for s in d.samples:
             assert set(s.features) <= covered
 
     def test_noise_is_app_specific_signatures_platform(self):
-        d = generate(SynthConfig(num_families=2, samples_per_family=2, rng_seed=0))
-        scopes = {e.feature: e.scope for e in d.dictionary}
+        cfg = SynthConfig(num_families=2, samples_per_family=2, rng_seed=0)
+        scopes = {e.feature: e.scope for e in feature_dictionary(cfg)}
         for name, scope in scopes.items():
             if name.startswith("str/noise_"):
                 assert scope == "app-specific"
@@ -85,3 +88,23 @@ class TestGenerate:
         for i, j, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
             (within if fam[i] == fam[j] else cross).append(w)
         assert np.mean(within) > np.mean(cross)
+
+
+def test_dictionary_is_built_only_for_dict_out(tmp_path, monkeypatch):
+    """generate builds no dictionary entry, and synth builds the dictionary
+    only when --dict-out asks for it."""
+    built, real = [], synth.FeatureDictionaryEntry
+
+    def entry(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(synth, "FeatureDictionaryEntry", entry)
+    generate(SynthConfig(num_families=2, samples_per_family=3, rng_seed=0))
+    common = ["synth", "--families", "2", "--samples-per-family", "3"]
+    assert main([*common, "--out", str(tmp_path / "a.jsonl")]) == 0
+    assert built == []
+    dict_out = ["--dict-out", str(tmp_path / "d.csv")]
+    assert main([*common, "--out", str(tmp_path / "b.jsonl"), *dict_out]) == 0
+    assert len(built) == 2 * 30 + 20 + 2 * 3 * 5
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
