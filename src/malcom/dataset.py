@@ -347,8 +347,11 @@ def load_dataset(path) -> Dataset:
 
 
 def save_dataset(d: Dataset, path) -> None:
+    samples = d.samples
+    for name in set().union(*(s.features for s in samples)):
+        split_feature(name)  # a name load_dataset rejects writes no file
     with open(path, "w", encoding="utf-8") as fh:
-        for s in d.samples:
+        for s in samples:
             obj = {"id": s.id, "family": s.family, "features": s.features}
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 

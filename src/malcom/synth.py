@@ -6,10 +6,14 @@ common features, and every sample gets uniquely-named noise features
 (maximal idf, mirroring app-specific strings).  Signature leakage across
 families adds realistic confusion.  Fully deterministic for a fixed seed.
 ``feature_dictionary`` gives the corpus's dictionary without drawing it.
+A corpus depends on numpy's PCG64 stream and its Poisson sampler for lambda < 10 (CI
+pins numpy 2.4): ``test_synth.py::test_generate_equals_scalar`` fails if either changes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -18,6 +22,8 @@ from .errors import ParameterError
 
 
 COMMON_PRESENCE_PROB = 0.8  # chance that a sample carries each common feature
+BLOCK = 1 << 16  # uniforms per rng.random call
+EXP_MINUS_1 = math.exp(-1.0)  # numpy's Poisson(1) stops at a product <= this
 
 
 @dataclass
@@ -50,10 +56,6 @@ class SynthConfig:
             raise ParameterError(f"seed must be >= 0, got {self.rng_seed}")
 
 
-def _family_label(f: int) -> str:
-    return f"fam{f:02d}"
-
-
 def _signature_names(cfg: SynthConfig, f: int) -> list[str]:
     return [
         f"api/sig{f:02d}_{i:02d}"
@@ -78,6 +80,15 @@ def generate(cfg: SynthConfig) -> Dataset:
     """Emit a labeled corpus, family by family, with ids ``s0000``, ``s0001``..."""
     cfg.validate()
     rng = np.random.default_rng(cfg.rng_seed)
+    blocks = iter(lambda: rng.random(BLOCK).tolist(), None)  # no list is None: endless
+    uniform = chain.from_iterable(blocks).__next__  # rng.random()'s doubles in turn
+
+    def count() -> float:  # 1 + rng.poisson(1.0), from the same doubles
+        k, prod = 1, uniform()
+        while prod > EXP_MINUS_1:
+            k, prod = k + 1, prod * uniform()
+        return float(k)
+
     signatures = [_signature_names(cfg, f) for f in range(cfg.num_families)]
     common = _common_names(cfg)
 
@@ -87,23 +98,23 @@ def generate(cfg: SynthConfig) -> Dataset:
         features: dict[str, float] = {}
         # own signatures
         for name in signatures[f]:
-            if rng.random() < cfg.signature_presence_prob:
-                features[name] = float(1 + rng.poisson(1.0))
+            if uniform() < cfg.signature_presence_prob:
+                features[name] = count()
         # leaked foreign signatures
-        for g in range(cfg.num_families):
+        for g, names in enumerate(signatures):
             if g == f:
                 continue
-            for name in signatures[g]:
-                if rng.random() < cfg.cross_family_leak_prob:
-                    features[name] = float(1 + rng.poisson(1.0))
+            for name in names:
+                if uniform() < cfg.cross_family_leak_prob:
+                    features[name] = count()
         # shared features
         for name in common:
-            if rng.random() < COMMON_PRESENCE_PROB:
+            if uniform() < COMMON_PRESENCE_PROB:
                 features[name] = 1.0
         # per-sample unique noise
         for name in _noise_names(cfg, idx):
-            features[name] = float(1 + rng.poisson(1.0))
-        samples.append(Sample(_sample_id(idx), _family_label(f), features))
+            features[name] = count()
+        samples.append(Sample(_sample_id(idx), f"fam{f:02d}", features))
     return Dataset(samples)
 
 

@@ -209,6 +209,25 @@ def test_save_load_round_trip(tmp_path_factory, rows):
     assert loaded.samples == d.samples
 
 
+@pytest.mark.parametrize(
+    "name, why",
+    [
+        ("perm/x\ty", "holds a tab or line break"),
+        ("nocat", "lacks a category prefix"),
+        ("own/0", "has unknown prefix 'own'"),
+    ],
+    ids=["tab", "no-prefix", "unknown-prefix"],
+)
+def test_save_rejects_a_name_the_loader_rejects(tmp_path, name, why):
+    """A code-built sample may hold a feature name that load_dataset would
+    refuse: save_dataset raises the loader's error and writes no file."""
+    d = Dataset([Sample("a", None, {"perm/ok": 1.0}), Sample("b", None, {name: 1.0})])
+    path = tmp_path / "d.jsonl"
+    with pytest.raises(DatasetError, match=why):
+        save_dataset(d, path)
+    assert not path.exists()
+
+
 class TestDictionary:
     def test_parse_row(self, tmp_path):
         f = tmp_path / "dict.csv"

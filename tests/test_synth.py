@@ -1,12 +1,114 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from malcom import synth
 from malcom.cli import main
-from malcom.dataset import save_dataset
+from malcom.dataset import Dataset, Sample, save_dataset
 from malcom.errors import ParameterError
 from malcom.synth import SynthConfig, feature_dictionary, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
+
+
+def scalar_generate(cfg: SynthConfig) -> Dataset:
+    """The oracle of ``generate``: one numpy call per presence test and one
+    ``rng.poisson(1.0)`` per drawn count."""
+    cfg.validate()
+    rng = np.random.default_rng(cfg.rng_seed)
+    signatures = [synth._signature_names(cfg, f) for f in range(cfg.num_families)]
+    common = synth._common_names(cfg)
+
+    samples = []
+    for idx in range(cfg.num_families * cfg.samples_per_family):
+        f = idx // cfg.samples_per_family
+        features: dict[str, float] = {}
+        for name in signatures[f]:
+            if rng.random() < cfg.signature_presence_prob:
+                features[name] = float(1 + rng.poisson(1.0))
+        for g in range(cfg.num_families):
+            if g == f:
+                continue
+            for name in signatures[g]:
+                if rng.random() < cfg.cross_family_leak_prob:
+                    features[name] = float(1 + rng.poisson(1.0))
+        for name in common:
+            if rng.random() < synth.COMMON_PRESENCE_PROB:
+                features[name] = 1.0
+        for name in synth._noise_names(cfg, idx):
+            features[name] = float(1 + rng.poisson(1.0))
+        samples.append(Sample(synth._sample_id(idx), f"fam{f:02d}", features))
+    return Dataset(samples)
+
+
+probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def configs(draw):
+    families = draw(st.integers(0, 4))
+    return SynthConfig(
+        num_families=families,
+        samples_per_family=draw(st.integers(0, 6)) if families else 0,
+        signature_features_per_family=draw(st.integers(0, 8)),
+        common_features=draw(st.integers(0, 5)),
+        noise_features_per_sample=draw(st.integers(0, 4)),
+        signature_presence_prob=draw(probability),
+        cross_family_leak_prob=draw(probability),
+        rng_seed=draw(st.integers(0, 2**70)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs(), st.sampled_from([1, 7, synth.BLOCK]))
+@example(SynthConfig(rng_seed=7), 7)
+@example(SynthConfig(rng_seed=2**70, cross_family_leak_prob=1.0), synth.BLOCK)
+def test_generate_equals_scalar(cfg, block):
+    """The bulk draws give the scalar generator's samples: the same ids,
+    families, and each map's items in order.  Small blocks refill inside a
+    Poisson draw.  A numpy release that changes PCG64's doubles or the
+    Poisson sampler for lambda < 10 fails here at the first sample that
+    differs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synth, "BLOCK", block)
+        got = generate(cfg).samples
+    want = scalar_generate(cfg).samples
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.id, g.family) == (w.id, w.family)
+        assert list(g.features.items()) == list(w.features.items()), (
+            f"sample {w.id} differs from the scalar oracle"
+        )
+
+
+# sha256 of the perfbench corpora (seed 7) as the scalar generator wrote them
+BENCHMARK_CORPORA = {
+    "easy-3900": (
+        SynthConfig(samples_per_family=300, cross_family_leak_prob=0.05,
+                    signature_presence_prob=0.9, rng_seed=7),
+        "f2968c2b8e3054921f68aefe20ab19b3c58fe7ba2682b7e54a0fc8d968886174",
+    ),
+    "hard-3900": (
+        SynthConfig(samples_per_family=300, cross_family_leak_prob=0.15,
+                    signature_presence_prob=0.6, rng_seed=7),
+        "80fc47b35a958f2464897cb2aaea0bec95f8bd11e83fa53408354d8ca96a5342",
+    ),
+    "hard-650": (
+        SynthConfig(samples_per_family=50, cross_family_leak_prob=0.15,
+                    signature_presence_prob=0.6, rng_seed=7),
+        "41ab64fbfc5052deb23b082ca28f0068505e48420b66d8742964285dd378f5d6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CORPORA))
+def test_benchmark_corpus_keeps_its_digest(tmp_path, name):
+    cfg, digest = BENCHMARK_CORPORA[name]
+    path = tmp_path / "corpus.jsonl"
+    save_dataset(generate(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def degenerate_config():
