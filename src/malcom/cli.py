@@ -223,7 +223,7 @@ def _cmd_graph(args):
     params.validate(len(d))  # before tf-idf
     model = compute_tfidf(d)
     del d  # only the model is read from here on
-    ws = pairwise_weights(model, top_p=params.weights_top_p())
+    ws = pairwise_weights(model, params.weights_top_p(), params.epsilon)
     write_edges(build_graph(ws, params), args.out)
 
 

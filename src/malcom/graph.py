@@ -11,10 +11,13 @@ k-NN graph, which sorts every row, is the slow baseline the E-N method is
 benchmarked against.  E-N keeps the epsilon edges as they are and inserts
 only its fallback picks among them.  Every graph has one layout,
 vertices by ascending id and pairs i < j row-major, into which
-``read_edges`` renumbers a file; ``write_edges`` writes no other.
+``read_edges`` renumbers a file; ``write_edges`` writes no other.  It is
+stored by row, as weight sets are: an int64 row pointer and per edge its
+other end and weight, 12 B; readers take a chunk of edges' rows from
+``row_ids``, and only a failing ``check`` expands them all.
 
 The detector walks neighbours through the CSR adjacency from ``csr``: row v,
-``indices[indptr[v]:indptr[v + 1]]`` with the ids of their edges alongside,
+``indices[ptr[v]:ptr[v + 1]]`` with the ids of their edges alongside,
 lists v's neighbours in edge order, and each edge's weight is read from the
 edge arrays themselves.  Sums over it use ``np.bincount``/``np.cumsum``,
 which add in input order like an edge-by-edge loop (``np.sum`` does not).
@@ -36,6 +39,7 @@ from .weighting import (
     WeightSet,
     check_edge_count,
     check_vertex_count,
+    count_ids,
     top_count,
     top_value,
 )
@@ -47,7 +51,7 @@ FLOOR_FACTOR = 1e-3
 DEFAULT_FLOOR = 1e-3  # used when the weight set has no positive entry
 _WRITE_CHUNK = 1 << 16  # edge lines formatted per write
 _CSR_CHUNK = 1 << 13  # edges placed per step of ``csr``
-_DEGREE_CHUNK = 1 << 16  # edges counted per step of ``RelationGraph.degrees``
+_EDGE = "edge {}".format  # how a check names edge e by default
 
 
 class GraphError(MalcomError):
@@ -56,12 +60,14 @@ class GraphError(MalcomError):
 
 @dataclass
 class RelationGraph:
-    """Undirected weighted edges over ``vertices``; ``check()`` owns their
-    invariants.  Built and read graphs list ids ascending, pairs row-major."""
+    """Undirected weighted edges over ``vertices``, stored by row: row i lists
+    the edges (i, edge_j[e]), e in [indptr[i], indptr[i + 1]).  ``check()``
+    owns their invariants.  Built and read graphs list ids ascending, pairs
+    row-major; ``from_pairs`` lays out any edge list so."""
 
     vertices: list[str]
-    edge_i: np.ndarray  # int32 (VERTEX_ID); edge_i < edge_j
-    edge_j: np.ndarray
+    indptr: np.ndarray  # int64, n + 1
+    edge_j: np.ndarray  # int32 (VERTEX_ID)
     edge_w: np.ndarray  # float64, all > 0
     meta: dict = field(default_factory=dict)
 
@@ -74,43 +80,89 @@ class RelationGraph:
         return len(self.edge_w)
 
     def degrees(self) -> np.ndarray:
-        """Edges at each vertex, counted ``_DEGREE_CHUNK`` edges at a time:
-        ``np.bincount`` copies the int32 ids it counts to int64."""
-        deg = np.zeros(self.n, dtype=np.int64)
-        for s in range(0, self.num_edges, _DEGREE_CHUNK):
-            for ids in (self.edge_i, self.edge_j):
-                deg += np.bincount(ids[s : s + _DEGREE_CHUNK], minlength=self.n)
-        return deg
+        """Edges at each vertex: those of its row and those that end at it."""
+        return np.diff(self.indptr) + count_ids(self.edge_j, self.n)
 
-    def check(self, where: Callable[[int], str] = "edge {}".format) -> None:
-        """GraphError naming, by ``where(e)``, the first edge e with an id
-        outside [0, n), a self-loop, a weight not finite and > 0, or an
-        earlier edge's pair in either order.  Pairs listed ascending, as built
-        graphs list them, cannot repeat; any other order takes a stable sort."""
-        i, j, w, n, names = self.edge_i, self.edge_j, self.edge_w, self.n, self.vertices
-        bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
-        bad |= ~((0 < w) & (w < math.inf))  # NaN fails both
-        first_bad = e = int(bad.argmax()) if bad.any() else len(w)
-        lo, hi = i[:e], j[:e]  # valid ids
-        up = lo[1:] > lo[:-1]
-        up |= (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
-        if not (up.all() and (lo < hi).all()):
-            key = np.minimum(lo, hi) * np.int64(n) + np.maximum(lo, hi)  # int64 keys
-            order = np.argsort(key, kind="stable")  # a run's later edges repeat it
-            key = key[order]
-            e = int(order[1:][key[1:] == key[:-1]].min(initial=e))
-        if e == len(w):
-            return
-        a, b = int(i[e]), int(j[e])
-        if e < first_bad:
-            fault = f"repeats the pair {names[a]!r}, {names[b]!r}"  # as listed
-        elif not (0 <= a < n and 0 <= b < n):
-            fault = f"vertex ids {a}, {b} not in [0, {n})"
-        elif a == b:
-            fault = f"self-loop on {names[a]!r}"
-        else:
-            fault = f"edge weight must be finite and > 0, got {float(w[e])!r}"
-        raise GraphError(f"{where(e)}: {fault}")
+    def row_major(self) -> bool:
+        """Whether the edges are pairs i < j < n in ascending order, read a
+        chunk at a time, each overlapping the previous by one edge."""
+        for s in range(0, self.num_edges, _WRITE_CHUNK):
+            a, e = max(s - 1, 0), s + _WRITE_CHUNK
+            i, j = row_ids(self.indptr, a, e), self.edge_j[a:e]
+            key = i * np.int64(self.n) + j  # int64: i * n overflows int32
+            if not ((i < j).all() and (j < self.n).all() and (np.diff(key) > 0).all()):
+                return False
+        return True
+
+    def check(self, where: Callable[[int], str] = _EDGE) -> None:
+        """GraphError for a row pointer that does not list the edges, else as
+        ``check_pairs`` on the edges (row, edge_j[e]), whose rows it expands
+        only when they are not row-major or a weight is not in (0, inf)."""
+        ptr, w = self.indptr, self.edge_w
+        if not (len(ptr) == self.n + 1 and ptr[0] == 0 and ptr[-1] == len(w)
+                and (np.diff(ptr) >= 0).all()):
+            raise GraphError(f"row pointer not over {len(w)} edges in {self.n} rows")
+        # NaN fails both comparisons
+        if not (0 < w.min(initial=1.0) and w.max(initial=1.0) < math.inf
+                and self.row_major()):
+            check_pairs(self.vertices, row_ids(ptr), self.edge_j, w, where)
+
+    @classmethod
+    def from_pairs(cls, vertices: list[str], i, j, w, where=_EDGE) -> "RelationGraph":
+        """The graph of the edges (i[e], j[e]) of weights w[e], listed in any
+        order, each as (min, max), row-major; GraphError as ``check_pairs``."""
+        check_pairs(vertices, i, j, w, where)
+        n, lo, hi = len(vertices), np.minimum(i, j), np.maximum(i, j)
+        order = np.argsort(lo * np.int64(n) + hi)  # int64 keys
+        lo, hi = (a[order].astype(VERTEX_ID) for a in (lo, hi))
+        return cls(vertices, row_pointer(lo, n), hi, np.asarray(w, float)[order])
+
+
+def check_pairs(names: list[str], i, j, w, where: Callable[[int], str] = _EDGE) -> None:
+    """GraphError naming, by ``where(e)``, the first edge e with an id
+    outside [0, n), a self-loop, a weight not finite and > 0, or an earlier
+    edge's pair in either order.  Pairs listed ascending, as built graphs
+    list them, cannot repeat; any other order takes a stable sort."""
+    i, j, w, n = np.asarray(i), np.asarray(j), np.asarray(w), len(names)
+    bad = (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)
+    bad |= ~((0 < w) & (w < math.inf))  # NaN fails both
+    first_bad = e = int(bad.argmax()) if bad.any() else len(w)
+    lo, hi = i[:e], j[:e]  # valid ids
+    up = lo[1:] > lo[:-1]
+    up |= (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
+    if not (up.all() and (lo < hi).all()):
+        key = np.minimum(lo, hi) * np.int64(n) + np.maximum(lo, hi)  # int64 keys
+        order = np.argsort(key, kind="stable")  # a run's later edges repeat it
+        key = key[order]
+        e = int(order[1:][key[1:] == key[:-1]].min(initial=e))
+    if e == len(w):
+        return
+    a, b = int(i[e]), int(j[e])
+    if e < first_bad:
+        fault = f"repeats the pair {names[a]!r}, {names[b]!r}"  # as listed
+    elif not (0 <= a < n and 0 <= b < n):
+        fault = f"vertex ids {a}, {b} not in [0, {n})"
+    elif a == b:
+        fault = f"self-loop on {names[a]!r}"
+    else:
+        fault = f"edge weight must be finite and > 0, got {float(w[e])!r}"
+    raise GraphError(f"{where(e)}: {fault}")
+
+
+def row_ids(indptr: np.ndarray, s: int = 0, e: Optional[int] = None) -> np.ndarray:
+    """The int32 rows of the pairs [s, e), all by default, under the row
+    pointer ``indptr``."""
+    e = int(indptr[-1]) if e is None else min(e, int(indptr[-1]))
+    r0 = int(np.searchsorted(indptr, s, side="right")) - 1
+    r1 = int(np.searchsorted(indptr, e, side="left"))
+    counts = np.diff(np.clip(indptr[r0 : r1 + 1], s, e))
+    return np.repeat(np.arange(r0, r1, dtype=VERTEX_ID), counts)
+
+
+def row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
+    """The int64 row pointer over n rows of pairs whose ``rows`` ascend."""
+    # probes of the rows' own dtype: int64 ones would copy int32 rows
+    return np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(np.int64)
 
 
 @dataclass
@@ -122,7 +174,7 @@ class GraphBuildParams:
 
     def weights_top_p(self) -> float:
         """The top percent of pair weights to weigh for this build: 100 for
-        an epsilon given as a value, else p (k-NN reads no held pair)."""
+        an epsilon given as a value, the floor, else p (k-NN reads none)."""
         if self.method == "epsilon" and self.epsilon is not None:
             return 100.0
         return self.p
@@ -168,14 +220,13 @@ def build_epsilon(ws: WeightSet, epsilon: float) -> RelationGraph:
     pair passes, as for E-N and epsilon-at-p at the p the set was weighed
     at, the graph takes the set's read-only arrays themselves, no copy."""
     GraphBuildParams("epsilon", epsilon=epsilon).validate(ws.n)
-    low = float(ws.w.min(initial=math.inf))
-    if len(ws) < ws.total and epsilon < low:
-        raise GraphError(f"the set holds only the pair weights >= {low:.10g}")
-    if epsilon <= low:
-        edges = ws.i, ws.j, ws.w
-    else:
-        mask = ws.w >= epsilon
-        edges = ws.i[mask], ws.j[mask], ws.w[mask]
+    if len(ws) < ws.total and epsilon < ws.floor:
+        raise GraphError(f"the set holds only the pair weights >= {ws.floor:.10g}")
+    if epsilon <= ws.w.min(initial=math.inf):
+        edges = ws.indptr, ws.j, ws.w
+    else:  # each row ends after the pairs kept before its end
+        at = np.flatnonzero(ws.w >= epsilon)
+        edges = np.searchsorted(at, ws.indptr), ws.j[at], ws.w[at]
     meta = {"method": "epsilon", "epsilon": epsilon}
     return RelationGraph(list(ws.ids), *edges, meta)
 
@@ -186,41 +237,40 @@ def _floor_weight(ws: WeightSet) -> float:
     return max(ws.min_w * FLOOR_FACTOR, math.ulp(0.0))  # never flushed to 0
 
 
-def csr(
-    n: int, i: np.ndarray, j: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Symmetric CSR adjacency ``(indptr, indices, eids)`` of the undirected
-    edges (i[e], j[e]) over n vertices: entry k of a row names the neighbour
-    ``indices[k]`` across the edge ``eids[k]``, whose weight a reader takes
-    from its own edge array, ``w.take(eids[s:e])`` for a row slice.
+def csr(indptr: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric CSR adjacency ``(ptr, indices, eids)`` of the undirected
+    edges stored by row, (i, j[e]) for e in row i of ``indptr``: entry k of
+    a row names the neighbour ``indices[k]`` across the edge ``eids[k]``,
+    whose weight a reader takes from its own edge array, ``w.take(eids[s:e])``
+    for a row slice.
 
     Each edge appears in both endpoint rows, every row in edge order,
     exactly as appending i0->j0, j0->i0, i1->j1, ... edge by edge would.
-    A stable counting placement: each chunk of ``_CSR_CHUNK`` edges sorts
-    its entries by row and writes them straight to their final slots,
-    after the earlier chunks' entries of the same row.  No temporary is
-    longer than a chunk, apart from n-sized ones.  ``indptr`` is int64,
-    ``indices`` int32 (``VERTEX_ID``) and ``eids`` int32 (``EDGE_ID``), so
-    an entry takes 8 B; ``check_edge_count`` rejects more edges than int32
-    ids can name.
+    A stable counting placement: each chunk of ``_CSR_CHUNK`` edges, its
+    rows read from ``indptr``, sorts its entries by row and writes them
+    straight to their final slots, after the earlier chunks' entries of
+    the same row.  No temporary is longer than a chunk, apart from n-sized
+    ones.  ``ptr`` is int64, ``indices`` int32 (``VERTEX_ID``) and ``eids``
+    int32 (``EDGE_ID``), so an entry takes 8 B; ``check_edge_count``
+    rejects more edges than int32 ids can name.
     """
+    n = len(indptr) - 1
     check_vertex_count(n)
-    check_edge_count(len(i))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    indptr[1:] = np.bincount(i, minlength=n)
-    indptr[1:] += np.bincount(j, minlength=n)
-    np.cumsum(indptr, out=indptr)
-    indices = np.empty(indptr[-1], dtype=VERTEX_ID)
-    eids = np.empty(indptr[-1], dtype=EDGE_ID)
-    fill = indptr[:-1].copy()  # each row's next free slot
+    check_edge_count(len(j))
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.diff(indptr) + count_ids(j, n), out=ptr[1:])
+    indices = np.empty(ptr[-1], dtype=VERTEX_ID)
+    eids = np.empty(ptr[-1], dtype=EDGE_ID)
+    fill = ptr[:-1].copy()  # each row's next free slot
     shift = (2 * _CSR_CHUNK - 1).bit_length()  # bits of a position in a chunk
-    for s in range(0, len(i), _CSR_CHUNK):
-        e = min(s + _CSR_CHUNK, len(i))
+    for s in range(0, len(j), _CSR_CHUNK):
+        i = row_ids(indptr, s, s + _CSR_CHUNK)
+        e = s + len(i)
         c = 2 * (e - s)
         # the interleaved entries keyed (row, position in the chunk): one
         # sort orders them by row, each row in edge order; ids < 2**31
         key = np.empty(c, dtype=np.int64)
-        key[0::2], key[1::2] = i[s:e], j[s:e]
+        key[0::2], key[1::2] = i, j[s:e]
         key <<= shift
         key += np.arange(c)
         key.sort()
@@ -230,12 +280,12 @@ def csr(
         first = np.flatnonzero(np.diff(row, prepend=-1))
         run = np.diff(first, append=c)
         slot = np.arange(c) - np.repeat(first - fill[row[first]], run)
-        indices[slot] = np.column_stack((j[s:e], i[s:e])).ravel()[key]
+        indices[slot] = np.column_stack((j[s:e], i)).ravel()[key]
         key >>= 1  # entry k of the interleaved list is edge s + k // 2
         key += s
         eids[slot] = key
         fill[row[first]] += run
-    return indptr, indices, eids
+    return ptr, indices, eids
 
 
 def _nearest(ws: WeightSet, mask: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +325,9 @@ def build_knn(ws: WeightSet, k: int) -> RelationGraph:
     """
     GraphBuildParams("knn", k=k).validate(ws.n)
     keys, w = _nearest(ws, np.ones(ws.n, dtype=bool), k)
-    i, j = (a.astype(VERTEX_ID) for a in np.divmod(keys, ws.n))
-    return RelationGraph(list(ws.ids), i, j, w, {"method": "knn", "k": k})
+    i, j = np.divmod(keys, ws.n)
+    ptr, j = row_pointer(i, ws.n), j.astype(VERTEX_ID)
+    return RelationGraph(list(ws.ids), ptr, j, w, {"method": "knn", "k": k})
 
 
 def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
@@ -292,11 +343,14 @@ def build_en(ws: WeightSet, p: float, k: int) -> RelationGraph:
     keys = ()
     if is_iso.any():  # np.insert copies every edge, even to insert nothing
         keys, w = _nearest(ws, is_iso, k)
-        # int64: i * n overflows int32 ids
-        at = np.searchsorted(g.edge_i.astype(np.int64) * ws.n + g.edge_j, keys)
-        g.edge_i = np.insert(g.edge_i, at, keys // ws.n)
-        g.edge_j = np.insert(g.edge_j, at, keys % ws.n)
+        i, j = np.divmod(keys, ws.n)
+        # a pick (i, j) goes after the edges of row i that end before j
+        ptr = g.indptr.tolist()
+        at = [ptr[a] + int(np.searchsorted(g.edge_j[ptr[a] : ptr[a + 1]], b))
+              for a, b in zip(i.tolist(), j.tolist())]
+        g.edge_j = np.insert(g.edge_j, at, j)
         g.edge_w = np.insert(g.edge_w, at, w)
+        g.indptr = g.indptr + row_pointer(i, ws.n)
     g.meta = {
         "method": "en",
         "p": p,
@@ -326,28 +380,21 @@ def write_edges(g: RelationGraph, path) -> None:
     isolated vertex, ascending by id.
 
     The lines are the edges as listed, in the one layout of ``RelationGraph``;
-    a graph out of it, found a chunk at a time (each overlapping the previous
-    by one edge) before the file is opened, raises GraphError.  Lines are
-    formatted ``_WRITE_CHUNK`` at a time: no temporary is |E| long.
+    a graph out of it (``row_major``), found before the file is opened,
+    raises GraphError.  Lines are formatted ``_WRITE_CHUNK`` at a time, their
+    rows read from the row pointer: no temporary is |E| long.
     """
-    ids, n, m = g.vertices, g.n, g.num_edges
+    ids, n = g.vertices, g.n
     names = np.array(ids, dtype=object)
-    chunks = range(0, m, _WRITE_CHUNK)
-
-    def ascends(s: int) -> bool:
-        i, j = (a[max(s - 1, 0) : s + _WRITE_CHUNK] for a in (g.edge_i, g.edge_j))
-        key = i * np.int64(n) + j  # int64: i * n overflows int32
-        return bool((i < j).all() and (key[1:] > key[:-1]).all())
-
-    if not (all(map(str.__lt__, ids, ids[1:])) and all(map(ascends, chunks))):
+    if not (all(map(str.__lt__, ids, ids[1:])) and g.row_major()):
         raise GraphError("graph not listed by ascending id and row-major pairs")
-    listed = np.zeros(n, dtype=bool)
+    listed = np.diff(g.indptr) > 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# vertices: {n}\n")
-        for s in chunks:
-            edges = slice(s, s + _WRITE_CHUNK)
-            lo, hi, w = g.edge_i[edges], g.edge_j[edges], g.edge_w[edges]
-            listed[lo] = listed[hi] = True
+        for s in range(0, g.num_edges, _WRITE_CHUNK):
+            lo = row_ids(g.indptr, s, s + _WRITE_CHUNK)
+            hi, w = g.edge_j[s : s + _WRITE_CHUNK], g.edge_w[s : s + _WRITE_CHUNK]
+            listed[hi] = True
             # one % over the chunk's (src, dst, weight) cells, row by row
             cells = np.empty((len(w), 3), dtype=object)
             cells[:, 0] = names[lo]
@@ -364,9 +411,10 @@ def read_edges(path) -> RelationGraph:
     puts it, so a vertex id may begin with that text.
 
     Raises GraphError for a line without three tab-separated fields, a
-    non-numeric value, or the first edge line ``RelationGraph.check``
-    rejects.  Then one argsort of int64 pair keys puts the graph in its one
-    layout, whatever the line order (the identity for write_edges' files).
+    non-numeric value, or the first edge line ``check_pairs`` rejects, in
+    the order listed.  ``RelationGraph.from_pairs`` then puts the graph in
+    its one layout, whatever the line order (the identity for write_edges'
+    files).
     """
     ids: list[str] = []
     index: dict[str, int] = {}
@@ -407,20 +455,18 @@ def read_edges(path) -> RelationGraph:
             add_j(vid(dst))
             add_line(lineno)
     # views of the arrays' buffers ("i" is a C int, int32 where numpy's is)
-    ei = np.frombuffer(ends_i, dtype=np.intc).astype(VERTEX_ID, copy=False)
-    ej = np.frombuffer(ends_j, dtype=np.intc).astype(VERTEX_ID, copy=False)
+    ei, ej = (np.frombuffer(a, dtype=np.intc) for a in (ends_i, ends_j))
     ew = np.frombuffer(weights, dtype=np.float64)
-    g = RelationGraph(vertices=ids, edge_i=ei, edge_j=ej, edge_w=ew)
-    g.check(lambda e: f"line {linenos[e]}")
+    by_name = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=VERTEX_ID)
+    rank[by_name] = np.arange(len(ids))
+    names = [ids[v] for v in by_name]
+    g = RelationGraph.from_pairs(
+        names, rank[ei], rank[ej], ew, lambda e: f"line {linenos[e]}"
+    )
     if n_declared is not None and n_declared != g.n:
         raise GraphError(f"edge file declares {n_declared} vertices but lists {g.n}")
-    by_name = sorted(range(g.n), key=ids.__getitem__)
-    rank = np.empty(g.n, dtype=VERTEX_ID)
-    rank[by_name] = np.arange(g.n)
-    a, b = rank[ei], rank[ej]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    order = np.argsort(lo * np.int64(g.n) + hi)  # int64 keys
-    return RelationGraph([ids[v] for v in by_name], lo[order], hi[order], ew[order])
+    return g
 
 
 def _parse_number(kind, text: str, lineno: int):

@@ -40,19 +40,21 @@ skipping repeated work (``_local_move_passes``):
   within 2 * ``_DELTA_EPS`` of their minimum, among which the exact first
   minimum must lie.
 
-A level keeps its edge list (at the first level, the graph's arrays, the
-weight set's weights).  Its CSR holds no weights: each entry is an int32
-neighbour id and the int32 id of its edge, 8 B per entry, and a reader
-takes a row's weights from the level's own edge weights,
-``ew.take(eid[s:e])``, in row order.  Community exit sums walk the CSR
-rows in slices of about ``_CHUNK`` entries; a level's strengths and its
-aggregated edge weights walk its edge list ``_CHUNK`` edges at a time.
-Each adds with ``np.add.at``, one term at a time in order, as a bincount
-over all terms would: the sums are the same doubles, and no temporary is
-|E| long.  Every level lists its edges by (min, max), with at most one
-loop per vertex (at the first level, none), so the edge order is the CSR
-rows' order of each vertex's loop, then its upper entries.  Vertex and
-community ids are int32.
+A level keeps its edge list, stored by row as graphs store it (at the
+first level, the graph's arrays, the weight set's own): a row pointer and
+per edge its other end and weight, 12 B.  Its CSR holds no weights: each
+entry is an int32 neighbour id and the int32 id of its edge, 8 B per
+entry, and a reader takes a row's weights from the level's own edge
+weights, ``ew.take(eid[s:e])``, in row order.  Community exit sums walk the
+CSR rows in slices of about ``_CHUNK`` entries; a level's strengths and
+its aggregated edge weights walk its edge list ``_CHUNK`` edges at a time,
+their rows read from the row pointer (``graph.row_ids``).  Each adds with
+``np.add.at``, one term at a time in order, as a bincount over all terms
+would: the sums are the same doubles, and no temporary is |E| long.  Every
+level lists its edges by (min, max), with at most one loop per vertex (at
+the first level, none), so the edge order is the CSR rows' order of each
+vertex's loop, then its upper entries.  Vertex and community ids are
+int32.
 """
 from __future__ import annotations
 
@@ -63,7 +65,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MalcomError, ParameterError
-from .graph import RelationGraph, csr
+from .graph import RelationGraph, csr, row_ids, row_pointer
 from .weighting import EDGE_ID, VERTEX_ID, rescaled
 
 CONVERGENCE_TOLERANCE = 1e-10  # bits a local move must gain to be applied
@@ -194,12 +196,13 @@ class DetectorConfig:
 
 
 class _Net:
-    """One aggregation level, built from edge arrays (ei, ej, ew), which it
-    keeps: at the first level they are the graph's own arrays.
+    """One aggregation level, built from its edges stored by row, (ptr, ej,
+    ew), which it keeps: at the first level they are the graph's own
+    arrays.
 
     Non-loop edges form the CSR adjacency of ``graph.csr``: ``indptr``,
     ``indices`` with int32 vertex ids and ``eid`` with the int32 ids of
-    edges in (ei, ej, ew), 8 B per entry, so an entry's weight is
+    edges in (ej, ew), 8 B per entry, so an entry's weight is
     ``ew[eid[k]]`` and no CSR copy of it exists.  Loop weight is also summed
     in ``loop``, counts twice toward strength and once toward total weight,
     so aggregation preserves flows exactly.  All sums run in edge order, as
@@ -212,14 +215,18 @@ class _Net:
     tests restate an aggregated net's in fine-net terms, a shift of sum plogp(p_v).
     """
 
-    def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray, ew: np.ndarray):
-        self.n, self.ei, self.ej, self.ew = n, ei, ej, ew
+    def __init__(self, ptr: np.ndarray, ej: np.ndarray, ew: np.ndarray):
+        n = len(ptr) - 1
+        self.n, self.ptr, self.ej, self.ew = n, ptr, ej, ew
         self.loop = np.zeros(n, dtype=np.float64)
         self.strength = np.zeros(n, dtype=np.float64)
         total = np.zeros(1, dtype=np.float64)
+        loops = []
         for s in range(0, len(ew), _CHUNK):
-            i, j, w = ei[s : s + _CHUNK], ej[s : s + _CHUNK], ew[s : s + _CHUNK]
+            i = row_ids(ptr, s, s + _CHUNK)
+            j, w = ej[s : s + _CHUNK], ew[s : s + _CHUNK]
             is_loop = i == j
+            loops.append(s + np.flatnonzero(is_loop))
             np.add.at(self.loop, i[is_loop], w[is_loop])
             # both endpoints in edge order; a loop adds 2w once, at its edge
             end_w = np.repeat(w, 2)
@@ -229,11 +236,11 @@ class _Net:
             total = np.cumsum(np.concatenate((total[-1:], w)))
         self.total_weight = float(total[-1])
         if self.loop.any():  # weights are > 0; the CSR skips the loops
-            kept = np.flatnonzero(ei != ej).astype(EDGE_ID)
-            self.indptr, self.indices, eid = csr(n, ei[kept], ej[kept])
+            kept = np.delete(np.arange(len(ew), dtype=EDGE_ID), np.concatenate(loops))
+            self.indptr, self.indices, eid = csr(np.searchsorted(kept, ptr), ej[kept])
             self.eid = kept[eid]
         else:
-            self.indptr, self.indices, self.eid = csr(n, ei, ej)
+            self.indptr, self.indices, self.eid = csr(ptr, ej)
 
     def visit_rates(self) -> np.ndarray:
         if self.total_weight <= 0.0:
@@ -250,7 +257,7 @@ def _net_from_graph(g: RelationGraph) -> _Net:
     g.check()
     # rescaled, the total weight W (< 2**31 edges) and 1 / (2W) are finite
     w = rescaled(g.edge_w, InfomapError, "edge weights")
-    return _Net(g.n, g.edge_i, g.edge_j, w)
+    return _Net(g.indptr, g.edge_j, w)
 
 
 def _exit_sums(net: _Net, assignment: np.ndarray, m: int, scale: float) -> np.ndarray:
@@ -584,7 +591,7 @@ def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:
     comm = np.asarray(assignment, dtype=VERTEX_ID)
 
     def keys_of(s: int) -> np.ndarray:
-        ca, cb = comm[net.ei[s : s + _CHUNK]], comm[net.ej[s : s + _CHUNK]]
+        ca, cb = comm[row_ids(net.ptr, s, s + _CHUNK)], comm[net.ej[s : s + _CHUNK]]
         key = np.minimum(ca, cb).astype(np.int64)  # int64: a * m overflows int32
         key *= m
         key += np.maximum(ca, cb)
@@ -601,8 +608,8 @@ def _aggregate(net: _Net, assignment: list[int], m: int) -> _Net:
     sums = np.zeros(len(keys), dtype=np.float64)
     for s in chunks:
         np.add.at(sums, np.searchsorted(keys, keys_of(s)), net.ew[s : s + _CHUNK])
-    a, b = (x.astype(VERTEX_ID) for x in np.divmod(keys, m))
-    return _Net(m, a, b, sums)
+    a, b = np.divmod(keys, m)
+    return _Net(row_pointer(a, m), b.astype(VERTEX_ID), sums)
 
 
 def detect(

@@ -104,8 +104,8 @@ def run_pipeline(
     detect and (for fully labeled corpora) eval.
 
     The pair weights are weighed at ``params.weights_top_p()``, so
-    ``report.weights`` holds the top p percent (every pair for an epsilon
-    given as a value) and serves any build whose pairs it holds.
+    ``report.weights`` holds the top p percent (for an epsilon given as a
+    value, every pair >= epsilon) and serves any build whose pairs it holds.
 
     ``weights`` are the dataset's pair weights from an earlier call (its
     ``report.weights``); they are used in place of recomputing them, so a
@@ -142,7 +142,8 @@ def run_pipeline(
     model = timed("tfidf", compute_tfidf, dataset)
     del dataset  # later stages read only the model, then the labels
     if weights is None:
-        weights = timed("weights", pairwise_weights, model, params.weights_top_p())
+        top_p = params.weights_top_p()
+        weights = timed("weights", pairwise_weights, model, top_p, params.epsilon)
     elif weights.ids != model.sample_ids:
         raise DatasetError("the given pair weights belong to another corpus")
     del model  # the pair weights are all later stages read

@@ -21,9 +21,10 @@ position matrix; both paths give the same set, bit for bit.  Weighed at p, a
 set holds exactly the top ceil(p/100 * |W|) pairs, ties included: all that
 an epsilon or E-N graph at that p reads, and while weighing at most about
 1.25 m pairs plus a row chunk's, m = ceil(p/100 * n(n-1)/2); at p = 100
-it holds all |W| positive pairs.  The k-NN rules read recomputed rows, not
-held pairs.  Vertex ids are int32 (``VERTEX_ID``), so a held pair takes 16
-bytes: two ids and its weight.
+it holds all |W| positive pairs, and weighed at a floor epsilon, only those
+>= epsilon.  The k-NN rules read recomputed rows, not held pairs.  Pairs
+are held by row: an int64 row pointer ``indptr`` of n + 1 entries, and per
+pair its int32 column id (``VERTEX_ID``) and float64 weight, 12 bytes.
 """
 from __future__ import annotations
 
@@ -90,6 +91,15 @@ def rescaled(x: np.ndarray, error: type[MalcomError], what: str) -> np.ndarray:
     return x
 
 
+def count_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """How often each of 0..n-1 occurs in the int32 ``ids``, counted
+    _BLOCK_CELLS / 8 at a time: ``np.bincount`` copies the ids to int64."""
+    counts, step = np.zeros(n, dtype=np.int64), max(1, _BLOCK_CELLS >> 3)
+    for s in range(0, len(ids), step):
+        counts += np.bincount(ids[s : s + step], minlength=n)
+    return counts
+
+
 @dataclass
 class TfIdfModel:
     """Tf-idf values as CSR arrays: row r holds sample r's nonzero values,
@@ -119,37 +129,42 @@ Feature = tuple[np.ndarray, np.ndarray]
 class WeightSet:
     """Sparse symmetric positive pair weights over n vertices.
 
-    Stored as parallel read-only arrays (i, j, w) with i < j (int32 vertex
-    indices in dataset order), w > 0, in row-major order; an epsilon or
-    E-N graph that keeps every held pair aliases them.  The set holds
-    either all ``total`` positive pairs, or exactly the pairs at or above
-    its smallest held weight (weighed at p: the top ceil(p/100 * total),
-    ties included); what it can serve follows from that alone, and the
-    cutoff of any p it serves is a rank of ``w`` (``top_value``).  It keeps
-    the feature lists it was weighed from, and ``row_blocks`` recomputes
-    whole rows from them.  ``min_rows`` marks rows among which the complete
-    set's smallest weight lies (None: all rows); ``min_w`` recomputes them
-    only once it is read, and not at all for a complete set.
+    Stored by row as read-only arrays: the int64 row pointer ``indptr``
+    (n + 1) and, per pair, its int32 column ``j`` and weight ``w`` > 0;
+    row i's pairs are ``j[indptr[i]:indptr[i + 1]]``, each j > i and
+    ascending (vertex indices in dataset order).  An epsilon or E-N graph
+    that keeps every held pair aliases them.  The set holds either all
+    ``total`` positive pairs, or every pair at or above ``floor``: weighed
+    at p, the top ceil(p/100 * total), ties included, whose smallest is the
+    floor (the default); weighed at a floor epsilon, those >= epsilon.
+    What it can serve follows from that alone, and the cutoff of any p it
+    serves is a rank of ``w`` (``top_value``).  It keeps the feature lists
+    it was weighed from, and ``row_blocks`` recomputes whole rows from
+    them.  ``min_rows`` marks rows among which the complete set's smallest
+    weight lies (None: all rows); ``min_w`` recomputes them only once it is
+    read, and not at all for a complete set.
     """
 
     def __init__(
         self,
         ids: list[str],
-        i: np.ndarray,
+        indptr: np.ndarray,
         j: np.ndarray,
         w: np.ndarray,
         features: list[Feature],
         total: Optional[int] = None,
         min_rows: Optional[np.ndarray] = None,
+        floor: Optional[float] = None,
     ):
         self.ids = ids
-        self.i = np.asarray(i, dtype=VERTEX_ID)
+        self.indptr = np.asarray(indptr, dtype=np.int64)
         self.j = np.asarray(j, dtype=VERTEX_ID)
         self.w = np.asarray(w, dtype=np.float64)
-        for a in (self.i, self.j, self.w):
+        for a in (self.indptr, self.j, self.w):
             a.setflags(write=False)  # graphs may share them
         self.total = len(self.w) if total is None else total  # |W|
         self.min_rows = min_rows
+        self.floor = float(self.w.min(initial=math.inf)) if floor is None else floor
         self._features = features
 
     @property
@@ -197,7 +212,7 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
     n = len(d)
     check_not_empty(n)
     cols = d.columns()
-    df = np.bincount(cols.ids, minlength=len(cols.names))
+    df = count_ids(cols.ids, len(cols.names))
     # math.log per name, not np.log: numpy's SIMD log may round differently
     idf = np.array([math.log(n / c) for c in df.tolist()], dtype=np.float64)
     with np.errstate(over="ignore"):  # an overflow is reported below
@@ -226,7 +241,9 @@ def compute_tfidf(d: Dataset) -> TfIdfModel:
     )
 
 
-def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
+def pairwise_weights(
+    m: TfIdfModel, top_p: float = 100.0, floor: Optional[float] = None
+) -> WeightSet:
     """Symmetric pair weights via an inverted index over features.
 
     For each feature (ascending name) the tf-idf values of the samples
@@ -237,20 +254,23 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
     the same order, so the weights do not depend on b.
 
     The set holds exactly the top ceil(top_p/100 * |W|) pairs, ties
-    included, in row-major order; at top_p = 100 it is complete.  A block
-    is appended a row chunk of about _BLOCK_CELLS / 8 cells at a time, and
-    a chunk keeps the pairs at or above a threshold that starts at 0.
-    Once more than ceil(1.25 * m_max) pairs are held, m_max =
-    ceil(top_p/100 * n(n-1)/2), they are compacted in place, a block's
-    cells at a time, to those at or above the m_max-th largest, and the
-    threshold rises to that weight; at the end they are trimmed to the top
-    ceil(top_p/100 * |W|).  Either rank is found by ``top_value``.  The
-    output arrays reserve min(n(n-1)/2, ceil(1.25 * m_max) + max(
-    _BLOCK_CELLS / 8, n)) pairs, what the pairs held before a chunk and
-    the chunk's own can fill; when ties at the threshold hold more, they
-    grow in place.  Memory is O(b * n + held pairs): a block's cells, 16
-    bytes per held pair, and 8 more per member of a rank's bucket while it
-    is partitioned.  A weight that overflows the float64 range raises
+    included, and of them, given a ``floor``, only those >= floor, by row
+    (``WeightSet``); at top_p = 100 and no floor it is complete.  A block
+    is appended a row chunk of about _BLOCK_CELLS / 8 cells at a time, with
+    its rows' counts of pairs, and a chunk keeps the pairs at or above a
+    threshold that starts at the floor (0 without one).  Once more than
+    ceil(1.25 * m_max) pairs are held, m_max = ceil(top_p/100 *
+    n(n-1)/2), they are compacted in place, _BLOCK_CELLS / 8 pairs at a
+    time (``_keep_top``), to those at or above the m_max-th largest, and
+    the threshold rises to that weight; at the end they are trimmed to the
+    top ceil(top_p/100 * |W|) and the floor.  Either rank is found by
+    ``top_value``.  At top_p = 100 nothing is compacted.  The output
+    arrays reserve min(n(n-1)/2, ceil(1.25 * m_max) + max(_BLOCK_CELLS / 8,
+    n)) pairs, what the pairs held before a chunk and the chunk's own can
+    fill; when ties at the threshold hold more, they grow in place.  Memory
+    is O(b * n + held pairs): a block's cells, 12 bytes per held pair and
+    the n + 1 row pointer, and 8 more per member of a rank's bucket while
+    it is partitioned.  A weight that overflows the float64 range raises
     DatasetError.
 
     Two paths compute the weights, and give the same set bit for bit.  The
@@ -304,19 +324,22 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         drop, rise = 1 - 3 * delta, 1 + 3 * delta
     cap = math.ceil(1.25 * m_max)
     room = min(size, cap + max(_BLOCK_CELLS >> 3, n))
-    i, j = np.empty(room, dtype=VERTEX_ID), np.empty(room, dtype=VERTEX_ID)
-    w = np.empty(room, dtype=np.float64)
+    j, w = np.empty(room, dtype=VERTEX_ID), np.empty(room, dtype=np.float64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
     count = total = 0
     limit = cap  # held pairs that start a compaction
-    threshold = 0.0
+    threshold = floor or 0.0
     lows = []  # each block's smallest positive weight, or approximation
+    # one buffer for every block's cells: blocks freed in turn would stay
+    # resident in the heap, and the detector's CSR could not reuse them
+    cells = np.empty(rows * n, dtype=np.float64)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
         if dense is None:
-            acc = _weight_rows(features, n, np.arange(r0, r1), r0)
+            acc = _weight_rows(features, n, np.arange(r0, r1), r0, cells)
         else:
-            acc = _bound_rows(dense, r0, r1)
+            acc = _bound_rows(dense, r0, r1, cells)
         # row-major (i, j) with j > i and w > 0 (then A > 0 too)
         keep = np.triu(acc > 0, k=1)
         total += int(np.count_nonzero(keep))
@@ -325,49 +348,58 @@ def pairwise_weights(m: TfIdfModel, top_p: float = 100.0) -> WeightSet:
         # the pairs held before it give
         step = max(1, (_BLOCK_CELLS >> 3) // width)
         for s in range(0, r1 - r0, step):
-            floor = threshold * drop
-            if floor > 0:
-                keep[s : s + step] &= acc[s : s + step] >= floor
-            flat = np.flatnonzero(keep[s : s + step])
+            least, chunk = threshold * drop, keep[s : s + step]
+            if least > 0:
+                chunk &= acc[s : s + step] >= least
+            flat = np.flatnonzero(chunk)
             end = count + len(flat)
             if end > len(w):  # ties at the threshold hold more than reserved
-                for a in (i, j, w):
+                for a in (j, w):
                     a.resize(min(size, max(end, 2 * len(a))), refcheck=False)
             # mode="clip" writes into ``out`` unbuffered
             np.take(acc[s : s + step], flat, out=w[count:end], mode="clip")
             # cell (a, b) of the chunk is flat index a * width + b; ids < 2**31
-            np.floor_divide(flat, width, out=i[count:end], casting="unsafe")
-            i[count:end] += r0 + s
             np.remainder(flat, width, out=j[count:end], casting="unsafe")
             j[count:end] += r0
+            # each row of the chunk ends after its held pairs
+            ends = indptr[r0 + s + 1 : r0 + s + len(chunk) + 1]
+            np.cumsum(np.count_nonzero(chunk, axis=1), out=ends)
+            ends += count
             count = end
             if count > limit:
-                count, cutoff = _keep_top(i, j, w, count, m_max, drop)
+                cutoff = top_value(w[:count], m_max)
+                appended = indptr[: r0 + s + len(chunk) + 1]  # rows so far
+                count = _keep_top(appended, j, w, count, cutoff * drop)
                 threshold = max(threshold, cutoff)
                 limit = max(cap, count + cap - m_max)  # ties may hold over cap
         del acc, keep
+    del cells
     if dense is not None:
         # the exact pass: every held approximation becomes its weight, read
         # from the model through the positions, built once T is freed
         del dense
         pos = _positions(m, shared)
-        # blocks of first vertices whose rows of P hold about _BLOCK_CELLS / 8
-        # cells; their starts as int32 ids: searching int64 ones would copy i
+        # runs of rows whose rows of P hold about _BLOCK_CELLS / 8 cells
         step = max(1, (_BLOCK_CELLS >> 3) // pos.shape[1])
-        starts = np.searchsorted(i[:count], np.arange(0, n, step, dtype=VERTEX_ID))
-        for s, e in zip(starts.tolist(), starts[1:].tolist() + [count]):
-            w[s:e] = _exact_weights(pos, m.data, i[s:e], j[s:e])
+        for v in range(0, n, step):
+            ptr = indptr[v : v + step + 1]
+            s, e = int(ptr[0]), int(ptr[-1])
+            w[s:e] = _exact_weights(pos, m.data, v, ptr - s, j[s:e])
         del pos
+    # trimmed to the top ceil(top_p/100 * |W|) and to the floor, which the
+    # bound path held at floor * drop
     top = top_count(top_p, total)
-    if count > top:
-        count, _ = _keep_top(i, j, w, count, top)
-    for a in (i, j, w):
+    least = max(floor or 0.0, top_value(w[:count], top) if count > top else 0.0)
+    if least > 0:
+        count = _keep_top(indptr, j, w, count, least)
+    for a in (j, w):
         a.resize(count, refcheck=False)  # in place: no copy of the pairs
     if features is None:
         features = _feature_lists(m)
     # the blocks that may hold the smallest weight: a_B <= a_min * rise
     min_rows = np.repeat(np.array(lows) <= min(lows) * rise, rows)[:n]
-    return WeightSet(list(m.sample_ids), i, j, w, features, total, min_rows)
+    ids = list(m.sample_ids)
+    return WeightSet(ids, indptr, j, w, features, total, min_rows, least or None)
 
 
 def top_count(p: float, total: int) -> int:
@@ -406,41 +438,47 @@ def _bucket_floor(key: int) -> float:
 
 
 def _keep_top(
-    i: np.ndarray, j: np.ndarray, w: np.ndarray, count: int, rank: int,
-    drop: float = 1.0,
-) -> tuple[int, float]:
-    """Keep the first ``count`` pairs whose weight is at or above the
-    rank-th largest of them, t, lowered to t * drop; ties included, in
-    place and in order.  Returns (pairs kept, t)."""
-    cutoff = top_value(w[:count], rank)
-    floor = cutoff * drop
-    kept = 0
-    for s in range(0, count, _BLOCK_CELLS):
-        e = min(s + _BLOCK_CELLS, count)
-        held = np.flatnonzero(w[s:e] >= floor)
-        for a in (i, j, w):
+    indptr: np.ndarray, j: np.ndarray, w: np.ndarray, count: int, least: float
+) -> int:
+    """Keep the first ``count`` pairs whose weight is at or above ``least``,
+    in place and in order, _BLOCK_CELLS / 8 pairs at a time, and move the
+    row pointer ``indptr`` over them to match.  Returns the pairs kept."""
+    kept, step = 0, max(1, _BLOCK_CELLS >> 3)
+    for s in range(0, count, step):
+        e = min(s + step, count)
+        held = np.flatnonzero(w[s:e] >= least)
+        # the rows ending in (s, e] end after the pairs held before them;
+        # those ending earlier already moved, to at most ``kept``
+        lo, hi = np.searchsorted(indptr, (s, e), side="right")
+        indptr[lo:hi] = kept + np.searchsorted(held, indptr[lo:hi] - s)
+        for a in (j, w):
             # the kept pairs are copied out before the write, which starts
-            # at or before the chunk: in place and stable
+            # at or before the slice: in place and stable
             a[kept : kept + len(held)] = a[s:e][held]
         kept += len(held)
-    return kept, cutoff
+    return kept
 
 
 def _weight_rows(
-    features: list[Feature], n: int, rows: np.ndarray, c0: int
+    features: list[Feature], n: int, rows: np.ndarray, c0: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Pair weights of the ascending vertices ``rows`` against the columns
-    [c0, n), as a (len(rows), n - c0) block; DatasetError when a weight
-    overflows.  Cell (r, u), the pair (rows[r], c0 + u), sums (t_a + t_b) / 2
-    over the features both hold, from 0.0 in ascending feature-name order;
-    t_a + t_b == t_b + t_a in IEEE arithmetic, so every cell is the double a
-    brute-force double loop computes.  A row's cell against itself holds a
-    sum too: callers drop or zero it."""
+    [c0, n), as a (len(rows), n - c0) block, in the buffer ``out`` if given;
+    DatasetError when a weight overflows.  Cell (r, u), the pair (rows[r],
+    c0 + u), sums (t_a + t_b) / 2 over the features both hold, from 0.0 in
+    ascending feature-name order; t_a + t_b == t_b + t_a in IEEE
+    arithmetic, so every cell is the double a brute-force double loop
+    computes.  A row's cell against itself holds a sum too: callers drop
+    or zero it."""
     width = n - c0
     pos = np.full(n, -1, dtype=np.int64)
     pos[rows] = np.arange(len(rows))
-    acc = np.zeros(len(rows) * width, dtype=np.float64)
-    span = (rows[0], rows[-1] + 1, c0)
+    cells = len(rows) * width
+    acc = np.empty(cells) if out is None else out[:cells]
+    acc.fill(0.0)
+    # probes of the ids' dtype: int64 ones would copy each int32 list
+    span = np.array([rows[0], rows[-1] + 1, c0], dtype=VERTEX_ID)
     with np.errstate(over="ignore"):  # an overflow is reported below
         for ix, t in features:
             lo, hi, c = np.searchsorted(ix, span)
@@ -470,7 +508,7 @@ def _bound_features(m: TfIdfModel, m_max: int) -> Optional[np.ndarray]:
     [2**-126, 2**127 / (2F + 2)]: float32's normal range, where A sums at
     most 2F + 2 such values and cannot overflow.  The values are read
     _BLOCK_CELLS / 8 at a time."""
-    counts = np.bincount(m.indices, minlength=len(m.names))
+    counts = count_ids(m.indices, len(m.names))
     shared = counts >= 2
     df = counts[shared].tolist()
     k = len(df)
@@ -545,13 +583,18 @@ def _slack(k: int) -> float:
     return 3 * (m * 2.0**-24 / (1 - m * 2.0**-24))
 
 
-def _bound_rows(dense: np.ndarray, r0: int, r1: int) -> np.ndarray:
+def _bound_rows(
+    dense: np.ndarray, r0: int, r1: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """A = (T B^T + B T^T) / 2 for the rows [r0, r1) of the float32 T
     against the columns [r0, n), B the 0/1 pattern of T, as a float64
-    (r1 - r0, n - r0) block.  The products and their sum are float32, and
-    each cell is within ``_slack`` of the pair's weight."""
+    (r1 - r0, n - r0) block, in the buffer ``out`` if given.  The products
+    and their sum are float32, and each cell is within ``_slack`` of the
+    pair's weight."""
     n, k = dense.shape
-    out = np.empty((r1 - r0, n - r0), dtype=np.float64)
+    shape = (r1 - r0, n - r0)
+    out = np.empty(shape) if out is None else out[: shape[0] * shape[1]]
+    out = out.reshape(shape)
     t_rows = dense[r0:r1]
     b_rows = np.sign(t_rows)  # every value is > 0
     step = max(1, (_BLOCK_CELLS >> 3) // max(k, 1))  # columns of B per product
@@ -564,25 +607,26 @@ def _bound_rows(dense: np.ndarray, r0: int, r1: int) -> np.ndarray:
 
 
 def _exact_weights(
-    pos: np.ndarray, data: np.ndarray, i: np.ndarray, j: np.ndarray
+    pos: np.ndarray, data: np.ndarray, v: int, ptr: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
-    """The weights of the pairs (i[c], j[c]), i ascending, each the double
-    the kernel computes, from the model's ``data`` at the positions ``pos``.
-    Per run of equal i, row i's terms (t_i + t_j) * 0.5 over its own
-    features, ascending, +0.0 where j lacks one, are gathered a column per
-    pair, _BLOCK_CELLS / 8 cells at a time, and each column summed in order
-    from its first: the kernel adds them to 0.0 in the same order, and
-    adding +0.0 to a sum >= 0 leaves it.  The runs' rows of P are read at
+    """The weights of the pairs of the rows v, v + 1, ..., row v + r's the
+    columns j[ptr[r]:ptr[r + 1]] (ptr[0] = 0), each the double the kernel
+    computes, from the model's ``data`` at the positions ``pos``.  Per
+    row, its terms (t_i + t_j) * 0.5 over its own features, ascending,
+    +0.0 where j lacks one, are gathered a column per pair, _BLOCK_CELLS /
+    8 cells at a time, and each column summed in order from its first: the
+    kernel adds them to 0.0 in the same order, and adding +0.0 to a sum >=
+    0 leaves it.  The rows of P of those rows that hold a pair are read at
     once, so the caller bounds them; each holds a feature."""
-    out = np.empty(len(i), dtype=np.float64)
+    out = np.empty(len(j), dtype=np.float64)
     flat, k = pos.ravel(), pos.shape[1]
-    starts = np.flatnonzero(np.diff(i, prepend=-1))  # runs of equal i
-    first = pos[i[starts]]  # the runs' rows of P
+    runs = np.flatnonzero(np.diff(ptr))  # the rows that hold a pair
+    starts, first = ptr[runs], pos[v + runs]  # their first pairs, rows of P
     held = np.flatnonzero(first >= 0)
     r, f = np.divmod(held, k)  # each run's features, ascending
     t, jk = data.take(first.ravel().take(held)), np.multiply(j, k, dtype=np.int64)
     bounds = np.searchsorted(r, np.arange(len(starts) + 1)).tolist()
-    ends = starts[1:].tolist() + [len(i)]
+    ends = ptr[runs + 1].tolist()
     for lo, hi, s, e in zip(bounds, bounds[1:], starts.tolist(), ends):
         step = max(1, (_BLOCK_CELLS >> 3) // (hi - lo))
         for a in range(s, e, step):
@@ -604,12 +648,11 @@ def _feature_lists(m: TfIdfModel) -> list[Feature]:
     """(sample indices, tf-idf values) of every feature present in at
     least two samples, in ascending feature-name order."""
     # a stable transpose: each feature's entries stay in row order, so its
-    # sample indices ascend; they are int64, since the kernel's cols * width
-    # overflows int32 once n > 46,340
+    # sample indices, int32 ids, ascend
     order = np.argsort(m.indices, kind="stable")
-    rows = np.repeat(np.arange(m.n, dtype=np.int64), np.diff(m.indptr))[order]
+    rows = np.repeat(np.arange(m.n, dtype=VERTEX_ID), np.diff(m.indptr))[order]
     data = m.data[order]
-    ends = np.cumsum(np.bincount(m.indices, minlength=len(m.names))).tolist()
+    ends = np.cumsum(count_ids(m.indices, len(m.names))).tolist()
     return [
         (rows[a:b], data[a:b])
         for a, b in zip([0] + ends, ends)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from malcom.dataset import Dataset, Sample
-from malcom.graph import RelationGraph
+from malcom.graph import RelationGraph, row_ids, row_pointer
 from malcom.weighting import TfIdfModel, WeightSet
 
 
@@ -46,7 +46,7 @@ def pair_weight(ws, a, b):
     if a == b:
         raise ValueError("no self-pairs in a weight set")
     a, b = min(a, b), max(a, b)
-    hit = np.flatnonzero((ws.i == a) & (ws.j == b))
+    hit = np.flatnonzero((row_ids(ws.indptr) == a) & (ws.j == b))
     return float(ws.w[hit[0]]) if len(hit) else 0.0
 
 
@@ -79,7 +79,8 @@ def weight_set(ids, entries):
         j.append(ib)
         w.append(weight)
         features.append((np.array([ia, ib]), np.array([weight, weight])))
-    return WeightSet(list(ids), np.array(i), np.array(j), np.array(w), features)
+    ptr = row_pointer(np.array(i, dtype=np.int64), len(ids))
+    return WeightSet(list(ids), ptr, np.array(j), np.array(w), features)
 
 
 @pytest.fixture
@@ -99,6 +100,7 @@ def six_weight_set():
 
 
 def make_graph(ids, edges):
+    """The graph of the edges {(a, b): w} over ``ids``, in its row layout."""
     index = {v: k for k, v in enumerate(ids)}
     ei, ej, ew = [], [], []
     for (a, b), w in edges.items():
@@ -108,12 +110,7 @@ def make_graph(ids, edges):
         ei.append(ia)
         ej.append(ib)
         ew.append(w)
-    return RelationGraph(
-        vertices=list(ids),
-        edge_i=np.array(ei, dtype=np.int64),
-        edge_j=np.array(ej, dtype=np.int64),
-        edge_w=np.array(ew, dtype=np.float64),
-    )
+    return RelationGraph.from_pairs(list(ids), np.array(ei), np.array(ej), np.array(ew))
 
 
 @pytest.fixture
@@ -187,6 +184,14 @@ def random_graph(rng, n=None, connect=True):
                 edges[(ids[0], ids[v])] = float(rng.uniform(0.1, 3.0))
                 reached.add(v)
     return make_graph(ids, edges)
+
+
+def pairs_of(x):
+    """(i, j, w) lists of a graph's edges, or a weight set's pairs, in the
+    order stored."""
+    if isinstance(x, RelationGraph):
+        return row_ids(x.indptr).tolist(), x.edge_j.tolist(), x.edge_w.tolist()
+    return row_ids(x.indptr).tolist(), x.j.tolist(), x.w.tolist()
 
 
 def entropy_bits(probs):

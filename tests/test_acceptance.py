@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_graph
+from conftest import make_graph, pairs_of, random_graph
 from malcom.baseline import KMeansConfig, kmeans
 from malcom.cli import main as cli_main
 from malcom.graph import (
@@ -196,8 +196,8 @@ def test_criterion_7_en_structure():
             eps_g = build_epsilon(ws, cutoff)
             en_g = build_en(ws, p, 1)
             ok &= bool((en_g.degrees() >= 1).all())
-            eps_edges = set(zip(eps_g.edge_i.tolist(), eps_g.edge_j.tolist()))
-            en_edges = set(zip(en_g.edge_i.tolist(), en_g.edge_j.tolist()))
+            eps_edges = set(zip(*pairs_of(eps_g)[:2]))
+            en_edges = set(zip(*pairs_of(en_g)[:2]))
             ok &= eps_edges <= en_edges
             deg = eps_g.degrees()
             isolated = set(np.flatnonzero(deg == 0).tolist())

@@ -435,9 +435,9 @@ def test_sweep_rows_match_fresh_runs(tmp_path, corpus):
 def test_sweep_weighs_once_at_largest_p(tmp_path, corpus, monkeypatch):
     calls = []
 
-    def counted(model, top_p=100.0):
+    def counted(model, top_p=100.0, floor=None):
         calls.append(top_p)
-        return pairwise_weights(model, top_p=top_p)
+        return pairwise_weights(model, top_p, floor)
 
     monkeypatch.setattr("malcom.pipeline.pairwise_weights", counted)
     data, _ = corpus

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_weights, weight_set
+from conftest import brute_force_weights, pairs_of, weight_set
 from malcom import graph, infomap, weighting
 from malcom.dataset import Dataset, Sample
 from malcom.errors import ParameterError
@@ -22,6 +22,8 @@ from malcom.graph import (
     build_knn,
     csr,
     percentile_cutoff,
+    row_ids,
+    row_pointer,
     read_edges,
     write_edges,
 )
@@ -32,8 +34,18 @@ from malcom.weighting import compute_tfidf, pairwise_weights
 def edge_ids(g):
     return {
         tuple(sorted((g.vertices[i], g.vertices[j])))
-        for i, j in zip(g.edge_i.tolist(), g.edge_j.tolist())
+        for i, j, _ in zip(*pairs_of(g))
     }
+
+
+def by_rows(ids, i, j, w):
+    """The graph over ``ids`` of the edges (i[e], j[e], w[e]) stored by row
+    as listed: edges grouped by i, ascending, in their order within a row,
+    with no other check."""
+    i, j = (np.asarray(a, dtype=np.int32) for a in (i, j))
+    order = np.argsort(i, kind="stable")
+    w = np.asarray(w, dtype=np.float64)[order]
+    return RelationGraph(ids, row_pointer(i[order], len(ids)), j[order], w)
 
 
 def appended_rows(n, edges):
@@ -55,15 +67,15 @@ def edge_lists(draw):
 
 @given(edge_lists())
 def test_csr_rows_match_append_loop(case):
+    """Edges stored by row, each row's other ends in any order."""
     n, edges = case
-    i = np.array([e[0] for e in edges], dtype=np.int64)
-    j = np.array([e[1] for e in edges], dtype=np.int64)
-    w = np.array([e[2] for e in edges], dtype=np.float64)
-    indptr, indices, eids = csr(n, i, j)
+    edges.sort(key=lambda e: e[0])  # stable: each row keeps its order
+    i, j, w = zip(*edges) if edges else ((), (), ())
+    g = by_rows([str(v) for v in range(n)], i, j, w)
+    indptr, indices, eids = csr(g.indptr, g.edge_j)
     for v, expect in enumerate(appended_rows(n, edges)):
         s, e = indptr[v], indptr[v + 1]
-        assert list(zip(indices[s:e].tolist(), w[eids[s:e]].tolist())) == expect
-    g = RelationGraph([str(v) for v in range(n)], i, j, w)
+        assert list(zip(indices[s:e].tolist(), g.edge_w[eids[s:e]].tolist())) == expect
     assert np.diff(indptr).tolist() == g.degrees().tolist()
 
 
@@ -84,10 +96,11 @@ def argsort_csr(n, i, j):
 def test_csr_equals_argsort_reference(case, random, chunk):
     n, edges = case
     random.shuffle(edges)
+    edges.sort(key=lambda e: e[0])  # stable: rows keep the shuffled order
     i = np.array([e[0] for e in edges], dtype=np.int32)
     j = np.array([e[1] for e in edges], dtype=np.int32)
     with mock.patch.object(graph, "_CSR_CHUNK", chunk):
-        got = csr(n, i, j)
+        got = csr(row_pointer(i, n), j)
     for a, b in zip(got, argsort_csr(n, i, j)):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
@@ -99,16 +112,16 @@ def test_degrees_count_a_chunk_of_edges_at_a_time():
     |E|-long int64 copy of an id column."""
     rng = np.random.default_rng(7)
     n, m = 3000, 400_000
-    i = rng.integers(0, n - 1, m, dtype=np.int32)
+    i = np.sort(rng.integers(0, n - 1, m, dtype=np.int32))
     j = (i + rng.integers(1, n - i, dtype=np.int32)).astype(np.int32)
-    g = RelationGraph([str(v) for v in range(n)], i, j, np.ones(m))
+    g = RelationGraph([str(v) for v in range(n)], row_pointer(i, n), j, np.ones(m))
     tracemalloc.start()
     try:
         deg = g.degrees()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * n + 8 * graph._DEGREE_CHUNK + 1024
+    assert peak <= 3 * 8 * n + 8 * (weighting._BLOCK_CELLS >> 3) + 1024
     expect = np.bincount(i, minlength=n) + np.bincount(j, minlength=n)
     assert deg.dtype == expect.dtype and deg.tobytes() == expect.tobytes()
 
@@ -119,11 +132,12 @@ def test_csr_allocates_its_output_and_one_chunk():
     argsort order or interleaved copy."""
     rng = np.random.default_rng(7)
     n, m = 3000, 400_000
-    i = rng.integers(0, n - 1, m, dtype=np.int32)
+    i = np.sort(rng.integers(0, n - 1, m, dtype=np.int32))
     j = (i + rng.integers(1, n - i, dtype=np.int32)).astype(np.int32)
+    indptr = row_pointer(i, n)
     tracemalloc.start()
     try:
-        out = csr(n, i, j)
+        out = csr(indptr, j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,9 +235,7 @@ class TestBuildEn:
         assert edge_ids(g) == {("1", "2"), ("1", "3"), ("2", "3"), ("1", "4")}
         w = {
             tuple(sorted((g.vertices[i], g.vertices[j]))): weight
-            for i, j, weight in zip(
-                g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()
-            )
+            for i, j, weight in zip(*pairs_of(g))
         }
         assert w[("1", "4")] == 0.5
         assert g.meta["isolated_before_fallback"] == 1
@@ -287,7 +299,7 @@ class TestBuildEn:
 )
 def test_build_graph_leaves_weights_unchanged(params):
     """A sweep hands one weight set to every build, so no builder may
-    reorder or partition ws.i/j/w in place."""
+    reorder or partition ws.indptr/j/w in place."""
     rng = np.random.default_rng(5)
     n = 40
     ids = [f"v{i:02d}" for i in range(n)]
@@ -298,12 +310,12 @@ def test_build_graph_leaves_weights_unchanged(params):
         if rng.random() < 0.4
     }
     ws = weight_set(ids, entries)
-    before = [ws.i.tobytes(), ws.j.tobytes(), ws.w.tobytes()]
+    before = [ws.indptr.tobytes(), ws.j.tobytes(), ws.w.tobytes()]
     g = build_graph(ws, params)
     assert g.num_edges > 0
     if params.method == "en":
         assert g.meta["fallback_edges"] > 0
-    assert [ws.i.tobytes(), ws.j.tobytes(), ws.w.tobytes()] == before
+    assert [ws.indptr.tobytes(), ws.j.tobytes(), ws.w.tobytes()] == before
 
 
 def test_edge_file_round_trip(tmp_path, six_weight_set):
@@ -320,7 +332,7 @@ def test_edge_file_round_trip(tmp_path, six_weight_set):
 def test_vertex_id_like_the_header_round_trips(tmp_path):
     # only line 1 is the header; the id sorts first, so it starts line 2
     ids = ["# vertices: 9", "c", "d", "e"]
-    g = RelationGraph(ids, np.array([0, 1]), np.array([1, 2]), np.array([0.69, 2.0]))
+    g = by_rows(ids, [0, 1], [1, 2], [0.69, 2.0])
     path, again = tmp_path / "edges.tsv", tmp_path / "again.tsv"
     write_edges(g, path)
     loaded = read_edges(path)
@@ -347,12 +359,13 @@ def sorted_edge_lines(g):
     """Reference edge lines: one (src, dst, weight) tuple per edge, sorted,
     then a placeholder line per isolated vertex, sorted."""
     lines = []
-    for i, j, w in zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()):
-        a, b = g.vertices[i], g.vertices[j]
+    i, j, w = pairs_of(g)
+    for a, b, x in zip(i, j, w):
+        a, b = g.vertices[a], g.vertices[b]
         if b < a:
             a, b = b, a
-        lines.append((a, b, f"{w:.10g}"))
-    touched = set(g.edge_i.tolist()) | set(g.edge_j.tolist())
+        lines.append((a, b, f"{x:.10g}"))
+    touched = set(i) | set(j)
     isolated = sorted(v for k, v in enumerate(g.vertices) if k not in touched)
     return [f"{a}\t{b}\t{w}\n" for a, b, w in sorted(lines)] + [
         f"{v}\t\t0\n" for v in isolated
@@ -374,12 +387,8 @@ def distinct_pair_graphs(draw):
     pairs = draw(st.sets(pair.filter(lambda t: t[0] < t[1]), max_size=30))
     pairs = draw(st.permutations(sorted(pairs)))
     w = draw(st.lists(st.floats(1e-9, 1e9), min_size=len(pairs), max_size=len(pairs)))
-    return RelationGraph(
-        ids,
-        np.array([i for i, _ in pairs], dtype=np.int64),
-        np.array([j for _, j in pairs], dtype=np.int64),
-        np.array(w, dtype=np.float64),
-    )
+    i = np.array([i for i, _ in pairs], dtype=np.int64)
+    return RelationGraph.from_pairs(ids, i, np.array([j for _, j in pairs]), w)
 
 
 def lexsort_edge_file(g):
@@ -391,7 +400,7 @@ def lexsort_edge_file(g):
     rank = np.empty(g.n, dtype=np.int64)
     rank[by_name] = np.arange(g.n)
     names = np.array([ids[v] for v in by_name], dtype=object)
-    a, b = rank[g.edge_i], rank[g.edge_j]
+    a, b = rank[row_ids(g.indptr)], rank[g.edge_j]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.lexsort((hi, lo))
     cells = zip(names[lo[order]], names[hi[order]], g.edge_w[order].tolist())
@@ -409,10 +418,10 @@ def ascending_layout(g):
     by_name = sorted(range(g.n), key=g.vertices.__getitem__)
     new = np.empty(g.n, dtype=np.int64)
     new[by_name] = np.arange(g.n)
-    a, b = new[g.edge_i], new[g.edge_j]
+    a, b = new[row_ids(g.indptr)], new[g.edge_j]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     order = np.lexsort((hi, lo))
-    return RelationGraph(
+    return by_rows(
         [g.vertices[v] for v in by_name], lo[order], hi[order], g.edge_w[order]
     )
 
@@ -444,16 +453,17 @@ def test_edge_file_matches_sorted_lines(tmp_path_factory, g, chunk, layout):
     [
         pytest.param(["b", "a", "c"], [(0, 1), (1, 2)], id="ids-not-ascending"),
         pytest.param(["a", "b", "c"], [(1, 0), (1, 2)], id="pair-i-above-j"),
-        pytest.param(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)], id="not-row-major"),
-        pytest.param(["a", "b", "c", "d"], [(0, 1), (2, 3), (1, 2)], id="across-chunks"),
+        pytest.param(["a", "b", "c"], [(0, 2), (0, 1)], id="not-row-major"),
+        pytest.param(["a", "b", "c", "d"], [(0, 1), (0, 3), (0, 2)], id="across-chunks"),
         pytest.param(["a", "b", "c"], [(0, 1), (0, 1)], id="repeated-pair"),
+        pytest.param(["a", "b", "c"], [(0, 1), (1, 3)], id="end-beyond-n"),
     ],
 )
 def test_write_edges_rejects_a_graph_out_of_layout(tmp_path, ids, edges):
     """Only the one layout is written: any other order raises GraphError
     before the file is opened, at any chunk boundary."""
     i, j = (np.array(a, dtype=np.int32) for a in zip(*edges))
-    g = RelationGraph(ids, i, j, np.ones(len(edges)))
+    g = by_rows(ids, i, j, np.ones(len(edges)))
     path = tmp_path / "edges.tsv"
     with mock.patch.object(graph, "_WRITE_CHUNK", 2), pytest.raises(
         GraphError, match="^graph not listed by ascending id and row-major pairs$"
@@ -474,10 +484,9 @@ def test_read_edges_ignores_line_order(tmp_path_factory, g, random):
     (tmp / "shuffled.tsv").write_text("".join(shuffled), encoding="utf-8")
     a, b = read_edges(tmp / "given.tsv"), read_edges(tmp / "shuffled.tsv")
     assert a.vertices == b.vertices == sorted(g.vertices)
-    for x, y in zip((a.edge_i, a.edge_j, a.edge_w), (b.edge_i, b.edge_j, b.edge_w)):
+    for x, y in zip((a.indptr, a.edge_j, a.edge_w), (b.indptr, b.edge_j, b.edge_w)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-    key = a.edge_i.astype(np.int64) * a.n + a.edge_j
-    assert (a.edge_i < a.edge_j).all() and (key[1:] > key[:-1]).all()
+    assert a.row_major()
 
 
 def pair_graph(n, m, seed=11):
@@ -488,7 +497,7 @@ def pair_graph(n, m, seed=11):
     key = key[key // n != key % n][:m]
     ids = [f"v{v:05d}" for v in range(n)]
     i, j = (x.astype(np.int32) for x in np.divmod(key, n))
-    return RelationGraph(ids, i, j, rng.uniform(0.1, 5.0, len(key)))
+    return RelationGraph(ids, row_pointer(i, n), j, rng.uniform(0.1, 5.0, len(key)))
 
 
 def write_peak(g, path, chunk) -> int:
@@ -572,13 +581,18 @@ HANDOVER_FAULTS = [
 
 @pytest.mark.parametrize("edges, message, text", HANDOVER_FAULTS)
 def test_every_handover_rejects_a_bad_edge(tmp_path, edges, message, text):
-    """detect and codelength take only graphs that pass check(), and
-    read_edges returns only such graphs."""
+    """from_pairs builds only graphs that pass check(), detect and codelength
+    take only such graphs, stored by row with each row's edges as listed,
+    and read_edges returns only such graphs."""
     i, j, w = (np.array(a) for a in zip(*edges))
-    g = RelationGraph(["a", "b", "c"], i, j, w)
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        RelationGraph.from_pairs(["a", "b", "c"], i, j, w)
+    # by row, a pair repeated across rows moves to its first row
+    g = by_rows(["a", "b", "c"], i, j, w)
+    fault = rf"^edge \d: {re.escape(message.split(': ', 1)[1])}$"
+    with pytest.raises(GraphError, match=fault):
         infomap.detect(g)
-    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(GraphError, match=fault):
         infomap.codelength(g, infomap.Partition.from_labels([0, 0, 1]))
     path = tmp_path / "edges.tsv"
     path.write_text(text)
@@ -586,11 +600,12 @@ def test_every_handover_rejects_a_bad_edge(tmp_path, edges, message, text):
         read_edges(path)
 
 
-def first_fault(g):
-    """check()'s verdict edge by edge: (e, rule) of the first faulty edge."""
+def first_fault(n, edges):
+    """check_pairs' verdict edge by edge on the list ``edges`` of (i, j, w)
+    over n vertices: (e, rule) of the first faulty edge."""
     seen = set()
-    for e, (a, b, w) in enumerate(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w)):
-        if not (0 <= a < g.n and 0 <= b < g.n):
+    for e, (a, b, w) in enumerate(edges):
+        if not (0 <= a < n and 0 <= b < n):
             return e, "not in"
         if a == b:
             return e, "self-loop"
@@ -619,23 +634,26 @@ def first_fault(g):
     )
 )
 def test_check_reports_the_first_faulty_edge(case):
-    """Ascending or not, check() names the first edge that breaks a rule."""
+    """Ascending or not, check_pairs names the first edge of a list that
+    breaks a rule, and check() the first of a graph stored by row, whose
+    rows list each row's edges as given."""
     n, edges, ascending = case
     if ascending:
         edges.sort()
-    g = RelationGraph(
-        [f"v{v}" for v in range(n)],
-        np.array([e[0] for e in edges], dtype=np.int32),
-        np.array([e[1] for e in edges], dtype=np.int32),
-        np.array([e[2] for e in edges], dtype=np.float64),
-    )
-    want = first_fault(g)
-    if want is None:
-        g.check()
-        return
-    e, rule = want
-    with pytest.raises(GraphError, match=f"^edge {e}: .*{rule}"):
-        g.check()
+    names = [f"v{v}" for v in range(n)]
+    i, j, w = (np.array([e[k] for e in edges]) for k in range(3))
+    checks = [(lambda: graph.check_pairs(names, i, j, w), edges)]
+    if all(0 <= e[0] < n for e in edges):
+        grouped = sorted(edges, key=lambda e: e[0])  # stable, as by_rows
+        checks.append((by_rows(names, i, j, w).check, grouped))
+    for check, listed in checks:
+        want = first_fault(n, listed)
+        if want is None:
+            check()
+            continue
+        e, rule = want
+        with pytest.raises(GraphError, match=f"^edge {e}: .*{rule}"):
+            check()
 
 
 @st.composite
@@ -681,7 +699,7 @@ block_cells = st.sampled_from([lambda n: 1, lambda n: 3 * n + 1])  # 1 or 3 rows
 
 
 def assert_same_graph(a, b):
-    assert a.edge_i.tolist() == b.edge_i.tolist()
+    assert a.indptr.tolist() == b.indptr.tolist()
     assert a.edge_j.tolist() == b.edge_j.tolist()
     assert a.edge_w.tobytes() == b.edge_w.tobytes()
     assert a.meta == b.meta
@@ -696,7 +714,7 @@ def test_pruned_weights_build_the_same_graphs(model, p, k, cells):
     # the pruned set is the complete set's pairs at or above its threshold
     assert (top.total, top.min_w) == (full.total, full.min_w)
     held = full.w >= (top.w.min() if len(top) else np.inf)
-    assert top.i.tolist() == full.i[held].tolist()
+    assert row_ids(top.indptr).tolist() == row_ids(full.indptr)[held].tolist()
     assert top.j.tolist() == full.j[held].tolist()
     assert top.w.tobytes() == full.w[held].tobytes()
     builds = [
@@ -720,14 +738,14 @@ def knn_reference(ws, base, mask, k):
     plus the picks; a pair picked again keeps its first weight."""
     ids = ws.ids
     near = [[] for _ in range(ws.n)]
-    for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
+    for a, b, w in zip(*pairs_of(ws)):
         near[a].append((b, w))
         near[b].append((a, w))
     floor = graph.DEFAULT_FLOOR if ws.min_w is None else max(
         ws.min_w * graph.FLOOR_FACTOR, math.ulp(0.0)
     )
-    edges = dict(zip(zip(base.edge_i.tolist(), base.edge_j.tolist()),
-                     base.edge_w.tolist()))
+    i, j, w = pairs_of(base)
+    edges = dict(zip(zip(i, j), w))
     for v in np.flatnonzero(mask).tolist():
         chosen = sorted(near[v], key=lambda t: (-t[1], ids[t[0]]))[:k]
         have = {u for u, _ in chosen} | {v}
@@ -739,7 +757,7 @@ def knn_reference(ws, base, mask, k):
 
 
 def edge_triples(g):
-    return list(zip(g.edge_i.tolist(), g.edge_j.tolist(), g.edge_w.tolist()))
+    return list(zip(*pairs_of(g)))
 
 
 @settings(deadline=None)
@@ -773,7 +791,7 @@ def test_row_blocks_match_brute_force_rows(model, data, p, cells):
         full = pairwise_weights(model)
         # no pair held: rows come from the feature lists alone
         empty = weighting.WeightSet(
-            full.ids, full.i[:0], full.j[:0], full.w[:0],
+            full.ids, np.zeros(model.n + 1), full.j[:0], full.w[:0],
             weighting._feature_lists(model),
         )
         sets = [full, pairwise_weights(model, top_p=p), empty]
@@ -913,7 +931,7 @@ def test_a_featureless_sample_gets_the_same_floor_edge_on_either_path(monkeypatc
     assert blocks
     assert_same_graph(*graphs)
     g, floor = graphs[0], pairwise_weights(model).min_w * graph.FLOOR_FACTOR
-    at = (g.edge_i == lonely) | (g.edge_j == lonely)
+    at = (row_ids(g.indptr) == lonely) | (g.edge_j == lonely)
     assert g.edge_w[at].tolist() == [floor]
 
 
@@ -927,7 +945,8 @@ def test_en_without_isolated_vertices_allocates_under_twice_its_edges():
     i, j = np.triu_indices(n, 1)
     keep = np.sort(rng.choice(len(i), held, replace=False))
     ids = [f"v{v}" for v in range(n)]
-    ws = weighting.WeightSet(ids, i[keep], j[keep], rng.uniform(1, 2, held), [], len(i))
+    ptr = row_pointer(i[keep], n)
+    ws = weighting.WeightSet(ids, ptr, j[keep], rng.uniform(1, 2, held), [], len(i))
     del i, j, keep
     tracemalloc.start()
     try:
@@ -937,7 +956,7 @@ def test_en_without_isolated_vertices_allocates_under_twice_its_edges():
         tracemalloc.stop()
     assert g.meta["isolated_before_fallback"] == 0
     assert g.num_edges >= 299_700  # the top 60% of 499,500 pairs
-    assert peak <= 2 * (g.edge_i.nbytes + g.edge_j.nbytes + g.edge_w.nbytes)
+    assert peak <= 2 * (g.indptr.nbytes + g.edge_j.nbytes + g.edge_w.nbytes)
 
 
 def test_percentile_cutoff_allocates_under_one_copy_of_the_weights():
@@ -974,7 +993,7 @@ def test_graphs_at_the_weighed_p_share_the_sets_read_only_arrays():
     assert en.meta["isolated_before_fallback"] == 0
     at_p = build_graph(ws, GraphBuildParams(method="epsilon", p=10))
     for g in (en, at_p):
-        for a, b in ((g.edge_i, ws.i), (g.edge_j, ws.j), (g.edge_w, ws.w)):
+        for a, b in ((g.indptr, ws.indptr), (g.edge_j, ws.j), (g.edge_w, ws.w)):
             assert np.shares_memory(a, b)
             for x in (a, b):
                 with pytest.raises(ValueError, match="read-only"):
@@ -993,12 +1012,12 @@ def test_vertex_ids_are_int32(tmp_path):
     model = compute_tfidf(Dataset(samples=samples).in_id_order())
     full, top = pairwise_weights(model), pairwise_weights(model, top_p=1)
     assert len(top) < top.total  # pruned: the E-N fallback recomputes rows
-    arrays = [full.i, full.j, top.i, top.j]
+    arrays = [full.j, top.j]
     graphs = [build_epsilon(full, 0.5), build_knn(full, 2), build_en(top, 1, 1)]
     write_edges(graphs[-1], tmp_path / "edges.tsv")
     graphs.append(read_edges(tmp_path / "edges.tsv"))
     for g in graphs:
-        arrays += [g.edge_i, g.edge_j, infomap._net_from_graph(g).indices]
+        arrays += [row_ids(g.indptr), g.edge_j, infomap._net_from_graph(g).indices]
     # an edge list given as int64 still yields int32 CSR indices
-    arrays.append(csr(3, np.array([0, 1]), np.array([1, 2]))[1])
+    arrays.append(csr(np.array([0, 1, 2, 2]), np.array([1, 2]))[1])
     assert [a.dtype for a in arrays] == [np.dtype(np.int32)] * len(arrays)

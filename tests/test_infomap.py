@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import entropy_bits, make_graph, random_graph
 from malcom import infomap
-from malcom.graph import RelationGraph
+from malcom.graph import RelationGraph, row_ids, row_pointer
 from malcom.infomap import (
     DetectorConfig,
     InfomapError,
@@ -109,7 +109,12 @@ def reference_aggregate(net, assignment, m):
     w = np.concatenate((net.loop[looped], entry_weights(net)[upper]))[order]
     key = np.minimum(ca, cb) * m + np.maximum(ca, cb)
     keys, inverse = np.unique(key, return_inverse=True)
-    return _Net(m, keys // m, keys % m, _sum_by(inverse, w, len(keys)))
+    return _Net(row_pointer(keys // m, m), keys % m, _sum_by(inverse, w, len(keys)))
+
+
+def net_of(n, ei, ej, ew):
+    """The net of the edges (ei[e], ej[e], ew[e]), ei ascending."""
+    return _Net(row_pointer(ei, n), ej, ew)
 
 
 @st.composite
@@ -118,6 +123,7 @@ def edge_arrays_with_loops(draw):
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex, st.floats(0.001, 100.0)),
                           max_size=30))
+    edges.sort(key=lambda e: e[0])  # stored by row: stable, rows as drawn
     cols = list(zip(*edges)) or [(), (), ()]
     return (
         n,
@@ -129,7 +135,7 @@ def edge_arrays_with_loops(draw):
 
 @given(edge_arrays_with_loops())
 def test_net_arrays_match_reference(case):
-    net = _Net(*case)
+    net = net_of(*case)
     got = (net.strength, net.indptr, net.indices, entry_weights(net))
     dtypes = (np.float64, np.int64, np.int32, np.float64)
     for a, b, dtype in zip(got, reference_net_arrays(*case), dtypes):
@@ -159,8 +165,8 @@ def nets_with_partitions(draw, edges=edge_arrays_with_loops()):
     """A random net with loops, or such a net aggregated by a random
     partition (super-vertices carry loops), and a random partition of it;
     partitions of few communities sum many terms per community pair."""
-    n, ei, ej, ew = draw(edges)
-    net = _Net(n, ei, ej, ew)
+    net = net_of(*draw(edges))
+    n = net.n
     label = st.integers(0, draw(st.integers(0, 9)))
     if draw(st.booleans()):
         coarse = Partition.from_labels(draw(st.lists(label, min_size=n, max_size=n)))
@@ -206,7 +212,7 @@ def layout_graphs(draw):
     pairs = sorted(draw(st.sets(pair, min_size=1, max_size=40)))
     w = draw(st.lists(MILLIS, min_size=len(pairs), max_size=len(pairs)))
     i, j = (np.array(c) for c in zip(*pairs))
-    return RelationGraph([f"v{v:02d}" for v in range(n)], i, j, np.array(w))
+    return RelationGraph.from_pairs([f"v{v:02d}" for v in range(n)], i, j, np.array(w))
 
 
 @given(layout_graphs(), st.integers(0, 3))
@@ -216,7 +222,8 @@ def test_detect_aggregates_as_the_reference(g, seed):
     the same partition and codelength double."""
     def checked(aggregate):
         def run(net, assignment, m):
-            lo, hi = np.minimum(net.ei, net.ej), np.maximum(net.ei, net.ej)
+            ei = row_ids(net.ptr)
+            lo, hi = np.minimum(ei, net.ej), np.maximum(ei, net.ej)
             key = lo.astype(np.int64) * net.n + hi
             assert (key[1:] > key[:-1]).all()
             return aggregate(net, assignment, m)
@@ -231,12 +238,12 @@ def test_detect_aggregates_as_the_reference(g, seed):
 
 
 def random_400k_graph(rng):
-    """3000 vertices and 400k distinct random pairs, listed in random order."""
+    """3000 vertices and 400k distinct random pairs, listed row-major."""
     n, edges = 3000, 400_000
     a, b = rng.integers(0, n, size=(2, 2 * edges))
     key = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
     key = rng.permutation(key[key // n != key % n])[:edges]
-    return RelationGraph(
+    return RelationGraph.from_pairs(
         [f"v{v}" for v in range(n)], key // n, key % n, rng.uniform(0.1, 5.0, edges)
     )
 
@@ -622,7 +629,7 @@ def oracle_graph(rng):
         w = rng.uniform(0.01, 5.0, size=len(i))
     if len(w) == 0:
         i, j, w = np.array([0]), np.array([1]), np.array([1.0])
-    return RelationGraph([f"v{k}" for k in range(n)], i, j, w)
+    return RelationGraph.from_pairs([f"v{k}" for k in range(n)], i, j, w)
 
 
 def neighbor_weights(state, net, v):
@@ -755,7 +762,7 @@ def planted_graph(rng, n):
     i, j = np.triu_indices(n, k=1)
     keep = rng.random(len(i)) < np.where(group[i] == group[j], 0.3, 0.02)
     w = rng.integers(1, 4, size=int(keep.sum())).astype(np.float64)
-    return RelationGraph([f"v{k}" for k in range(n)], i[keep], j[keep], w)
+    return RelationGraph.from_pairs([f"v{k}" for k in range(n)], i[keep], j[keep], w)
 
 
 def test_vectorised_plogp_within_delta_bound():
@@ -782,7 +789,7 @@ def test_two_triangles_found_at_any_edge_weight(w):
     """Below 2W of about 2**-1024, 1 / (2W) would overflow and leave every
     vertex alone; the detector scales such weights by a power of two."""
     i, j = (np.array(a) for a in zip(*TWO_TRIANGLES))
-    g = RelationGraph(list("abcdef"), i, j, np.full(len(i), w))
+    g = RelationGraph.from_pairs(list("abcdef"), i, j, np.full(len(i), w))
     part, breakdown = detect(g, DetectorConfig(rng_seed=1))
     assert part.assignment == [0, 0, 0, 1, 1, 1]
     assert breakdown.codelength == pytest.approx(math.log2(3), abs=1e-12)
@@ -815,7 +822,9 @@ def integer_weight_graphs(draw):
     pairs = sorted(draw(st.sets(pair.filter(lambda t: t[0] < t[1]), min_size=1)))
     w = draw(st.lists(st.integers(1, 8), min_size=len(pairs), max_size=len(pairs)))
     i, j = (np.array(a) for a in zip(*pairs))
-    return RelationGraph([f"v{v}" for v in range(n)], i, j, np.array(w, dtype=float))
+    return RelationGraph.from_pairs(
+        [f"v{v}" for v in range(n)], i, j, np.array(w, dtype=float)
+    )
 
 
 # a third of the draws where 2W < 2**-1024 may hold, a third where W may

@@ -9,6 +9,7 @@ from malcom import synth
 from malcom.cli import main
 from malcom.dataset import Dataset, Sample, save_dataset
 from malcom.errors import ParameterError
+from malcom.graph import row_ids
 from malcom.synth import SynthConfig, feature_dictionary, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
@@ -187,7 +188,7 @@ class TestGenerate:
         ws = pairwise_weights(compute_tfidf(d))
         fam = [s.family for s in d.samples]
         within, cross = [], []
-        for i, j, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
+        for i, j, w in zip(row_ids(ws.indptr).tolist(), ws.j.tolist(), ws.w.tolist()):
             (within if fam[i] == fam[j] else cross).append(w)
         assert np.mean(within) > np.mean(cross)
 

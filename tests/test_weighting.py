@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_weights, pair_weight, tfidf_model
+from conftest import brute_force_weights, pair_weight, pairs_of, tfidf_model
 from test_graph import tied_models
 from malcom import cli, weighting
 from malcom.dataset import Dataset, DatasetError, Sample
 from malcom.errors import MalcomError, ParameterError
+from malcom.graph import row_ids, row_pointer
 from malcom.synth import SynthConfig, generate
 from malcom.weighting import (
     compute_tfidf,
@@ -35,7 +36,7 @@ def loop_family_similarity(d, ws):
     sample_fam = np.array([fam_index[s.family] for s in d.samples], dtype=np.int64)
     sizes = np.bincount(sample_fam, minlength=len(families)).astype(np.float64)
     sums = np.zeros((len(families), len(families)), dtype=np.float64)
-    for i, j, w in zip(ws.i, ws.j, ws.w):
+    for i, j, w in zip(*pairs_of(ws)):
         a, b = sample_fam[i], sample_fam[j]
         sums[a, b] += w
         if a != b:
@@ -195,7 +196,7 @@ def test_csr_tfidf_equals_dict_formula(d):
     expect = dict_feature_lists(values)
     assert len(got) == len(expect)
     for (ix, t), (eix, et) in zip(got, expect):
-        assert ix.dtype == np.int64 and ix.tolist() == eix
+        assert ix.dtype == weighting.VERTEX_ID and ix.tolist() == eix
         assert t.tobytes() == as_bytes(et)
 
 
@@ -225,11 +226,11 @@ class TestPairwiseWeights:
     def test_no_shared_feature_pair_absent(self, four_sample_dataset):
         ws = pairwise_weights(compute_tfidf(four_sample_dataset))
         assert pair_weight(ws, 0, 2) == 0.0
-        assert (0, 2) not in set(zip(ws.i.tolist(), ws.j.tolist()))
+        assert (0, 2) not in set(zip(*pairs_of(ws)[:2]))
 
     def test_symmetry(self, four_sample_dataset):
         ws = pairwise_weights(compute_tfidf(four_sample_dataset))
-        for a, b, _ in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist()):
+        for a, b, _ in zip(*pairs_of(ws)):
             assert pair_weight(ws, a, b) == pair_weight(ws, b, a)
 
     def test_monotone_in_shared_features(self, four_sample_dataset):
@@ -253,10 +254,7 @@ class TestPairwiseWeights:
             for path in PATHS:
                 force_path(monkeypatch, path)
                 ws = pairwise_weights(model)
-                got = {
-                    (a, b): w
-                    for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())
-                }
+                got = {(a, b): w for a, b, w in zip(*pairs_of(ws))}
                 assert got == expect  # exact, not approximate
 
     @pytest.mark.parametrize(
@@ -276,12 +274,10 @@ class TestPairwiseWeights:
             for path in PATHS:
                 force_path(monkeypatch, path)
                 ws = pairwise_weights(model)
-                assert (ws.i < ws.j).all()
-                assert (np.diff(ws.i * n + ws.j) > 0).all()  # row-major order
-                got = {
-                    (a, b): w
-                    for a, b, w in zip(ws.i.tolist(), ws.j.tolist(), ws.w.tolist())
-                }
+                i = row_ids(ws.indptr)
+                assert (i < ws.j).all()
+                assert (np.diff(i * n + ws.j) > 0).all()  # row-major order
+                got = {(a, b): w for a, b, w in zip(*pairs_of(ws))}
                 assert got == brute_force_weights(model)  # exact
 
 
@@ -437,7 +433,7 @@ def test_dump_tfidf_equals_per_value_encoding(tmp_path):
 def test_recomputed_rows_reject_an_overflowing_weight():
     features = [(np.array([0, 1, 2]), np.array([1.0, 1e308, 1e308]))]
     none = np.empty(0)
-    ws = weighting.WeightSet(["a", "b", "c"], none, none, none, features=features)
+    ws = weighting.WeightSet(["a", "b", "c"], np.zeros(4), none, none, features=features)
     with pytest.raises(DatasetError, match="overflows"):
         list(ws.row_blocks(np.array([False, True, False])))
 
@@ -494,8 +490,9 @@ def traced_phases(model, top_p, features=None):
 
 def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
     """The stream reserves min(n(n-1)/2, ceil(1.25 m_max) + max(_BLOCK_CELLS /
-    8, n)) pairs at 16 bytes each, and beyond them allocates only the bucket
-    counts of a rank and one block's temporaries: no copy of the held
+    8, n)) pairs at 12 bytes each (a column id and a weight: a column of row
+    ids would exceed it) and the n + 1 row pointer, and beyond them
+    allocates only the bucket counts of a rank and one block's temporaries: no copy of the held
     weights.  The feature lists peak at about 32 bytes per stored tf-idf
     value while they are built: the kernel builds them first, the bound
     path last.  The bound path's phases add an n x F matrix, one cell per
@@ -521,7 +518,7 @@ def test_weight_buffer_is_bounded_by_the_pairs_held(monkeypatch):
         force_path(monkeypatch, path)
         n = model.n
         m_max = math.ceil(0.1 * (n * (n - 1) // 2))
-        reserved = 16 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n))
+        reserved = 12 * (math.ceil(1.25 * m_max) + max((1 << 12) >> 3, n)) + 8 * (n + 1)
         features = weighting._feature_lists(model)
         nf = n * len(features)
         for built in (32 * len(model.data), 0):  # the lists built, or given
@@ -640,7 +637,7 @@ def test_min_w_recomputes_only_the_marked_rows(monkeypatch):
         rows.clear()
         assert ws.min_w == full.min_w == full.w.min()
         assert np.concatenate(rows).tolist() == np.flatnonzero(ws.min_rows).tolist()
-        assert ws.min_rows[full.i[full.w.argmin()]]
+        assert ws.min_rows[row_ids(full.indptr)[full.w.argmin()]]
 
 
 def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
@@ -671,7 +668,8 @@ def test_ties_past_the_reserved_pairs_grow_the_buffer(monkeypatch):
     ws = pairwise_weights(model, top_p)
     assert len(ws) > 2 * m_max + n
     held = full.w >= ws.w.min()
-    for a in "ijw":
+    assert np.array_equal(row_ids(ws.indptr), row_ids(full.indptr)[held])
+    for a in "jw":
         assert np.array_equal(getattr(ws, a), getattr(full, a)[held])
 
 
@@ -680,12 +678,12 @@ def top_p_of(full, p):
     weight, as (i, j, w)."""
     top = min(math.ceil(p / 100.0 * full.total), full.total)
     held = full.w >= np.sort(full.w)[len(full) - top]
-    return full.i[held], full.j[held], full.w[held]
+    return row_ids(full.indptr)[held], full.j[held], full.w[held]
 
 
 def assert_holds_top_p(ws, full, p):
     assert (ws.total, ws.min_w) == (full.total, full.min_w)
-    for got, expect in zip((ws.i, ws.j, ws.w), top_p_of(full, p)):
+    for got, expect in zip((row_ids(ws.indptr), ws.j, ws.w), top_p_of(full, p)):
         assert got.dtype == expect.dtype
         assert got.tobytes() == expect.tobytes()
 
@@ -716,13 +714,14 @@ def crafted_weights(monkeypatch, dense, path="kernel", approx=None):
     outside = dense[(dense > 0) & ((dense < 2.0**-126) | (dense > 2.0**125))]
     approx = dense if approx is None else np.asarray(approx, dtype=np.float64)
     monkeypatch.setattr(
-        weighting, "_weight_rows", lambda features, n, rows, c0: dense[rows, c0:]
+        weighting, "_weight_rows", lambda features, n, rows, c0, out=None: dense[rows, c0:]
     )
     monkeypatch.setattr(
-        weighting, "_bound_rows", lambda t, r0, r1: approx[r0:r1, r0:].copy()
+        weighting, "_bound_rows", lambda t, r0, r1, out=None: approx[r0:r1, r0:].copy()
     )
     monkeypatch.setattr(
-        weighting, "_exact_weights", lambda pos, data, i, j: dense[i, j]
+        weighting, "_exact_weights",
+        lambda pos, data, v, ptr, j: dense[v + row_ids(ptr), j],
     )
     monkeypatch.setattr(weighting, "_BLOCK_CELLS", len(dense))  # one row a block
     force_path(monkeypatch, path)
@@ -757,7 +756,7 @@ def crafted_values(pool, n=60):
 
 def assert_same_set(got, expect):
     assert (got.total, got.min_w) == (expect.total, expect.min_w)
-    for a in "ijw":
+    for a in ("indptr", "j", "w"):
         assert getattr(got, a).tobytes() == getattr(expect, a).tobytes()
 
 
@@ -997,6 +996,11 @@ def shared_features(model):
     return np.bincount(model.indices, minlength=len(model.names)) >= 2
 
 
+def exact_weights(pos, data, i, j):
+    """``_exact_weights`` of the pairs (i[c], j[c]), i ascending."""
+    return weighting._exact_weights(pos, data, 0, row_pointer(i, len(pos)), j)
+
+
 def assert_exact_weights_are_the_kernels(model, pairs, record=False):
     """``_exact_weights`` over ``pairs``, ordered by their first vertex,
     reading the model's values through its position matrix, gives the
@@ -1009,7 +1013,7 @@ def assert_exact_weights_are_the_kernels(model, pairs, record=False):
     if record:
         GatherSizes.sizes = []
         pos = pos.view(GatherSizes)
-    got = np.asarray(weighting._exact_weights(pos, model.data, i, j))
+    got = np.asarray(exact_weights(pos, model.data, i, j))
     kernel = weighting._weight_rows(features, model.n, np.arange(model.n), 0)
     assert got.dtype == np.float64
     assert got.tobytes() == kernel[i, j].tobytes()
@@ -1106,11 +1110,11 @@ def test_the_exact_pass_reads_p_a_bounded_block_at_a_time(monkeypatch):
     model = compute_tfidf(d)
     exact, calls = weighting._exact_weights, []
 
-    def spy(pos, data, i, j):
+    def spy(pos, data, v, ptr, j):
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = exact(pos, data, i, j)
-        calls.append((tracemalloc.get_traced_memory()[1] - held, len(i)))
+        out = exact(pos, data, v, ptr, j)
+        calls.append((tracemalloc.get_traced_memory()[1] - held, len(j)))
         return out
 
     monkeypatch.setattr(weighting, "_exact_weights", spy)
@@ -1138,7 +1142,7 @@ def test_positions_fit_the_stored_values(stored, dtype):
     pos = weighting._positions(model, shared)
     assert pos.dtype == dtype and pos.tolist() == expect.tolist()
     i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
-    got = weighting._exact_weights(pos, data, i, j)
+    got = exact_weights(pos, data, i, j)
     kernel = weighting._weight_rows(features, model.n, np.arange(model.n), 0)
     assert got.tobytes() == kernel[i, j].tobytes()
 
@@ -1220,12 +1224,14 @@ def test_a_lowered_compaction_counts_what_it_keeps():
     its bucket keeps BELOW as well, in place and in order, and returns the
     count kept."""
     w = np.array([3.0, EDGE, 0.5, 2.0, BELOW, EDGE, np.nextafter(BELOW, 0.0)])
-    i = np.arange(len(w), dtype=weighting.VERTEX_ID)
-    j = i + 1
-    kept, cutoff = weighting._keep_top(i, j, w, len(w), 4, drop=BELOW)
+    j = np.arange(1, len(w) + 1, dtype=weighting.VERTEX_ID)
+    indptr = np.array([0, 2, 2, 4, 7])  # rows of 2, 0, 2 and 3 pairs
+    cutoff = weighting.top_value(w, 4)
+    kept = weighting._keep_top(indptr, j, w, len(w), cutoff * BELOW)
     assert (kept, cutoff) == (5, EDGE)
     assert w[:kept].tolist() == [3.0, EDGE, 2.0, BELOW, EDGE]
-    assert i[:kept].tolist() == [0, 1, 3, 4, 5]
+    assert j[:kept].tolist() == [1, 2, 4, 5, 6]
+    assert indptr.tolist() == [0, 2, 2, 3, 5]
 
 
 def assert_top_value_sorts(w, ranks):
