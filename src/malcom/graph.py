@@ -12,9 +12,8 @@ benchmarked against.  E-N keeps the epsilon edges as they are and inserts
 only its fallback picks among them.  Every graph has one layout,
 vertices by ascending id and pairs i < j row-major, into which
 ``read_edges`` renumbers a file; ``write_edges`` writes no other.  It is
-stored by row, as weight sets are: an int64 row pointer and per edge its
-other end and weight, 12 B; readers take a chunk of edges' rows from
-``row_ids``, and only a failing ``check`` expands them all.
+stored by row (12 B per edge), and readers take a chunk's rows from
+``row_ids``: only a failing ``check`` expands them all.
 
 The detector walks neighbours through the CSR adjacency from ``csr``: row v,
 ``indices[ptr[v]:ptr[v + 1]]`` with the ids of their edges alongside,
@@ -79,13 +78,11 @@ class RelationGraph:
     def num_edges(self) -> int:
         return len(self.edge_w)
 
-    def degrees(self) -> np.ndarray:
-        """Edges at each vertex: those of its row and those that end at it."""
+    def degrees(self) -> np.ndarray:  # its row's edges and those ending at it
         return np.diff(self.indptr) + count_ids(self.edge_j, self.n)
 
     def row_major(self) -> bool:
-        """Whether the edges are pairs i < j < n in ascending order, read a
-        chunk at a time, each overlapping the previous by one edge."""
+        """Whether the pairs are i < j < n, ascending: chunks overlap by one."""
         for s in range(0, self.num_edges, _WRITE_CHUNK):
             a, e = max(s - 1, 0), s + _WRITE_CHUNK
             i, j = row_ids(self.indptr, a, e), self.edge_j[a:e]
@@ -95,9 +92,9 @@ class RelationGraph:
         return True
 
     def check(self, where: Callable[[int], str] = _EDGE) -> None:
-        """GraphError for a row pointer that does not list the edges, else as
-        ``check_pairs`` on the edges (row, edge_j[e]), whose rows it expands
-        only when they are not row-major or a weight is not in (0, inf)."""
+        """GraphError for a row pointer not over the edges, else as
+        ``check_pairs`` on (row, edge_j[e]); only a graph not row-major, or
+        with a weight not in (0, inf), has its rows expanded."""
         ptr, w = self.indptr, self.edge_w
         if not (len(ptr) == self.n + 1 and ptr[0] == 0 and ptr[-1] == len(w)
                 and (np.diff(ptr) >= 0).all()):
@@ -150,8 +147,7 @@ def check_pairs(names: list[str], i, j, w, where: Callable[[int], str] = _EDGE) 
 
 
 def row_ids(indptr: np.ndarray, s: int = 0, e: Optional[int] = None) -> np.ndarray:
-    """The int32 rows of the pairs [s, e), all by default, under the row
-    pointer ``indptr``."""
+    """The int32 rows of the pairs [s, e), all by default, under ``indptr``."""
     e = int(indptr[-1]) if e is None else min(e, int(indptr[-1]))
     r0 = int(np.searchsorted(indptr, s, side="right")) - 1
     r1 = int(np.searchsorted(indptr, e, side="left"))
@@ -160,8 +156,8 @@ def row_ids(indptr: np.ndarray, s: int = 0, e: Optional[int] = None) -> np.ndarr
 
 
 def row_pointer(rows: np.ndarray, n: int) -> np.ndarray:
-    """The int64 row pointer over n rows of pairs whose ``rows`` ascend."""
-    # probes of the rows' own dtype: int64 ones would copy int32 rows
+    """The row pointer over n rows of pairs whose ``rows`` ascend (probes of
+    their own dtype: int64 ones would copy int32 rows)."""
     return np.searchsorted(rows, np.arange(n + 1, dtype=rows.dtype)).astype(np.int64)
 
 
@@ -239,10 +235,10 @@ def _floor_weight(ws: WeightSet) -> float:
 
 def csr(indptr: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Symmetric CSR adjacency ``(ptr, indices, eids)`` of the undirected
-    edges stored by row, (i, j[e]) for e in row i of ``indptr``: entry k of
-    a row names the neighbour ``indices[k]`` across the edge ``eids[k]``,
-    whose weight a reader takes from its own edge array, ``w.take(eids[s:e])``
-    for a row slice.
+    edges (i, j[e]), e in row i of ``indptr``: entry k of a row names the
+    neighbour ``indices[k]`` across the edge ``eids[k]``, whose weight a
+    reader takes from its own edge array, ``w.take(eids[s:e])`` for a row
+    slice.
 
     Each edge appears in both endpoint rows, every row in edge order,
     exactly as appending i0->j0, j0->i0, i1->j1, ... edge by edge would.

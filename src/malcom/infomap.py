@@ -40,21 +40,19 @@ skipping repeated work (``_local_move_passes``):
   within 2 * ``_DELTA_EPS`` of their minimum, among which the exact first
   minimum must lie.
 
-A level keeps its edge list, stored by row as graphs store it (at the
-first level, the graph's arrays, the weight set's own): a row pointer and
-per edge its other end and weight, 12 B.  Its CSR holds no weights: each
-entry is an int32 neighbour id and the int32 id of its edge, 8 B per
-entry, and a reader takes a row's weights from the level's own edge
-weights, ``ew.take(eid[s:e])``, in row order.  Community exit sums walk the
-CSR rows in slices of about ``_CHUNK`` entries; a level's strengths and
-its aggregated edge weights walk its edge list ``_CHUNK`` edges at a time,
-their rows read from the row pointer (``graph.row_ids``).  Each adds with
+A level keeps its edge list, stored by row as graphs are (at the first
+level, the graph's arrays, the weight set's own).  Its CSR holds no
+weights: each entry is an int32 neighbour id and the int32 id of its edge,
+8 B per entry, and a reader takes a row's weights from the level's own
+edge weights, ``ew.take(eid[s:e])``, in row order.  Community exit sums
+walk the CSR rows in slices of about ``_CHUNK`` entries; a level's
+strengths and its aggregated edge weights walk its edge list ``_CHUNK``
+edges at a time, their rows from ``graph.row_ids``.  Each adds with
 ``np.add.at``, one term at a time in order, as a bincount over all terms
 would: the sums are the same doubles, and no temporary is |E| long.  Every
 level lists its edges by (min, max), with at most one loop per vertex (at
 the first level, none), so the edge order is the CSR rows' order of each
-vertex's loop, then its upper entries.  Vertex and community ids are
-int32.
+vertex's loop, then its upper entries.  Vertex and community ids are int32.
 """
 from __future__ import annotations
 
@@ -197,8 +195,7 @@ class DetectorConfig:
 
 class _Net:
     """One aggregation level, built from its edges stored by row, (ptr, ej,
-    ew), which it keeps: at the first level they are the graph's own
-    arrays.
+    ew), which it keeps: at the first level, the graph's own arrays.
 
     Non-loop edges form the CSR adjacency of ``graph.csr``: ``indptr``,
     ``indices`` with int32 vertex ids and ``eid`` with the int32 ids of
@@ -216,10 +213,9 @@ class _Net:
     """
 
     def __init__(self, ptr: np.ndarray, ej: np.ndarray, ew: np.ndarray):
-        n = len(ptr) - 1
-        self.n, self.ptr, self.ej, self.ew = n, ptr, ej, ew
-        self.loop = np.zeros(n, dtype=np.float64)
-        self.strength = np.zeros(n, dtype=np.float64)
+        self.n, self.ptr, self.ej, self.ew = len(ptr) - 1, ptr, ej, ew
+        self.loop = np.zeros(self.n, dtype=np.float64)
+        self.strength = np.zeros(self.n, dtype=np.float64)
         total = np.zeros(1, dtype=np.float64)
         loops = []
         for s in range(0, len(ew), _CHUNK):

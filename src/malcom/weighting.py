@@ -21,10 +21,9 @@ position matrix; both paths give the same set, bit for bit.  Weighed at p, a
 set holds exactly the top ceil(p/100 * |W|) pairs, ties included: all that
 an epsilon or E-N graph at that p reads, and while weighing at most about
 1.25 m pairs plus a row chunk's, m = ceil(p/100 * n(n-1)/2); at p = 100
-it holds all |W| positive pairs, and weighed at a floor epsilon, only those
->= epsilon.  The k-NN rules read recomputed rows, not held pairs.  Pairs
-are held by row: an int64 row pointer ``indptr`` of n + 1 entries, and per
-pair its int32 column id (``VERTEX_ID``) and float64 weight, 12 bytes.
+it holds all |W| positive pairs (those >= epsilon, weighed at a floor).
+The k-NN rules read recomputed rows, not held pairs.  Pairs are held by
+row, so one takes 12 bytes: its int32 column id and its weight.
 """
 from __future__ import annotations
 
@@ -92,8 +91,8 @@ def rescaled(x: np.ndarray, error: type[MalcomError], what: str) -> np.ndarray:
 
 
 def count_ids(ids: np.ndarray, n: int) -> np.ndarray:
-    """How often each of 0..n-1 occurs in the int32 ``ids``, counted
-    _BLOCK_CELLS / 8 at a time: ``np.bincount`` copies the ids to int64."""
+    """How often each of 0..n-1 occurs in ``ids``, _BLOCK_CELLS / 8 at a
+    time: ``np.bincount`` copies int32 ids to int64."""
     counts, step = np.zeros(n, dtype=np.int64), max(1, _BLOCK_CELLS >> 3)
     for s in range(0, len(ids), step):
         counts += np.bincount(ids[s : s + step], minlength=n)
@@ -129,20 +128,18 @@ Feature = tuple[np.ndarray, np.ndarray]
 class WeightSet:
     """Sparse symmetric positive pair weights over n vertices.
 
-    Stored by row as read-only arrays: the int64 row pointer ``indptr``
-    (n + 1) and, per pair, its int32 column ``j`` and weight ``w`` > 0;
-    row i's pairs are ``j[indptr[i]:indptr[i + 1]]``, each j > i and
-    ascending (vertex indices in dataset order).  An epsilon or E-N graph
-    that keeps every held pair aliases them.  The set holds either all
-    ``total`` positive pairs, or every pair at or above ``floor``: weighed
-    at p, the top ceil(p/100 * total), ties included, whose smallest is the
-    floor (the default); weighed at a floor epsilon, those >= epsilon.
-    What it can serve follows from that alone, and the cutoff of any p it
-    serves is a rank of ``w`` (``top_value``).  It keeps the feature lists
-    it was weighed from, and ``row_blocks`` recomputes whole rows from
-    them.  ``min_rows`` marks rows among which the complete set's smallest
-    weight lies (None: all rows); ``min_w`` recomputes them only once it is
-    read, and not at all for a complete set.
+    Stored by row as read-only arrays: row i's pairs (i, j) have the int32
+    columns ``j[indptr[i]:indptr[i + 1]]``, j > i ascending (indices in
+    dataset order), and weights ``w`` > 0; an epsilon or E-N graph that
+    keeps every held pair aliases them.  The set holds either all ``total``
+    positive pairs, or every pair at or above ``floor`` (by default its
+    smallest held weight; weighed at p, the top ceil(p/100 * total), ties
+    included); what it can serve follows from that alone, and the cutoff
+    of any p it serves is a rank of ``w`` (``top_value``).  It keeps the
+    feature lists it was weighed from, and ``row_blocks`` recomputes whole
+    rows from them.  ``min_rows`` marks rows among which the complete set's
+    smallest weight lies (None: all rows); ``min_w`` recomputes them only
+    once it is read, and not at all for a complete set.
     """
 
     def __init__(
@@ -254,24 +251,21 @@ def pairwise_weights(
     the same order, so the weights do not depend on b.
 
     The set holds exactly the top ceil(top_p/100 * |W|) pairs, ties
-    included, and of them, given a ``floor``, only those >= floor, by row
-    (``WeightSet``); at top_p = 100 and no floor it is complete.  A block
-    is appended a row chunk of about _BLOCK_CELLS / 8 cells at a time, with
-    its rows' counts of pairs, and a chunk keeps the pairs at or above a
-    threshold that starts at the floor (0 without one).  Once more than
-    ceil(1.25 * m_max) pairs are held, m_max = ceil(top_p/100 *
-    n(n-1)/2), they are compacted in place, _BLOCK_CELLS / 8 pairs at a
-    time (``_keep_top``), to those at or above the m_max-th largest, and
-    the threshold rises to that weight; at the end they are trimmed to the
-    top ceil(top_p/100 * |W|) and the floor.  Either rank is found by
-    ``top_value``.  At top_p = 100 nothing is compacted.  The output
-    arrays reserve min(n(n-1)/2, ceil(1.25 * m_max) + max(_BLOCK_CELLS / 8,
-    n)) pairs, what the pairs held before a chunk and the chunk's own can
-    fill; when ties at the threshold hold more, they grow in place.  Memory
-    is O(b * n + held pairs): a block's cells, 12 bytes per held pair and
-    the n + 1 row pointer, and 8 more per member of a rank's bucket while
-    it is partitioned.  A weight that overflows the float64 range raises
-    DatasetError.
+    included, by row; of them only those >= ``floor`` if one is given.  A
+    block is appended a row chunk of about _BLOCK_CELLS / 8 cells at a time,
+    with its rows' ends, and a chunk keeps the pairs at or above a
+    threshold that starts at the floor, or 0.  Once more than ceil(1.25 *
+    m_max) pairs are held, m_max = ceil(top_p/100 * n(n-1)/2), they are
+    compacted in place (``_keep_top``) to those at or above the m_max-th
+    largest, and the threshold rises to that weight; at the end they are
+    trimmed to the top ceil(top_p/100 * |W|) and the floor.  Either rank is
+    found by ``top_value``.  The output arrays reserve min(n(n-1)/2,
+    ceil(1.25 * m_max) + max(_BLOCK_CELLS / 8, n)) pairs, what the pairs
+    held before a chunk and the chunk's own can fill; when ties at the
+    threshold hold more, they grow in place.  Memory is O(b * n + held
+    pairs): one block's cells, reused by every block, 12 bytes per held
+    pair, and 8 more per member of a rank's bucket while it is partitioned.
+    A weight that overflows the float64 range raises DatasetError.
 
     Two paths compute the weights, and give the same set bit for bit.  The
     kernel (``_weight_rows``) adds sum(df^2) / 2 cells over the F features
@@ -330,9 +324,7 @@ def pairwise_weights(
     limit = cap  # held pairs that start a compaction
     threshold = floor or 0.0
     lows = []  # each block's smallest positive weight, or approximation
-    # one buffer for every block's cells: blocks freed in turn would stay
-    # resident in the heap, and the detector's CSR could not reuse them
-    cells = np.empty(rows * n, dtype=np.float64)
+    cells = np.empty(rows * n)  # freed blocks would stay resident in the heap
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         width = n - r0
@@ -361,15 +353,12 @@ def pairwise_weights(
             # cell (a, b) of the chunk is flat index a * width + b; ids < 2**31
             np.remainder(flat, width, out=j[count:end], casting="unsafe")
             j[count:end] += r0
-            # each row of the chunk ends after its held pairs
-            ends = indptr[r0 + s + 1 : r0 + s + len(chunk) + 1]
-            np.cumsum(np.count_nonzero(chunk, axis=1), out=ends)
-            ends += count
+            r = r0 + s + len(chunk)  # rows appended, each ending after its pairs
+            indptr[r - len(chunk) + 1 : r + 1] = count + np.cumsum(chunk.sum(axis=1))
             count = end
             if count > limit:
                 cutoff = top_value(w[:count], m_max)
-                appended = indptr[: r0 + s + len(chunk) + 1]  # rows so far
-                count = _keep_top(appended, j, w, count, cutoff * drop)
+                count = _keep_top(indptr[: r + 1], j, w, count, cutoff * drop)
                 threshold = max(threshold, cutoff)
                 limit = max(cap, count + cap - m_max)  # ties may hold over cap
         del acc, keep
@@ -447,8 +436,8 @@ def _keep_top(
     for s in range(0, count, step):
         e = min(s + step, count)
         held = np.flatnonzero(w[s:e] >= least)
-        # the rows ending in (s, e] end after the pairs held before them;
-        # those ending earlier already moved, to at most ``kept``
+        # rows ending in (s, e] end after the pairs held before; earlier
+        # ends already moved, to at most ``kept``, so indptr stays sorted
         lo, hi = np.searchsorted(indptr, (s, e), side="right")
         indptr[lo:hi] = kept + np.searchsorted(held, indptr[lo:hi] - s)
         for a in (j, w):
@@ -460,8 +449,7 @@ def _keep_top(
 
 
 def _weight_rows(
-    features: list[Feature], n: int, rows: np.ndarray, c0: int,
-    out: Optional[np.ndarray] = None,
+    features: list[Feature], n: int, rows: np.ndarray, c0: int, out=None
 ) -> np.ndarray:
     """Pair weights of the ascending vertices ``rows`` against the columns
     [c0, n), as a (len(rows), n - c0) block, in the buffer ``out`` if given;
@@ -474,8 +462,7 @@ def _weight_rows(
     width = n - c0
     pos = np.full(n, -1, dtype=np.int64)
     pos[rows] = np.arange(len(rows))
-    cells = len(rows) * width
-    acc = np.empty(cells) if out is None else out[:cells]
+    acc = (np.empty(len(rows) * width) if out is None else out)[: len(rows) * width]
     acc.fill(0.0)
     # probes of the ids' dtype: int64 ones would copy each int32 list
     span = np.array([rows[0], rows[-1] + 1, c0], dtype=VERTEX_ID)
@@ -583,18 +570,15 @@ def _slack(k: int) -> float:
     return 3 * (m * 2.0**-24 / (1 - m * 2.0**-24))
 
 
-def _bound_rows(
-    dense: np.ndarray, r0: int, r1: int, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _bound_rows(dense: np.ndarray, r0: int, r1: int, out=None) -> np.ndarray:
     """A = (T B^T + B T^T) / 2 for the rows [r0, r1) of the float32 T
     against the columns [r0, n), B the 0/1 pattern of T, as a float64
     (r1 - r0, n - r0) block, in the buffer ``out`` if given.  The products
     and their sum are float32, and each cell is within ``_slack`` of the
     pair's weight."""
     n, k = dense.shape
-    shape = (r1 - r0, n - r0)
-    out = np.empty(shape) if out is None else out[: shape[0] * shape[1]]
-    out = out.reshape(shape)
+    cells = (r1 - r0) * (n - r0)
+    out = (np.empty(cells) if out is None else out)[:cells].reshape(r1 - r0, n - r0)
     t_rows = dense[r0:r1]
     b_rows = np.sign(t_rows)  # every value is > 0
     step = max(1, (_BLOCK_CELLS >> 3) // max(k, 1))  # columns of B per product
@@ -609,15 +593,15 @@ def _bound_rows(
 def _exact_weights(
     pos: np.ndarray, data: np.ndarray, v: int, ptr: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
-    """The weights of the pairs of the rows v, v + 1, ..., row v + r's the
-    columns j[ptr[r]:ptr[r + 1]] (ptr[0] = 0), each the double the kernel
-    computes, from the model's ``data`` at the positions ``pos``.  Per
-    row, its terms (t_i + t_j) * 0.5 over its own features, ascending,
-    +0.0 where j lacks one, are gathered a column per pair, _BLOCK_CELLS /
-    8 cells at a time, and each column summed in order from its first: the
-    kernel adds them to 0.0 in the same order, and adding +0.0 to a sum >=
-    0 leaves it.  The rows of P of those rows that hold a pair are read at
-    once, so the caller bounds them; each holds a feature."""
+    """The weights of the pairs (v + r, j[c]), c in [ptr[r], ptr[r + 1]),
+    ptr[0] = 0, each the double the kernel computes, from the model's
+    ``data`` at the positions ``pos``.  Per row, its terms (t_i + t_j) * 0.5
+    over its own features, ascending, +0.0 where j lacks one, are gathered
+    a column per pair, _BLOCK_CELLS / 8 cells at a time, and each column
+    summed in order from its first: the kernel adds them to 0.0 in the same
+    order, and adding +0.0 to a sum >= 0 leaves it.  The rows of P that
+    hold a pair are read at once, so the caller bounds them; each holds a
+    feature."""
     out = np.empty(len(j), dtype=np.float64)
     flat, k = pos.ravel(), pos.shape[1]
     runs = np.flatnonzero(np.diff(ptr))  # the rows that hold a pair

@@ -27,6 +27,7 @@ from malcom.graph import (
     read_edges,
     write_edges,
 )
+from malcom.pipeline import run_pipeline
 from malcom.synth import SynthConfig, generate
 from malcom.weighting import compute_tfidf, pairwise_weights
 
@@ -893,6 +894,50 @@ def hard_650(extra=()):
     return compute_tfidf(Dataset(samples=[*d.samples, *extra]).in_id_order())
 
 
+def test_an_epsilon_floor_holds_only_the_pairs_at_or_above_it(tmp_path, monkeypatch):
+    """Weighed at a floor epsilon, the sweep corpus's set holds exactly the
+    pairs >= epsilon, the same on the kernel and on the bound path, and its
+    floor is epsilon, not its smallest held weight: the epsilon graph is
+    the complete set's, also for an epsilon between two weights, a larger
+    epsilon is served and a smaller one raises GraphError.  The pipeline
+    writes the same files for the p = 5 cutoff given as a value as for p."""
+    d = generate(
+        SynthConfig(
+            samples_per_family=50,
+            signature_presence_prob=0.6,
+            cross_family_leak_prob=0.15,
+            rng_seed=7,
+        )
+    )
+    model = compute_tfidf(d.in_id_order())
+    full = pairwise_weights(model)
+    cutoff = percentile_cutoff(full, 5)[0]
+    below = full.w[full.w < cutoff].max()
+    approximate, blocks = weighting._bound_rows, []
+    monkeypatch.setattr(
+        weighting, "_bound_rows", lambda *a: blocks.append(1) or approximate(*a)
+    )
+    for epsilon in (cutoff, (below + cutoff) / 2):
+        sets = []
+        for gain in (math.inf, 0):  # the kernel, then the bound path
+            monkeypatch.setattr(weighting, "_BOUND_GAIN", gain)
+            sets.append(pairwise_weights(model, 100, epsilon))
+        for ws in sets:
+            assert len(ws) == np.count_nonzero(full.w >= epsilon) < ws.total
+            assert ws.floor == epsilon and ws.w.min() == cutoff
+            assert ws.w.tobytes() == sets[0].w.tobytes()
+            for served in (epsilon, 2 * epsilon):
+                assert_same_graph(build_epsilon(ws, served), build_epsilon(full, served))
+            with pytest.raises(GraphError, match="holds only the pair weights >="):
+                build_epsilon(ws, below)
+    assert blocks  # the bound path weighed
+    for name, params in (("p", GraphBuildParams("epsilon", p=5)),
+                         ("value", GraphBuildParams("epsilon", epsilon=cutoff))):
+        run_pipeline(d, params, seed=7, out_dir=tmp_path / name)
+    for f in ("edges.tsv", "partition.csv"):
+        assert (tmp_path / "p" / f).read_bytes() == (tmp_path / "value" / f).read_bytes()
+
+
 def test_en_without_an_absent_pick_reads_no_smallest_weight(monkeypatch):
     """At p = 1 the sweep corpus leaves vertices isolated, but each has a
     present pair to pick: E-N recomputes the isolated rows alone and never
@@ -981,6 +1026,20 @@ def test_percentile_cutoff_allocates_under_one_copy_of_the_weights():
         tracemalloc.stop()
     assert cutoff == np.sort(ws.w)[len(ws) - m]
     assert peak < ws.w.nbytes
+
+
+def test_en_graph_and_its_set_hold_twelve_bytes_per_pair():
+    """Stored by row, a weight set and the E-N graph built from it (which
+    aliases it) hold per pair only its int32 column and float64 weight, and
+    an int64 row pointer of n + 1: a column of row ids would fail this."""
+    ws = pairwise_weights(hard_650(), 10)
+    g = build_en(ws, 10, 1)
+    assert g.meta["fallback_edges"] == 0  # no pick: the set's own arrays
+    for holder, names in ((ws, ("indptr", "j", "w")), (g, ("indptr", "edge_j", "edge_w"))):
+        m = len(getattr(holder, names[-1]))
+        assert sum(getattr(holder, k).nbytes for k in names) == 12 * m + 8 * (ws.n + 1)
+        arrays = {k: a for k, a in vars(holder).items() if isinstance(a, np.ndarray)}
+        assert {k for k, a in arrays.items() if len(a) > ws.n} == set(names)
 
 
 def test_graphs_at_the_weighed_p_share_the_sets_read_only_arrays():

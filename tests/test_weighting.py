@@ -1219,6 +1219,34 @@ def test_the_rule_counts_cells(monkeypatch):
         assert got == ([(nf, np.float32), (nf, np.int32)] if bound else [])
 
 
+def test_compaction_allocates_one_slice_at_a_time():
+    """Compacting 2**20 held pairs, in 1024 rows, to those at or above the
+    median allocates (tracemalloc counts numpy buffers) one slice of
+    _BLOCK_CELLS / 8 pairs' temporaries: its mask, the int64 index of its
+    kept pairs and their gather, about 17 B per pair.  Slices of
+    _BLOCK_CELLS pairs would allocate 8 times that.  The kept pairs and the
+    moved row ends are those of a boolean mask over all pairs."""
+    rng = np.random.default_rng(7)
+    rows, per_row = 1 << 10, 1 << 10
+    w = rng.uniform(1.0, 2.0**40, rows * per_row)  # over many buckets
+    j = np.tile(np.arange(1, per_row + 1, dtype=weighting.VERTEX_ID), rows)
+    indptr = np.arange(rows + 1, dtype=np.int64) * per_row
+    least = float(np.median(w))
+    held = w >= least
+    expect = (j[held], w[held], np.cumsum(np.r_[0, held.reshape(rows, -1).sum(1)]))
+    tracemalloc.start()
+    try:
+        kept = weighting._keep_top(indptr, j, w, len(w), least)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * (weighting._BLOCK_CELLS >> 3)
+    assert kept == np.count_nonzero(held)
+    assert j[:kept].tobytes() == expect[0].tobytes()
+    assert w[:kept].tobytes() == expect[1].tobytes()
+    assert indptr.tolist() == expect[2].tolist()
+
+
 def test_a_lowered_compaction_counts_what_it_keeps():
     """Compacting to the 4th largest weight, 1.0, lowered below the floor of
     its bucket keeps BELOW as well, in place and in order, and returns the
