@@ -78,7 +78,8 @@ class RelationGraph:
     def num_edges(self) -> int:
         return len(self.edge_w)
 
-    def degrees(self) -> np.ndarray:  # its row's edges and those ending at it
+    def degrees(self) -> np.ndarray:
+        """Edges at each vertex: its row's and those that end at it."""
         return np.diff(self.indptr) + count_ids(self.edge_j, self.n)
 
     def row_major(self) -> bool:
